@@ -480,6 +480,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    saved_grid = hitting.ALPHA_GRID  # --alpha-grid applies to this call only
     if getattr(args, "alpha_grid", None):
         try:
             grid = tuple(float(x) for x in args.alpha_grid.split(","))
@@ -505,6 +506,8 @@ def main(argv=None) -> int:
     except OQWError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        hitting.ALPHA_GRID = saved_grid
 
 
 if __name__ == "__main__":

@@ -10,10 +10,19 @@ and ``C`` the capture step into ``j``, the path sum is
 computed by dense linear solves.  Interior sites that cannot be reached
 from ``i`` or cannot reach ``j`` contribute nothing and are dropped before
 the solve; that keeps the resolvent nonsingular whenever the retained
-series converges.  When the retained interior still has spectral radius
-within ``DIVERGENCE_TOL`` of 1, computations fall back to the
-length-weighted family (weight ``alpha`` per step) and a monotone limit
-``alpha -> 1``.
+series converges.
+
+Convergence is decided by one solve per series: next to ``E`` the solve
+takes ``vec(Id)`` on every interior block, and a Hermitian solution
+``Y >= Id`` certifies ``r(S) <= 1 - 1/lmax(Y)`` because ``S`` is a positive
+map.  Only when that certificate is missing or not below
+``1 - DIVERGENCE_TOL`` is the exact radius taken from dense ``eigvals``.
+When the retained interior has spectral radius within ``DIVERGENCE_TOL`` of
+1, computations fall back to the length-weighted family (weight ``alpha``
+per step) and a monotone limit ``alpha -> 1``.  Diagnostics name the method
+(``"solve"`` or ``"alpha_limit"``), the ``radius_bound``, its
+``radius_source`` (``"certificate"`` or ``"eigvals"``) and the solve's
+relative ``residual``.
 
 Infinity is a first-class value: expectations return ``math.inf`` together
 with diagnostics, never an exception, when the underlying series diverges.
@@ -37,11 +46,12 @@ from .linalg import (
     unvec,
     vec,
 )
-from .superop import BlockIndex
+from .superop import BlockIndex, block_matrix
 from .walk import DiagonalState, Site, WalkSpec, _site_id, check_state
 
 ALPHA_GRID = (0.9, 0.99, 0.999, 0.9999)
 DIVERGENCE_TOL = 1e-7
+CERTIFICATE_RESIDUAL_TOL = 1e-8  # relative residual above which a solve certifies nothing
 PASSAGE_SURE_TOL = 1e-6  # passage probabilities closer to 1 than this count as certain
 
 
@@ -90,7 +100,14 @@ def _backward_reachable(walk: WalkSpec, targets, allowed) -> set:
 
 @dataclass
 class CaptureSeries:
-    """Matrices of the taboo-path decomposition for one (i, j, taboo) triple."""
+    """Matrices of the taboo-path decomposition for one (i, j, taboo) triple.
+
+    Only ``A = Id - S`` is stored; ``S`` is rebuilt from the walk's cached
+    Kraus blocks when read.  ``resolvent`` is ``(Id - S)^{-1} E`` from the
+    certifying solve (None if that solve failed).  ``radius_bound`` bounds the
+    spectral radius of ``S`` from above and is exact when ``radius_source`` is
+    ``"eigvals"``; ``residual`` is the certifying solve's relative residual.
+    """
 
     walk: WalkSpec
     source: Site
@@ -98,14 +115,36 @@ class CaptureSeries:
     taboo: frozenset
     interior: tuple[Site, ...]
     direct: np.ndarray | None   # L[j, i], None if absent
-    S: np.ndarray               # interior -> interior
+    A: np.ndarray               # Id - S, interior -> interior
     E: np.ndarray               # {i} -> interior
     C: np.ndarray               # interior -> {j}
-    interior_radius: float
+    resolvent: np.ndarray | None
+    radius_bound: float
+    radius_source: str
+    residual: float
+    _radius: float | None = field(default=None, repr=False)
+
+    @property
+    def S(self) -> np.ndarray:
+        """One-step map on the interior (a fresh array on every read)."""
+        idx = BlockIndex.build(self.walk, self.interior)
+        return block_matrix(self.walk, idx, idx)
+
+    @property
+    def interior_radius(self) -> float:
+        """Exact spectral radius of ``S`` by dense ``eigvals``, computed on first read."""
+        if self._radius is None:
+            self._radius = spectral_radius(self.S)
+        return self._radius
 
     @property
     def convergent(self) -> bool:
-        return self.interior_radius < 1.0 - DIVERGENCE_TOL
+        return self.radius_bound < 1.0 - DIVERGENCE_TOL
+
+    @property
+    def diagnostics(self) -> dict:
+        return {"radius_bound": self.radius_bound, "radius_source": self.radius_source,
+                "residual": self.residual}
 
     def matrix(self, alpha: float = 1.0) -> np.ndarray:
         """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2."""
@@ -114,10 +153,13 @@ class CaptureSeries:
         di2 = walk.dims[self.source] ** 2
         m = np.zeros((dj2, di2), dtype=COMPLEX)
         if self.direct is not None:
-            m += alpha * kraus_block(self.direct)
-        if self.S.shape[0]:
-            resolvent = np.linalg.solve(
-                np.eye(self.S.shape[0], dtype=COMPLEX) - alpha * self.S, self.E)
+            m += alpha * walk.kraus(self.target, self.source)
+        if self.A.shape[0]:
+            if alpha == 1.0 and self.resolvent is not None:
+                resolvent = self.resolvent
+            else:
+                shifted = self.A if alpha == 1.0 else _id_minus(self.S, alpha)
+                resolvent = np.linalg.solve(shifted, self.E)
             m += (alpha ** 2) * (self.C @ resolvent)
         return m
 
@@ -128,12 +170,13 @@ class CaptureSeries:
         di2 = walk.dims[self.source] ** 2
         terms = [np.zeros((dj2, di2), dtype=COMPLEX) for _ in range(max_len)]
         if self.direct is not None:
-            terms[0] = kraus_block(self.direct)
-        if self.S.shape[0]:
+            terms[0] = walk.kraus(self.target, self.source).copy()
+        if self.A.shape[0]:
+            S = self.S
             power = self.E.copy()
             for ell in range(2, max_len + 1):
                 terms[ell - 1] = terms[ell - 1] + self.C @ power
-                power = self.S @ power
+                power = S @ power
         return terms
 
 
@@ -141,7 +184,8 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
     """Build the capture decomposition for paths i -> j avoiding the taboo set.
 
     Intermediate vertices must avoid ``taboo`` and the target ``j``; the
-    endpoints are unconstrained.
+    endpoints are unconstrained.  One solve gives both the resolvent and the
+    convergence certificate (see :func:`_certify`).
     """
     i, j = _site_id(i), _site_id(j)
     taboo = frozenset(_site_id(s) for s in taboo)
@@ -155,30 +199,78 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
     interior = tuple(s for s in allowed if s in reach and s in coreach)
 
     idx = BlockIndex.build(walk, interior)
-    S = np.zeros((idx.total, idx.total), dtype=COMPLEX)
-    for (to, fr), L in walk.transitions.items():
-        if to in idx.offsets and fr in idx.offsets:
-            r0, r1 = idx.offsets[to]
-            c0, c1 = idx.offsets[fr]
-            S[r0:r1, c0:c1] += kraus_block(L)
-    di2 = walk.dims[i] ** 2
-    dj2 = walk.dims[j] ** 2
-    E = np.zeros((idx.total, di2), dtype=COMPLEX)
-    for t in walk._succ[i]:
-        if t in idx.offsets:
-            r0, r1 = idx.offsets[t]
-            E[r0:r1, :] += kraus_block(walk.transitions[(t, i)])
-    C = np.zeros((dj2, idx.total), dtype=COMPLEX)
-    for s in interior:
-        L = walk.transitions.get((j, s))
-        if L is not None:
-            c0, c1 = idx.offsets[s]
-            C[:, c0:c1] += kraus_block(L)
-    return CaptureSeries(
+    A = _id_minus(block_matrix(walk, idx, idx))
+    E = block_matrix(walk, idx, BlockIndex.build(walk, (i,)))
+    C = block_matrix(walk, BlockIndex.build(walk, (j,)), idx)
+    resolvent, bound, residual = _certify(walk, idx, A, E)
+    series = CaptureSeries(
         walk=walk, source=i, target=j, taboo=taboo, interior=interior,
-        direct=walk.transitions.get((j, i)), S=S, E=E, C=C,
-        interior_radius=spectral_radius(S),
-    )
+        direct=walk.transitions.get((j, i)), A=A, E=E, C=C, resolvent=resolvent,
+        radius_bound=bound, radius_source="certificate", residual=residual)
+    if not bound < 1.0 - DIVERGENCE_TOL:
+        series.radius_bound = series.interior_radius
+        series.radius_source = "eigvals"
+        if series.convergent and resolvent is None:
+            series.resolvent = np.linalg.solve(A, E)
+    return series
+
+
+def _id_minus(m: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """``Id - alpha m``, computed in place."""
+    m *= -alpha
+    m.reshape(-1)[:: m.shape[0] + 1] += 1.0   # the diagonal
+    return m
+
+
+def _certify(walk: WalkSpec, idx: BlockIndex, A: np.ndarray,
+             E: np.ndarray) -> tuple[np.ndarray | None, float, float]:
+    """Solve ``A [R | Y] = [E | vec(Id on every block)]`` with ``A = Id - S``.
+
+    ``S`` is a positive map, so a solution whose blocks are Hermitian and
+    ``>= Id`` gives ``S(Y) = Y - Id <= (1 - 1/lmax(Y)) Y`` and hence
+    ``r(S) <= 1 - 1/lmax(Y)`` (Perron-Frobenius for positive maps); the
+    residual of the ``Y`` column is charged against the ``Id`` term.
+    Conversely ``r(S) < 1`` makes ``Y`` the series ``sum_n S^n(Id) >= Id``.
+    Returns ``(R, bound, relative residual)``; the bound is ``inf`` when the
+    solve fails or ``Y`` is no certificate.
+    """
+    if not A.shape[0]:
+        return E, 0.0, 0.0
+    ones = idx.trace_vector(walk)
+    rhs = np.column_stack([E, ones])
+    try:
+        X = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        return None, math.inf, math.inf
+    if not np.isfinite(X).all():
+        return None, math.inf, math.inf
+    resid = A @ X - rhs
+    residual = float(np.linalg.norm(resid) / np.linalg.norm(rhs))
+    R = X[:, :-1]
+    if residual > CERTIFICATE_RESIDUAL_TOL:
+        return R, math.inf, residual
+    # the exact solution is Hermitian with lmin >= 1; accept rounding
+    # relative to its size, but never a block that is not positive definite
+    lo, hi, skew = math.inf, 0.0, 0.0
+    for d, starts in _blocks_by_dim(walk, idx).items():
+        take = (starts[:, None] + np.arange(d * d)).ravel()
+        blocks = X[take, -1].reshape(-1, d, d)   # transposed blocks: same spectra
+        h = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+        skew = max(skew, float(np.abs(blocks - h).max()))
+        w = np.linalg.eigvalsh(h)
+        lo, hi = min(lo, float(w.min())), max(hi, float(w.max()))
+    eps = float(np.linalg.norm(resid[:, -1]))
+    if skew > 1e-8 * hi or lo <= 0.0 or lo < 1.0 - 1e-6 * hi:
+        return R, math.inf, residual
+    return R, max(0.0, 1.0 - (1.0 - eps) / hi), residual
+
+
+def _blocks_by_dim(walk: WalkSpec, idx: BlockIndex) -> dict[int, np.ndarray]:
+    """Block start offsets in ``idx``, grouped by the block's site dimension."""
+    out: dict[int, list] = {}
+    for s in idx.sites:
+        out.setdefault(walk.dims[s], []).append(idx.offsets[s][0])
+    return {d: np.asarray(v) for d, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +283,9 @@ class CPMapBlock:
 
     ``matrix`` acts on column-major vectorized blocks.  ``alpha`` is the
     per-step weight used to build it (None for the unweighted map), and
-    ``diagnostics`` records the interior spectral radius and the method
-    ("solve" for a direct resolvent, "alpha_limit" for the extrapolated
-    weighted family).
+    ``diagnostics`` records the method ("solve" for a direct resolvent,
+    "alpha_limit" for the extrapolated weighted family) and the interior
+    radius bound with its source and the solve's relative residual.
     """
 
     source: Site
@@ -235,6 +327,16 @@ class CPMapBlock:
         return bool(w.min(initial=0.0) >= -tol and w.max(initial=0.0) <= 1.0 + tol)
 
 
+def _aitken(v1, v2, v3):
+    """Entrywise Aitken delta-squared limit of three successive values; where
+    the second difference vanishes the last value is kept."""
+    v1, v2, v3 = np.asarray(v1), np.asarray(v2), np.asarray(v3)
+    d2 = v3 - v2
+    denom = (v2 - v1) - d2
+    safe = np.abs(denom) > 1e-14
+    return np.where(safe, v3 + d2 * d2 / np.where(safe, denom, 1.0), v3)
+
+
 def _alpha_limit_matrix(series: CaptureSeries) -> tuple[np.ndarray, dict]:
     mats = [series.matrix(a) for a in ALPHA_GRID]
     dj = series.walk.dims[series.target]
@@ -250,15 +352,22 @@ def _alpha_limit_matrix(series: CaptureSeries) -> tuple[np.ndarray, dict]:
         raise NumericalError(
             "alpha-weighted family does not converge on the grid",
             {"spectral_radius": series.interior_radius, "deltas": deltas})
-    # entrywise Aitken on the last three grid points
-    m1, m2, m3 = mats[-3], mats[-2], mats[-1]
-    d1, d2 = m2 - m1, m3 - m2
-    denom = d1 - d2
-    safe = np.abs(denom) > 1e-14
-    accel = m3.copy()
-    accel[safe] = m3[safe] + d2[safe] * d2[safe] / denom[safe]
-    return accel, {"spectral_radius": series.interior_radius, "method": "alpha_limit",
-                   "alpha_grid": list(ALPHA_GRID)}
+    return _aitken(*mats[-3:]), {"spectral_radius": series.interior_radius,
+                                 "method": "alpha_limit", "alpha_grid": list(ALPHA_GRID),
+                                 **series.diagnostics}
+
+
+def _taboo_block(series: CaptureSeries) -> CPMapBlock:
+    if series.convergent:
+        m = series.matrix()
+        diag = {"method": "solve", **series.diagnostics}
+    else:
+        m, diag = _alpha_limit_matrix(series)
+    walk = series.walk
+    return CPMapBlock(
+        source=series.source, target=series.target,
+        source_dim=walk.dims[series.source], target_dim=walk.dims[series.target],
+        matrix=m, taboo=series.taboo, alpha=None, diagnostics=diag)
 
 
 def taboo_operator(walk: WalkSpec, i, j, taboo=()) -> CPMapBlock:
@@ -267,16 +376,7 @@ def taboo_operator(walk: WalkSpec, i, j, taboo=()) -> CPMapBlock:
     Paths run from ``i`` to ``j``; intermediate vertices avoid ``taboo`` and
     ``j`` itself.  The default ``taboo=()`` gives the first-passage operator.
     """
-    series = capture_series(walk, i, j, taboo)
-    if series.convergent:
-        m = series.matrix()
-        diag = {"spectral_radius": series.interior_radius, "method": "solve"}
-    else:
-        m, diag = _alpha_limit_matrix(series)
-    return CPMapBlock(
-        source=series.source, target=series.target,
-        source_dim=walk.dims[series.source], target_dim=walk.dims[series.target],
-        matrix=m, taboo=series.taboo, alpha=None, diagnostics=diag)
+    return _taboo_block(capture_series(walk, i, j, taboo))
 
 
 def alpha_operator(walk: WalkSpec, i, j, taboo=(), alpha: float = 0.5) -> CPMapBlock:
@@ -288,22 +388,25 @@ def alpha_operator(walk: WalkSpec, i, j, taboo=(), alpha: float = 0.5) -> CPMapB
         source=series.source, target=series.target,
         source_dim=walk.dims[series.source], target_dim=walk.dims[series.target],
         matrix=series.matrix(alpha), taboo=series.taboo, alpha=alpha,
-        diagnostics={"spectral_radius": series.interior_radius, "method": "solve"})
+        diagnostics={"method": "solve", **series.diagnostics})
 
 
 # ---------------------------------------------------------------------------
 # scalar statistics
 
 
-def passage_probability(walk: WalkSpec, i, rho, j) -> float:
-    """Probability that the walk started at (i, rho) ever visits j."""
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, DiagonalState({_site_id(i): rho}))
-    op = taboo_operator(walk, i, j)
+def _passage(op: CPMapBlock, rho: np.ndarray) -> float:
     p = float(np.trace(op.apply(rho)).real)
     if p < -1e-6 or p > 1.0 + 1e-6:
         raise NumericalError(f"passage probability {p} escapes [0, 1]", op.diagnostics)
     return min(1.0, max(0.0, p))
+
+
+def passage_probability(walk: WalkSpec, i, rho, j) -> float:
+    """Probability that the walk started at (i, rho) ever visits j."""
+    rho = np.asarray(rho, dtype=COMPLEX)
+    check_state(walk, DiagonalState({_site_id(i): rho}))
+    return _passage(taboo_operator(walk, i, j), rho)
 
 
 @dataclass
@@ -347,8 +450,7 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     """
     rho = np.asarray(rho, dtype=COMPLEX)
     check_state(walk, DiagonalState({_site_id(i): rho}))
-    first = taboo_operator(walk, i, j)
-    sigma = first.apply(rho)
+    sigma = taboo_operator(walk, i, j).apply(rho)
     tr_sigma = float(np.trace(sigma).real)
     if tr_sigma <= 1e-14:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
@@ -359,7 +461,8 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
         if radius < 1.0 - DIVERGENCE_TOL:
             x = np.linalg.solve(np.eye(P.shape[0], dtype=COMPLEX) - P, vec(sigma))
             val = float(np.vdot(vec(np.eye(walk.dims[_site_id(j)], dtype=COMPLEX)), x).real)
-            return ExpectationResult(val, {"method": "solve", "spectral_radius": radius})
+            return ExpectationResult(val, {"method": "solve", "spectral_radius": radius,
+                                           **returns.diagnostics})
         kr_radius, basis = _krylov_radius(P, vec(sigma))
         if kr_radius < 1.0 - DIVERGENCE_TOL:
             Pr = basis.conj().T @ P @ basis
@@ -369,99 +472,94 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
             val = float(np.vdot(tvec, xr).real)
             return ExpectationResult(val, {"method": "solve",
                                            "spectral_radius": kr_radius,
-                                           "restricted": True})
-    return _alpha_limit_trace(walk, i, rho, j)
+                                           "restricted": True, **returns.diagnostics})
+    return _alpha_limit_trace(capture_series(walk, i, j), returns, rho)
 
 
-def _alpha_limit_trace(walk: WalkSpec, i, rho, j) -> ExpectationResult:
-    j = _site_id(j)
-    first = capture_series(walk, _site_id(i), j)
-    returns = capture_series(walk, j, j)
-    dj = walk.dims[j]
-    tvec = vec(np.eye(dj, dtype=COMPLEX))
+def _alpha_limit_value(values: list[float]) -> float | None:
+    """Limit of an increasing alpha-grid sequence: ``inf`` when the last
+    increments grow, the Aitken limit when they flatten or shrink
+    geometrically, None when the grid is inconclusive."""
+    inc = [b - a for a, b in zip(values, values[1:])]
+    if values[-1] > 1e12 or (inc[-1] > 1e-9 and inc[-1] > 1.5 * inc[-2]):
+        return math.inf
+    settled = abs(inc[-1]) <= max(1e-9, 1e-6 * abs(values[-1]))
+    if settled or inc[-1] < 0.9 * inc[-2]:
+        return float(_aitken(*values[-3:]))
+    return None
+
+
+def _alpha_limit_trace(first: CaptureSeries, returns: CaptureSeries,
+                       rho: np.ndarray) -> ExpectationResult:
+    tvec = vec(np.eye(first.walk.dims[returns.target], dtype=COMPLEX))
     values = []
     for a in ALPHA_GRID:
-        sig = first.matrix(a) @ vec(np.asarray(rho, dtype=COMPLEX))
+        sig = first.matrix(a) @ vec(rho)
         P = returns.matrix(a)
         x = np.linalg.solve(np.eye(P.shape[0], dtype=COMPLEX) - P, sig)
         values.append(float(np.vdot(tvec, x).real))
     diag = {"method": "alpha_limit", "alpha_grid": list(ALPHA_GRID),
             "alpha_values": values,
-            "spectral_radius": returns.interior_radius}
-    inc = [b - a for a, b in zip(values, values[1:])]
-    if values[-1] > 1e12 or (inc[-1] > 1e-9 and inc[-1] > 1.5 * inc[-2]):
-        return ExpectationResult(math.inf, diag)
-    settled = abs(inc[-1]) <= max(1e-9, 1e-6 * abs(values[-1]))
-    if settled or inc[-1] < 0.9 * inc[-2]:  # flat or geometric-looking tail
-        v1, v2, v3 = values[-3:]
-        denom = (v2 - v1) - (v3 - v2)
-        val = v3 + (v3 - v2) ** 2 / denom if abs(denom) > 1e-14 else v3
-        return ExpectationResult(float(val), diag)
-    raise NumericalError("alpha limit of expected visits is inconclusive", diag)
+            "spectral_radius": returns.interior_radius, **returns.diagnostics}
+    val = _alpha_limit_value(values)
+    if val is None:
+        raise NumericalError("alpha limit of expected visits is inconclusive", diag)
+    return ExpectationResult(val, diag)
 
 
 def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     """Expected first-passage time from (i, rho) to j; ``inf`` when the
     passage probability falls short of 1 or the weighted series diverges."""
     rho = np.asarray(rho, dtype=COMPLEX)
-    p = passage_probability(walk, i, rho, j)
+    check_state(walk, DiagonalState({_site_id(i): rho}))
+    series = capture_series(walk, i, j)
+    p = _passage(_taboo_block(series), rho)
     if p < 1.0 - PASSAGE_SURE_TOL:
         return ExpectationResult(math.inf, {"method": "passage_deficit",
                                             "passage_probability": p})
-    series = capture_series(walk, i, j)
     dj = walk.dims[series.target]
     tvec = vec(np.eye(dj, dtype=COMPLEX))
     m1 = 0.0
     if series.direct is not None:
         m1 = float(np.trace(series.direct @ rho @ series.direct.conj().T).real)
     if series.convergent:
-        if series.S.shape[0]:
-            eye = np.eye(series.S.shape[0], dtype=COMPLEX)
-            y = np.linalg.solve(eye - series.S, series.E @ vec(rho))
-            z = np.linalg.solve(eye - series.S, y)
-            val = m1 + float(np.vdot(tvec, series.C @ (y + z)).real)
-        else:
-            val = m1
-        diag = {"method": "solve", "spectral_radius": series.interior_radius,
-                "passage_probability": p,
-                "fd_check": _return_time_fd(series, rho, p)}
+        val = m1
+        if series.A.shape[0]:
+            y = series.resolvent @ vec(rho)
+            z = np.linalg.solve(series.A, y)
+            val += float(np.vdot(tvec, series.C @ (y + z)).real)
+        diag = {"method": "solve", "passage_probability": p, **series.diagnostics}
         return ExpectationResult(val, diag)
     # weighted-derivative fallback on the alpha grid
-    derivs = []
-    for a in ALPHA_GRID:
-        derivs.append(_weighted_time_derivative(series, rho, a))
-    inc = [b - a for a, b in zip(derivs, derivs[1:])]
+    S = series.S
+    derivs = [_weighted_time_derivative(series, S, rho, a) for a in ALPHA_GRID]
     diag = {"method": "alpha_limit", "alpha_grid": list(ALPHA_GRID),
             "alpha_values": derivs, "spectral_radius": series.interior_radius,
-            "passage_probability": p}
-    if derivs[-1] > 1e12 or (inc[-1] > 1e-9 and inc[-1] > 1.5 * inc[-2]):
-        return ExpectationResult(math.inf, diag)
-    if abs(inc[-1]) <= max(1e-9, 1e-6 * abs(derivs[-1])) or inc[-1] < 0.9 * inc[-2]:
-        v1, v2, v3 = derivs[-3:]
-        denom = (v2 - v1) - (v3 - v2)
-        val = v3 + (v3 - v2) ** 2 / denom if abs(denom) > 1e-14 else v3
-        return ExpectationResult(float(val), diag)
-    return ExpectationResult(math.inf, diag)
+            "passage_probability": p, **series.diagnostics}
+    val = _alpha_limit_value(derivs)
+    return ExpectationResult(math.inf if val is None else val, diag)
 
 
-def _weighted_time_derivative(series: CaptureSeries, rho: np.ndarray, alpha: float) -> float:
+def _weighted_time_derivative(series: CaptureSeries, S: np.ndarray, rho: np.ndarray,
+                              alpha: float) -> float:
     """d/dalpha of the weighted passage mass, evaluated exactly at alpha."""
     dj = series.walk.dims[series.target]
     tvec = vec(np.eye(dj, dtype=COMPLEX))
     m1 = 0.0
     if series.direct is not None:
         m1 = float(np.trace(series.direct @ rho @ series.direct.conj().T).real)
-    if not series.S.shape[0]:
+    if not S.shape[0]:
         return m1
-    eye = np.eye(series.S.shape[0], dtype=COMPLEX)
-    y = np.linalg.solve(eye - alpha * series.S, series.E @ vec(rho))
-    z = np.linalg.solve(eye - alpha * series.S, series.S @ y)
+    eye = np.eye(S.shape[0], dtype=COMPLEX)
+    y = np.linalg.solve(eye - alpha * S, series.E @ vec(rho))
+    z = np.linalg.solve(eye - alpha * S, S @ y)
     term = np.vdot(tvec, series.C @ (2 * alpha * y + alpha * alpha * z)).real
     return m1 + float(term)
 
 
 def _return_time_fd(series: CaptureSeries, rho: np.ndarray, p_at_one: float) -> float:
-    """Richardson finite-difference check of d/dalpha at alpha = 1^-."""
+    """Richardson finite-difference estimate of d/dalpha at alpha = 1^-, an
+    independent check of the solved return time."""
     def mass(a: float) -> float:
         m = series.matrix(a)
         dj = series.walk.dims[series.target]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import COMPLEX, herm, kraus_block, positive_part, spectral_radius, unvec, vec
+from .linalg import COMPLEX, herm, positive_part, spectral_radius, unvec, vec
 from .walk import DiagonalObservable, DiagonalState, Site, WalkSpec, _site_id
 
 
@@ -66,7 +66,7 @@ class BlockIndex:
         t = np.zeros(self.total, dtype=COMPLEX)
         for s in self.sites:
             lo, hi = self.offsets[s]
-            t[lo:hi] = vec(np.eye(walk.dims[s], dtype=COMPLEX))
+            t[lo:hi:walk.dims[s] + 1] = 1.0  # diagonal of the column-major block
         return t
 
 
@@ -92,6 +92,20 @@ class Superoperator:
         return spectral_radius(self.matrix)
 
 
+def block_matrix(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> np.ndarray:
+    """Dense matrix whose block (to, fr) is the walk's cached vec-Kraus block
+    of ``L[to, fr]``, for every transition from a ``cols`` site to a ``rows``
+    site; all other entries are zero."""
+    m = np.zeros((rows.total, cols.total), dtype=COMPLEX)
+    for fr in cols.sites:
+        c0, c1 = cols.offsets[fr]
+        for to in walk._succ[fr]:
+            span = rows.offsets.get(to)
+            if span is not None:
+                m[span[0]:span[1], c0:c1] = walk.kraus(to, fr)
+    return m
+
+
 def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -> Superoperator:
     """Matrix of the one-step map with sources and targets restricted to masks.
 
@@ -113,13 +127,7 @@ def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -
             raise InputError(f"target mask has unknown sites {sorted(unknown)}")
     src = BlockIndex.build(walk, sources)
     tgt = BlockIndex.build(walk, targets)
-    m = np.zeros((tgt.total, src.total), dtype=COMPLEX)
-    for (to, fr), L in walk.transitions.items():
-        if fr in src.offsets and to in tgt.offsets:
-            r0, r1 = tgt.offsets[to]
-            c0, c1 = src.offsets[fr]
-            m[r0:r1, c0:c1] += kraus_block(L)
-    return Superoperator(walk, src, tgt, m)
+    return Superoperator(walk, src, tgt, block_matrix(walk, tgt, src))
 
 
 def _fixed_space(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .linalg import COMPLEX, as_matrix, frozen, herm, is_psd
+from .linalg import COMPLEX, as_matrix, frozen, herm, is_psd, kraus_block
 
 Site = str
 
@@ -48,6 +48,7 @@ class WalkSpec:
     tolerance: float = DEFAULT_TOLERANCE
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _kraus: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         sites = tuple(_site_id(s) for s in self.sites)
@@ -95,6 +96,16 @@ class WalkSpec:
 
     def block(self, to, fr) -> np.ndarray | None:
         return self.transitions.get((_site_id(to), _site_id(fr)))
+
+    def kraus(self, to: Site, fr: Site) -> np.ndarray:
+        """Read-only vec-matrix ``kron(conj(L), L)`` of the transition
+        ``L[to, fr]``, built on first use and kept with the walk."""
+        blk = self._kraus.get((to, fr))
+        if blk is None:
+            blk = kraus_block(self.transitions[(to, fr)])
+            blk.setflags(write=False)
+            self._kraus[(to, fr)] = blk
+        return blk
 
     def successors(self, site) -> list[Site]:
         """Targets reachable in one step, in declared site order."""

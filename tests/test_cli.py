@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oqw
-from oqw import serialize
+from oqw import hitting, serialize
 from oqw.cli import main, parse_rho
 from oqw.errors import InputError
 from oqw.fixtures import example_three_site_trap
@@ -232,3 +232,11 @@ def test_alpha_grid_flag_validation(capsys):
     code = main(["hit", "--walk", "example-5.1", "--from", "0", "--rho", "mixed",
                  "--to", "0", "--alpha-grid", "0.5,2.0"])
     assert code == 1
+
+
+def test_alpha_grid_flag_does_not_outlive_the_call(capsys):
+    grid = hitting.ALPHA_GRID
+    code = main(["hit", "--walk", "example-5.1", "--from", "0", "--rho", "mixed",
+                 "--to", "0", "--alpha-grid", "0.5,0.6,0.7"])
+    assert code == 0
+    assert hitting.ALPHA_GRID is grid

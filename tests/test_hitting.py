@@ -6,7 +6,7 @@ import pytest
 import oqw
 from oqw import fixtures
 from oqw.errors import InputError
-from oqw.hitting import capture_series, shanks_limit
+from oqw.hitting import _return_time_fd, capture_series, shanks_limit
 
 from conftest import E1, E2, MIX, random_density
 
@@ -187,7 +187,9 @@ def test_half_line_return_times(half_line_down):
         rho = np.diag([1 - r, r]).astype(complex)
         res = oqw.expected_return_time(half_line_down, "0", rho, "0")
         assert res.value == pytest.approx(r + 3.0 * (1 - r), abs=1e-9)
-        assert res.diagnostics["fd_check"] == pytest.approx(res.value, abs=1e-3)
+        series = capture_series(half_line_down, "0", "0")
+        fd = _return_time_fd(series, rho, res.diagnostics["passage_probability"])
+        assert fd == pytest.approx(res.value, abs=1e-3)
 
 
 def test_return_time_infinite_when_passage_deficient(half_line_up_taboo):
