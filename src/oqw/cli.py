@@ -153,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--alpha-grid", default=None,
                         help="comma-separated alpha grid for divergent series")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trajectory ensembles")
 
     pv = sub.add_parser("validate", parents=[common], help="check stochasticity")
 
@@ -390,8 +388,7 @@ def _cmd_simulate(args) -> int:
     walk = load_walk(args)
     rho = parse_rho(args.rho, walk.dim(args.src))
     est = estimate_hitting(walk, args.src, rho, args.dst,
-                           n_traj=args.n_traj, horizon=args.horizon, seed=args.seed,
-                           threads=max(1, args.threads))
+                           n_traj=args.n_traj, horizon=args.horizon, seed=args.seed)
     if args.dump:
         with open(args.dump, "w") as fh:
             for k in range(args.n_traj):

@@ -84,7 +84,8 @@ def _forward_reachable(walk: WalkSpec, seeds, allowed) -> set:
 def _backward_reachable(walk: WalkSpec, targets, allowed) -> set:
     allowed = set(allowed)
     seen = set()
-    frontier = [s for s in allowed if any(_nonzero(walk, t, s) for t in targets)]
+    frontier = [s for t in targets for s in walk._pred[t]
+                if s in allowed and _nonzero(walk, t, s)]
     while frontier:
         nxt = []
         for s in frontier:

@@ -2,9 +2,10 @@
 
 Each trajectory owns a counter-based random stream keyed by (master seed,
 trajectory index), so ensembles are reproducible bit for bit regardless of
-batching or worker count.  The ensemble driver advances all live
-trajectories in lock step with vectorized block products, which keeps the
-per-step cost at a handful of small einsums per occupied site.
+batching.  The ensemble driver advances all live trajectories in lock step:
+per-site tables padded to a common size are gathered by position, so a step
+is a fixed number of numpy calls, and the uniforms of all live streams come
+from one vectorized Philox that matches numpy's generator bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .linalg import COMPLEX, herm
 from .walk import DiagonalObservable, Site, WalkSpec, _site_id, check_state, site_state
 
 PROB_FLOOR = 1e-14   # transition weights below this count as zero
-RNG_CHUNK = 512      # uniforms pre-drawn per trajectory
+SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
 
 
 def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -132,86 +133,123 @@ def sample_trajectory(walk: WalkSpec, i, rho, horizon: int,
 # lock-step ensemble engine
 
 
+def _trace_table(mats: np.ndarray) -> np.ndarray:
+    """Rows ``g`` with ``g @ vec(rho).view(float) == Re Tr(rho M)``.
+
+    ``mats`` has shape ``(..., D, D)``; ``vec`` is the row-major ravel of a
+    ``D x D`` complex matrix, viewed as interleaved real and imaginary parts.
+    """
+    d = mats.shape[-1]
+    dual = np.ascontiguousarray(np.swapaxes(mats, -1, -2).conj(), dtype=COMPLEX)
+    return dual.reshape(mats.shape[:-2] + (d * d,)).view(np.float64)
+
+
 class _Ensemble:
-    """All live trajectories advanced together, grouped by current site."""
+    """All live trajectories advanced together from gathered per-site tables.
+
+    Sites are numbered in declared order; their blocks are zero-padded to the
+    largest fibre dimension ``D`` and to the most successors ``K`` of any
+    site.  A state is held as ``vec(rho)`` (row-major, ``D*D`` entries).  The
+    weight of successor ``k`` from site ``s`` is ``Tr(L†L rho)``, a dot product
+    with ``gram[s, k]``; the chosen block maps the state by its superoperator
+    ``kron(L, conj L)`` (by ``L rho L†`` when ``D > SUPEROP_MAX_DIM``).  A step
+    is thus a fixed number of numpy calls whatever the sites occupied.
+
+    Only trajectories still active at the last step are held (``held``:
+    global indices, ``pos``: site numbers, ``vecs``: states); the others keep
+    their final entry in ``positions``.  A deactivated trajectory stays
+    stopped.  Uniforms are drawn in blocks for the held set only: the n-th
+    step of every live trajectory uses draw n-1 of its own stream.
+    """
 
     def __init__(self, walk: WalkSpec, i, rho, n_traj: int, seed: int,
                  index_offset: int = 0):
         self.walk = walk
         self.site_index = {s: k for k, s in enumerate(walk.sites)}
-        self.dmax = max(walk.dims.values())
         self.n = n_traj
+        self.seed = seed
+        self.streams = index_offset + np.arange(n_traj, dtype=np.uint64)
+        self.renorms = 0
+        self.renorm_tol = max(walk.tolerance, 1e-9)
+        d = self.dmax = max(walk.dims.values())
+        succ = [walk._succ[s] for s in walk.sites]
+        self.k = max(1, max(len(row) for row in succ))
+        blocks = np.zeros((len(succ), self.k, d, d), dtype=COMPLEX)
+        self.targets = np.zeros(len(succ) * self.k, dtype=np.int64)
+        self.last = np.array([max(len(row) - 1, 0) for row in succ], dtype=np.int64)
+        for s_idx, (s, row) in enumerate(zip(walk.sites, succ)):
+            for k, t in enumerate(row):
+                L = walk.transitions[(t, s)]
+                blocks[s_idx, k, :L.shape[0], :L.shape[1]] = L
+                self.targets[s_idx * self.k + k] = self.site_index[t]
+        self.gram = _trace_table(np.swapaxes(blocks, -1, -2).conj() @ blocks)
+        blocks = blocks.reshape(-1, d, d)
+        if d <= SUPEROP_MAX_DIM:
+            self.superop = np.einsum("kac,kbd->kabcd", blocks, blocks.conj()
+                                     ).reshape(-1, d * d, d * d)
+        else:
+            self.superop, self.blocks = None, blocks
+        self.diag = np.arange(d) * (d + 1)
         s0 = self.site_index[_site_id(i)]
         self.positions = np.full(n_traj, s0, dtype=np.int64)
-        rho = np.asarray(rho, dtype=COMPLEX)
-        d0 = rho.shape[0]
-        self.states = np.zeros((n_traj, self.dmax, self.dmax), dtype=COMPLEX)
-        self.states[:, :d0, :d0] = rho
         self.active = np.ones(n_traj, dtype=bool)
-        self.steps = np.zeros(n_traj, dtype=np.int64)
-        self.gens = [trajectory_rng(seed, index_offset + k) for k in range(n_traj)]
-        self.uni = np.vstack([g.random(RNG_CHUNK) for g in self.gens])
-        self.uptr = np.zeros(n_traj, dtype=np.int64)
-        self.renorms = 0
-        # per-site successor data, precomputed once
-        self.succ: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for s in walk.sites:
-            rows = []
-            for t in walk._succ[s]:
-                rows.append((self.site_index[t], np.asarray(walk.transitions[(t, s)])))
-            self.succ[self.site_index[s]] = rows
+        rho = np.asarray(rho, dtype=COMPLEX)
+        first = np.zeros((d, d), dtype=COMPLEX)
+        first[:rho.shape[0], :rho.shape[0]] = rho
+        self.held = np.arange(n_traj)
+        self.pos = self.positions.copy()
+        self.vecs = np.tile(first.reshape(-1), (n_traj, 1))
+        self.draws = 0                          # steps taken by every held trajectory
+        self.uniforms = np.empty((n_traj, 0))   # draws u_start, ... of the held streams
+        self.u_start = 0
 
-    def _uniforms(self, idx: np.ndarray) -> np.ndarray:
-        need_refill = idx[self.uptr[idx] >= RNG_CHUNK]
-        for k in need_refill:
-            self.uni[k] = self.gens[k].random(RNG_CHUNK)
-            self.uptr[k] = 0
-        u = self.uni[idx, self.uptr[idx]]
-        self.uptr[idx] += 1
-        return u
+    def _next_uniforms(self) -> np.ndarray:
+        col = self.draws - self.u_start
+        if col >= self.uniforms.shape[1]:
+            # blocks grow with the step count (4, 4, 8, 16, 32, then 64) so
+            # that short-lived trajectories leave few draws unused
+            length = min(max(self.draws, 4), 64)
+            from .philox import uniforms   # compiled only when a sampler runs
+
+            self.uniforms = uniforms(self.seed, self.streams[self.held], self.draws, length)
+            self.u_start, col = self.draws, 0
+        return self.uniforms[:, col]
 
     def step(self) -> None:
         """Advance every active trajectory by one transition."""
-        live = np.flatnonzero(self.active)
-        if live.size == 0:
+        live = np.count_nonzero(self.active)
+        if live == 0:
             return
-        walk = self.walk
-        pos0 = self.positions.copy()  # group on pre-step positions only
-        for s_idx in np.unique(pos0[live]):
-            grp = live[pos0[live] == s_idx]
-            d = walk.dims[walk.sites[s_idx]]
-            rho = self.states[grp, :d, :d]
-            rows = self.succ[int(s_idx)]
-            if not rows:
-                raise NumericalError(
-                    f"dead end at site {walk.sites[s_idx]!r} during sampling")
-            probs = np.empty((len(rows), grp.size))
-            for k, (_, L) in enumerate(rows):
-                w = np.einsum("ij,bjk,ik->b", L, rho, L.conj()).real
-                w[w < PROB_FLOOR] = 0.0
-                probs[k] = w
-            total = probs.sum(axis=0)
-            if np.any(total <= PROB_FLOOR):
-                raise NumericalError(
-                    f"dead end at site {walk.sites[s_idx]!r} during sampling")
-            self.renorms += int(np.sum(np.abs(total - 1.0) > max(walk.tolerance, 1e-9)))
-            u = self._uniforms(grp) * total
-            cum = np.cumsum(probs, axis=0)
-            choice = (cum <= u[None, :]).sum(axis=0)
-            np.clip(choice, 0, len(rows) - 1, out=choice)
-            for k, (t_idx, L) in enumerate(rows):
-                sel = choice == k
-                if not np.any(sel):
-                    continue
-                members = grp[sel]
-                new = np.einsum("ij,bjk,lk->bil", L, rho[sel], L.conj())
-                tr = np.einsum("bii->b", new).real
-                new /= tr[:, None, None]
-                dt = L.shape[0]
-                self.states[members] = 0.0
-                self.states[members, :dt, :dt] = new
-                self.positions[members] = t_idx
-        self.steps[live] += 1
+        if live < self.held.size:
+            keep = self.active[self.held]
+            self.held, self.pos, self.vecs = self.held[keep], self.pos[keep], self.vecs[keep]
+            self.uniforms = self.uniforms[keep]
+        pos, vecs = self.pos, self.vecs
+        w = np.einsum("bkj,bj->bk", self.gram[pos], vecs.view(np.float64))
+        w[w < PROB_FLOOR] = 0.0
+        cum = np.cumsum(w, axis=1)
+        total = cum[:, -1]
+        dead = total <= PROB_FLOOR
+        if dead.any():
+            site = self.walk.sites[int(pos[dead].min())]
+            raise NumericalError(f"dead end at site {site!r} during sampling")
+        self.renorms += int(np.count_nonzero(np.abs(total - 1.0) > self.renorm_tol))
+        u = self._next_uniforms() * total
+        choice = np.count_nonzero(cum <= u[:, None], axis=1)
+        np.minimum(choice, self.last[pos], out=choice)
+        flat = pos * self.k + choice
+        if self.superop is not None:
+            new = np.einsum("bij,bj->bi", self.superop[flat], vecs)
+        else:
+            d = self.dmax
+            L = self.blocks[flat]
+            new = (L @ vecs.reshape(-1, d, d) @ np.swapaxes(L, 1, 2).conj()).reshape(-1, d * d)
+        re_im = new.view(np.float64)
+        re_im /= new[:, self.diag].real.sum(axis=1)[:, None]   # unit trace
+        self.vecs = new
+        self.pos = self.targets[flat]
+        self.positions[self.held] = self.pos
+        self.draws += 1
 
 
 def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int,
@@ -243,42 +281,21 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
 
 
 def estimate_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int,
-                     seed: int = 0, track_visits: bool = True,
-                     threads: int = 1) -> dict:
+                     seed: int = 0, track_visits: bool = True) -> dict:
     """Plug-in estimates of hitting statistics, censored at the horizon.
 
     Returns estimates for the probability of hitting j by the horizon, the
     censored expected hitting time ``E[min(t_j, horizon)]`` and (when
     tracked) the censored expected visit count.  Censoring is explicit:
     ``censored_fraction`` reports the trajectories that never hit.
-
-    With ``threads > 1`` the ensemble is split into contiguous index ranges
-    processed by a thread pool; every trajectory keeps the stream derived
-    from its global index, so the merged statistics do not depend on the
-    worker count.
     """
     if n_traj < 1:
         raise InputError("n_traj must be >= 1")
     rho = np.asarray(rho, dtype=COMPLEX)
     check_state(walk, site_state(walk, i, rho))
-    if threads <= 1 or n_traj < 2 * threads:
-        hit, visits, _, ens = _run_hitting(walk, i, rho, j, n_traj, horizon, seed,
-                                           track_visits=track_visits,
-                                           stop_at_hit=not track_visits)
-        renorms = ens.renorms
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, n_traj, threads + 1).astype(int)
-        def job(lo: int, hi: int):
-            return _run_hitting(walk, i, rho, j, hi - lo, horizon, seed,
-                                track_visits=track_visits,
-                                stop_at_hit=not track_visits, index_offset=lo)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: job(*b), zip(bounds, bounds[1:])))
-        hit = np.concatenate([p[0] for p in parts])
-        visits = np.concatenate([p[1] for p in parts])
-        renorms = sum(p[3].renorms for p in parts)
+    hit, visits, _, ens = _run_hitting(walk, i, rho, j, n_traj, horizon, seed,
+                                       track_visits=track_visits,
+                                       stop_at_hit=not track_visits)
     hit_mask = np.isfinite(hit)
     p = float(hit_mask.mean())
     p_se = math.sqrt(max(p * (1 - p), 0.0) / n_traj)
@@ -290,7 +307,7 @@ def estimate_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int,
         "censored_expected_time": EstimateWithCI(t_mean, t_se, n_traj),
         "censored_fraction": 1.0 - p,
         "horizon": horizon,
-        "renormalized_steps": renorms,
+        "renormalized_steps": ens.renorms,
     }
     if track_visits:
         v_mean = float(visits.mean())
@@ -411,25 +428,25 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
     domain_idx = None
     if stop_domain is not None:
         domain_idx = {ens.site_index[_site_id(x)] for x in stop_domain}
-    blocks = [np.asarray(a.block(s, walk.dims[s])) for s in walk.sites]
+    d = ens.dmax
+    padded = np.zeros((len(walk.sites), d, d), dtype=COMPLEX)
+    for s_idx, s in enumerate(walk.sites):
+        padded[s_idx, :walk.dims[s], :walk.dims[s]] = a.block(s, walk.dims[s])
+    table = _trace_table(padded)
 
-    def values() -> np.ndarray:
-        out = np.empty(ens.n)
-        for s_idx in np.unique(ens.positions):
-            grp = np.flatnonzero(ens.positions == s_idx)
-            d = walk.dims[walk.sites[s_idx]]
-            out[grp] = np.einsum("bij,ji->b", ens.states[grp, :d, :d],
-                                 blocks[s_idx]).real
-        return out
+    def record(row: np.ndarray) -> None:
+        # only held trajectories moved; the others keep their last value
+        row[ens.held] = np.einsum("bj,bj->b", table[ens.pos], ens.vecs.view(np.float64))
 
     series = np.empty((horizon + 1, n_traj))
-    series[0] = values()
+    record(series[0])
     for n in range(1, horizon + 1):
         ens.step()
         if domain_idx is not None:
             exited = ens.active & ~np.isin(ens.positions, list(domain_idx))
             ens.active[exited] = False
-        series[n] = values()
+        series[n] = series[n - 1]
+        record(series[n])
         if not ens.active.any():
             series[n + 1:] = series[n]
             break

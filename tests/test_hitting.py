@@ -392,3 +392,31 @@ def test_operator_matches_extrapolated_enumeration(branch_walk):
     exact = oqw.passage_probability(branch_walk, "1", rho, "0")
     res = oqw.brute_force_path_sum(branch_walk, "1", rho, "0", max_len=18)
     assert shanks_limit(res.partial_sums) == pytest.approx(exact, abs=1e-9)
+
+
+def test_backward_reachable_ignores_blocks_below_tolerance():
+    from oqw.hitting import _backward_reachable, _nonzero
+
+    one = np.array([[1.0]])
+    walk = oqw.WalkSpec(("a", "b", "c"), {"a": 1, "b": 1, "c": 1},
+                        {("b", "a"): one, ("b", "b"): one, ("c", "b"): 1e-12 * one,
+                         ("a", "c"): one, ("c", "c"): one})
+    assert _backward_reachable(walk, ["c"], ("a", "b")) == set()
+    assert _backward_reachable(walk, ["b"], ("a", "b")) == {"a", "b"}
+
+    def reference(walk, targets, allowed):
+        # every allowed site with a block above tolerance into a target,
+        # closed under allowed predecessors
+        seen = {s for s in allowed if any(_nonzero(walk, t, s) for t in targets)}
+        grown = True
+        while grown:
+            new = {p for s in seen for p in walk.predecessors(s) if p in allowed}
+            grown = not new <= seen
+            seen |= new
+        return seen
+
+    for w in (fixtures.example_branch_return(), fixtures.gamblers_ruin(9, 0.3),
+              fixtures.example_half_line(0.25, 12, boundary="taboo"), walk):
+        for j in w.sites:
+            allowed = tuple(s for s in w.sites if s != j)
+            assert _backward_reachable(w, [j], allowed) == reference(w, [j], allowed)

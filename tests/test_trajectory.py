@@ -6,6 +6,7 @@ import oqw
 from oqw import fixtures
 from oqw.errors import InputError
 from oqw.hitting import capture_series
+from oqw import philox
 from oqw.trajectory import trajectory_rng, word_frequencies
 from oqw.walk import DiagonalObservable, identity_observable
 
@@ -222,17 +223,6 @@ def test_martingale_classical_harmonic_vector(ruin_walk):
     assert rep.max_drift_sigmas <= 3.0
 
 
-def test_estimate_hitting_thread_count_invariant(branch_walk):
-    kwargs = dict(n_traj=400, horizon=40, seed=7)
-    a = oqw.estimate_hitting(branch_walk, "1", MIX, "0", threads=1, **kwargs)
-    b = oqw.estimate_hitting(branch_walk, "1", MIX, "0", threads=4, **kwargs)
-    assert a["p_hit_by_horizon"].estimate == b["p_hit_by_horizon"].estimate
-    assert a["censored_expected_time"].estimate == \
-        b["censored_expected_time"].estimate
-    assert a["censored_expected_visits"].estimate == \
-        b["censored_expected_visits"].estimate
-
-
 def test_ensemble_merge_independent_of_batching(branch_walk):
     # statistics over per-trajectory streams do not depend on how the
     # ensemble is split into batches
@@ -248,3 +238,110 @@ def test_ensemble_merge_independent_of_batching(branch_walk):
     merged = np.concatenate([hit_b1, hit_b2])
     assert np.array_equal(np.nan_to_num(hit_a1, posinf=-1),
                           np.nan_to_num(merged, posinf=-1))
+
+
+# ---------------------------------------------------------------------------
+# vectorized streams and the gathered ensemble step
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+def test_philox_matches_numpy_streams(seed, monkeypatch):
+    indices = [0, 1, 7, 12345678901234, 2**63, 2**64 - 1]
+    windows = [(0, 1), (0, 4), (3, 2), (4, 4), (5, 17), (1021, 7)]
+    refs = {k: np.random.Generator(np.random.Philox(
+        key=np.array([seed, k], dtype=np.uint64))).random(1028) for k in indices}
+    for chunk in (3, philox.CHUNK):   # a tiny chunk crosses chunk edges
+        monkeypatch.setattr(philox, "CHUNK", chunk)
+        for start, length in windows:
+            got = philox.uniforms(seed, indices, start, length)
+            assert got.shape == (len(indices), length)
+            for row, k in zip(got, indices):
+                assert np.array_equal(row, refs[k][start:start + length])
+
+
+@pytest.mark.parametrize("walk, start, target, horizon", [
+    (fixtures.example_branch_return(), "1", "0", 80),           # fibre dims 1 and 2
+    (fixtures.example_lattice_nonnormal(5), "0", "0", 80),
+    (fixtures.random_doubly_stochastic(6, 5, seed=4), "0", "3", 12),  # D > SUPEROP_MAX_DIM
+])
+def test_ensemble_follows_single_trajectory_paths(walk, start, target, horizon):
+    # trajectory k of the ensemble walks the same sites as the single
+    # sampler on stream (seed, offset + k), also once others have stopped
+    from oqw.trajectory import _Ensemble
+
+    n, seed, offset = 60, 31, 5
+    rho = np.eye(walk.dims[start], dtype=complex) / walk.dims[start]
+    ens = _Ensemble(walk, start, rho, n, seed, index_offset=offset)
+    j = ens.site_index[target]
+    paths = [[start] for _ in range(n)]
+    for _ in range(horizon):
+        moving = np.flatnonzero(ens.active)
+        ens.step()
+        for k in moving:
+            paths[k].append(walk.sites[ens.positions[k]])
+        ens.active[ens.positions == j] = False
+    assert 0 < ens.active.sum() < n
+    for k in range(n):
+        rec = oqw.sample_trajectory(walk, start, rho, horizon, stop={"hit": target},
+                                    rng=trajectory_rng(seed, offset + k),
+                                    record_states=False)
+        assert paths[k] == rec.sites
+
+
+# Outputs of the per-site sampler with one numpy Generator per trajectory;
+# the gathered step and vectorized streams must reproduce them exactly.
+PINNED_HITTING = [
+    ("branch", dict(walk=fixtures.example_branch_return(), i="1", j="0",
+                    n_traj=400, horizon=40, seed=7),
+     [0.7425, 0.021862853770722612, 11.9175, 0.8335924816351191, 0,
+      14.4125, 0.42766880983099015]),
+    ("lattice", dict(walk=fixtures.example_lattice_nonnormal(10), i="0", j="0",
+                     n_traj=2000, horizon=300, seed=11, track_visits=False),
+     [0.913, 0.006302023484564302, 33.617, 1.8674810302113107, 0]),
+    ("lattice visits", dict(walk=fixtures.example_lattice_nonnormal(6), i="0", j="2",
+                            n_traj=500, horizon=80, seed=2**64 - 1),
+     [0.786, 0.01834142851579451, 24.996, 1.3764058100385277, 0,
+      4.472, 0.2099012841747196]),
+    ("taboo half-line", dict(walk=fixtures.example_half_line(0.25, 40, boundary="taboo"),
+                             i="0", j="0", n_traj=1000, horizon=150, seed=16),
+     [0.649, 0.015093011627902497, 53.604, 2.2430962227832905, 24564,
+      1.21, 0.04597840812831621]),
+]
+
+
+@pytest.mark.parametrize("case, kwargs, expected", PINNED_HITTING,
+                         ids=[c[0] for c in PINNED_HITTING])
+def test_estimate_hitting_pinned(case, kwargs, expected):
+    kwargs = dict(kwargs)
+    walk, i, j = kwargs.pop("walk"), kwargs.pop("i"), kwargs.pop("j")
+    est = oqw.estimate_hitting(walk, i, MIX, j, **kwargs)
+    got = [est["p_hit_by_horizon"].estimate, est["p_hit_by_horizon"].standard_error,
+           est["censored_expected_time"].estimate,
+           est["censored_expected_time"].standard_error, est["renormalized_steps"]]
+    if "censored_expected_visits" in est:
+        got += [est["censored_expected_visits"].estimate,
+                est["censored_expected_visits"].standard_error]
+    assert got == expected
+
+
+@pytest.mark.parametrize("walk, site, n_traj, k_max, seed, expected", [
+    (fixtures.cycle_dilation(5, bias=0.5), "2", 100, 60, 19,
+     [4.921166666666666, 0.05750608956189194, 100, 0, 0, 2400]),
+    (fixtures.random_doubly_stochastic(3, 2, seed=7), "0", 200, 50, 2**63 + 5,
+     [2.9758000000000004, 0.09246882837532618, 200, 0, 0, 1200]),
+])
+def test_estimate_kac_pinned(walk, site, n_traj, k_max, seed, expected):
+    rep = oqw.estimate_kac(walk, site, n_traj=n_traj, k_max=k_max, seed=seed)
+    assert [rep.empirical.estimate, rep.empirical.standard_error,
+            rep.empirical.n_samples, rep.n_censored,
+            rep.diagnostics["renormalized_steps"], rep.diagnostics["max_steps"]] == expected
+
+
+def test_word_frequencies_pinned(branch_walk, trap_walk):
+    got = word_frequencies(branch_walk, "1", MIX, 5, 300, seed=3)
+    assert got == {("0", "1", "0", "1", "0"): 129, ("2", "1", "0", "1", "0"): 46,
+                   ("2", "1", "2", "1", "0"): 20, ("2", "1", "2", "1", "2"): 40,
+                   ("2", "1", "2", "3", "3"): 21, ("2", "3", "3", "3", "3"): 44}
+    got = word_frequencies(trap_walk, "0", np.diag([0.6, 0.4]).astype(complex), 3, 500,
+                           seed=12)
+    assert got == {("1", "0", "1"): 307, ("2", "2", "2"): 193}
