@@ -181,7 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--problem", required=True,
                     help='JSON file {"domain": [...], "A": {site: matrix}, "B": {...}}')
     pd.add_argument("--method", choices=("closed-form", "variational", "global"),
-                    default="closed-form")
+                    default="closed-form",
+                    help="closed-form: the finite-domain solve (one certified block "
+                         "solve, the per-pair closed form when the certificate fails; "
+                         "diagnostics.method names the path that ran)")
 
     pf = sub.add_parser("dform", parents=[common],
                         help="Dirichlet energy and gradient identity")
@@ -256,7 +259,7 @@ def _cmd_info(args) -> int:
     else:
         payload["invariant_site_masses"] = None
     if irreducible:
-        verdict = classify_recurrence(walk, walk.sites[0])
+        verdict = classify_recurrence(walk, walk.sites[0], require_irreducible=False)
         payload["recurrence"] = serialize.verdict_to_json(verdict)
     else:
         deco = decompose(walk)

@@ -1,10 +1,16 @@
 """Dirichlet problems, harmonic measure operators, forms and gradients.
 
 The domain problem ``(Id - dual step)(Z) = A on D, Z = B on the boundary``
-is solved two ways: a closed form assembled from dual exit/visit operators,
-and, under detailed balance, a variational solve of the stationarity system
-of the energy functional.  Both restrict the solution to ``D`` plus its
-boundary (the free part outside is set to zero).
+is one block system: with ``K_DD`` the one-step map inside ``D`` and
+``K_{bnd,D}`` the step from ``D`` onto its boundary,
+``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, solved once and
+certified convergent by the same solve.  Domains that fail the certificate
+(a trapped direction) fall back to the closed form assembled from dual
+exit/visit operators, which handles them by an alpha limit or reports the
+divergent visit operator.  Under detailed balance the problem is also
+solved variationally, as the stationarity system of the energy functional.
+All of these restrict the solution to ``D`` plus its boundary (the free
+part outside is set to zero).
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .hitting import _domain_blocks, _domain_solve, domain_operator
 from .hitting import boundary as domain_boundary
-from .hitting import domain_operator
-from .linalg import COMPLEX, herm, hermitian_basis, psd_sqrt, spectral_radius, vec
+from .linalg import COMPLEX, herm, psd_sqrt, spectral_radius, vec
 from .walk import (
     DiagonalObservable,
     DiagonalState,
@@ -78,7 +84,47 @@ def _residuals(walk: WalkSpec, z: DiagonalObservable, a: DiagonalObservable,
     return out
 
 
+UNIQUENESS_NOTE = ("unique up to an operator supported outside the domain "
+                   "and its boundary; that part is set to zero here")
+
+
 def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> DirichletSolution:
+    """Solution on a finite domain by one certified block solve.
+
+    ``z = (Id - K_DD^dag)^{-1} (vec(A) + K_{bnd,D}^dag vec(B))`` on D with the
+    boundary condition imposed exactly; ``method`` is ``"block_solve"``.  When
+    the solve does not certify ``r(K_DD) < 1`` the closed form runs instead
+    (``method`` ``"closed_form"``).
+    """
+    D = problem.domain
+    bnd = domain_boundary(walk, D)
+    a, b = problem.interior_data, problem.boundary_data
+    solved = _dual_block_solve(walk, D, bnd, a, b)
+    if solved is None:
+        return _closed_form(walk, problem)
+    blocks = {j: b.block(j, walk.dims[j]).copy() for j in bnd}
+    for i in D:
+        blocks[i] = solved[i]
+    z = DiagonalObservable(blocks)
+    return DirichletSolution(
+        solution=z, residuals=_residuals(walk, z, a, D), boundary_sites=bnd,
+        method="block_solve", uniqueness_note=UNIQUENESS_NOTE)
+
+
+def _dual_block_solve(walk: WalkSpec, domain, bnd, a: DiagonalObservable,
+                      b: DiagonalObservable) -> dict[Site, np.ndarray] | None:
+    """Hermitian blocks on the domain of
+    ``(Id - K_DD^dag)^{-1} (vec(a) + K_{bnd,D}^dag vec(b))``, or None when the
+    solve does not certify ``r(K_DD) < 1``."""
+    inner, outer, A, K_out = _domain_blocks(walk, domain, bnd)
+    rhs = inner.pack(a) + K_out.conj().T @ outer.pack(b)
+    z = _domain_solve(walk, inner, A.conj().T, rhs[:, None])
+    if z is None:
+        return None
+    return {s: herm(blk) for s, blk in inner.unpack(walk, z[:, 0]).items()}
+
+
+def _closed_form(walk: WalkSpec, problem: DirichletProblem) -> DirichletSolution:
     """Closed-form solution on a finite domain.
 
     ``Z_i = A_i + sum_{j in D} N*[j,i](A_j) + sum_{j in bnd} P*[j,i](B_j)``
@@ -132,8 +178,7 @@ def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> Dirichl
         residuals=_residuals(walk, z, a, D),
         boundary_sites=bnd,
         method="closed_form",
-        uniqueness_note="unique up to an operator supported outside the domain "
-                        "and its boundary; that part is set to zero here",
+        uniqueness_note=UNIQUENESS_NOTE,
     )
 
 
@@ -206,7 +251,9 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     """Quantum harmonic-measure operator of a boundary site.
 
     Blocks are the duals of the exit operators on the domain plus the
-    identity at j itself; tracing against an initial state recovers the
+    identity at j itself, from one dual block solve with ``vec(Id)`` at j
+    (per interior site through :func:`domain_operator` when the domain fails
+    the convergence certificate); tracing against an initial state recovers the
     harmonic-measure mass at j, and the family over the boundary sums to
     the identity on the closed domain for irreducible walks.
     """
@@ -216,9 +263,10 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     if j not in bnd:
         raise InputError(f"site {j!r} is not on the domain boundary")
     blocks = {j: np.eye(walk.dims[j], dtype=COMPLEX)}
+    solved = _dual_block_solve(walk, D, bnd, DiagonalObservable({}), DiagonalObservable(blocks))
     for i in D:
-        op = domain_operator(walk, D, i, j)
-        blocks[i] = op.dual_identity()
+        blocks[i] = (domain_operator(walk, D, i, j).dual_identity() if solved is None
+                     else solved[i])
     return DiagonalObservable(blocks)
 
 
@@ -235,17 +283,21 @@ def diamond_inner(tau: DiagonalState, x: DiagonalObservable, y: DiagonalObservab
     acc = 0.0 + 0.0j
     chosen = tau.blocks.keys() if sites is None else [_site_id(s) for s in sites]
     for s in chosen:
-        b = tau.blocks[s]
-        w = np.linalg.eigvalsh(herm(b))
-        if w.min() <= 1e-14:
-            raise InputError(f"reference state is not faithful at site {s!r}")
-        root = psd_sqrt(b)
+        root = _faithful_root(tau, s)
         xb = x.blocks.get(s)
         yb = y.blocks.get(s)
         if xb is None or yb is None:
             continue
         acc += np.trace(root @ xb.conj().T @ root @ yb)
     return complex(acc)
+
+
+def _faithful_root(tau: DiagonalState, s: Site) -> np.ndarray:
+    """``tau_s^{1/2}``; InputError unless the block is faithful."""
+    b = tau.blocks[s]
+    if np.linalg.eigvalsh(herm(b)).min() <= 1e-14:
+        raise InputError(f"reference state is not faithful at site {s!r}")
+    return psd_sqrt(b)
 
 
 def dirichlet_form(walk: WalkSpec, tau: DiagonalState, x: DiagonalObservable,
@@ -282,15 +334,13 @@ class VariationalSolution:
 
 
 def variational_solve(walk: WalkSpec, tau: DiagonalState, problem: DirichletProblem,
-                      check_balance: bool = True,
-                      dense_limit: int = 4096) -> VariationalSolution:
+                      check_balance: bool = True) -> VariationalSolution:
     """Solve the domain problem as the minimizer of the energy functional.
 
     Solves the stationarity system ``form(T, X) = <T, A - C>`` over Hermitian
     observables supported on the domain, where ``C = (Id - dual step)(B)``.
     Requires detailed balance (checked unless disabled) and coercivity of the
-    form on the domain.  Above ``dense_limit`` unknowns a conjugate-gradient
-    solve replaces the dense factorization.
+    form on the domain.
     """
     from .walk import check_detailed_balance
 
@@ -310,41 +360,15 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState, problem: DirichletProb
                             for s in walk.sites})
     target = DiagonalObservable({s: a.block(s, walk.dims[s]) - c.block(s, walk.dims[s])
                                  for s in D})
-
-    basis: list[DiagonalObservable] = []
-    for s in D:
-        for e in hermitian_basis(walk.dims[s]):
-            basis.append(DiagonalObservable({s: e}))
-    n = len(basis)
-    rhs = np.array([diamond_inner(tau, t, target, sites=D).real for t in basis])
-    gram = np.zeros((n, n))
-    images = [dual_apply(walk, t) for t in basis]
-    for m, t in enumerate(basis):
-        for k in range(n):
-            y = basis[k]
-            diff = DiagonalObservable(
-                {s: y.block(s, walk.dims[s]) - images[k].block(s, walk.dims[s])
-                 for s in walk.sites})
-            gram[m, k] = diamond_inner(tau, t, diff, sites=walk.sites).real
+    idx, basis, gram, rhs = _stationarity_system(walk, tau, D, target)
     gram = 0.5 * (gram + gram.T)
     coercivity = float(np.linalg.eigvalsh(gram).min())
     if coercivity <= 1e-12:
         raise NumericalError("energy form is not coercive on the domain",
                              {"smallest_eigenvalue": coercivity})
-    if n <= dense_limit:
-        coeff = np.linalg.solve(gram, rhs)
-        method = "dense"
-    else:
-        from scipy.sparse.linalg import cg
-        coeff, info = cg(gram, rhs, rtol=1e-12, atol=0.0, maxiter=20 * n)
-        if info != 0:
-            raise NumericalError(f"conjugate gradient did not converge (info={info})")
-        method = "cg"
+    coeff = np.linalg.solve(gram, rhs)
 
-    x0_blocks = {s: np.zeros((walk.dims[s], walk.dims[s]), dtype=COMPLEX) for s in D}
-    for w, t in zip(coeff, basis):
-        (s, e), = t.blocks.items()
-        x0_blocks[s] += w * e
+    x0_blocks = idx.unpack(walk, basis @ coeff)
     x0 = DiagonalObservable(x0_blocks)
     z_blocks = {s: x0_blocks[s].copy() for s in D}
     for j in bnd:
@@ -356,7 +380,30 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState, problem: DirichletProb
     return VariationalSolution(
         minimizer=x0, solution=z, energy=float(energy), coercivity=coercivity,
         residuals=_residuals(walk, z, a, D),
-        diagnostics={"solver": method, "unknowns": n})
+        diagnostics={"solver": "dense", "unknowns": len(coeff)})
+
+
+def _stationarity_system(walk: WalkSpec, tau: DiagonalState, domain,
+                         target: DiagonalObservable):
+    """Index, Hermitian basis matrix ``B``, form matrix and right-hand side.
+
+    With ``W = (+)_s kron(root_s^T, root_s)`` the weight of the inner product
+    and ``K_DD`` the one-step map inside the domain, the form matrix is
+    ``Re(B^H W (B - K_DD^dag B))`` and the right-hand side
+    ``Re(B^H W vec(target))``; ``tau`` must be faithful on every site (checked
+    domain first).
+    """
+    from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
+
+    idx = BlockIndex.build(walk, domain)
+    roots = {s: _faithful_root(tau, s)
+             for s in (*idx.sites, *(s for s in walk.sites if s not in idx.offsets))}
+    basis = hermitian_basis_matrix(walk, idx)
+    WB = weight_matrix(idx, roots) @ basis
+    step = block_matrix(walk, idx, idx).conj().T @ basis
+    gram = (WB.conj().T @ (basis - step)).real
+    rhs = (WB.conj().T @ idx.pack(target)).real
+    return idx, basis, gram, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +439,3 @@ def gradient_form(walk: WalkSpec, x: DiagonalObservable) -> GradientForm:
         half += 0.5 * float(np.vdot(g, g).real)
     return GradientForm(blocks=blocks, energy=half / walk.total_dim, raw_half_norm=half)
 
-
-def identity_on(walk: WalkSpec, sites) -> DiagonalObservable:
-    return identity_observable(walk, sites)

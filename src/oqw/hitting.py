@@ -616,6 +616,52 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
     return taboo_operator(walk, i, j, taboo=taboo)
 
 
+def _domain_blocks(walk: WalkSpec, domain,
+                   bnd) -> tuple[BlockIndex, BlockIndex, np.ndarray, np.ndarray]:
+    """``(inner, outer, Id - K_DD, K_{bnd,D})``: the one-step map inside the
+    domain ``D`` and from it onto its boundary, indexed in walk site order."""
+    D = {_site_id(s) for s in domain}
+    inner = BlockIndex.build(walk, [s for s in walk.sites if s in D])
+    outer = BlockIndex.build(walk, bnd)
+    return (inner, outer, _id_minus(block_matrix(walk, inner, inner)),
+            block_matrix(walk, outer, inner))
+
+
+def _domain_solve(walk: WalkSpec, inner: BlockIndex, A: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray | None:
+    """Solve ``A X = rhs`` with ``A = Id - K_DD`` or its adjoint (both
+    ``Id`` minus a positive map); None unless the same solve certifies
+    ``r(K_DD) < 1 - DIVERGENCE_TOL`` (see :func:`_certify`)."""
+    X, bound, _ = _certify(walk, inner, A, rhs)
+    return X if bound < 1.0 - DIVERGENCE_TOL else None
+
+
+def _exit_states(walk: WalkSpec, domain, bnd, i, rho: np.ndarray) -> dict[Site, np.ndarray]:
+    """Unnormalized state at the exit through each boundary site, from (i, rho).
+
+    One certified solve gives ``K_{bnd,D} (Id - K_DD)^{-1}`` applied to rho
+    at i for every boundary site at once; a domain whose map is not
+    certified convergent takes :func:`_exit_states_by_pair`.
+    """
+    i = _site_id(i)
+    if i not in {_site_id(s) for s in domain}:
+        raise InputError(f"start site {i!r} is not in the domain")
+    inner, outer, A, K_out = _domain_blocks(walk, domain, bnd)
+    rhs = np.zeros((inner.total, 1), dtype=COMPLEX)
+    lo, hi = inner.offsets[i]
+    rhs[lo:hi, 0] = vec(rho)
+    x = _domain_solve(walk, inner, A, rhs)
+    if x is None:
+        return _exit_states_by_pair(walk, domain, bnd, i, rho)
+    return outer.unpack(walk, K_out @ x[:, 0])
+
+
+def _exit_states_by_pair(walk: WalkSpec, domain, bnd, i, rho: np.ndarray) -> dict[Site, np.ndarray]:
+    """Exit states from one :func:`domain_operator` per boundary site, whose
+    alpha limit handles domains with a trapped direction."""
+    return {j: domain_operator(walk, domain, i, j).apply(rho) for j in bnd}
+
+
 def exit_probability(walk: WalkSpec, domain, i, rho) -> float:
     """Probability of ever leaving the domain through its boundary."""
     rho = np.asarray(rho, dtype=COMPLEX)
@@ -623,9 +669,10 @@ def exit_probability(walk: WalkSpec, domain, i, rho) -> float:
     bnd = boundary(walk, domain)
     if not bnd:
         raise InputError("domain has empty boundary")
+    states = _exit_states(walk, domain, bnd, i, rho)
     total = 0.0
     for j in bnd:
-        total += float(np.trace(domain_operator(walk, domain, i, j).apply(rho)).real)
+        total += float(np.trace(states[j]).real)
     if total > 1.0 + 1e-6:
         raise NumericalError(f"exit probability {total} exceeds 1")
     return min(1.0, max(0.0, total))
@@ -655,10 +702,11 @@ def harmonic_measure(walk: WalkSpec, domain, i, rho) -> HarmonicMeasure:
     bnd = boundary(walk, domain)
     if not bnd:
         raise InputError("domain has empty boundary")
+    states = _exit_states(walk, domain, bnd, i, rho)
     masses = {}
     cond = {}
     for j in bnd:
-        out = domain_operator(walk, domain, i, j).apply(rho)
+        out = states[j]
         t = float(np.trace(out).real)
         masses[j] = max(0.0, t)
         if t > 1e-12:

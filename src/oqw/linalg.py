@@ -109,12 +109,19 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def extend_basis(basis: np.ndarray, new_vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Grow an orthonormal basis by the components of new vectors outside it."""
+    """Grow an orthonormal basis by the components of new vectors outside it.
+
+    A component counts as new when its singular value exceeds ``tol`` times
+    the largest column norm of ``new_vectors``, so rounding left after
+    projecting out the basis is never taken for a direction.
+    """
     if new_vectors.size == 0:
         return basis
+    scale = float(np.sqrt((np.abs(new_vectors) ** 2).sum(axis=0).max()))
     if basis.shape[1]:
         new_vectors = new_vectors - basis @ (basis.conj().T @ new_vectors)
-    extra = orthonormal_columns(new_vectors, tol=tol)
+    u, s, _ = np.linalg.svd(new_vectors, full_matrices=False)
+    extra = u[:, s > tol * scale]
     if not extra.shape[1]:
         return basis
     out = np.hstack([basis, extra])

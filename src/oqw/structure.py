@@ -9,6 +9,7 @@ state and splits into minimal enclosures carrying irreducible sub-walks.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,9 +59,10 @@ class Enclosure:
 def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
     """Smallest transition-closed subspace family containing the seeds.
 
-    ``seeds`` is an iterable of (site, vector) pairs.  Span growth is
-    iterated under all transition blocks until stable; rank decisions use a
-    relative singular-value threshold.
+    ``seeds`` is an iterable of (site, vector) pairs.  A worklist carries
+    the directions added at each site; each is pushed once through the
+    site's outgoing transition blocks, skipping targets whose basis is
+    already full.  Rank decisions use a relative singular-value threshold.
     """
     bases = {s: np.zeros((walk.dims[s], 0), dtype=COMPLEX) for s in walk.sites}
     for site, v in seeds:
@@ -72,18 +74,17 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
         if np.linalg.norm(vec_) == 0.0:
             raise InputError("seed vectors must be nonzero")
         bases[s] = extend_basis(bases[s], vec_, tol=RANK_TOL)
-    max_rounds = walk.total_dim + 1
-    for _ in range(max_rounds):
-        grew = False
-        for (to, fr), L in walk.transitions.items():
-            if bases[fr].shape[1] == 0:
-                continue
-            images = L @ bases[fr]
+    work = deque((s, b) for s, b in bases.items() if b.shape[1])
+    while work:
+        fr, new = work.popleft()
+        for to in walk._succ[fr]:
             before = bases[to].shape[1]
-            bases[to] = extend_basis(bases[to], images, tol=RANK_TOL)
-            grew = grew or bases[to].shape[1] > before
-        if not grew:
-            break
+            if before == walk.dims[to]:
+                continue
+            bases[to] = extend_basis(bases[to], walk.transitions[(to, fr)] @ new,
+                                     tol=RANK_TOL)
+            if bases[to].shape[1] > before:
+                work.append((to, bases[to][:, before:]))
     return Enclosure(bases)
 
 
@@ -240,7 +241,8 @@ def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
     Expected-visit finiteness is cross-checked through the spectral radius
     of the return operator.
     """
-    from .hitting import capture_series, taboo_operator
+    from .hitting import _taboo_block, capture_series
+    from .linalg import spectral_radius
 
     s = _site_id(site)
     if require_irreducible:
@@ -249,14 +251,13 @@ def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
             raise InputError(
                 "walk is reducible; classify sites of its irreducible parts "
                 "via decompose()/restrict_walk()")
-    op = taboo_operator(walk, s, s)
+    series = capture_series(walk, s, s)
+    op = _taboo_block(series)
     pstar = op.dual_identity()
     d = walk.dims[s]
     w = np.linalg.eigvalsh(pstar)
-    series = capture_series(walk, s, s)
     # finiteness of expected visits <=> spectral radius of the return map < 1
-    from .linalg import spectral_radius as _sr
-    return_radius = _sr(op.matrix)
+    return_radius = spectral_radius(op.matrix)
     diag = {"interior_spectral_radius": series.interior_radius,
             "return_operator_radius": return_radius,
             "spectral_check_visits_finite": bool(return_radius < 1.0 - DIVERGENCE_GUARD),

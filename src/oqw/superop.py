@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import COMPLEX, herm, positive_part, spectral_radius, unvec, vec
+from .linalg import (
+    COMPLEX,
+    herm,
+    hermitian_basis,
+    positive_part,
+    spectral_radius,
+    unvec,
+    vec,
+)
 from .walk import DiagonalObservable, DiagonalState, Site, WalkSpec, _site_id
 
 
@@ -36,19 +44,11 @@ class BlockIndex:
             off += d2
         return cls(sites, offsets, off)
 
-    def pack_state(self, walk: WalkSpec, state: DiagonalState) -> np.ndarray:
+    def pack(self, blocks: DiagonalState | DiagonalObservable) -> np.ndarray:
+        """Stacked vectorized blocks of a state or observable (zero where absent)."""
         x = np.zeros(self.total, dtype=COMPLEX)
         for s in self.sites:
-            b = state.blocks.get(s)
-            if b is not None:
-                lo, hi = self.offsets[s]
-                x[lo:hi] = vec(b)
-        return x
-
-    def pack_observable(self, walk: WalkSpec, obs: DiagonalObservable) -> np.ndarray:
-        x = np.zeros(self.total, dtype=COMPLEX)
-        for s in self.sites:
-            b = obs.blocks.get(s)
+            b = blocks.blocks.get(s)
             if b is not None:
                 lo, hi = self.offsets[s]
                 x[lo:hi] = vec(b)
@@ -80,12 +80,12 @@ class Superoperator:
     matrix: np.ndarray
 
     def apply(self, state: DiagonalState) -> DiagonalState:
-        x = self.source_index.pack_state(self.walk, state)
+        x = self.source_index.pack(state)
         return DiagonalState(self.target_index.unpack(self.walk, self.matrix @ x),
                              normalized=False)
 
     def dual_apply(self, obs: DiagonalObservable) -> DiagonalObservable:
-        y = self.target_index.pack_observable(self.walk, obs)
+        y = self.target_index.pack(obs)
         return DiagonalObservable(self.source_index.unpack(self.walk, self.matrix.conj().T @ y))
 
     def spectral_radius(self) -> float:
@@ -104,6 +104,26 @@ def block_matrix(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> np.ndarr
             if span is not None:
                 m[span[0]:span[1], c0:c1] = walk.kraus(to, fr)
     return m
+
+
+def hermitian_basis_matrix(walk: WalkSpec, idx: BlockIndex) -> np.ndarray:
+    """Columns ``vec(e)`` for the real-orthonormal Hermitian basis ``e`` of
+    every block in ``idx``, site by site (block-diagonal, ``idx.total`` square)."""
+    out = np.zeros((idx.total, idx.total), dtype=COMPLEX)
+    for s in idx.sites:
+        lo, hi = idx.offsets[s]
+        out[lo:hi, lo:hi] = np.column_stack([vec(e) for e in hermitian_basis(walk.dims[s])])
+    return out
+
+
+def weight_matrix(idx: BlockIndex, roots: dict) -> np.ndarray:
+    """Block-diagonal ``W = (+)_s kron(root_s^T, root_s)``, so that
+    ``vec(X)^H W vec(Y) = sum_s Tr(root_s X_s^H root_s Y_s)``."""
+    out = np.zeros((idx.total, idx.total), dtype=COMPLEX)
+    for s in idx.sites:
+        lo, hi = idx.offsets[s]
+        out[lo:hi, lo:hi] = np.kron(roots[s].T, roots[s])
+    return out
 
 
 def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -> Superoperator:
@@ -173,7 +193,7 @@ def invariant_state(walk: WalkSpec, tol: float = 1e-9) -> tuple[DiagonalState | 
     idx = full.source_index
     uniform = DiagonalState(
         {s: np.eye(walk.dims[s], dtype=COMPLEX) / walk.total_dim for s in walk.sites})
-    x = idx.pack_state(walk, uniform)
+    x = idx.pack(uniform)
     proj, k = fixed_point_projection(full.matrix, x, tol)
     if k == 0:
         return None, 0

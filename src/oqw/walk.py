@@ -319,7 +319,8 @@ def check_detailed_balance(walk: WalkSpec, tau: DiagonalState,
     (b) selfadjointness of the dual step for the weighted inner product
     ``<X, Y> = Tr(tau^{1/2} X† tau^{1/2} Y)`` over a Hermitian block basis.
     """
-    from .linalg import hermitian_basis, psd_sqrt
+    from .linalg import psd_sqrt
+    from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
 
     roots = {}
     for s in walk.sites:
@@ -342,27 +343,13 @@ def check_detailed_balance(walk: WalkSpec, tau: DiagonalState,
                    else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX)) @ roots[j]
             worst_a = max(worst_a, float(np.abs(lhs - rhs).max(initial=0.0)))
 
-    # selfadjointness on a basis of diagonal observables
-    basis: list[DiagonalObservable] = []
-    for s in walk.sites:
-        for e in hermitian_basis(walk.dims[s]):
-            basis.append(DiagonalObservable({s: e}))
-
-    def inner(x: DiagonalObservable, y: DiagonalObservable) -> complex:
-        acc = 0.0 + 0.0j
-        for s in walk.sites:
-            xb = x.blocks.get(s)
-            yb = y.blocks.get(s)
-            if xb is None or yb is None:
-                continue
-            acc += np.trace(roots[s] @ xb.conj().T @ roots[s] @ yb)
-        return complex(acc)
-
-    images = [dual_apply(walk, x) for x in basis]
-    worst_b = 0.0
-    for m, x in enumerate(basis):
-        for n_, y in enumerate(basis):
-            worst_b = max(worst_b, abs(inner(x, images[n_]) - inner(images[m], y)))
+    # selfadjointness on a basis B of diagonal observables: B^H W K^dag B is
+    # Hermitian, W the weight of the inner product and K^dag the dual step
+    idx = BlockIndex.build(walk, walk.sites)
+    B = hermitian_basis_matrix(walk, idx)
+    W = weight_matrix(idx, roots)
+    KB = block_matrix(walk, idx, idx).conj().T @ B
+    worst_b = float(np.abs(B.conj().T @ W @ KB - KB.conj().T @ W @ B).max(initial=0.0))
 
     return DetailedBalanceReport(
         sufficient_condition_holds=worst_a <= tol,

@@ -143,6 +143,19 @@ def test_info_on_ring(capsys):
     assert doc["detailed_balance"]["selfadjoint_within_tol"] is True
 
 
+def test_info_checks_irreducibility_once(capsys, monkeypatch):
+    from oqw import structure
+
+    calls = []
+    check = structure.is_irreducible
+    monkeypatch.setattr(structure, "is_irreducible",
+                        lambda walk: calls.append(walk) or check(walk))
+    code, out, _ = run_cli(capsys, "info", "--walk", "cycle")
+    assert code == 0
+    assert json.loads(out)["recurrence"]["case"] == "recurrent"
+    assert len(calls) == 1
+
+
 def test_info_reducible_reports_decomposition(capsys):
     code, out, _ = run_cli(capsys, "info", "--walk", "example-5.1")
     assert code == 0
@@ -178,6 +191,7 @@ def test_dirichlet_command(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["solution"]["3"][0][0][0] == pytest.approx(0.3, abs=1e-10)
+    assert doc["diagnostics"]["method"] == "block_solve"
 
 
 def test_dform_command(capsys, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 import oqw
 from oqw import fixtures
 from oqw.errors import InputError
-from oqw.structure import enclosure_closure
+from oqw.linalg import extend_basis
+from oqw.structure import Enclosure, enclosure_closure
 
 from conftest import E1, E2, MIX
 
@@ -61,6 +62,84 @@ def test_closure_is_transition_closed(half_line_up_taboo, ring_walk):
 def test_closure_rejects_zero_seed(trap_walk):
     with pytest.raises(InputError):
         enclosure_closure(trap_walk, [("0", np.zeros(2))])
+
+
+def sweep_closure(walk, seeds):
+    """Closure by re-sweeping every transition until nothing grows."""
+    bases = {s: np.zeros((walk.dims[s], 0), dtype=complex) for s in walk.sites}
+    for s, v in seeds:
+        bases[s] = extend_basis(bases[s], np.asarray(v, dtype=complex).reshape(-1, 1))
+    for _ in range(walk.total_dim + 1):
+        grew = False
+        for (to, fr), L in walk.transitions.items():
+            if bases[fr].shape[1]:
+                before = bases[to].shape[1]
+                bases[to] = extend_basis(bases[to], L @ bases[fr])
+                grew = grew or bases[to].shape[1] > before
+        if not grew:
+            break
+    return Enclosure(bases)
+
+
+def rotate(walk, seed):
+    """The walk seen in random local orthonormal bases."""
+    rng = np.random.default_rng(seed)
+    us = {}
+    for s in walk.sites:
+        d = walk.dims[s]
+        us[s], _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    trans = {(to, fr): us[to] @ L @ us[fr].conj().T for (to, fr), L in walk.transitions.items()}
+    return oqw.WalkSpec(walk.sites, walk.dims, trans)
+
+
+def plus_minus_walk():
+    """Two sites, d=2, every block upper-triangular in the (|+>, |->) basis, so
+    span{|+>} is closed at both sites while |-> leaks into it."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    t1 = np.array([[1.0 / np.sqrt(2.0), 0.5], [0.0, 0.5]])
+    t2 = np.array([[1.0 / np.sqrt(2.0), -0.5], [0.0, 0.5]])
+    trans = {("0", "0"): h @ t1 @ h, ("1", "0"): h @ t2 @ h,
+             ("0", "1"): h @ t2 @ h, ("1", "1"): h @ t1 @ h}
+    return oqw.WalkSpec(("0", "1"), {"0": 2, "1": 2}, trans), h[:, 0]
+
+
+def test_worklist_closure_matches_sweep(trap_walk, branch_walk, ring_walk, half_line_up_taboo):
+    rng = np.random.default_rng(13)
+    walks = [trap_walk, branch_walk, ring_walk, half_line_up_taboo, plus_minus_walk()[0]]
+    walks += [rotate(trap_walk, seed) for seed in (1, 2, 3)]
+    walks += [rotate(branch_walk, 4)]
+    for walk in walks:
+        seeds = [[(s, unit(walk.dims[s], k))] for s in walk.sites[:3]
+                 for k in range(walk.dims[s])]
+        s = walk.sites[-1]
+        seeds.append([(s, rng.normal(size=walk.dims[s]) + 1j * rng.normal(size=walk.dims[s]))])
+        for seed in seeds:
+            got = enclosure_closure(walk, seed)
+            want = sweep_closure(walk, seed)
+            for t in walk.sites:
+                d = walk.dims[t]
+                assert got.dim(t) == want.dim(t)
+                assert np.abs(got.projector(t, d) - want.projector(t, d)).max() <= 1e-10
+            assert got.closure_defect(walk) <= 1e-8
+
+
+def test_extend_basis_ignores_rounding_residual():
+    basis = np.array([[1.0], [0.0]], dtype=complex)
+    assert extend_basis(basis, np.array([[1.0], [1e-17]], dtype=complex)).shape == (2, 1)
+    assert extend_basis(basis, np.array([[1.0], [1e-6]], dtype=complex)).shape == (2, 2)
+    assert extend_basis(basis, np.array([[0.0], [1e-20]], dtype=complex)).shape == (2, 2)
+
+
+def test_closed_line_is_its_own_closure():
+    walk, plus = plus_minus_walk()
+    line = Enclosure({s: plus.reshape(2, 1).astype(complex) for s in walk.sites})
+    assert line.closure_defect(walk) <= 1e-12
+    enc = enclosure_closure(walk, [("0", plus)])
+    assert (enc.dim("0"), enc.dim("1")) == (1, 1)
+    assert np.abs(enc.projector("0", 2) - line.projector("0", 2)).max() <= 1e-12
+    deco = oqw.decompose(walk)
+    assert [(e.dim("0"), e.dim("1")) for e in deco.recurrent] == [(1, 1)]
+    assert (deco.transient.dim("0"), deco.transient.dim("1")) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +274,17 @@ def test_classify_mixed_half_line(half_line_up_taboo):
                                     verdict.witness_deficient, "0")
     assert p_sure >= 1 - 1e-6
     assert p_def <= 1 - 1e-3
+
+
+def test_classify_builds_one_return_series(half_line_up_taboo, monkeypatch):
+    from oqw import hitting
+
+    calls = []
+    build = hitting.capture_series
+    monkeypatch.setattr(hitting, "capture_series",
+                        lambda *args, **kw: calls.append(args[1:]) or build(*args, **kw))
+    oqw.classify_recurrence(half_line_up_taboo, "0")
+    assert calls == [("0", "0")]
 
 
 def test_classify_agrees_with_classical_recurrence():

@@ -3,8 +3,8 @@ import pytest
 
 import oqw
 from oqw.linalg import kraus_block, unvec, vec
-from oqw.superop import assemble_superoperator
-from oqw.walk import DiagonalState
+from oqw.superop import BlockIndex, assemble_superoperator
+from oqw.walk import DiagonalObservable, DiagonalState
 
 from conftest import random_density
 
@@ -77,3 +77,16 @@ def test_dual_of_superoperator_fixes_identity(ring_walk):
 def test_unknown_mask_site_rejected(trap_walk):
     with pytest.raises(oqw.InputError):
         assemble_superoperator(trap_walk, source_mask=["9"])
+
+
+def test_block_index_pack_places_states_and_observables():
+    walk = oqw.WalkSpec(("a", "b", "c"), {"a": 2, "b": 1, "c": 2},
+                        {("b", "a"): np.ones((1, 2)) / np.sqrt(2)})
+    idx = BlockIndex.build(walk, ("c", "a"))
+    rho = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+    for blocks in (DiagonalState({"a": rho, "b": [[1.0]]}), DiagonalObservable({"a": rho})):
+        x = idx.pack(blocks)
+        assert x.shape == (8,)
+        assert np.array_equal(x[:4], np.zeros(4))
+        assert np.array_equal(x[4:], vec(rho))
+        assert np.array_equal(idx.unpack(walk, x)["a"], rho)
