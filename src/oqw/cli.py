@@ -183,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--method", choices=("closed-form", "variational", "global"),
                     default="closed-form",
                     help="closed-form: the finite-domain solve (one certified block "
-                         "solve, the per-pair closed form when the certificate fails; "
-                         "diagnostics.method names the path that ran)")
+                         "solve, compressed off the trapped part when the domain traps "
+                         "mass); global: the same solve on the whole walk; "
+                         "diagnostics.method names the path that ran: block_solve or "
+                         "compressed")
 
     pf = sub.add_parser("dform", parents=[common],
                         help="Dirichlet energy and gradient identity")

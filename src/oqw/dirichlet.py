@@ -4,13 +4,15 @@ The domain problem ``(Id - dual step)(Z) = A on D, Z = B on the boundary``
 is one block system: with ``K_DD`` the one-step map inside ``D`` and
 ``K_{bnd,D}`` the step from ``D`` onto its boundary,
 ``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, solved once and
-certified convergent by the same solve.  Domains that fail the certificate
-(a trapped direction) fall back to the closed form assembled from dual
-exit/visit operators, which handles them by an alpha limit or reports the
-divergent visit operator.  Under detailed balance the problem is also
-solved variationally, as the stationarity system of the energy functional.
-All of these restrict the solution to ``D`` plus its boundary (the free
-part outside is set to zero).
+certified convergent by the same solve.  A domain that fails the
+certificate traps mass in an invariant part T that never exits; the solve
+then runs on the compression to the complement of T (see
+``hitting._domain_solve``), and interior data on a site with a trapped
+direction is reported as a divergent visit operator.  The whole-space
+problem is the same solve with every site in the domain and no boundary.
+Under detailed balance the problem is also solved variationally, as the
+stationarity system of the energy functional.  All of these restrict the
+solution to ``D`` plus its boundary (the free part outside is set to zero).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import _domain_blocks, _domain_solve, domain_operator
+from .hitting import DomainSolve, _domain_blocks, _domain_solve
 from .hitting import boundary as domain_boundary
-from .linalg import COMPLEX, herm, psd_sqrt, spectral_radius, vec
+from .linalg import COMPLEX, herm, psd_sqrt
 from .walk import (
     DiagonalObservable,
     DiagonalState,
@@ -65,7 +67,7 @@ class DirichletSolution:
     solution: DiagonalObservable       # supported on D and its boundary
     residuals: dict[Site, float]       # per interior site
     boundary_sites: tuple[Site, ...]
-    method: str
+    method: str                        # "block_solve" or "compressed"
     uniqueness_note: str
 
     @property
@@ -92,137 +94,63 @@ def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> Dirichl
     """Solution on a finite domain by one certified block solve.
 
     ``z = (Id - K_DD^dag)^{-1} (vec(A) + K_{bnd,D}^dag vec(B))`` on D with the
-    boundary condition imposed exactly; ``method`` is ``"block_solve"``.  When
-    the solve does not certify ``r(K_DD) < 1`` the closed form runs instead
-    (``method`` ``"closed_form"``).
+    boundary condition imposed exactly; ``method`` is ``"block_solve"``, or
+    ``"compressed"`` when the domain traps mass and the solve ran on the
+    complement of the trapped part.  Interior data on a site with a trapped
+    direction has a divergent visit operator: :class:`NumericalError`.
     """
     D = problem.domain
     bnd = domain_boundary(walk, D)
     a, b = problem.interior_data, problem.boundary_data
-    solved = _dual_block_solve(walk, D, bnd, a, b)
-    if solved is None:
-        return _closed_form(walk, problem)
+    solved, solve = _dual_block_solve(walk, D, bnd, a, b)
+    _reject_trapped_data(walk, a, solve, "domain visit operator diverges at {site!r}; "
+                         "the walk is not irreducible on this domain (try decompose())")
     blocks = {j: b.block(j, walk.dims[j]).copy() for j in bnd}
     for i in D:
         blocks[i] = solved[i]
     z = DiagonalObservable(blocks)
     return DirichletSolution(
         solution=z, residuals=_residuals(walk, z, a, D), boundary_sites=bnd,
-        method="block_solve", uniqueness_note=UNIQUENESS_NOTE)
+        method=solve.method, uniqueness_note=UNIQUENESS_NOTE)
 
 
 def _dual_block_solve(walk: WalkSpec, domain, bnd, a: DiagonalObservable,
-                      b: DiagonalObservable) -> dict[Site, np.ndarray] | None:
+                      b: DiagonalObservable) -> tuple[dict[Site, np.ndarray], DomainSolve]:
     """Hermitian blocks on the domain of
-    ``(Id - K_DD^dag)^{-1} (vec(a) + K_{bnd,D}^dag vec(b))``, or None when the
-    solve does not certify ``r(K_DD) < 1``."""
-    inner, outer, A, K_out = _domain_blocks(walk, domain, bnd)
-    rhs = inner.pack(a) + K_out.conj().T @ outer.pack(b)
-    z = _domain_solve(walk, inner, A.conj().T, rhs[:, None])
-    if z is None:
-        return None
-    return {s: herm(blk) for s, blk in inner.unpack(walk, z[:, 0]).items()}
+    ``(Id - K_DD^dag)^{-1} (vec(a) + K_{bnd,D}^dag vec(b))`` and the solve
+    that gave them; on a trapping domain the blocks are exact only where
+    ``a`` vanishes on every trapped site."""
+    blocks = _domain_blocks(walk, domain, bnd)
+    rhs = blocks.inner.pack(a) + blocks.K_out.conj().T @ blocks.outer.pack(b)
+    solve = _domain_solve(walk, blocks.inner, blocks.A, rhs[:, None], dual=True)
+    return ({s: herm(blk) for s, blk in blocks.inner.unpack(walk, solve.x[:, 0]).items()},
+            solve)
 
 
-def _closed_form(walk: WalkSpec, problem: DirichletProblem) -> DirichletSolution:
-    """Closed-form solution on a finite domain.
-
-    ``Z_i = A_i + sum_{j in D} N*[j,i](A_j) + sum_{j in bnd} P*[j,i](B_j)``
-    for interior i, with the boundary condition imposed exactly; dual visit
-    operators come from ``(Id - P[j,j])^{-1} P[j,i]`` inside the domain.
-    """
-    D = problem.domain
-    bnd = domain_boundary(walk, D)
-    a, b = problem.interior_data, problem.boundary_data
-    blocks = {}
-    for j in bnd:
-        blocks[j] = b.block(j, walk.dims[j]).copy()
-    exit_ops = {}
-    visit_ops = {}
-    for i in D:
-        for j in bnd:
-            exit_ops[(j, i)] = domain_operator(walk, D, i, j)
-        for j in D:
-            if np.abs(a.block(j, walk.dims[j])).max(initial=0.0) == 0.0:
-                continue
-            first = domain_operator(walk, D, i, j)
-            ret = domain_operator(walk, D, j, j)
-            radius = spectral_radius(ret.matrix)
-            if radius >= 1.0 - 1e-7:
-                raise NumericalError(
-                    "domain visit operator diverges; the walk is not "
-                    "irreducible on this domain (try decompose())",
-                    {"spectral_radius": radius, "site": j})
-            n_mat = np.linalg.solve(
-                np.eye(ret.matrix.shape[0], dtype=COMPLEX) - ret.matrix, first.matrix)
-            visit_ops[(j, i)] = n_mat
-    for i in D:
-        d = walk.dims[i]
-        z = a.block(i, d).copy()
-        for j in D:
-            m = visit_ops.get((j, i))
-            if m is None:
-                continue
-            z += herm(np.reshape(m.conj().T @ vec(a.block(j, walk.dims[j])),
-                                 (d, d), order="F"))
-        for j in bnd:
-            bj = b.block(j, walk.dims[j])
-            if np.abs(bj).max(initial=0.0) == 0.0:
-                continue
-            z += herm(np.reshape(exit_ops[(j, i)].matrix.conj().T @ vec(bj),
-                                 (d, d), order="F"))
-        blocks[i] = z
-    z = DiagonalObservable(blocks)
-    return DirichletSolution(
-        solution=z,
-        residuals=_residuals(walk, z, a, D),
-        boundary_sites=bnd,
-        method="closed_form",
-        uniqueness_note=UNIQUENESS_NOTE,
-    )
+def _reject_trapped_data(walk: WalkSpec, a: DiagonalObservable, solve: DomainSolve,
+                         message: str) -> None:
+    """NumericalError(``message`` formatted with the site) when ``a`` is
+    nonzero on a site with a trapped direction."""
+    for j in solve.trapped:
+        if np.abs(a.block(j, walk.dims[j])).max(initial=0.0) != 0.0:
+            raise NumericalError(message.format(site=j),
+                                 {"site": j, "trapped_sites": list(solve.trapped)})
 
 
 def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSolution:
     """Whole-space problem ``(Id - dual step)(Z) = A`` for transient walks.
 
-    Requires every expected visit count to be finite (all return operators
-    strictly contractive).  For stochastic families the representative is
+    One dual block solve with every site in the domain and no boundary.
+    Requires every expected visit count where ``A`` is nonzero to be finite:
+    data on a site with a trapped (recurrent) direction raises
+    :class:`NumericalError`.  For stochastic families the representative is
     made traceless, fixing the additive multiple of the identity left free
     by uniqueness; substochastic truncations have a rigid solution that is
     returned as computed.
     """
-    from .hitting import taboo_operator
-
-    visit_duals = {}
-    for j in walk.sites:
-        aj = a.blocks.get(j)
-        if aj is None or np.abs(aj).max(initial=0.0) == 0.0:
-            continue
-        ret = taboo_operator(walk, j, j)
-        radius = spectral_radius(ret.matrix)
-        if radius >= 1.0 - 1e-7:
-            raise NumericalError(
-                "walk is recurrent at site %r; the global Dirichlet problem "
-                "is unsupported" % (j,), {"spectral_radius": radius})
-        for i in walk.sites:
-            first = taboo_operator(walk, i, j)
-            n_mat = np.linalg.solve(
-                np.eye(ret.matrix.shape[0], dtype=COMPLEX) - ret.matrix, first.matrix)
-            visit_duals[(j, i)] = n_mat
-    blocks = {}
-    total_norm = 0.0
-    for i in walk.sites:
-        d = walk.dims[i]
-        z = a.block(i, d).copy()
-        for j in walk.sites:
-            m = visit_duals.get((j, i))
-            if m is None:
-                continue
-            contrib = herm(np.reshape(m.conj().T @ vec(a.block(j, walk.dims[j])),
-                                      (d, d), order="F"))
-            total_norm += float(np.linalg.norm(contrib, 2))
-            z += contrib
-        blocks[i] = z
+    blocks, solve = _dual_block_solve(walk, walk.sites, (), a, DiagonalObservable({}))
+    _reject_trapped_data(walk, a, solve, "walk is recurrent at site {site!r}; the global "
+                         "Dirichlet problem is unsupported")
     # Traceless gauge: valid only when the identity is harmonic (stochastic
     # family); on substochastic truncations the solution is rigid.
     stepped_id = dual_apply(walk, identity_observable(walk))
@@ -236,26 +164,26 @@ def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSo
         blocks = {s: b - shift * np.eye(walk.dims[s], dtype=COMPLEX)
                   for s, b in blocks.items()}
         note = ("unique up to a multiple of the identity; traceless "
-                f"representative returned (dual-visit norm sum {total_norm:.3e})")
+                f"representative returned (relative residual {solve.residual:.3e})")
     else:
         note = ("substochastic family: the identity is not harmonic and the "
-                f"solution is rigid (dual-visit norm sum {total_norm:.3e})")
+                f"solution is rigid (relative residual {solve.residual:.3e})")
     z = DiagonalObservable(blocks)
     residuals = _residuals(walk, z, a, walk.sites)
     return DirichletSolution(
         solution=z, residuals=residuals, boundary_sites=(),
-        method="global", uniqueness_note=note)
+        method=solve.method, uniqueness_note=note)
 
 
 def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     """Quantum harmonic-measure operator of a boundary site.
 
     Blocks are the duals of the exit operators on the domain plus the
-    identity at j itself, from one dual block solve with ``vec(Id)`` at j
-    (per interior site through :func:`domain_operator` when the domain fails
-    the convergence certificate); tracing against an initial state recovers the
-    harmonic-measure mass at j, and the family over the boundary sums to
-    the identity on the closed domain for irreducible walks.
+    identity at j itself, from one dual block solve with ``vec(Id)`` at j;
+    tracing against an initial state recovers the harmonic-measure mass at
+    j, and the family over the boundary sums to the identity on the closed
+    domain for irreducible walks.  Trapped directions never exit, so the
+    blocks vanish on them.
     """
     D = tuple(_site_id(s) for s in domain)
     bnd = domain_boundary(walk, D)
@@ -263,10 +191,10 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     if j not in bnd:
         raise InputError(f"site {j!r} is not on the domain boundary")
     blocks = {j: np.eye(walk.dims[j], dtype=COMPLEX)}
-    solved = _dual_block_solve(walk, D, bnd, DiagonalObservable({}), DiagonalObservable(blocks))
+    solved, _ = _dual_block_solve(walk, D, bnd, DiagonalObservable({}),
+                                  DiagonalObservable(blocks))
     for i in D:
-        blocks[i] = (domain_operator(walk, D, i, j).dual_identity() if solved is None
-                     else solved[i])
+        blocks[i] = solved[i]
     return DiagonalObservable(blocks)
 
 

@@ -26,6 +26,15 @@ relative ``residual``.
 
 Infinity is a first-class value: expectations return ``math.inf`` together
 with diagnostics, never an exception, when the underlying series diverges.
+
+Finite domains (exit states, harmonic measure, visits before exit and the
+Dirichlet problems built on them) make one certified block solve with the
+one-step map ``K_DD`` inside the domain.  A domain that fails the
+certificate traps mass in an invariant part T, the support of the Cesaro
+fixed point of ``vec(Id)`` under ``K_DD``; T never exits, so the solve runs
+exactly on the compression to the complement of T (see
+:func:`_domain_solve`).  :func:`domain_operator` keeps the per-pair taboo
+series as public API.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .superop import BlockIndex, block_matrix
+from .superop import BlockIndex, block_matrix, fixed_point_projection
 from .walk import DiagonalState, Site, WalkSpec, _site_id, check_state
 
 ALPHA_GRID = (0.9, 0.99, 0.999, 0.9999)
@@ -558,20 +567,6 @@ def _weighted_time_derivative(series: CaptureSeries, S: np.ndarray, rho: np.ndar
     return m1 + float(term)
 
 
-def _return_time_fd(series: CaptureSeries, rho: np.ndarray, p_at_one: float) -> float:
-    """Richardson finite-difference estimate of d/dalpha at alpha = 1^-, an
-    independent check of the solved return time."""
-    def mass(a: float) -> float:
-        m = series.matrix(a)
-        dj = series.walk.dims[series.target]
-        return float(np.trace(unvec(m @ vec(rho), dj)).real)
-
-    h = 1e-4
-    d1 = (p_at_one - mass(1.0 - h)) / h
-    d2 = (p_at_one - mass(1.0 - h / 2)) / (h / 2)
-    return 2 * d2 - d1
-
-
 def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
     """Expected internal state at the first visit to j, given it happens."""
     rho = np.asarray(rho, dtype=COMPLEX)
@@ -616,50 +611,113 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
     return taboo_operator(walk, i, j, taboo=taboo)
 
 
-def _domain_blocks(walk: WalkSpec, domain,
-                   bnd) -> tuple[BlockIndex, BlockIndex, np.ndarray, np.ndarray]:
-    """``(inner, outer, Id - K_DD, K_{bnd,D})``: the one-step map inside the
-    domain ``D`` and from it onto its boundary, indexed in walk site order."""
+@dataclass
+class DomainBlocks:
+    """The one-step map inside a domain ``D`` (``A = Id - K_DD``) and from it
+    onto its boundary (``K_out = K_{bnd,D}``), indexed in walk site order."""
+
+    inner: BlockIndex
+    outer: BlockIndex
+    A: np.ndarray
+    K_out: np.ndarray
+
+
+def _domain_blocks(walk: WalkSpec, domain, bnd) -> DomainBlocks:
     D = {_site_id(s) for s in domain}
     inner = BlockIndex.build(walk, [s for s in walk.sites if s in D])
     outer = BlockIndex.build(walk, bnd)
-    return (inner, outer, _id_minus(block_matrix(walk, inner, inner)),
-            block_matrix(walk, outer, inner))
+    return DomainBlocks(inner, outer, _id_minus(block_matrix(walk, inner, inner)),
+                        block_matrix(walk, outer, inner))
 
 
-def _domain_solve(walk: WalkSpec, inner: BlockIndex, A: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray | None:
-    """Solve ``A X = rhs`` with ``A = Id - K_DD`` or its adjoint (both
-    ``Id`` minus a positive map); None unless the same solve certifies
-    ``r(K_DD) < 1 - DIVERGENCE_TOL`` (see :func:`_certify`)."""
-    X, bound, _ = _certify(walk, inner, A, rhs)
-    return X if bound < 1.0 - DIVERGENCE_TOL else None
+@dataclass
+class DomainSolve:
+    """A certified domain solve (see :func:`_domain_solve`): ``method`` is
+    ``"block_solve"`` or ``"compressed"``, ``trapped`` the sites where the
+    trapped part is nonzero; bound and residual are the certifying solve's."""
+
+    x: np.ndarray
+    method: str
+    trapped: tuple[Site, ...]
+    radius_bound: float
+    residual: float
+
+
+def _domain_solve(walk: WalkSpec, inner: BlockIndex, A: np.ndarray, rhs: np.ndarray,
+                  dual: bool = False) -> DomainSolve:
+    """Solve ``A X = rhs`` (``dual``: ``A^dag X = rhs``) with ``A = Id - K_DD``.
+
+    The solve certifies ``r(K_DD) < 1 - DIVERGENCE_TOL`` (see
+    :func:`_certify`).  When it does not, the domain traps mass: T, the
+    support of the Cesaro fixed point of ``vec(Id)`` under ``K_DD``, is
+    invariant and has no exit, so over ``T (+) T^perp`` the map is
+    block-triangular and its compression to ``T^perp`` (blocks
+    ``V_to^dag L V_fr``) has spectral radius below 1.  The solve then runs
+    there on ``V^dag rhs V`` and is lifted back as ``V x V^dag``, which is
+    exact for every quantity that only sees ``T^perp`` (exits, and the dual
+    problem with no data on T).  With nothing trapped the compression is the
+    identity; :class:`NumericalError` when neither solve certifies.
+    """
+    X, bound, residual = _certify(walk, inner, A.conj().T if dual else A, rhs)
+    if bound < 1.0 - DIVERGENCE_TOL:
+        return DomainSolve(X, "block_solve", (), bound, residual)
+    from .structure import Enclosure, restrict_walk
+
+    keep = _untrapped_bases(walk, inner, A)
+    trapped = tuple(s for s in inner.sites if keep[s].shape[1] < walk.dims[s])
+    if not any(v.shape[1] for v in keep.values()):
+        return DomainSolve(np.zeros_like(rhs), "compressed", trapped, 0.0, 0.0)
+    sub, _ = restrict_walk(walk, Enclosure(keep))
+    idx = BlockIndex.build(sub, sub.sites)
+    lift = np.zeros((inner.total, idx.total), dtype=COMPLEX)
+    for s in idx.sites:
+        (r0, r1), (c0, c1) = inner.offsets[s], idx.offsets[s]
+        lift[r0:r1, c0:c1] = kraus_block(keep[s])   # vec(V x V^dag) = kron(conj V, V) vec(x)
+    A_c = _id_minus(block_matrix(sub, idx, idx))
+    X_c, bound_c, residual = _certify(sub, idx, A_c.conj().T if dual else A_c,
+                                      lift.conj().T @ rhs)
+    if not bound_c < 1.0 - DIVERGENCE_TOL:
+        raise NumericalError(
+            "the domain map is not certified convergent, not even off its trapped part",
+            {"radius_bound": bound, "compressed_radius_bound": bound_c,
+             "trapped_sites": list(trapped)})
+    return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual)
+
+
+def _untrapped_bases(walk: WalkSpec, inner: BlockIndex, A: np.ndarray) -> dict[Site, np.ndarray]:
+    """Per-site orthonormal bases of the complement of the trapped part, the
+    support of the Cesaro fixed point of ``vec(Id)`` under ``K_DD = Id - A``."""
+    from .structure import RANK_TOL
+
+    fixed, _ = fixed_point_projection(_id_minus(A.copy()), inner.trace_vector(walk))
+    eig = {s: np.linalg.eigh(herm(b)) for s, b in inner.unpack(walk, fixed).items()}
+    top = max(float(w.max()) for w, _ in eig.values())
+    return {s: v[:, w <= RANK_TOL * top] for s, (w, v) in eig.items()}
+
+
+def _forward_solve(walk: WalkSpec, domain, bnd, i,
+                   rho: np.ndarray) -> tuple[DomainBlocks, np.ndarray, DomainSolve]:
+    """The domain's blocks, the start vector (rho at i) and the solve of the
+    occupation ``sum_n K_DD^n`` of the start vector."""
+    i = _site_id(i)
+    if i not in {_site_id(s) for s in domain}:
+        raise InputError(f"start site {i!r} is not in the domain")
+    blocks = _domain_blocks(walk, domain, bnd)
+    rhs = np.zeros((blocks.inner.total, 1), dtype=COMPLEX)
+    lo, hi = blocks.inner.offsets[i]
+    rhs[lo:hi, 0] = vec(rho)
+    return blocks, rhs, _domain_solve(walk, blocks.inner, blocks.A, rhs)
 
 
 def _exit_states(walk: WalkSpec, domain, bnd, i, rho: np.ndarray) -> dict[Site, np.ndarray]:
     """Unnormalized state at the exit through each boundary site, from (i, rho).
 
     One certified solve gives ``K_{bnd,D} (Id - K_DD)^{-1}`` applied to rho
-    at i for every boundary site at once; a domain whose map is not
-    certified convergent takes :func:`_exit_states_by_pair`.
+    at i for every boundary site at once; trapped mass never exits, so the
+    compressed solve of a trapping domain gives the same exit states.
     """
-    i = _site_id(i)
-    if i not in {_site_id(s) for s in domain}:
-        raise InputError(f"start site {i!r} is not in the domain")
-    inner, outer, A, K_out = _domain_blocks(walk, domain, bnd)
-    rhs = np.zeros((inner.total, 1), dtype=COMPLEX)
-    lo, hi = inner.offsets[i]
-    rhs[lo:hi, 0] = vec(rho)
-    x = _domain_solve(walk, inner, A, rhs)
-    if x is None:
-        return _exit_states_by_pair(walk, domain, bnd, i, rho)
-    return outer.unpack(walk, K_out @ x[:, 0])
-
-
-def _exit_states_by_pair(walk: WalkSpec, domain, bnd, i, rho: np.ndarray) -> dict[Site, np.ndarray]:
-    """Exit states from one :func:`domain_operator` per boundary site, whose
-    alpha limit handles domains with a trapped direction."""
-    return {j: domain_operator(walk, domain, i, j).apply(rho) for j in bnd}
+    blocks, _, solve = _forward_solve(walk, domain, bnd, i, rho)
+    return blocks.outer.unpack(walk, blocks.K_out @ solve.x[:, 0])
 
 
 def exit_probability(walk: WalkSpec, domain, i, rho) -> float:
@@ -717,26 +775,29 @@ def harmonic_measure(walk: WalkSpec, domain, i, rho) -> HarmonicMeasure:
 
 
 def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
-    """Expected visits to j in the domain before first leaving it."""
+    """Expected visits to j in the domain before first leaving it.
+
+    From the occupation ``x = sum_{n >= 0} K_DD^n (rho at i)`` of one forward
+    solve the count is ``tr x_j - delta_ij tr rho``.  The count is infinite,
+    and :class:`NumericalError` is raised, exactly when the Cesaro fixed point
+    of the start state has mass at j.
+    """
     rho = np.asarray(rho, dtype=COMPLEX)
-    D = {_site_id(s) for s in domain}
     j = _site_id(j)
-    if j not in D:
+    if j not in {_site_id(s) for s in domain}:
         raise InputError(f"target {j!r} must lie inside the domain")
-    first = domain_operator(walk, domain, i, j)
-    sigma = first.apply(rho)
-    if float(np.trace(sigma).real) <= 1e-14:
-        return 0.0
-    returns = domain_operator(walk, domain, j, j)
-    P = returns.matrix
-    radius = spectral_radius(P)
-    if radius >= 1.0 - DIVERGENCE_TOL:
-        raise NumericalError(
-            "domain visit count diverges (return operator has norm 1); "
-            "the walk is not irreducible on this domain",
-            {"spectral_radius": radius})
-    x = np.linalg.solve(np.eye(P.shape[0], dtype=COMPLEX) - P, vec(sigma))
-    return float(np.vdot(vec(np.eye(walk.dims[j], dtype=COMPLEX)), x).real)
+    blocks, rhs, solve = _forward_solve(walk, domain, (), i, rho)
+    lo, hi = blocks.inner.offsets[j]
+    tr_rho = float(np.trace(rho).real)
+    if solve.method == "compressed":
+        fixed, _ = fixed_point_projection(_id_minus(blocks.A.copy()), rhs[:, 0])
+        mass = float(np.trace(unvec(fixed[lo:hi], walk.dims[j])).real)
+        if mass > 1e-10 * tr_rho:
+            raise NumericalError(
+                "domain visit count diverges: the start state leaves mass trapped "
+                f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(solve.trapped)})
+    visits = float(np.trace(unvec(solve.x[lo:hi, 0], walk.dims[j])).real)
+    return visits - (tr_rho if _site_id(i) == j else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
     w = np.linalg.eigvalsh(pstar)
     # finiteness of expected visits <=> spectral radius of the return map < 1
     return_radius = spectral_radius(op.matrix)
-    diag = {"interior_spectral_radius": series.interior_radius,
+    diag = {**series.diagnostics,
             "return_operator_radius": return_radius,
             "spectral_check_visits_finite": bool(return_radius < 1.0 - DIVERGENCE_GUARD),
             "dual_identity_eigenvalues": [float(x) for x in w]}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oqw
 from oqw import fixtures
 
 E1 = np.diag([1.0, 0.0]).astype(complex)
@@ -53,3 +54,20 @@ def random_density(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def rotation(walk, seed):
+    """Seeded random unitary per site."""
+    rng = np.random.default_rng(seed)
+    us = {}
+    for s in walk.sites:
+        d = walk.dims[s]
+        us[s], _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return us
+
+
+def rotate(walk, seed):
+    """The walk seen in the random local orthonormal bases ``rotation(walk, seed)``."""
+    us = rotation(walk, seed)
+    trans = {(to, fr): us[to] @ L @ us[fr].conj().T for (to, fr), L in walk.transitions.items()}
+    return oqw.WalkSpec(walk.sites, walk.dims, trans)

@@ -1,10 +1,15 @@
 """The block algebra of the domain layer against its per-pair oracles.
 
-Dirichlet problems, exit states and harmonic operators come from one
-certified block solve per call; the per-pair closed forms built from
-``domain_operator`` stay as the fallback for domains that fail the
-certificate and serve here as the oracle.  The weighted Gram product of the
-variational solver and the selfadjointness residual of
+Dirichlet problems, exit states, harmonic operators and visits before exit
+come from one certified block solve per call; a domain that fails the
+certificate traps mass, and the solve runs on the compression to the
+complement of the trapped part.  The oracles are per-pair: the closed form
+built from one taboo-path operator per (site, site) pair, with the operators
+taken from ``domain_operator`` on certified domains (where its series
+converge) and from brute-force path enumeration plus entrywise Shanks
+extrapolation on trapped ones (where ``domain_operator`` needs an alpha
+limit that is only accurate to about 1e-6).  The weighted Gram product of
+the variational solver and the selfadjointness residual of
 ``check_detailed_balance`` are checked against the pairwise inner products
 they replace.
 """
@@ -15,10 +20,11 @@ import pytest
 import oqw
 from oqw import dirichlet, fixtures, hitting
 from oqw.errors import NumericalError
-from oqw.linalg import hermitian_basis, psd_sqrt
+from oqw.hitting import brute_force_path_sum, shanks_limit
+from oqw.linalg import COMPLEX, herm, hermitian_basis, psd_sqrt, spectral_radius, unvec, vec
 from oqw.walk import DiagonalObservable, identity_observable
 
-from conftest import random_density, random_hermitian
+from conftest import E1, E2, random_density, random_hermitian, rotate, rotation
 
 # (walk, domain) pairs whose one-step map inside the domain is certified
 # convergent; the walks are the ring, gambler's ruin, the branch walk and a
@@ -35,6 +41,8 @@ CERTIFIED = [
 ]
 # domains with a trapped direction: the certificate fails
 UNCERTIFIED = [("trap", ("0", "1")), ("trap", ("1", "2")), ("branch", ("1", "2", "3"))]
+# the trapped domains again, in random local bases (seed 0: unrotated)
+TRAPPED = [(name, domain, seed) for name, domain in UNCERTIFIED for seed in range(6)]
 
 
 @pytest.fixture(scope="module")
@@ -56,100 +64,281 @@ def max_block_gap(x: dict, y: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-pair oracles
+
+
+def enumerated_operator(walk, domain, i, j, max_len=60):
+    """Vec-matrix of the paths i -> j whose intermediates stay in the domain
+    (and avoid j): brute-force enumeration, then Shanks extrapolation of every
+    entry's partial sums."""
+    taboo = [s for s in walk.sites if s not in domain]
+    ops = brute_force_path_sum(walk, i, np.eye(walk.dims[i]), j, taboo, max_len).operators
+    partial = np.cumsum(np.array(ops), axis=0)
+    out = np.zeros(partial.shape[1:], dtype=COMPLEX)
+    for k in np.ndindex(out.shape):
+        seq = partial[(slice(None), *k)]
+        out[k] = shanks_limit(seq.real) + 1j * shanks_limit(seq.imag)
+    return out
+
+
+def pair_operators(walk, domain, trapped):
+    """``(i, j) -> vec-matrix`` of the domain's taboo-path operators, cached."""
+    cache = {}
+
+    def op(i, j):
+        if (i, j) not in cache:
+            cache[(i, j)] = (enumerated_operator(walk, domain, i, j) if trapped
+                             else oqw.domain_operator(walk, domain, i, j).matrix)
+        return cache[(i, j)]
+    return op
+
+
+def dual_identity(m, d_source, d_target):
+    return herm(unvec(m.conj().T @ vec(np.eye(d_target, dtype=COMPLEX)), d_source))
+
+
+def closed_form(walk, problem, op):
+    """Closed-form Dirichlet solution from per-pair operators ``op(i, j)``.
+
+    ``Z_i = A_i + sum_{j in D} N*[j,i](A_j) + sum_{j in bnd} P*[j,i](B_j)``
+    for interior i, with the boundary condition imposed exactly; the visit
+    operators are ``N[j,i] = (Id - P[j,j])^{-1} P[j,i]``, and a return
+    operator of spectral radius 1 under nonzero data raises the divergent
+    visit operator.
+    """
+    D = problem.domain
+    bnd = oqw.boundary(walk, D)
+    a, b = problem.interior_data, problem.boundary_data
+    blocks = {j: b.block(j, walk.dims[j]).copy() for j in bnd}
+    visit_ops = {}
+    for j in D:
+        if np.abs(a.block(j, walk.dims[j])).max(initial=0.0) == 0.0:
+            continue
+        ret = op(j, j)
+        radius = spectral_radius(ret)
+        if radius >= 1.0 - 1e-7:
+            raise NumericalError("domain visit operator diverges", {"site": j})
+        for i in D:
+            visit_ops[(j, i)] = np.linalg.solve(np.eye(ret.shape[0]) - ret, op(i, j))
+    for i in D:
+        d = walk.dims[i]
+        z = a.block(i, d).copy()
+        for j in D:
+            if (j, i) in visit_ops:
+                z += herm(unvec(visit_ops[(j, i)].conj().T @ vec(a.block(j, walk.dims[j])), d))
+        for j in bnd:
+            z += herm(unvec(op(i, j).conj().T @ vec(b.block(j, walk.dims[j])), d))
+        blocks[i] = z
+    return blocks
+
+
+def enumerated_visits(walk, domain, i, rho, j, op):
+    """Visits to j before exit: ``sum_m tr P[j,j]^m P[j,i] rho`` over 400
+    terms (they decay geometrically on these fixtures), or inf when they do
+    not decay."""
+    sigma = op(i, j) @ vec(rho)
+    terms = []
+    for _ in range(400):
+        terms.append(float(np.trace(unvec(sigma, walk.dims[j])).real))
+        sigma = op(j, j) @ sigma
+    if sum(terms[200:]) > 1e-6:
+        return np.inf
+    return sum(terms)
+
+
+# ---------------------------------------------------------------------------
 # Dirichlet problems
 
 
 @pytest.mark.parametrize("name,domain", CERTIFIED)
 def test_block_solve_matches_closed_form(walks, name, domain):
     walk = walks[name]
+    op = pair_operators(walk, domain, trapped=False)
     rng = np.random.default_rng(31)
     for _ in range(3):
         problem = random_problem(walk, domain, rng)
         block = oqw.solve_dirichlet_domain(walk, problem)
-        closed = dirichlet._closed_form(walk, problem)
+        closed = closed_form(walk, problem, op)
         assert block.method == "block_solve"
-        assert closed.method == "closed_form"
-        scale = max(1.0, max(float(np.abs(b).max()) for b in closed.solution.blocks.values()))
-        assert max_block_gap(block.solution.blocks, closed.solution.blocks) <= 1e-10 * scale
-        assert block.boundary_sites == closed.boundary_sites
+        scale = max(1.0, max(float(np.abs(b).max()) for b in closed.values()))
+        assert max_block_gap(block.solution.blocks, closed) <= 1e-10 * scale
+        assert block.boundary_sites == oqw.boundary(walk, domain)
         assert block.max_residual <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("name,domain", UNCERTIFIED)
-def test_trapped_domain_takes_closed_form(walks, name, domain):
+def test_trapped_domain_takes_compressed_solve(walks, name, domain):
     walk = walks[name]
+    op = pair_operators(walk, domain, trapped=True)
     rng = np.random.default_rng(32)
     bnd = oqw.boundary(walk, domain)
     b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in bnd})
     problem = oqw.DirichletProblem.build(walk, domain, None, b)
     sol = oqw.solve_dirichlet_domain(walk, problem)
-    closed = dirichlet._closed_form(walk, problem)
-    assert sol.method == "closed_form"
-    assert max_block_gap(sol.solution.blocks, closed.solution.blocks) == 0.0
+    assert sol.method == "compressed"
+    assert max_block_gap(sol.solution.blocks, closed_form(walk, problem, op)) <= 1e-10
+    assert sol.max_residual <= 1e-10
     # interior data on the trapped part: the divergent visit operator is reported
     problem = oqw.DirichletProblem.build(walk, domain, identity_observable(walk, domain), b)
     with pytest.raises(NumericalError, match="visit operator diverges"):
         oqw.solve_dirichlet_domain(walk, problem)
 
 
-# ---------------------------------------------------------------------------
-# exit states, harmonic measure and harmonic operators
-
-
-def exit_states_by_pair(walk, domain, i, rho):
+@pytest.mark.parametrize("name,domain,seed", TRAPPED)
+def test_trapped_dirichlet_matches_enumeration(walks, name, domain, seed):
+    """Interior data on one site at a time: the solve raises exactly where the
+    enumerated return operator has spectral radius 1, and matches otherwise."""
+    walk = rotate(walks[name], seed) if seed else walks[name]
+    op = pair_operators(walk, domain, trapped=True)
+    rng = np.random.default_rng(36 + seed)
     bnd = oqw.boundary(walk, domain)
-    return {j: oqw.domain_operator(walk, domain, i, j).apply(rho) for j in bnd}
+    b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in bnd})
+    for j in (None, *domain):
+        a = DiagonalObservable({} if j is None else {j: random_hermitian(rng, walk.dims[j])})
+        problem = oqw.DirichletProblem.build(walk, domain, a, b)
+        try:
+            want = closed_form(walk, problem, op)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="visit operator diverges"):
+                oqw.solve_dirichlet_domain(walk, problem)
+            continue
+        sol = oqw.solve_dirichlet_domain(walk, problem)
+        assert sol.method == "compressed"
+        scale = max(1.0, max(float(np.abs(x).max()) for x in want.values()))
+        assert max_block_gap(sol.solution.blocks, want) <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# exit states, harmonic measure, harmonic operators and visits
+
+
+def check_exit_states(walk, domain, i, rho, op):
+    bnd = oqw.boundary(walk, domain)
+    states = {j: unvec(op(i, j) @ vec(rho), walk.dims[j]) for j in bnd}
+    hm = oqw.harmonic_measure(walk, domain, i, rho)
+    assert list(hm.masses) == list(states)
+    for j, out in states.items():
+        t = float(np.trace(out).real)
+        assert hm.masses[j] == pytest.approx(max(0.0, t), abs=1e-12)
+        if t > 1e-12:
+            assert np.abs(hm.conditional_states[j] - 0.5 * (out + out.conj().T) / t).max() \
+                <= 1e-10
+        else:
+            assert j not in hm.conditional_states
+    total = sum(float(np.trace(out).real) for out in states.values())
+    assert oqw.exit_probability(walk, domain, i, rho) == \
+        pytest.approx(min(1.0, max(0.0, total)), abs=1e-12)
+
+
+def check_harmonic_operators(walk, domain, op, tol):
+    for j in oqw.boundary(walk, domain):
+        got = oqw.harmonic_operator(walk, domain, j)
+        want = {j: np.eye(walk.dims[j])}
+        want.update({i: dual_identity(op(i, j), walk.dims[i], walk.dims[j]) for i in domain})
+        assert max_block_gap(got.blocks, want) <= tol
 
 
 @pytest.mark.parametrize("name,domain", CERTIFIED + UNCERTIFIED)
 def test_harmonic_measure_matches_per_pair(walks, name, domain):
     walk = walks[name]
+    op = pair_operators(walk, domain, trapped=(name, domain) in UNCERTIFIED)
     rng = np.random.default_rng(33)
     for i in domain:
-        rho = random_density(rng, walk.dims[i])
-        states = exit_states_by_pair(walk, domain, i, rho)
-        hm = oqw.harmonic_measure(walk, domain, i, rho)
-        assert list(hm.masses) == list(states)
-        for j, out in states.items():
-            t = float(np.trace(out).real)
-            assert hm.masses[j] == pytest.approx(max(0.0, t), abs=1e-12)
-            if t > 1e-12:
-                assert np.abs(hm.conditional_states[j] - 0.5 * (out + out.conj().T) / t).max() \
-                    <= 1e-10
-            else:
-                assert j not in hm.conditional_states
-        total = sum(float(np.trace(out).real) for out in states.values())
-        assert oqw.exit_probability(walk, domain, i, rho) == \
-            pytest.approx(min(1.0, max(0.0, total)), abs=1e-12)
+        check_exit_states(walk, domain, i, random_density(rng, walk.dims[i]), op)
 
 
 @pytest.mark.parametrize("name,domain", CERTIFIED + UNCERTIFIED)
 def test_harmonic_operator_matches_per_pair(walks, name, domain):
     walk = walks[name]
-    for j in oqw.boundary(walk, domain):
-        op = oqw.harmonic_operator(walk, domain, j)
-        want = {j: np.eye(walk.dims[j])}
-        want.update({i: oqw.domain_operator(walk, domain, i, j).dual_identity()
-                     for i in domain})
-        assert max_block_gap(op.blocks, want) <= 1e-12
+    trapped = (name, domain) in UNCERTIFIED
+    check_harmonic_operators(walk, domain, pair_operators(walk, domain, trapped),
+                             1e-10 if trapped else 1e-12)
 
 
-def test_exit_path_selected_by_certificate(walks, monkeypatch):
+@pytest.mark.parametrize("name,domain,seed", TRAPPED)
+def test_trapped_exits_and_visits_match_enumeration(walks, name, domain, seed):
+    base = walks[name]
+    walk = rotate(base, seed) if seed else base
+    us = rotation(base, seed) if seed else {s: np.eye(base.dims[s]) for s in base.sites}
+    op = pair_operators(walk, domain, trapped=True)
+    check_harmonic_operators(walk, domain, op, 1e-10)
+    rng = np.random.default_rng(37 + seed)
+    for i in domain:
+        d = walk.dims[i]
+        states = [random_density(rng, d)]
+        if d == 2:   # the fixtures' basis states, which separate trapped from free mass
+            states += [us[i] @ e @ us[i].conj().T for e in (E1, E2)]
+        for rho in states:
+            check_exit_states(walk, domain, i, rho, op)
+            for j in domain:
+                want = enumerated_visits(walk, domain, i, rho, j, op)
+                if np.isinf(want):
+                    with pytest.raises(NumericalError, match="visit count diverges"):
+                        oqw.expected_domain_visits(walk, domain, i, rho, j)
+                else:
+                    got = oqw.expected_domain_visits(walk, domain, i, rho, j)
+                    assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_trap_visits_are_finite_off_the_trapped_mass(trap_walk):
+    # from "1" in e2 the walk steps to "0" in e2 and leaves: exactly one visit
+    assert oqw.expected_domain_visits(trap_walk, ["0", "1"], "1", E2, "0") == \
+        pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(NumericalError, match="visit count diverges"):
+        oqw.expected_domain_visits(trap_walk, ["0", "1"], "1", E1, "0")
+
+
+def test_compression_only_where_the_certificate_fails(walks, monkeypatch):
     calls = []
-    per_pair = hitting._exit_states_by_pair
+    project = hitting.fixed_point_projection
 
-    def spy(*args):
-        calls.append(args[1])
-        return per_pair(*args)
+    def spy(matrix, x, *args):
+        calls.append(matrix.shape[0])
+        return project(matrix, x, *args)
 
-    monkeypatch.setattr(hitting, "_exit_states_by_pair", spy)
+    monkeypatch.setattr(hitting, "fixed_point_projection", spy)
     rho = np.eye(2, dtype=complex) / 2
-    oqw.harmonic_measure(walks["ring"], ["0", "1"], "0", rho)
-    oqw.exit_probability(walks["branch"], ["1", "2"], "1", rho)
+    rng = np.random.default_rng(38)
+    for name, domain in CERTIFIED:
+        walk = walks[name]
+        i = domain[0]
+        oqw.harmonic_measure(walk, domain, i, np.eye(walk.dims[i]) / walk.dims[i])
+        oqw.expected_domain_visits(walk, domain, i, np.eye(walk.dims[i]) / walk.dims[i], i)
+        oqw.solve_dirichlet_domain(walk, random_problem(walk, domain, rng))
+        for j in oqw.boundary(walk, domain):
+            oqw.harmonic_operator(walk, domain, j)
     assert calls == []
     oqw.harmonic_measure(walks["trap"], ["0", "1"], "0", rho)
     oqw.exit_probability(walks["branch"], ["1", "2", "3"], "1", rho)
-    assert calls == [["0", "1"], ["1", "2", "3"]]
+    assert calls == [8, 12]
+
+
+def test_exit_path_selected_by_certificate(walks):
+    def solve(walk, domain):
+        blocks = hitting._domain_blocks(walk, domain, ())
+        rhs = blocks.inner.pack(oqw.DiagonalState({domain[0]: np.eye(2) / 2}))[:, None]
+        return hitting._domain_solve(walk, blocks.inner, blocks.A, rhs)
+
+    certified = solve(walks["ring"], ("0", "1"))
+    assert (certified.method, certified.trapped) == ("block_solve", ())
+    for (name, domain), trapped in zip(UNCERTIFIED, [("0", "1"), ("2",), ("3",)]):
+        compressed = solve(walks[name], domain)
+        assert (compressed.method, compressed.trapped) == ("compressed", trapped)
+        assert compressed.radius_bound < 1.0 - hitting.DIVERGENCE_TOL
+        assert compressed.residual <= 1e-12
+
+
+def test_uncertified_domain_without_trap_raises_with_radius_bound():
+    # a self loop of weight 1 - 1e-9: r(K_DD) lies within DIVERGENCE_TOL of 1,
+    # yet nothing is trapped, so the compression cannot certify either
+    leak = 1e-9
+    walk = oqw.WalkSpec(("a", "b"), {"a": 1, "b": 1},
+                        {("a", "a"): [[np.sqrt(1 - leak)]], ("b", "a"): [[np.sqrt(leak)]],
+                         ("b", "b"): [[1.0]]})
+    with pytest.raises(NumericalError, match="not certified convergent") as err:
+        oqw.exit_probability(walk, ["a"], "a", np.eye(1))
+    assert err.value.diagnostics["radius_bound"] >= 1.0 - hitting.DIVERGENCE_TOL
+    assert err.value.diagnostics["trapped_sites"] == []
 
 
 def test_exit_start_outside_domain_rejected(ring_walk):

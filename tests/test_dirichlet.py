@@ -5,6 +5,7 @@ import oqw
 from oqw import fixtures
 from oqw.dirichlet import dirichlet_energy, flat_state, gradient_form
 from oqw.errors import InputError, NumericalError
+from oqw.linalg import herm, unvec, vec
 from oqw.walk import DiagonalObservable, identity_observable
 
 from conftest import random_density, random_hermitian
@@ -25,7 +26,7 @@ def random_problem(walk, domain, seed):
 
 
 # ---------------------------------------------------------------------------
-# closed-form domain solver
+# domain solver
 
 
 def test_constants_are_harmonic(ring_walk):
@@ -69,7 +70,7 @@ def test_domain_solution_counts_visits(branch_walk):
 def test_domain_solver_rejects_trapped_domain(trap_walk):
     problem = oqw.DirichletProblem.build(
         trap_walk, ["0", "1"], identity_observable(trap_walk, ["0", "1"]), None)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="visit operator diverges"):
         oqw.solve_dirichlet_domain(trap_walk, problem)
 
 
@@ -117,6 +118,53 @@ def test_global_matches_green_function_column():
 def test_global_rejected_on_recurrent_walk(ring_walk):
     with pytest.raises(NumericalError, match="recurrent"):
         oqw.solve_dirichlet_global(ring_walk, DiagonalObservable({"0": np.eye(2)}))
+
+
+def global_per_pair(walk, a):
+    """``Z_i = A_i + sum_j N*[j,i](A_j)`` with the visit operators
+    ``N[j,i] = (Id - P[j,j])^{-1} P[j,i]`` from one taboo operator per pair."""
+    blocks = {i: a.block(i, walk.dims[i]).copy() for i in walk.sites}
+    for j, aj in a.blocks.items():
+        ret = oqw.taboo_operator(walk, j, j).matrix
+        for i in walk.sites:
+            n = np.linalg.solve(np.eye(ret.shape[0]) - ret, oqw.taboo_operator(walk, i, j).matrix)
+            blocks[i] += herm(unvec(n.conj().T @ vec(aj), walk.dims[i]))
+    return blocks
+
+
+@pytest.mark.parametrize("walk", [open_biased_chain()[0], open_biased_chain(7, 0.75)[0],
+                                  fixtures.example_half_line(0.25, 10, boundary="taboo"),
+                                  fixtures.example_half_line(0.25, 20, boundary="taboo")],
+                         ids=["chain6", "chain7", "half-line10", "half-line20"])
+def test_global_matches_per_pair_visits(walk):
+    rng = np.random.default_rng(15)
+    a = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in walk.sites})
+    sol = oqw.solve_dirichlet_global(walk, a)
+    want = global_per_pair(walk, a)
+    scale = max(float(np.abs(b).max()) for b in want.values())
+    assert max(float(np.abs(sol.solution.blocks[s] - want[s]).max()) for s in walk.sites) \
+        <= 1e-12 * scale
+    assert sol.method == "block_solve"
+    assert sol.uniqueness_note.startswith("substochastic family")
+    assert "relative residual" in sol.uniqueness_note
+    assert sol.max_residual <= 1e-12 * scale
+
+
+def test_global_compresses_trapped_part(branch_walk):
+    # the branch walk keeps e2 shuttling between "0" and "1" and traps "3";
+    # "2" is transient, so data there has finite visits
+    rng = np.random.default_rng(16)
+    a = DiagonalObservable({"2": random_hermitian(rng, 2)})
+    sol = oqw.solve_dirichlet_global(branch_walk, a)
+    assert sol.method == "compressed"
+    assert sol.max_residual <= 1e-12
+    assert "traceless" in sol.uniqueness_note
+    assert sum(np.trace(b).real for b in sol.solution.blocks.values()) == \
+        pytest.approx(0.0, abs=1e-12)
+    for site in ("0", "1", "3"):
+        with pytest.raises(NumericalError, match=f"recurrent at site '{site}'"):
+            oqw.solve_dirichlet_global(
+                branch_walk, DiagonalObservable({site: np.eye(branch_walk.dims[site])}))
 
 
 def test_global_residual_on_random_transient_fixtures():

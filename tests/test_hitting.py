@@ -6,7 +6,8 @@ import pytest
 import oqw
 from oqw import fixtures
 from oqw.errors import InputError
-from oqw.hitting import _return_time_fd, capture_series, shanks_limit
+from oqw.hitting import capture_series, shanks_limit
+from oqw.linalg import unvec, vec
 
 from conftest import E1, E2, MIX, random_density
 
@@ -181,6 +182,19 @@ def test_trap_walk_return_time(trap_walk):
     assert math.isinf(oqw.expected_return_time(trap_walk, "0", E2, "0").value)
 
 
+def return_time_fd(series, rho, p_at_one):
+    """Richardson finite-difference estimate of d/dalpha of the weighted
+    passage mass at alpha = 1^-, an independent check of the solved return time."""
+    def mass(a):
+        m = series.matrix(a)
+        return float(np.trace(unvec(m @ vec(rho), series.walk.dims[series.target])).real)
+
+    h = 1e-4
+    d1 = (p_at_one - mass(1.0 - h)) / h
+    d2 = (p_at_one - mass(1.0 - h / 2)) / (h / 2)
+    return 2 * d2 - d1
+
+
 def test_half_line_return_times(half_line_down):
     # drift-toward-origin chain: E(t0) = r + 3(1-r) by the classical reduction
     for r in (0.0, 0.5, 1.0):
@@ -188,7 +202,7 @@ def test_half_line_return_times(half_line_down):
         res = oqw.expected_return_time(half_line_down, "0", rho, "0")
         assert res.value == pytest.approx(r + 3.0 * (1 - r), abs=1e-9)
         series = capture_series(half_line_down, "0", "0")
-        fd = _return_time_fd(series, rho, res.diagnostics["passage_probability"])
+        fd = return_time_fd(series, rho, res.diagnostics["passage_probability"])
         assert fd == pytest.approx(res.value, abs=1e-3)
 
 

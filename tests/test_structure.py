@@ -9,7 +9,7 @@ from oqw.errors import InputError
 from oqw.linalg import extend_basis
 from oqw.structure import Enclosure, enclosure_closure
 
-from conftest import E1, E2, MIX
+from conftest import E1, E2, MIX, rotate
 
 
 def unit(d, k):
@@ -79,17 +79,6 @@ def sweep_closure(walk, seeds):
         if not grew:
             break
     return Enclosure(bases)
-
-
-def rotate(walk, seed):
-    """The walk seen in random local orthonormal bases."""
-    rng = np.random.default_rng(seed)
-    us = {}
-    for s in walk.sites:
-        d = walk.dims[s]
-        us[s], _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    trans = {(to, fr): us[to] @ L @ us[fr].conj().T for (to, fr), L in walk.transitions.items()}
-    return oqw.WalkSpec(walk.sites, walk.dims, trans)
 
 
 def plus_minus_walk():
@@ -285,6 +274,26 @@ def test_classify_builds_one_return_series(half_line_up_taboo, monkeypatch):
                         lambda *args, **kw: calls.append(args[1:]) or build(*args, **kw))
     oqw.classify_recurrence(half_line_up_taboo, "0")
     assert calls == [("0", "0")]
+
+
+def test_classify_reports_the_series_certificate(half_line_up_taboo, monkeypatch):
+    from oqw import hitting, linalg
+
+    sizes = []
+    radius = linalg.spectral_radius
+
+    def spy(m):
+        sizes.append(m.shape[0])
+        return radius(m)
+
+    monkeypatch.setattr(linalg, "spectral_radius", spy)
+    monkeypatch.setattr(hitting, "spectral_radius", spy)
+    verdict = oqw.classify_recurrence(half_line_up_taboo, "0")
+    assert sizes == [4]   # the 2-dim site's return operator; no interior eigvals
+    diag = verdict.diagnostics
+    assert diag["radius_source"] == "certificate"
+    assert diag["radius_bound"] < 1.0 and diag["residual"] <= 1e-12
+    assert "interior_spectral_radius" not in diag
 
 
 def test_classify_agrees_with_classical_recurrence():
