@@ -151,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="truncation handling for lattice fixtures")
     common.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--alpha-grid", default=None,
-                        help="comma-separated alpha grid for divergent series")
 
     pv = sub.add_parser("validate", parents=[common], help="check stochasticity")
 
@@ -482,17 +480,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    saved_grid = hitting.ALPHA_GRID  # --alpha-grid applies to this call only
-    if getattr(args, "alpha_grid", None):
-        try:
-            grid = tuple(float(x) for x in args.alpha_grid.split(","))
-        except ValueError:
-            print("error: bad --alpha-grid", file=sys.stderr)
-            return 1
-        if any(not 0 < a < 1 for a in grid) or len(grid) < 3:
-            print("error: --alpha-grid needs >= 3 values in (0, 1)", file=sys.stderr)
-            return 1
-        hitting.ALPHA_GRID = grid
     try:
         return _HANDLERS[args.command](args)
     except InputError as exc:
@@ -508,8 +495,6 @@ def main(argv=None) -> int:
     except OQWError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        hitting.ALPHA_GRID = saved_grid
 
 
 if __name__ == "__main__":

@@ -122,7 +122,7 @@ def _dual_block_solve(walk: WalkSpec, domain, bnd, a: DiagonalObservable,
     ``a`` vanishes on every trapped site."""
     blocks = _domain_blocks(walk, domain, bnd)
     rhs = blocks.inner.pack(a) + blocks.K_out.conj().T @ blocks.outer.pack(b)
-    solve = _domain_solve(walk, blocks.inner, blocks.A, rhs[:, None], dual=True)
+    solve = _domain_solve(blocks.A, rhs[:, None], blocks.inner.dims(walk), dual=True)
     return ({s: herm(blk) for s, blk in blocks.inner.unpack(walk, solve.x[:, 0]).items()},
             solve)
 

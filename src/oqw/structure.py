@@ -238,8 +238,10 @@ def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
     With ``P* = dual of the return operator applied to Id``:
     all of spec(P*) at 1 -> recurrent; none near 1 -> transient; a proper
     eigenvalue-1 eigenspace -> mixed, with a witness state supported there.
-    Expected-visit finiteness is cross-checked through the spectral radius
-    of the return operator.
+    The return operator comes from the s -> s series' certified solve, run
+    off a trapped part where there is one; the diagnostics carry its method,
+    radius bound and residual.  Expected-visit finiteness is cross-checked
+    through the spectral radius of the return operator.
     """
     from .hitting import _taboo_block, capture_series
     from .linalg import spectral_radius

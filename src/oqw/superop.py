@@ -61,13 +61,9 @@ class BlockIndex:
             out[s] = unvec(x[lo:hi], walk.dims[s])
         return out
 
-    def trace_vector(self, walk: WalkSpec) -> np.ndarray:
-        """Vector t with t† x = sum of block traces."""
-        t = np.zeros(self.total, dtype=COMPLEX)
-        for s in self.sites:
-            lo, hi = self.offsets[s]
-            t[lo:hi:walk.dims[s] + 1] = 1.0  # diagonal of the column-major block
-        return t
+    def dims(self, walk: WalkSpec) -> dict:
+        """Fibre dimension of every site, in block order."""
+        return {s: walk.dims[s] for s in self.sites}
 
 
 @dataclass(frozen=True)
@@ -151,13 +147,15 @@ def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -
 
 
 def _fixed_space(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of ker(M - I) and ker(M† - I) via SVD."""
-    from scipy.linalg import null_space
+    """Orthonormal bases of ker(M - I) and ker(M† - I) from one SVD.
 
-    a = matrix - np.eye(matrix.shape[0], dtype=COMPLEX)
-    right = null_space(a, rcond=tol)
-    left = null_space(a.conj().T, rcond=tol)
-    return right, left
+    Singular values up to ``tol * max(1, sigma_max)`` count as zero: a cut
+    relative to ``sigma_max`` alone would find no fixed space at all in a map
+    that equals the identity up to rounding.
+    """
+    u, s, vh = np.linalg.svd(matrix - np.eye(matrix.shape[0], dtype=COMPLEX))
+    null = s <= tol * max(1.0, float(s.max(initial=0.0)))
+    return vh[null].conj().T, u[:, null]
 
 
 def fixed_point_projection(matrix: np.ndarray, x: np.ndarray,

@@ -5,10 +5,10 @@ come from one certified block solve per call; a domain that fails the
 certificate traps mass, and the solve runs on the compression to the
 complement of the trapped part.  The oracles are per-pair: the closed form
 built from one taboo-path operator per (site, site) pair, with the operators
-taken from ``domain_operator`` on certified domains (where its series
-converge) and from brute-force path enumeration plus entrywise Shanks
-extrapolation on trapped ones (where ``domain_operator`` needs an alpha
-limit that is only accurate to about 1e-6).  The weighted Gram product of
+taken from ``domain_operator`` on certified domains and from brute-force
+path enumeration plus entrywise Shanks extrapolation on trapped ones, where
+``domain_operator`` would run the same compression as the solver under test.
+The weighted Gram product of
 the variational solver and the selfadjointness residual of
 ``check_detailed_balance`` are checked against the pairwise inner products
 they replace.
@@ -317,7 +317,7 @@ def test_exit_path_selected_by_certificate(walks):
     def solve(walk, domain):
         blocks = hitting._domain_blocks(walk, domain, ())
         rhs = blocks.inner.pack(oqw.DiagonalState({domain[0]: np.eye(2) / 2}))[:, None]
-        return hitting._domain_solve(walk, blocks.inner, blocks.A, rhs)
+        return hitting._domain_solve(blocks.A, rhs, blocks.inner.dims(walk))
 
     certified = solve(walks["ring"], ("0", "1"))
     assert (certified.method, certified.trapped) == ("block_solve", ())
@@ -328,17 +328,57 @@ def test_exit_path_selected_by_certificate(walks):
         assert compressed.residual <= 1e-12
 
 
-def test_uncertified_domain_without_trap_raises_with_radius_bound():
-    # a self loop of weight 1 - 1e-9: r(K_DD) lies within DIVERGENCE_TOL of 1,
-    # yet nothing is trapped, so the compression cannot certify either
-    leak = 1e-9
-    walk = oqw.WalkSpec(("a", "b"), {"a": 1, "b": 1},
+def leaking_self_loop(leak):
+    return oqw.WalkSpec(("a", "b"), {"a": 1, "b": 1},
                         {("a", "a"): [[np.sqrt(1 - leak)]], ("b", "a"): [[np.sqrt(leak)]],
                          ("b", "b"): [[1.0]]})
+
+
+def test_uncertified_domain_without_trap_raises_with_radius_bound():
+    # every site of a down-drifting half-line but its absorbing cut: r(K_DD)
+    # is 1 - 5.5e-11, and the near-fixed part leaks 1/4 per step at the top
+    walk = fixtures.example_half_line(0.75, 16)
     with pytest.raises(NumericalError, match="not certified convergent") as err:
-        oqw.exit_probability(walk, ["a"], "a", np.eye(1))
+        oqw.exit_probability(walk, [s for s in walk.sites if s != "cut+"], "1", np.eye(1))
     assert err.value.diagnostics["radius_bound"] >= 1.0 - hitting.DIVERGENCE_TOL
+    assert err.value.diagnostics["trap_defect"] > hitting.TRAP_DEFECT_TOL
     assert err.value.diagnostics["trapped_sites"] == []
+    # a self loop of weight 1 - 1e-9 is certified below 1, though not by the
+    # margin, and nothing is trapped: the first solve is kept
+    walk = leaking_self_loop(1e-9)
+    assert oqw.exit_probability(walk, ["a"], "a", np.eye(1)) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("p,n", [(0.75, 20), (0.75, 16), (0.8, 14), (0.75, 12)])
+def test_near_fixed_part_that_leaks_is_not_taken_for_trapped(p, n):
+    """The whole half-line but its cut exits surely, however slowly: the exit
+    mass is 1 or the solve refuses, never the 0 of a part taken for trapped."""
+    walk = fixtures.example_half_line(p, n)
+    domain = [s for s in walk.sites if s != "cut+"]
+    for i in ("1", str(n - 1)):
+        for query in (lambda: oqw.exit_probability(walk, domain, i, np.eye(1)),
+                      lambda: oqw.harmonic_measure(walk, domain, i, np.eye(1)).total_mass):
+            try:
+                mass = query()
+            except NumericalError as err:
+                assert "not certified convergent" in str(err)
+                continue
+            assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+def test_passage_through_a_leaking_near_fixed_part_raises():
+    # r(S) = 1 - 5.5e-11 on the interior of 11 -> cut+, nothing trapped
+    with pytest.raises(NumericalError, match="not certified convergent"):
+        oqw.passage_probability(fixtures.example_half_line(0.75, 20), "11", [[1]], "cut+")
+
+
+def test_near_fixed_return_map_of_a_phase_is_trapped():
+    # a unit-modulus scalar self loop is the identity up to rounding of its
+    # phase: its visit count diverges whatever the phase
+    for loop in (1.0, np.exp(0.3j)):
+        walk = oqw.WalkSpec(("0",), {"0": 1}, {("0", "0"): [[loop]]})
+        with pytest.raises(NumericalError, match="visit count diverges"):
+            oqw.expected_domain_visits(walk, ["0"], "0", [[1]], "0")
 
 
 def test_exit_start_outside_domain_rejected(ring_walk):

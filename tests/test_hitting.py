@@ -146,6 +146,15 @@ def test_branch_walk_visits_always_infinite(branch_walk):
         assert math.isinf(oqw.expected_visits(branch_walk, "1", rho, "0").value)
 
 
+def test_branch_walk_visits_off_the_trapped_part(branch_walk):
+    # the series behind these counts run through a part of the walk that
+    # traps mass; the solve off that part is exact
+    for i, want in (("1", 1.0), ("2", 0.5)):
+        d = branch_walk.dims[i]
+        res = oqw.expected_visits(branch_walk, i, np.eye(d) / d, "2")
+        assert res.value == pytest.approx(want, abs=1e-12)
+
+
 def test_visits_match_classical_fundamental_matrix():
     # open (substochastic) biased chain: visits = fundamental-matrix entries
     t = np.zeros((5, 5))
@@ -399,6 +408,15 @@ def test_shanks_limit_geometric_tail():
     s_inf, ratio = 2.0, 0.6
     partials = [s_inf - ratio ** k for k in range(1, 12)]
     assert shanks_limit(partials) == pytest.approx(s_inf, abs=1e-12)
+
+
+def test_shanks_limit_keeps_a_sum_that_only_drifts_by_rounding():
+    # 400 terms of about 1.8e-17: the kept increments are rounding drift,
+    # which Wynn's epsilon would extrapolate far from the sum of 7e-15
+    rng = np.random.default_rng(5)
+    for terms in (np.full(400, 1.8e-17), 1.8e-17 + 1e-19 * rng.normal(size=400)):
+        partials = np.cumsum(terms)
+        assert shanks_limit(partials) == partials[-1]
 
 
 def test_operator_matches_extrapolated_enumeration(branch_walk):

@@ -277,7 +277,7 @@ def test_classify_builds_one_return_series(half_line_up_taboo, monkeypatch):
 
 
 def test_classify_reports_the_series_certificate(half_line_up_taboo, monkeypatch):
-    from oqw import hitting, linalg
+    from oqw import linalg
 
     sizes = []
     radius = linalg.spectral_radius
@@ -287,7 +287,6 @@ def test_classify_reports_the_series_certificate(half_line_up_taboo, monkeypatch
         return radius(m)
 
     monkeypatch.setattr(linalg, "spectral_radius", spy)
-    monkeypatch.setattr(hitting, "spectral_radius", spy)
     verdict = oqw.classify_recurrence(half_line_up_taboo, "0")
     assert sizes == [4]   # the 2-dim site's return operator; no interior eigvals
     diag = verdict.diagnostics

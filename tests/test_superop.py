@@ -3,7 +3,7 @@ import pytest
 
 import oqw
 from oqw.linalg import kraus_block, unvec, vec
-from oqw.superop import BlockIndex, assemble_superoperator
+from oqw.superop import BlockIndex, assemble_superoperator, fixed_point_projection
 from oqw.walk import DiagonalObservable, DiagonalState
 
 from conftest import random_density
@@ -90,3 +90,13 @@ def test_block_index_pack_places_states_and_observables():
         assert np.array_equal(x[:4], np.zeros(4))
         assert np.array_equal(x[4:], vec(rho))
         assert np.array_equal(idx.unpack(walk, x)["a"], rho)
+
+
+def test_fixed_space_of_a_map_equal_to_identity_up_to_rounding():
+    # kron(conj L, L) of a unit phase is 1 up to rounding, so M - I is pure
+    # rounding: it has a fixed space, found whatever the phase
+    for phase in (0.0, 0.3, 2.0):
+        loop = np.array([[np.exp(1j * phase)]])
+        proj, k = fixed_point_projection(kraus_block(loop), np.ones(1, dtype=complex))
+        assert k == 1
+        assert proj == pytest.approx(np.ones(1))
