@@ -243,6 +243,7 @@ def _cmd_info(args) -> int:
         "stochastic": report.accepted,
         "max_residual": report.max_residual,
         "irreducible": irreducible,
+        "irreducible_decision": "heuristic" if tau is None else "certified",
         "fixed_space_dim": fixed_dim,
     }
     if tau is not None:

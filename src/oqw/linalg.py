@@ -94,20 +94,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of the column span, rank decided by relative SVD cut.
-
-    ``vectors`` is d x k (k may be 0); returns d x r with r <= min(d, k).
-    """
-    if vectors.size == 0:
-        return np.zeros((vectors.shape[0], 0), dtype=COMPLEX)
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((vectors.shape[0], 0), dtype=COMPLEX)
-    r = int(np.sum(s > tol * s[0]))
-    return u[:, :r]
-
-
 def extend_basis(basis: np.ndarray, new_vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Grow an orthonormal basis by the components of new vectors outside it.
 

@@ -1,9 +1,10 @@
 """Irreducibility, enclosures, reducible decomposition and recurrence classes.
 
 An enclosure is a per-site family of subspaces closed under every transition
-operator; a walk is irreducible when no seed generates a proper one.  The
-recurrent part of a reducible walk is the support of a maximal invariant
-state and splits into minimal enclosures carrying irreducible sub-walks.
+operator.  On the recurrent part (the support of a maximal invariant state)
+the dual fixed points form a *-algebra whose minimal projections are the
+minimal enclosures (Carbone & Pautrat 2016; Baumgartner & Narnhofer 2012).
+Without an invariant state, irreducibility falls back to a closure heuristic.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .linalg import COMPLEX, extend_basis, herm, orthonormal_columns
-from .superop import invariant_state
-from .walk import DiagonalState, Site, WalkSpec, _site_id
+from .errors import InputError, NumericalError
+from .linalg import COMPLEX, extend_basis, herm
+from .superop import (assemble_superoperator, fixed_point_projection,
+                      hermitian_basis_matrix, invariant_state)
+from .walk import DiagonalState, Site, WalkSpec, _site_id, identity_observable
 
 RANK_TOL = 1e-8  # relative singular-value threshold for all rank decisions
 DIVERGENCE_GUARD = 1e-7
+SPLIT_TOL = 1e-6  # relative eigenvalue gap between groups; closure defect of a group
 
 
 @dataclass
@@ -59,10 +62,11 @@ class Enclosure:
 def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
     """Smallest transition-closed subspace family containing the seeds.
 
-    ``seeds`` is an iterable of (site, vector) pairs.  A worklist carries
-    the directions added at each site; each is pushed once through the
-    site's outgoing transition blocks, skipping targets whose basis is
-    already full.  Rank decisions use a relative singular-value threshold.
+    ``seeds`` is an iterable of (site, vector) pairs, normalized on entry.  A
+    worklist carries the orthonormal directions added at each site; each is
+    pushed once through the site's outgoing blocks, skipping full targets.
+    The blocks are contractions, so an image of norm at most ``RANK_TOL`` is
+    rounding and is dropped; the rest goes through a relative SVD cut.
     """
     bases = {s: np.zeros((walk.dims[s], 0), dtype=COMPLEX) for s in walk.sites}
     for site, v in seeds:
@@ -73,7 +77,7 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
                              f"expected {walk.dims[s]}")
         if np.linalg.norm(vec_) == 0.0:
             raise InputError("seed vectors must be nonzero")
-        bases[s] = extend_basis(bases[s], vec_, tol=RANK_TOL)
+        bases[s] = extend_basis(bases[s], vec_ / np.linalg.norm(vec_), tol=RANK_TOL)
     work = deque((s, b) for s, b in bases.items() if b.shape[1])
     while work:
         fr, new = work.popleft()
@@ -81,23 +85,27 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
             before = bases[to].shape[1]
             if before == walk.dims[to]:
                 continue
-            bases[to] = extend_basis(bases[to], walk.transitions[(to, fr)] @ new,
-                                     tol=RANK_TOL)
+            image = walk.transitions[(to, fr)] @ new
+            image = image[:, np.linalg.norm(image, axis=0) > RANK_TOL]
+            bases[to] = extend_basis(bases[to], image, tol=RANK_TOL)
             if bases[to].shape[1] > before:
                 work.append((to, bases[to][:, before:]))
     return Enclosure(bases)
 
 
 def is_irreducible(walk: WalkSpec) -> tuple[bool, Enclosure | None]:
-    """True iff every basis-vector seed generates the whole space.
+    """True iff the walk has no proper enclosure, with a witness if it has.
 
-    On failure, returns the first proper enclosure found as a witness.
+    Certified when there is an invariant state: :func:`decompose` must give
+    one full enclosure, else its first recurrent enclosure is the witness.
+    Otherwise a heuristic: the closure of every basis vector must be full.
     """
+    deco = decompose(walk)
+    if deco.invariant is not None:
+        whole = len(deco.recurrent) == 1 and deco.recurrent[0].is_full(walk)
+        return whole, None if whole else deco.recurrent[0]
     for s in walk.sites:
-        d = walk.dims[s]
-        for k in range(d):
-            e = np.zeros(d, dtype=COMPLEX)
-            e[k] = 1.0
+        for e in np.eye(walk.dims[s], dtype=COMPLEX):
             enc = enclosure_closure(walk, [(s, e)])
             if not enc.is_full(walk):
                 return False, enc
@@ -128,71 +136,69 @@ class Decomposition:
 def decompose(walk: WalkSpec) -> Decomposition:
     """Split the space into minimal recurrent enclosures and a transient rest.
 
-    The recurrent part is the support of the Cesaro fixed point of the
-    maximally mixed state (the maximal invariant support).  It is split by
-    seeding closures with invariant-state eigenvectors in decreasing
-    eigenvalue order and projecting the remainder out.  A warning is set
-    when the fixed space is degenerate, in which case the split is a
-    deterministic choice among many valid ones.
+    The recurrent part is the closure of the invariant state's eigenvectors
+    above ``RANK_TOL``, so exponentially small weights still count; it splits
+    by :func:`_minimal_enclosures`.  The rest is the transient part.
     """
     tau, fixed_dim = invariant_state(walk)
     if tau is None:
-        empty = Enclosure({s: np.zeros((walk.dims[s], 0), dtype=COMPLEX)
-                           for s in walk.sites})
-        full = Enclosure({s: orthonormal_columns(np.eye(walk.dims[s], dtype=COMPLEX))
-                          for s in walk.sites})
+        full = Enclosure({s: np.eye(walk.dims[s], dtype=COMPLEX) for s in walk.sites})
         return Decomposition(recurrent=[], transient=full, invariant=None,
                              fixed_dim=0, warning="no invariant state")
-
-    # support bases of the maximal invariant state
-    support = {}
+    seeds = []
     for s in walk.sites:
         w, v = np.linalg.eigh(herm(tau.blocks[s]))
-        keep = w > RANK_TOL * max(1.0, w.max(initial=0.0))
-        support[s] = v[:, keep]
-
-    residual = {s: tau.blocks[s].copy() for s in walk.sites}
-    enclosures: list[Enclosure] = []
-    for _ in range(walk.total_dim):
-        best = None
-        for s in walk.sites:
-            w, v = np.linalg.eigh(herm(residual[s]))
-            if w.size and w[-1] > 1e-10:
-                if best is None or w[-1] > best[0]:
-                    best = (w[-1], s, v[:, -1])
-        if best is None:
-            break
-        _, s, seed = best
-        enc = enclosure_closure(walk, [(s, seed)])
-        enclosures.append(enc)
-        for t in walk.sites:
-            p = enc.projector(t, walk.dims[t])
-            comp = np.eye(walk.dims[t], dtype=COMPLEX) - p
-            residual[t] = comp @ residual[t] @ comp
-
-    transient_bases = {}
+        seeds += [(s, v[:, k]) for k in np.flatnonzero(w > RANK_TOL)]
+    recurrent = _minimal_enclosures(walk, enclosure_closure(walk, seeds))
+    transient = {}
     for s in walk.sites:
-        d = walk.dims[s]
-        acc = np.zeros((d, d), dtype=COMPLEX)
-        for enc in enclosures:
-            acc += enc.projector(s, d)
-        comp = herm(np.eye(d, dtype=COMPLEX) - acc)
-        # comp is numerically a projector: keep eigendirections near 1
-        w, v = np.linalg.eigh(comp)
-        transient_bases[s] = v[:, w > 0.5]
-    transient = Enclosure(transient_bases)
+        w, v = np.linalg.eigh(sum(enc.projector(s, walk.dims[s]) for enc in recurrent))
+        transient[s] = v[:, w < 0.5]
+    return Decomposition(recurrent=recurrent, transient=Enclosure(transient),
+                         invariant=tau, fixed_dim=fixed_dim)
 
-    warning = None
-    if fixed_dim > len(enclosures):
-        warning = ("fixed space is degenerate (dimension "
-                   f"{fixed_dim} > {len(enclosures)} enclosures); the split is "
-                   "one deterministic choice among several valid ones")
-    deco = Decomposition(recurrent=enclosures, transient=transient,
-                         invariant=tau, fixed_dim=fixed_dim, warning=warning)
-    defect = deco.projector_sum_defect(walk)
-    if defect > 1e-6:
-        deco.warning = (deco.warning or "") + f"; projector sum defect {defect:.2e}"
-    return deco
+
+def _minimal_enclosures(walk: WalkSpec, enc: Enclosure) -> list[Enclosure]:
+    """Minimal enclosures inside ``enc``, an enclosure carrying an invariant state.
+
+    Eigenspaces of a Hermitian element of the compressed walk's dual
+    fixed-point algebra are enclosures.  The element is the projection of
+    ``diag(1..n)/n`` or, if that is a scalar, of the Hermitian basis element
+    that splits most.  A group that is not closed leaks below the fixed-point
+    tolerance and is dropped as transient; the others are split again until
+    their compressed walk has a single fixed point.
+    """
+    sub, _ = restrict_walk(walk, enc)
+    op = assemble_superoperator(sub)
+    dual, idx = op.matrix.conj().T, op.source_index
+    ramp = idx.pack(identity_observable(sub))  # ones on the diagonals, in order
+    ramp[ramp != 0] = np.arange(1, sub.total_dim + 1) / sub.total_dim
+    h, k = fixed_point_projection(dual, ramp)
+    if k <= 1:
+        return [enc]
+    groups = _eigenspace_groups(walk, idx.unpack(sub, h), enc)
+    if len(groups) == 1:
+        ys, _ = fixed_point_projection(dual, hermitian_basis_matrix(sub, idx))
+        groups = max((_eigenspace_groups(walk, idx.unpack(sub, y), enc) for y in ys.T),
+                     key=len)
+    closed = [g for g in groups if g.closure_defect(walk) <= SPLIT_TOL]
+    if len(groups) == 1 or not closed:
+        raise NumericalError("the fixed points do not split into transition-closed "
+                             "parts", {"fixed_dim": k})
+    return [m for g in closed for m in _minimal_enclosures(walk, g)]
+
+
+def _eigenspace_groups(walk: WalkSpec, blocks: dict, enc: Enclosure) -> list[Enclosure]:
+    """One enclosure per cluster of eigenvalues of the per-site Hermitian
+    ``blocks`` (in the bases of ``enc``), cut at gaps above ``SPLIT_TOL``
+    times the largest magnitude."""
+    empty = (np.zeros(0), np.zeros((0, 0)))  # a site outside enc
+    eig = {s: np.linalg.eigh(herm(blocks[s])) if s in blocks else empty for s in walk.sites}
+    values = np.sort(np.concatenate([w for w, _ in eig.values()]))
+    cuts = values[1:][np.diff(values) > SPLIT_TOL * np.abs(values).max()]
+    bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
+    return [Enclosure({s: enc.bases[s] @ v[:, (w >= lo) & (w < hi)] for s, (w, v) in eig.items()})
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def restrict_walk(walk: WalkSpec, enclosure: Enclosure) -> tuple[WalkSpec, dict]:
@@ -247,12 +253,9 @@ def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
     from .linalg import spectral_radius
 
     s = _site_id(site)
-    if require_irreducible:
-        ok, witness = is_irreducible(walk)
-        if not ok:
-            raise InputError(
-                "walk is reducible; classify sites of its irreducible parts "
-                "via decompose()/restrict_walk()")
+    if require_irreducible and not is_irreducible(walk)[0]:
+        raise InputError("walk is reducible; classify sites of its irreducible parts "
+                         "via decompose()/restrict_walk()")
     series = capture_series(walk, s, s)
     op = _taboo_block(series)
     pstar = op.dual_identity()
@@ -351,11 +354,7 @@ def check_decomposition_bounds(walk: WalkSpec, deco: Decomposition, i, rho, j,
         rhs_t = math.inf
 
     # support test: all mass of rho inside the recurrent part at site i
-    d = walk.dims[i]
-    precurrent = np.zeros((d, d), dtype=COMPLEX)
-    for enc in deco.recurrent:
-        precurrent += enc.projector(i, d)
-    leak = float(np.trace((np.eye(d, dtype=COMPLEX) - precurrent) @ rho).real)
+    leak = float(np.trace(deco.transient.projector(i, walk.dims[i]) @ rho).real)
     supported = leak <= tol
 
     def close(a: float, b: float) -> bool:

@@ -335,17 +335,20 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0,
                  max_steps: int | None = None) -> KacReport:
     """Empirical k-th return time over k against the inverse invariant mass.
 
-    Trajectories start from the invariant state conditioned at ``i``.  For a
-    reducible walk the analytic target uses the invariant state of the
-    minimal enclosure that carries that conditioned state (the ergodic
-    component the trajectories actually live in); for irreducible walks this
-    is the usual statement.
+    Trajectories start from the invariant state conditioned at ``i``.  The
+    analytic target comes from one :func:`~oqw.structure.decompose`: the
+    trajectories live in the direct sum of the minimal recurrent enclosures
+    that carry that conditioned state.  When the sum is the whole walk (an
+    irreducible walk, say) the target is the inverse invariant mass at
+    ``i``; otherwise the walk is restricted to the sum and the target uses
+    the restricted walk's invariant state.
     """
-    from .structure import enclosure_closure, is_irreducible, restrict_walk
+    from .structure import Enclosure, decompose, restrict_walk
     from .superop import invariant_state
 
     s = _site_id(i)
-    tau, fixed_dim = invariant_state(walk)
+    deco = decompose(walk)
+    tau, fixed_dim = deco.invariant, deco.fixed_dim
     if tau is None:
         raise InputError("walk has no invariant state; the return-time law "
                          "has no analytic target")
@@ -355,21 +358,24 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0,
         raise InputError(f"invariant state carries no mass at site {s!r}")
     rho_hat = herm(block) / mass
 
-    irreducible, _ = is_irreducible(walk)
-    restricted = False
-    if irreducible:
-        target = 1.0 / mass
-    else:
-        w, v = np.linalg.eigh(rho_hat)
-        seeds = [(s, v[:, k]) for k in range(len(w)) if w[k] > 1e-10]
-        enc = enclosure_closure(walk, seeds)
-        sub, _bases = restrict_walk(walk, enc)
+    d = walk.dims[s]
+    carriers = [enc for enc in deco.recurrent
+                if float(np.trace(enc.projector(s, d) @ rho_hat).real) > 1e-10]
+    if not carriers:
+        raise InputError("conditioned invariant state does not determine "
+                         "an ergodic component at this site")
+    component = Enclosure({t: np.hstack([enc.bases[t] for enc in carriers])
+                           for t in walk.sites})
+    restricted = not component.is_full(walk)
+    if restricted:
+        sub, _bases = restrict_walk(walk, component)
         sub_tau, _ = invariant_state(sub)
         if sub_tau is None or s not in sub_tau.blocks:
             raise InputError("conditioned invariant state does not determine "
                              "an ergodic component at this site")
         target = 1.0 / float(np.trace(sub_tau.blocks[s]).real)
-        restricted = True
+    else:
+        target = 1.0 / mass
 
     if max_steps is None:
         max_steps = max(100, int(8 * k_max * max(2.0, target)))

@@ -2,9 +2,9 @@
 
 ``bench/workloads.py`` calls the public ``oqw`` API and checks every answer
 against references it computes itself (closed forms, dense solves written
-from the transition blocks).  One pass of its exact-lattice and
-domain-dirichlet queries here makes a library change that breaks what the
-benchmark calls or reads fail in the test suite.
+from the transition blocks, the Kac target of example-5.4).  One pass of its
+exact-lattice, domain-dirichlet and mc-kac queries here makes a library
+change that breaks what the benchmark calls or reads fail in the test suite.
 """
 
 import importlib.util
@@ -31,7 +31,7 @@ def workloads():
     del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["exact-lattice", "domain-dirichlet"])
+@pytest.mark.parametrize("name", ["exact-lattice", "domain-dirichlet", "mc-kac"])
 def test_benchmark_queries_pass_their_checks(workloads, name):
     build, queries = workloads.WORKLOADS[name]
     failures = {}

@@ -139,8 +139,19 @@ def test_info_on_ring(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["irreducible"] is True
+    assert doc["irreducible_decision"] == "certified"
     assert doc["recurrence"]["case"] == "recurrent"
     assert doc["detailed_balance"]["selfadjoint_within_tol"] is True
+
+
+def test_info_without_invariant_state_is_heuristic(capsys):
+    code, out, _ = run_cli(capsys, "info", "--walk", "example-5.2", "--p", "0.25",
+                           "--N", "10", "--boundary", "taboo")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["invariant_site_masses"] is None
+    assert doc["irreducible"] is True
+    assert doc["irreducible_decision"] == "heuristic"
 
 
 def test_info_checks_irreducibility_once(capsys, monkeypatch):

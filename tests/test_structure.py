@@ -7,9 +7,9 @@ import oqw
 from oqw import fixtures
 from oqw.errors import InputError
 from oqw.linalg import extend_basis
-from oqw.structure import Enclosure, enclosure_closure
+from oqw.structure import RANK_TOL, Enclosure, enclosure_closure
 
-from conftest import E1, E2, MIX, rotate
+from conftest import E1, E2, MIX, rotate, rotation
 
 
 def unit(d, k):
@@ -64,17 +64,33 @@ def test_closure_rejects_zero_seed(trap_walk):
         enclosure_closure(trap_walk, [("0", np.zeros(2))])
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closure_drops_rounding_images(branch_walk, seed):
+    # L[2,1] kills e2 at "1"; in rotated bases its image there is ~1e-16,
+    # which must not be taken for a direction
+    walk = rotate(branch_walk, seed)
+    e2 = rotation(branch_walk, seed)["1"] @ unit(2, 1)
+    enc = enclosure_closure(walk, [("1", e2)])
+    assert tuple(enc.dim(s) for s in walk.sites) == (1, 1, 0, 0)
+    assert enc.closure_defect(walk) <= 1e-12
+
+
 def sweep_closure(walk, seeds):
-    """Closure by re-sweeping every transition until nothing grows."""
+    """Closure by re-sweeping every transition until nothing grows, with the
+    same rounding cut as the worklist: unit seeds, and images of orthonormal
+    columns of norm at most RANK_TOL dropped."""
     bases = {s: np.zeros((walk.dims[s], 0), dtype=complex) for s in walk.sites}
     for s, v in seeds:
-        bases[s] = extend_basis(bases[s], np.asarray(v, dtype=complex).reshape(-1, 1))
+        v = np.asarray(v, dtype=complex).reshape(-1, 1)
+        bases[s] = extend_basis(bases[s], v / np.linalg.norm(v))
     for _ in range(walk.total_dim + 1):
         grew = False
         for (to, fr), L in walk.transitions.items():
             if bases[fr].shape[1]:
                 before = bases[to].shape[1]
-                bases[to] = extend_basis(bases[to], L @ bases[fr])
+                image = L @ bases[fr]
+                image = image[:, np.linalg.norm(image, axis=0) > RANK_TOL]
+                bases[to] = extend_basis(bases[to], image)
                 grew = grew or bases[to].shape[1] > before
         if not grew:
             break
@@ -143,6 +159,16 @@ def test_trap_walk_reducible_with_witness(trap_walk):
     assert witness.closure_defect(trap_walk) <= 1e-8
 
 
+def test_plus_minus_walk_reducible_with_plus_line_witness():
+    walk, plus = plus_minus_walk()
+    ok, witness = oqw.is_irreducible(walk)
+    assert not ok
+    assert not witness.is_full(walk)
+    assert witness.closure_defect(walk) <= 1e-12
+    for s in walk.sites:
+        assert np.abs(witness.projector(s, 2) - np.outer(plus, plus)).max() <= 1e-12
+
+
 def test_half_line_taboo_truncation_irreducible():
     for n in (2, 5, 17):
         walk = fixtures.example_half_line(0.25, n, boundary="taboo")
@@ -190,7 +216,10 @@ def test_decompose_trap_walk(trap_walk):
     assert d0 == 1
     assert deco.transient.dim("0") == 1
     assert sum(enc.dim("2") for enc in deco.recurrent) == 2
-    assert deco.warning  # degenerate fixed space
+    # the fixed space is degenerate (site "2" carries a full matrix algebra),
+    # yet the split into minimal enclosures needs no warning
+    assert deco.fixed_dim == 5 > len(deco.recurrent) == 3
+    assert deco.warning is None
 
 
 def test_decompose_direct_sum_recovers_components(ring_walk):
@@ -208,6 +237,63 @@ def test_decompose_direct_sum_recovers_components(ring_walk):
     assert {frozenset(x) for x in supports} == {
         frozenset(s for s in sites if s.startswith("a")),
         frozenset(s for s in sites if s.startswith("b"))}
+
+
+def twin_cycles():
+    """Two disjoint scalar 2-cycles a0 <-> a1 and b0 <-> b1."""
+    a = fixtures.cycle_dilation(2, 0.5)
+    sites = tuple(f"a{s}" for s in a.sites) + tuple(f"b{s}" for s in a.sites)
+    trans = {(f"a{t}", f"a{f}"): L for (t, f), L in a.transitions.items()}
+    trans.update({(f"b{t}", f"b{f}"): L for (t, f), L in a.transitions.items()})
+    return oqw.WalkSpec(sites, {s: 1 for s in sites}, trans)
+
+
+DECOMPOSE_FIXTURES = {"example-5.1": fixtures.example_three_site_trap(),
+                      "example-5.4": fixtures.example_branch_return(),
+                      "ruin11": fixtures.gamblers_ruin(11, 0.5),
+                      "twin-cycles": twin_cycles()}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_FIXTURES))
+@pytest.mark.parametrize("seed", [None] + list(range(1, 21)))
+def test_decompose_gives_orthogonal_minimal_enclosures(name, seed):
+    walk = DECOMPOSE_FIXTURES[name]
+    if seed is not None:
+        walk = rotate(walk, seed)
+    deco = oqw.decompose(walk)
+    assert deco.warning is None
+    assert deco.projector_sum_defect(walk) <= 1e-10
+    for k, enc in enumerate(deco.recurrent):
+        assert enc.closure_defect(walk) <= 1e-10
+        for other in deco.recurrent[k + 1:]:
+            for s in walk.sites:
+                d = walk.dims[s]
+                assert np.abs(enc.projector(s, d) @ other.projector(s, d)).max() <= 1e-10
+        sub, _ = oqw.restrict_walk(walk, enc)
+        assert oqw.invariant_state(sub)[1] == 1
+
+
+def test_decompose_splits_enclosures_the_ramp_does_not_separate():
+    # 0 <-> 3 and 1 <-> 2: diag(1..4)/4 projects to 5/8 on both cycles
+    one = np.ones((1, 1))
+    walk = oqw.WalkSpec(("0", "1", "2", "3"), {s: 1 for s in "0123"},
+                        {("3", "0"): one, ("0", "3"): one, ("1", "2"): one, ("2", "1"): one})
+    deco = oqw.decompose(walk)
+    supports = {frozenset(s for s in walk.sites if enc.dim(s)) for enc in deco.recurrent}
+    assert supports == {frozenset("03"), frozenset("12")}
+    assert not oqw.is_irreducible(walk)[0]
+
+
+def test_decompose_leaves_a_slowly_leaking_part_transient():
+    # the chain leaks into "cut+" about (1/3)^20 per step, below the fixed-point
+    # tolerance; it is still not closed, so only the cemetery is recurrent
+    walk = fixtures.example_half_line(0.75, 20)
+    deco = oqw.decompose(walk)
+    assert deco.fixed_dim == 2
+    assert [{s for s in walk.sites if enc.dim(s)} for enc in deco.recurrent] == [{"cut+"}]
+    assert deco.transient.total_dim() == walk.total_dim - 1
+    ok, witness = oqw.is_irreducible(walk)
+    assert not ok and witness.closure_defect(walk) == 0.0
 
 
 def test_restrict_walk_is_stochastic_on_enclosure(trap_walk):
@@ -325,12 +411,7 @@ def test_bounds_strict_for_leaking_state(trap_walk):
 
 
 def test_bounds_equality_for_mixture_of_enclosures():
-    a = fixtures.cycle_dilation(2, 0.5)
-    sites = tuple(f"a{s}" for s in a.sites) + tuple(f"b{s}" for s in a.sites)
-    dims = {s: 1 for s in sites}
-    trans = {(f"a{t}", f"a{f}"): L for (t, f), L in a.transitions.items()}
-    trans.update({(f"b{t}", f"b{f}"): L for (t, f), L in a.transitions.items()})
-    walk = oqw.WalkSpec(sites, dims, trans)
+    walk = twin_cycles()
     deco = oqw.decompose(walk)
     rep = oqw.check_decomposition_bounds(walk, deco, "a0",
                                          np.array([[1.0]], dtype=complex), "a1")

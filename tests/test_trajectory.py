@@ -10,7 +10,7 @@ from oqw import philox
 from oqw.trajectory import trajectory_rng, word_frequencies
 from oqw.walk import DiagonalObservable, identity_observable
 
-from conftest import E1, E2, MIX
+from conftest import E1, E2, MIX, rotate
 
 
 def test_deterministic_walk_single_successor():
@@ -169,6 +169,21 @@ def test_kac_restricts_reducible_walk_to_component(branch_walk):
     assert rep.restricted_to_enclosure
     assert rep.analytic_target == pytest.approx(2.0, abs=1e-9)
     assert rep.empirical.estimate == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kac_target_does_not_depend_on_local_bases(branch_walk, seed):
+    rep = oqw.estimate_kac(rotate(branch_walk, seed), "1", n_traj=20, k_max=20, seed=20)
+    assert rep.restricted_to_enclosure
+    assert rep.analytic_target == pytest.approx(2.0, abs=1e-12)
+
+
+def test_kac_rejects_site_outside_every_enclosure():
+    # the chain leaks into "cut+" below the fixed-point tolerance, so the
+    # invariant state has mass at "1", but no closed part carries it
+    walk = fixtures.example_half_line(0.75, 20)
+    with pytest.raises(InputError, match="ergodic component"):
+        oqw.estimate_kac(walk, "1", n_traj=10, k_max=10, seed=21)
 
 
 def test_kac_requires_invariant_state():
