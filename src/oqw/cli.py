@@ -18,7 +18,7 @@ import numpy as np
 from . import fixtures, hitting, serialize
 from .errors import InputError, NumericalError, OQWError
 from .linalg import COMPLEX
-from .walk import WalkSpec, validate_walk
+from .walk import DiagonalState, WalkSpec, check_state, validate_walk
 
 
 def parse_rho(spec: str, dim: int) -> np.ndarray:
@@ -231,20 +231,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from .structure import classify_recurrence, decompose, is_irreducible
-    from .superop import invariant_state
+    from .structure import classify_recurrence, decompose, irreducibility
     from .walk import check_detailed_balance
 
     walk = load_walk(args)
     report = validate_walk(walk)
-    irreducible, witness = is_irreducible(walk)
-    tau, fixed_dim = invariant_state(walk)
+    deco = decompose(walk)
+    irreducible, _, decision = irreducibility(walk, deco)
+    tau = deco.invariant
     payload: dict = {
         "stochastic": report.accepted,
         "max_residual": report.max_residual,
         "irreducible": irreducible,
-        "irreducible_decision": "heuristic" if tau is None else "certified",
-        "fixed_space_dim": fixed_dim,
+        "irreducible_decision": decision,
+        "fixed_space_dim": deco.fixed_dim,
     }
     if tau is not None:
         payload["invariant_site_masses"] = {
@@ -263,7 +263,6 @@ def _cmd_info(args) -> int:
         verdict = classify_recurrence(walk, walk.sites[0], require_irreducible=False)
         payload["recurrence"] = serialize.verdict_to_json(verdict)
     else:
-        deco = decompose(walk)
         payload["decomposition"] = serialize.decomposition_to_json(deco)
     _emit(args, walk, payload)
     return 0
@@ -272,9 +271,9 @@ def _cmd_info(args) -> int:
 def _cmd_hit(args) -> int:
     walk = load_walk(args)
     rho = parse_rho(args.rho, walk.dim(args.src))
+    check_state(walk, DiagonalState({args.src: rho}))
     op = hitting.taboo_operator(walk, args.src, args.dst)
-    p = hitting.passage_probability(walk, args.src, rho, args.dst)
-    _emit(args, walk, _value_payload(p), op.diagnostics)
+    _emit(args, walk, _value_payload(hitting._passage(op, rho)), op.diagnostics)
     return 0
 
 

@@ -37,10 +37,6 @@ def kraus_block(L: np.ndarray) -> np.ndarray:
     return np.kron(L.conj(), L)
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A†)/2."""
     return 0.5 * (a + a.conj().T)
@@ -74,24 +70,10 @@ def psd_sqrt(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def clip_density(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Project onto the PSD cone and renormalize to unit trace."""
-    r = positive_part(rho)
-    t = float(np.trace(r).real)
-    if t <= tol:
-        raise ValueError("density matrix has vanishing trace")
-    return r / t
-
-
 def spectral_radius(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.abs(np.linalg.eigvals(m)).max())
-
-
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def extend_basis(basis: np.ndarray, new_vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:

@@ -94,22 +94,29 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
 
 
 def is_irreducible(walk: WalkSpec) -> tuple[bool, Enclosure | None]:
-    """True iff the walk has no proper enclosure, with a witness if it has.
+    """True iff the walk has no proper enclosure, with a witness if it has."""
+    irreducible, witness, _ = irreducibility(walk, decompose(walk))
+    return irreducible, witness
 
-    Certified when there is an invariant state: :func:`decompose` must give
-    one full enclosure, else its first recurrent enclosure is the witness.
-    Otherwise a heuristic: the closure of every basis vector must be full.
+
+def irreducibility(walk: WalkSpec, deco: Decomposition) -> tuple[bool, Enclosure | None, str]:
+    """Irreducibility verdict read from the walk's decomposition.
+
+    Returns the verdict, a proper enclosure as witness when reducible, and
+    how the verdict was reached.  ``"certified"`` when there is an invariant
+    state: the walk is irreducible iff the decomposition is one full
+    enclosure, else its first recurrent enclosure is the witness.
+    ``"heuristic"`` otherwise: the closure of every basis vector must be full.
     """
-    deco = decompose(walk)
     if deco.invariant is not None:
         whole = len(deco.recurrent) == 1 and deco.recurrent[0].is_full(walk)
-        return whole, None if whole else deco.recurrent[0]
+        return whole, None if whole else deco.recurrent[0], "certified"
     for s in walk.sites:
         for e in np.eye(walk.dims[s], dtype=COMPLEX):
             enc = enclosure_closure(walk, [(s, e)])
             if not enc.is_full(walk):
-                return False, enc
-    return True, None
+                return False, enc, "heuristic"
+    return True, None, "heuristic"
 
 
 @dataclass
@@ -137,19 +144,24 @@ def decompose(walk: WalkSpec) -> Decomposition:
     """Split the space into minimal recurrent enclosures and a transient rest.
 
     The recurrent part is the closure of the invariant state's eigenvectors
-    above ``RANK_TOL``, so exponentially small weights still count; it splits
-    by :func:`_minimal_enclosures`.  The rest is the transient part.
+    above ``RANK_TOL``, so exponentially small weights still count.  Fixed
+    points of a walk compressed onto an enclosure lift to fixed points of the
+    walk, so a one-dimensional fixed space makes that closure the only
+    minimal enclosure; otherwise it splits by :func:`_minimal_enclosures`.
+    The rest is the transient part.  ``fixed_dim`` is the dimension that
+    :func:`invariant_state` reports, also when there is no invariant state.
     """
     tau, fixed_dim = invariant_state(walk)
     if tau is None:
         full = Enclosure({s: np.eye(walk.dims[s], dtype=COMPLEX) for s in walk.sites})
         return Decomposition(recurrent=[], transient=full, invariant=None,
-                             fixed_dim=0, warning="no invariant state")
+                             fixed_dim=fixed_dim, warning="no invariant state")
     seeds = []
     for s in walk.sites:
         w, v = np.linalg.eigh(herm(tau.blocks[s]))
         seeds += [(s, v[:, k]) for k in np.flatnonzero(w > RANK_TOL)]
-    recurrent = _minimal_enclosures(walk, enclosure_closure(walk, seeds))
+    support = enclosure_closure(walk, seeds)
+    recurrent = [support] if fixed_dim == 1 else _minimal_enclosures(walk, support)
     transient = {}
     for s in walk.sites:
         w, v = np.linalg.eigh(sum(enc.projector(s, walk.dims[s]) for enc in recurrent))
@@ -164,22 +176,23 @@ def _minimal_enclosures(walk: WalkSpec, enc: Enclosure) -> list[Enclosure]:
     Eigenspaces of a Hermitian element of the compressed walk's dual
     fixed-point algebra are enclosures.  The element is the projection of
     ``diag(1..n)/n`` or, if that is a scalar, of the Hermitian basis element
-    that splits most.  A group that is not closed leaks below the fixed-point
-    tolerance and is dropped as transient; the others are split again until
-    their compressed walk has a single fixed point.
+    that splits most; one projection maps both.  A group that is not closed
+    leaks below the fixed-point tolerance and is dropped as transient; the
+    others are split again until their compressed walk has a single fixed
+    point.
     """
     sub, _ = restrict_walk(walk, enc)
     op = assemble_superoperator(sub)
-    dual, idx = op.matrix.conj().T, op.source_index
+    idx = op.source_index
     ramp = idx.pack(identity_observable(sub))  # ones on the diagonals, in order
     ramp[ramp != 0] = np.arange(1, sub.total_dim + 1) / sub.total_dim
-    h, k = fixed_point_projection(dual, ramp)
+    fixed, k = fixed_point_projection(
+        op.matrix.conj().T, np.column_stack([ramp, hermitian_basis_matrix(sub, idx)]))
     if k <= 1:
         return [enc]
-    groups = _eigenspace_groups(walk, idx.unpack(sub, h), enc)
+    groups = _eigenspace_groups(walk, idx.unpack(sub, fixed[:, 0]), enc)
     if len(groups) == 1:
-        ys, _ = fixed_point_projection(dual, hermitian_basis_matrix(sub, idx))
-        groups = max((_eigenspace_groups(walk, idx.unpack(sub, y), enc) for y in ys.T),
+        groups = max((_eigenspace_groups(walk, idx.unpack(sub, y), enc) for y in fixed[:, 1:].T),
                      key=len)
     closed = [g for g in groups if g.closure_defect(walk) <= SPLIT_TOL]
     if len(groups) == 1 or not closed:

@@ -253,7 +253,7 @@ class _Ensemble:
 
 
 def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int,
-                 track_visits: bool, stop_at_hit: bool, kth_return: int | None = None,
+                 track_visits: bool, kth_return: int | None = None,
                  index_offset: int = 0):
     ens = _Ensemble(walk, i, rho, n_traj, seed, index_offset)
     j_idx = ens.site_index[_site_id(j)]
@@ -270,12 +270,9 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
             done = at_target & (visit_count == kth_return)
             kth_time[done] = n
             ens.active[done] = False
-        if stop_at_hit:
+        if not track_visits:
             ens.active[at_target] = False
-        if not track_visits and kth_return is None and stop_at_hit \
-                and not ens.active.any():
-            break
-        if kth_return is not None and not ens.active.any():
+        if (kth_return is not None or not track_visits) and not ens.active.any():
             break
     return hit_time, visit_count, kth_time, ens
 
@@ -294,8 +291,7 @@ def estimate_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int,
     rho = np.asarray(rho, dtype=COMPLEX)
     check_state(walk, site_state(walk, i, rho))
     hit, visits, _, ens = _run_hitting(walk, i, rho, j, n_traj, horizon, seed,
-                                       track_visits=track_visits,
-                                       stop_at_hit=not track_visits)
+                                       track_visits=track_visits)
     hit_mask = np.isfinite(hit)
     p = float(hit_mask.mean())
     p_se = math.sqrt(max(p * (1 - p), 0.0) / n_traj)
@@ -380,8 +376,7 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0,
     if max_steps is None:
         max_steps = max(100, int(8 * k_max * max(2.0, target)))
     _, _, kth, ens = _run_hitting(walk, s, rho_hat, s, n_traj, max_steps, seed,
-                                  track_visits=True, stop_at_hit=False,
-                                  kth_return=k_max)
+                                  track_visits=True, kth_return=k_max)
     done = np.isfinite(kth)
     n_censored = int((~done).sum())
     if not np.any(done):

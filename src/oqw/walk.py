@@ -46,6 +46,9 @@ class WalkSpec:
     dims: Mapping[Site, int]
     transitions: Mapping[tuple[Site, Site], np.ndarray]
     tolerance: float = DEFAULT_TOLERANCE
+    # _out: targets of each source in declared transition order.  _succ and
+    # _pred follow the declared site order, which seeded sampler outputs use.
+    _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _kraus: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -77,15 +80,15 @@ class WalkSpec:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "dims", dict(dims))
         object.__setattr__(self, "transitions", trans)
-        succ: dict[Site, list[Site]] = {s: [] for s in sites}
+        out: dict[Site, list[Site]] = {s: [] for s in sites}
         pred: dict[Site, list[Site]] = {s: [] for s in sites}
-        for s in sites:  # successor lists follow the declared site order
-            for t in sites:
-                if (t, s) in trans:
-                    succ[s].append(t)
-                    pred[t].append(s)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
+        for to, fr in trans:
+            out[fr].append(to)
+            pred[to].append(fr)
+        object.__setattr__(self, "_out", out)
+        order = {s: k for k, s in enumerate(sites)}
+        object.__setattr__(self, "_succ", {s: sorted(t, key=order.get) for s, t in out.items()})
+        object.__setattr__(self, "_pred", {s: sorted(f, key=order.get) for s, f in pred.items()})
 
     def dim(self, site) -> int:
         return self.dims[_site_id(site)]
@@ -115,12 +118,13 @@ class WalkSpec:
         return list(self._pred[_site_id(site)])
 
     def column_defect(self, source) -> float:
-        """Operator-norm residual of the stochasticity constraint at a source."""
+        """Operator-norm residual of the stochasticity constraint at a source,
+        summed in the declared transition order."""
         j = _site_id(source)
         acc = -np.eye(self.dims[j], dtype=COMPLEX)
-        for (to, fr), L in self.transitions.items():
-            if fr == j:
-                acc = acc + L.conj().T @ L
+        for to in self._out[j]:
+            L = self.transitions[(to, j)]
+            acc = acc + L.conj().T @ L
         return float(np.linalg.norm(acc, 2))
 
 

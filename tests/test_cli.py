@@ -69,6 +69,32 @@ def test_hit_branch_fixture_r1(capsys):
     assert doc["diagnostics"]["method"] == "solve"
 
 
+def test_hit_builds_one_capture_series(capsys, monkeypatch):
+    from oqw import hitting
+
+    calls = []
+    build = hitting.capture_series
+    monkeypatch.setattr(hitting, "capture_series",
+                        lambda *args, **kw: calls.append(args[1:3]) or build(*args, **kw))
+    code, out, _ = run_cli(capsys, "hit", "--walk", "example-5.2", "--p", "0.25",
+                           "--N", "80", "--boundary", "taboo",
+                           "--from", "0", "--rho", "mixed", "--to", "0")
+    assert code == 0
+    assert calls == [("0", "0")]
+    doc = json.loads(out)
+    assert 0.0 <= doc["value"] <= 1.0
+    assert doc["diagnostics"]["method"] in ("solve", "compressed")
+
+
+def test_hit_rejects_an_invalid_state(capsys, tmp_path):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps([[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]))
+    code, _, err = run_cli(capsys, "hit", "--walk", "example-5.1",
+                           "--from", "0", "--rho", str(path), "--to", "0")
+    assert code == 1
+    assert "error" in err
+
+
 def test_return_time_half_line(capsys):
     code, out, _ = run_cli(capsys, "return-time", "--walk", "example-5.2",
                            "--p", "0.75", "--N", "60",
@@ -155,16 +181,36 @@ def test_info_without_invariant_state_is_heuristic(capsys):
 
 
 def test_info_checks_irreducibility_once(capsys, monkeypatch):
-    from oqw import structure
+    # one decomposition (and so one invariant state) serves the verdict, the
+    # fixed-space dimension and the printed decomposition
+    from oqw import structure, superop
 
     calls = []
-    check = structure.is_irreducible
-    monkeypatch.setattr(structure, "is_irreducible",
-                        lambda walk: calls.append(walk) or check(walk))
+
+    def counting(name, fn):
+        return lambda walk: calls.append(name) or fn(walk)
+
+    monkeypatch.setattr(structure, "decompose", counting("decompose", structure.decompose))
+    state = counting("invariant_state", superop.invariant_state)
+    monkeypatch.setattr(structure, "invariant_state", state)
+    monkeypatch.setattr(superop, "invariant_state", state)
+    for name, key in (("cycle", "recurrence"), ("example-5.1", "decomposition")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "info", "--walk", name)
+        assert code == 0
+        assert key in json.loads(out)
+        assert sorted(calls) == ["decompose", "invariant_state"]
+
+
+def test_info_prints_the_fixed_dimension_without_invariant_state(capsys, monkeypatch):
+    from oqw import structure
+
+    monkeypatch.setattr(structure, "invariant_state", lambda walk: (None, 3))
     code, out, _ = run_cli(capsys, "info", "--walk", "cycle")
     assert code == 0
-    assert json.loads(out)["recurrence"]["case"] == "recurrent"
-    assert len(calls) == 1
+    doc = json.loads(out)
+    assert doc["fixed_space_dim"] == 3
+    assert doc["irreducible_decision"] == "heuristic"
 
 
 def test_info_reducible_reports_decomposition(capsys):

@@ -7,7 +7,7 @@ import oqw
 from oqw import fixtures
 from oqw.errors import InputError
 from oqw.linalg import extend_basis
-from oqw.structure import RANK_TOL, Enclosure, enclosure_closure
+from oqw.structure import RANK_TOL, Enclosure, _minimal_enclosures, enclosure_closure
 
 from conftest import E1, E2, MIX, rotate, rotation
 
@@ -183,6 +183,23 @@ def test_minimal_dilation_irreducibility_matches_connectivity():
     assert not ok  # absorbing edges
 
 
+def test_irreducible_walk_factors_its_step_matrix_once(monkeypatch):
+    walk = fixtures.random_doubly_stochastic(6, 5, seed=4)
+    n = sum(d * d for d in walk.dims.values())
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    ok, witness = oqw.is_irreducible(walk)
+    assert ok and witness is None
+    assert shapes.count((n, n)) == 1
+    assert max(shapes, key=lambda s: s[0] * s[-1]) == (n, n)
+
+
 def test_irreducibility_invariant_under_local_unitaries(ring_walk):
     rng = np.random.default_rng(12)
     us = {}
@@ -251,7 +268,10 @@ def twin_cycles():
 DECOMPOSE_FIXTURES = {"example-5.1": fixtures.example_three_site_trap(),
                       "example-5.4": fixtures.example_branch_return(),
                       "ruin11": fixtures.gamblers_ruin(11, 0.5),
-                      "twin-cycles": twin_cycles()}
+                      "twin-cycles": twin_cycles(),
+                      # fixed dimension 1: a faithful and a non-faithful invariant state
+                      "ring": fixtures.random_doubly_stochastic(4, 3, seed=1),
+                      "half-line": fixtures.example_half_line(0.25, 10)}
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE_FIXTURES))
@@ -271,6 +291,11 @@ def test_decompose_gives_orthogonal_minimal_enclosures(name, seed):
                 assert np.abs(enc.projector(s, d) @ other.projector(s, d)).max() <= 1e-10
         sub, _ = oqw.restrict_walk(walk, enc)
         assert oqw.invariant_state(sub)[1] == 1
+    if deco.fixed_dim == 1:
+        # the support's closure is returned unsplit; splitting it finds nothing
+        (enc,) = deco.recurrent
+        (found,) = _minimal_enclosures(walk, enc)
+        assert found is enc
 
 
 def test_decompose_splits_enclosures_the_ramp_does_not_separate():

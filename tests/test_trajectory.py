@@ -244,12 +244,11 @@ def test_ensemble_merge_independent_of_batching(branch_walk):
     from oqw.trajectory import _run_hitting
 
     hit_a1, _, _, _ = _run_hitting(branch_walk, "1", MIX, "0", 40, 50, seed=27,
-                                   track_visits=False, stop_at_hit=True)
+                                   track_visits=False)
     hit_b1, _, _, _ = _run_hitting(branch_walk, "1", MIX, "0", 25, 50, seed=27,
-                                   track_visits=False, stop_at_hit=True)
+                                   track_visits=False)
     hit_b2, _, _, _ = _run_hitting(branch_walk, "1", MIX, "0", 15, 50, seed=27,
-                                   track_visits=False, stop_at_hit=True,
-                                   index_offset=25)
+                                   track_visits=False, index_offset=25)
     merged = np.concatenate([hit_b1, hit_b2])
     assert np.array_equal(np.nan_to_num(hit_a1, posinf=-1),
                           np.nan_to_num(merged, posinf=-1))
