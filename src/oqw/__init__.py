@@ -8,7 +8,6 @@ from .walk import (
     DiagonalState,
     WalkSpec,
     apply_step,
-    check_detailed_balance,
     dual_apply,
     identity_observable,
     is_doubly_stochastic,
@@ -47,6 +46,7 @@ from .structure import (
 from .dirichlet import (
     DirichletProblem,
     DirichletSolution,
+    check_detailed_balance,
     diamond_inner,
     dirichlet_energy,
     dirichlet_form,

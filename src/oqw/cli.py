@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -103,8 +102,6 @@ def _emit(args, walk, payload, diagnostics=None) -> None:
 
 
 def _json_default(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
     if isinstance(x, (np.floating, np.integer)):
         return float(x)
     if isinstance(x, np.ndarray):
@@ -123,12 +120,6 @@ def _print_table(doc: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {json.dumps(value, default=_json_default)}")
         else:
             print(f"{indent}{key}: {value}")
-
-
-def _value_payload(value) -> dict:
-    if isinstance(value, float) and math.isinf(value):
-        return {"value": "inf"}
-    return {"value": value}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,8 +222,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .dirichlet import check_detailed_balance
     from .structure import classify_recurrence, decompose, irreducibility
-    from .walk import check_detailed_balance
 
     walk = load_walk(args)
     report = validate_walk(walk)
@@ -273,7 +264,7 @@ def _cmd_hit(args) -> int:
     rho = parse_rho(args.rho, walk.dim(args.src))
     check_state(walk, DiagonalState({args.src: rho}))
     op = hitting.taboo_operator(walk, args.src, args.dst)
-    _emit(args, walk, _value_payload(hitting._passage(op, rho)), op.diagnostics)
+    _emit(args, walk, {"value": hitting._passage(op, rho)}, op.diagnostics)
     return 0
 
 
@@ -281,7 +272,7 @@ def _cmd_visits(args) -> int:
     walk = load_walk(args)
     rho = parse_rho(args.rho, walk.dim(args.src))
     res = hitting.expected_visits(walk, args.src, rho, args.dst)
-    _emit(args, walk, _value_payload(res.value), res.diagnostics)
+    _emit(args, walk, {"value": res.value}, res.diagnostics)
     return 0
 
 
@@ -289,7 +280,7 @@ def _cmd_return_time(args) -> int:
     walk = load_walk(args)
     rho = parse_rho(args.rho, walk.dim(args.src))
     res = hitting.expected_return_time(walk, args.src, rho, args.dst)
-    _emit(args, walk, _value_payload(res.value), res.diagnostics)
+    _emit(args, walk, {"value": res.value}, res.diagnostics)
     return 0
 
 
@@ -301,7 +292,7 @@ def _cmd_exit(args) -> int:
     walk = load_walk(args)
     rho = parse_rho(args.rho, walk.dim(args.src))
     p = hitting.exit_probability(walk, _split_domain(args.domain), args.src, rho)
-    _emit(args, walk, _value_payload(p))
+    _emit(args, walk, {"value": p})
     return 0
 
 
@@ -324,7 +315,7 @@ def _cmd_domain_visits(args) -> int:
     rho = parse_rho(args.rho, walk.dim(args.src))
     v = hitting.expected_domain_visits(walk, _split_domain(args.domain),
                                        args.src, rho, args.dst)
-    _emit(args, walk, _value_payload(v))
+    _emit(args, walk, {"value": v})
     return 0
 
 

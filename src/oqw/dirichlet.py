@@ -25,6 +25,7 @@ from .errors import InputError, NumericalError
 from .hitting import DomainSolve, _domain_blocks, _domain_solve
 from .hitting import boundary as domain_boundary
 from .linalg import COMPLEX, herm, psd_sqrt
+from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
 from .walk import (
     DiagonalObservable,
     DiagonalState,
@@ -35,6 +36,9 @@ from .walk import (
     dual_apply,
     identity_observable,
 )
+
+FAITHFUL_TOL = 1e-12  # a reference block is faithful when its smallest eigenvalue exceeds this
+BALANCE_TOL = 1e-8  # residual up to which detailed balance counts as holding
 
 
 @dataclass
@@ -221,9 +225,12 @@ def diamond_inner(tau: DiagonalState, x: DiagonalObservable, y: DiagonalObservab
 
 
 def _faithful_root(tau: DiagonalState, s: Site) -> np.ndarray:
-    """``tau_s^{1/2}``; InputError unless the block is faithful."""
-    b = tau.blocks[s]
-    if np.linalg.eigvalsh(herm(b)).min() <= 1e-14:
+    """``tau_s^{1/2}``; InputError unless the block is present and its
+    smallest eigenvalue exceeds ``FAITHFUL_TOL``."""
+    b = tau.blocks.get(s)
+    if b is None:
+        raise InputError(f"reference state has no block at site {s!r}")
+    if np.linalg.eigvalsh(herm(b)).min() <= FAITHFUL_TOL:
         raise InputError(f"reference state is not faithful at site {s!r}")
     return psd_sqrt(b)
 
@@ -270,8 +277,6 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState, problem: DirichletProb
     Requires detailed balance (checked unless disabled) and coercivity of the
     form on the domain.
     """
-    from .walk import check_detailed_balance
-
     if check_balance:
         rep = check_detailed_balance(walk, tau)
         if not rep.selfadjoint_within_tol:
@@ -321,8 +326,6 @@ def _stationarity_system(walk: WalkSpec, tau: DiagonalState, domain,
     ``Re(B^H W vec(target))``; ``tau`` must be faithful on every site (checked
     domain first).
     """
-    from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
-
     idx = BlockIndex.build(walk, domain)
     roots = {s: _faithful_root(tau, s)
              for s in (*idx.sites, *(s for s in walk.sites if s not in idx.offsets))}
@@ -332,6 +335,53 @@ def _stationarity_system(walk: WalkSpec, tau: DiagonalState, domain,
     gram = (WB.conj().T @ (basis - step)).real
     rhs = (WB.conj().T @ idx.pack(target)).real
     return idx, basis, gram, rhs
+
+
+@dataclass
+class DetailedBalanceReport:
+    sufficient_condition_holds: bool
+    sufficient_residual: float
+    selfadjoint_within_tol: bool
+    selfadjoint_residual: float
+    tolerance: float
+
+
+def check_detailed_balance(walk: WalkSpec, tau: DiagonalState) -> DetailedBalanceReport:
+    """Check reversibility of the walk with respect to a faithful state.
+
+    (a) the pairwise sufficient condition
+    ``tau(i)^{1/2} L[j,i]† = L[i,j] tau(j)^{1/2}`` for all i, j, and
+    (b) selfadjointness of the dual step for the weighted inner product
+    ``<X, Y> = Tr(tau^{1/2} X† tau^{1/2} Y)`` over a Hermitian block basis.
+    Both residuals are judged against ``BALANCE_TOL``.
+    """
+    roots = {s: _faithful_root(tau, s) for s in walk.sites}
+    worst_a = 0.0
+    for i in walk.sites:
+        for j in walk.sites:
+            Lji = walk.block(j, i)
+            Lij = walk.block(i, j)
+            lhs = roots[i] @ (Lji.conj().T if Lji is not None
+                              else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX))
+            rhs = (Lij if Lij is not None
+                   else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX)) @ roots[j]
+            worst_a = max(worst_a, float(np.abs(lhs - rhs).max(initial=0.0)))
+
+    # selfadjointness on a basis B of diagonal observables: B^H W K^dag B is
+    # Hermitian, W the weight of the inner product and K^dag the dual step
+    idx = BlockIndex.build(walk, walk.sites)
+    B = hermitian_basis_matrix(walk, idx)
+    W = weight_matrix(idx, roots)
+    KB = block_matrix(walk, idx, idx).conj().T @ B
+    worst_b = float(np.abs(B.conj().T @ W @ KB - KB.conj().T @ W @ B).max(initial=0.0))
+
+    return DetailedBalanceReport(
+        sufficient_condition_holds=worst_a <= BALANCE_TOL,
+        sufficient_residual=worst_a,
+        selfadjoint_within_tol=worst_b <= BALANCE_TOL,
+        selfadjoint_residual=worst_b,
+        tolerance=BALANCE_TOL,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import COMPLEX, psd_sqrt
+from .structure import is_irreducible
 from .walk import WalkSpec, minimal_dilation
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -200,7 +201,6 @@ def random_doubly_stochastic(n_sites: int = 3, dim: int = 2, seed: int = 7,
             raise InputError("hop amplitude too large for a stochastic self-loop")
         trans[(s, s)] = psd_sqrt(slack)
     walk = WalkSpec(tuple(sites), dims, trans, tolerance)
-    from .structure import is_irreducible
     ok, _ = is_irreducible(walk)
     if not ok:
         raise InputError(f"seed {seed} produced a reducible walk; pick another")
@@ -210,15 +210,16 @@ def random_doubly_stochastic(n_sites: int = 3, dim: int = 2, seed: int = 7,
 # ---------------------------------------------------------------------------
 # catalog
 
+# fixture name -> the ``oqw`` flags (without ``--``) that set its parameters
 FIXTURE_PARAMS = {
     "example-5.1": (),
     "example-5.2": ("p", "N", "boundary"),
     "example-5.4": (),
-    "example-5.5-normal": ("p1", "p2", "N", "boundary"),
+    "example-5.5-normal": ("p", "p2", "N", "boundary"),
     "example-5.5-nonnormal": ("N", "boundary"),
     "gamblers-ruin": ("N", "p"),
     "cycle": ("N", "p"),
-    "random-doubly-stochastic": ("N", "dim", "seed"),
+    "random-doubly-stochastic": ("N", "dim", "fixture-seed"),
 }
 
 

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import COMPLEX, herm, is_psd, kraus_block, unvec, vec
+from .linalg import COMPLEX, RANK_TOL, herm, is_psd, kraus_block, unvec, vec
 from .superop import BlockIndex, block_matrix, fixed_point_projection
 from .walk import DiagonalState, Site, WalkSpec, _site_id, check_state
 
@@ -56,6 +56,7 @@ DIVERGENCE_TOL = 1e-7
 CERTIFICATE_RESIDUAL_TOL = 1e-8  # relative residual above which a solve certifies nothing
 TRAP_DEFECT_TOL = 1e-9  # invariance and exit defects above which a near-fixed part is not trapped
 PASSAGE_SURE_TOL = 1e-6  # passage probabilities closer to 1 than this count as certain
+CP_TOL = 1e-8  # Choi and dual-identity eigenvalue slack of a CP contraction
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +353,6 @@ def _domain_solve(A: np.ndarray, rhs: np.ndarray, dims: dict,
 def _trapped_split(A: np.ndarray, dims: dict) -> tuple[dict, dict]:
     """Per-block orthonormal bases of the complement of T and of T, the
     support of the Cesaro fixed point of ``vec(Id)`` under ``S = Id - A``."""
-    from .structure import RANK_TOL
-
     fixed, _ = fixed_point_projection(_id_minus(A.copy()), _trace_vector(dims))
     eig, off = {}, 0
     for s, d in dims.items():
@@ -424,12 +423,12 @@ class CPMapBlock:
                     self.apply(e)
         return c
 
-    def is_completely_positive(self, tol: float = 1e-8) -> bool:
-        return is_psd(self.choi(), tol)
+    def is_completely_positive(self) -> bool:
+        return is_psd(self.choi(), CP_TOL)
 
-    def is_contraction(self, tol: float = 1e-8) -> bool:
+    def is_contraction(self) -> bool:
         w = np.linalg.eigh(self.dual_identity())[0]
-        return bool(w.min(initial=0.0) >= -tol and w.max(initial=0.0) <= 1.0 + tol)
+        return bool(w.min(initial=0.0) >= -CP_TOL and w.max(initial=0.0) <= 1.0 + CP_TOL)
 
 
 def _taboo_block(series: CaptureSeries) -> CPMapBlock:
@@ -502,16 +501,18 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     j, the count is ``tr sum_n P^n(sigma)``: one certified solve on
     ``Id - P`` (see :func:`_domain_solve`).  It is ``inf`` exactly when the
     Cesaro projection of ``sigma`` under ``P`` has trace mass, the mass that
-    returns forever.
+    returns forever.  When ``i == j`` the first-passage operator is the
+    return map, and its one solve serves both.
     """
     rho = np.asarray(rho, dtype=COMPLEX)
     check_state(walk, DiagonalState({_site_id(i): rho}))
-    sigma = taboo_operator(walk, i, j).apply(rho)
+    first = taboo_operator(walk, i, j)
+    sigma = first.apply(rho)
     tr_sigma = float(np.trace(sigma).real)
     if tr_sigma <= 1e-14:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
     j = _site_id(j)
-    P = capture_series(walk, j, j).matrix()
+    P = first.matrix if _site_id(i) == j else capture_series(walk, j, j).matrix()
     solve = _domain_solve(_id_minus(P.copy()), vec(sigma)[:, None], {j: walk.dims[j]})
     diag = solve.diagnostics
     if solve.method == "compressed":

@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 COMPLEX = np.complex128
+RANK_TOL = 1e-8  # relative singular-value threshold for all rank decisions
 
 
-def as_matrix(x, dtype=COMPLEX) -> np.ndarray:
+def as_matrix(x) -> np.ndarray:
     """Coerce to a 2-D complex ndarray and reject non-finite entries."""
-    a = np.asarray(x, dtype=dtype)
+    a = np.asarray(x, dtype=COMPLEX)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -61,7 +62,7 @@ def positive_part(a: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def psd_sqrt(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix; small negatives clipped."""
     w, v = np.linalg.eigh(herm(a))
     if w.min(initial=0.0) < -1e-8 * max(1.0, abs(w).max(initial=1.0)):
@@ -76,10 +77,10 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def extend_basis(basis: np.ndarray, new_vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def extend_basis(basis: np.ndarray, new_vectors: np.ndarray) -> np.ndarray:
     """Grow an orthonormal basis by the components of new vectors outside it.
 
-    A component counts as new when its singular value exceeds ``tol`` times
+    A component counts as new when its singular value exceeds ``RANK_TOL`` times
     the largest column norm of ``new_vectors``, so rounding left after
     projecting out the basis is never taken for a direction.
     """
@@ -89,7 +90,7 @@ def extend_basis(basis: np.ndarray, new_vectors: np.ndarray, tol: float = 1e-8) 
     if basis.shape[1]:
         new_vectors = new_vectors - basis @ (basis.conj().T @ new_vectors)
     u, s, _ = np.linalg.svd(new_vectors, full_matrices=False)
-    extra = u[:, s > tol * scale]
+    extra = u[:, s > RANK_TOL * scale]
     if not extra.shape[1]:
         return basis
     out = np.hstack([basis, extra])

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import InputError
+from .fixtures import _line_window
 from .linalg import COMPLEX
 from .walk import DiagonalObservable, DiagonalState, WalkSpec
 
@@ -59,8 +60,6 @@ def walk_from_json(data: dict) -> WalkSpec:
 
 
 def _expand_template(data: dict) -> WalkSpec:
-    from .fixtures import _line_window
-
     if data.get("template") != "line":
         raise InputError(f"unknown template {data.get('template')!r}")
     try:
@@ -131,7 +130,9 @@ def encode_value(x):
 
 
 def result_document(walk: WalkSpec, payload: dict, diagnostics: dict | None = None) -> dict:
-    doc = dict(payload)
+    """Payload and diagnostics with top-level infinities encoded, plus the
+    walk's digest."""
+    doc = {k: encode_value(v) for k, v in payload.items()}
     doc["diagnostics"] = {k: encode_value(v) for k, v in (diagnostics or {}).items()}
     doc["walk_digest"] = walk_digest(walk)
     return doc

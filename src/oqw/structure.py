@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import COMPLEX, extend_basis, herm
+from .hitting import (DIVERGENCE_TOL, PASSAGE_SURE_TOL, _taboo_block, boundary,
+                      capture_series, exit_probability, expected_return_time,
+                      expected_visits, passage_probability)
+from .linalg import COMPLEX, RANK_TOL, extend_basis, herm, spectral_radius
 from .superop import (assemble_superoperator, fixed_point_projection,
                       hermitian_basis_matrix, invariant_state)
 from .walk import DiagonalState, Site, WalkSpec, _site_id, identity_observable
 
-RANK_TOL = 1e-8  # relative singular-value threshold for all rank decisions
-DIVERGENCE_GUARD = 1e-7
+BOUNDS_TOL = 1e-8  # slack of the enclosure-sum bounds and of the recurrent-support test
 SPLIT_TOL = 1e-6  # relative eigenvalue gap between groups; closure defect of a group
 
 
@@ -77,7 +79,7 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
                              f"expected {walk.dims[s]}")
         if np.linalg.norm(vec_) == 0.0:
             raise InputError("seed vectors must be nonzero")
-        bases[s] = extend_basis(bases[s], vec_ / np.linalg.norm(vec_), tol=RANK_TOL)
+        bases[s] = extend_basis(bases[s], vec_ / np.linalg.norm(vec_))
     work = deque((s, b) for s, b in bases.items() if b.shape[1])
     while work:
         fr, new = work.popleft()
@@ -87,7 +89,7 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
                 continue
             image = walk.transitions[(to, fr)] @ new
             image = image[:, np.linalg.norm(image, axis=0) > RANK_TOL]
-            bases[to] = extend_basis(bases[to], image, tol=RANK_TOL)
+            bases[to] = extend_basis(bases[to], image)
             if bases[to].shape[1] > before:
                 work.append((to, bases[to][:, before:]))
     return Enclosure(bases)
@@ -249,8 +251,7 @@ class RecurrenceVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
-                        require_irreducible: bool = True,
+def classify_recurrence(walk: WalkSpec, site, require_irreducible: bool = True,
                         truncated_model: bool = False) -> RecurrenceVerdict:
     """Classify a site of an irreducible walk into the three return regimes.
 
@@ -260,11 +261,10 @@ def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
     The return operator comes from the s -> s series' certified solve, run
     off a trapped part where there is one; the diagnostics carry its method,
     radius bound and residual.  Expected-visit finiteness is cross-checked
-    through the spectral radius of the return operator.
+    through the spectral radius of the return operator.  An eigenvalue
+    counts as 1 within ``PASSAGE_SURE_TOL``, the cut at which a passage
+    probability counts as certain.
     """
-    from .hitting import _taboo_block, capture_series
-    from .linalg import spectral_radius
-
     s = _site_id(site)
     if require_irreducible and not is_irreducible(walk)[0]:
         raise InputError("walk is reducible; classify sites of its irreducible parts "
@@ -278,18 +278,18 @@ def classify_recurrence(walk: WalkSpec, site, tol: float = 1e-6,
     return_radius = spectral_radius(op.matrix)
     diag = {**series.diagnostics,
             "return_operator_radius": return_radius,
-            "spectral_check_visits_finite": bool(return_radius < 1.0 - DIVERGENCE_GUARD),
+            "spectral_check_visits_finite": bool(return_radius < 1.0 - DIVERGENCE_TOL),
             "dual_identity_eigenvalues": [float(x) for x in w]}
-    if np.abs(pstar - np.eye(d)).max(initial=0.0) <= tol:
+    if np.abs(pstar - np.eye(d)).max(initial=0.0) <= PASSAGE_SURE_TOL:
         return RecurrenceVerdict("recurrent", s, pstar, w,
                                  expected_visits_finite=False,
                                  truncated_model=truncated_model, diagnostics=diag)
-    if w.max(initial=0.0) < 1.0 - tol:
+    if w.max(initial=0.0) < 1.0 - PASSAGE_SURE_TOL:
         return RecurrenceVerdict("transient", s, pstar, w,
                                  expected_visits_finite=True,
                                  truncated_model=truncated_model, diagnostics=diag)
     wv, vv = np.linalg.eigh(pstar)
-    sure = vv[:, wv >= 1.0 - tol]
+    sure = vv[:, wv >= 1.0 - PASSAGE_SURE_TOL]
     proj = sure @ sure.conj().T
     witness = proj / float(np.trace(proj).real)
     return RecurrenceVerdict("mixed", s, pstar, w,
@@ -315,13 +315,10 @@ class BoundsReport:
 
 
 def check_decomposition_bounds(walk: WalkSpec, deco: Decomposition, i, rho, j,
-                               domain=None, tol: float = 1e-8) -> BoundsReport:
+                               domain=None) -> BoundsReport:
     """Verify the enclosure-sum lower bounds for passage, visits, return time
     (and optionally domain exit), with equality when the state is supported
-    in the recurrent part."""
-    from .hitting import (boundary, exit_probability, expected_return_time,
-                          expected_visits, passage_probability)
-
+    in the recurrent part; the slack is ``BOUNDS_TOL``."""
     i, j = _site_id(i), _site_id(j)
     rho = np.asarray(rho, dtype=COMPLEX)
 
@@ -330,57 +327,43 @@ def check_decomposition_bounds(walk: WalkSpec, deco: Decomposition, i, rho, j,
     lhs_t = expected_return_time(walk, i, rho, j).value
     lhs_e = exit_probability(walk, domain, i, rho) if domain is not None else None
 
-    def series_terms():
-        for enc in deco.recurrent:
-            bi = enc.bases.get(i)
-            if bi is None or bi.shape[1] == 0:
-                continue
-            block = bi.conj().T @ rho @ bi
-            weight = float(np.trace(block).real)
-            if weight <= 1e-14:
-                continue
-            sub, _ = restrict_walk(walk, enc)
-            if j not in sub.dims:
-                continue
-            yield enc, sub, block / weight, weight
-
-    rhs_p = rhs_n = rhs_t = 0.0
-    rhs_e = 0.0
-    any_t_inf = any_n_inf = False
-    for enc, sub, block, weight in series_terms():
-        rhs_p += weight * passage_probability(sub, i, block, j)
-        nv = expected_visits(sub, i, block, j).value
-        tv = expected_return_time(sub, i, block, j).value
-        any_n_inf = any_n_inf or math.isinf(nv)
-        any_t_inf = any_t_inf or math.isinf(tv)
-        if not math.isinf(nv):
-            rhs_n += weight * nv
-        if not math.isinf(tv):
-            rhs_t += weight * tv
+    rhs_p = rhs_n = rhs_t = rhs_e = 0.0
+    for enc in deco.recurrent:
+        bi = enc.bases.get(i)
+        if bi is None or bi.shape[1] == 0:
+            continue
+        block = bi.conj().T @ rho @ bi
+        weight = float(np.trace(block).real)
+        if weight <= 1e-14:
+            continue
+        block = block / weight
+        sub, _ = restrict_walk(walk, enc)
+        if j in sub.dims:   # an infinite term makes its sum infinite
+            rhs_p += weight * passage_probability(sub, i, block, j)
+            rhs_n += weight * expected_visits(sub, i, block, j).value
+            rhs_t += weight * expected_return_time(sub, i, block, j).value
+        else:   # the enclosure never visits j
+            rhs_t = math.inf
         if domain is not None:
             sub_domain = [s for s in domain if _site_id(s) in sub.dims]
             if boundary(sub, sub_domain):
                 rhs_e += weight * exit_probability(sub, sub_domain, i, block)
-    if any_n_inf:
-        rhs_n = math.inf
-    if any_t_inf:
-        rhs_t = math.inf
 
     # support test: all mass of rho inside the recurrent part at site i
     leak = float(np.trace(deco.transient.projector(i, walk.dims[i]) @ rho).real)
-    supported = leak <= tol
+    supported = leak <= BOUNDS_TOL
 
     def close(a: float, b: float) -> bool:
         if math.isinf(a) or math.isinf(b):
             return math.isinf(a) and math.isinf(b)
-        return abs(a - b) <= max(tol, 1e-6 * max(abs(a), abs(b)))
+        return abs(a - b) <= max(BOUNDS_TOL, 1e-6 * max(abs(a), abs(b)))
 
     def at_least(a: float, b: float) -> bool:
         if math.isinf(a):
             return True
         if math.isinf(b):
             return False
-        return a >= b - max(tol, 1e-6 * max(abs(a), abs(b), 1.0))
+        return a >= b - max(BOUNDS_TOL, 1e-6 * max(abs(a), abs(b), 1.0))
 
     pairs = [(lhs_p, rhs_p), (lhs_n, rhs_n), (lhs_t, rhs_t)]
     if domain is not None:
@@ -390,4 +373,4 @@ def check_decomposition_bounds(walk: WalkSpec, deco: Decomposition, i, rho, j,
         passage=(lhs_p, rhs_p), visits=(lhs_n, rhs_n), return_time=(lhs_t, rhs_t),
         exit=None if domain is None else (lhs_e, rhs_e),
         inequalities_hold=all(at_least(a, b) for a, b in pairs),
-        supported_in_recurrent=supported, equalities_hold=equal, tolerance=tol)
+        supported_in_recurrent=supported, equalities_hold=equal, tolerance=BOUNDS_TOL)

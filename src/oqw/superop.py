@@ -22,7 +22,9 @@ from .linalg import (
     unvec,
     vec,
 )
-from .walk import DiagonalObservable, DiagonalState, Site, WalkSpec, _site_id
+from .walk import DiagonalObservable, DiagonalState, Site, WalkSpec, _site_id, apply_step
+
+FIXED_POINT_TOL = 1e-9  # relative singular value of M - Id below which a direction is fixed
 
 
 @dataclass(frozen=True)
@@ -146,27 +148,26 @@ def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -
     return Superoperator(walk, src, tgt, block_matrix(walk, tgt, src))
 
 
-def _fixed_space(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_space(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of ker(M - I) and ker(M† - I) from one SVD.
 
-    Singular values up to ``tol * max(1, sigma_max)`` count as zero: a cut
+    Singular values up to ``FIXED_POINT_TOL * max(1, sigma_max)`` count as zero: a cut
     relative to ``sigma_max`` alone would find no fixed space at all in a map
     that equals the identity up to rounding.
     """
     u, s, vh = np.linalg.svd(matrix - np.eye(matrix.shape[0], dtype=COMPLEX))
-    null = s <= tol * max(1.0, float(s.max(initial=0.0)))
+    null = s <= FIXED_POINT_TOL * max(1.0, float(s.max(initial=0.0)))
     return vh[null].conj().T, u[:, null]
 
 
-def fixed_point_projection(matrix: np.ndarray, x: np.ndarray,
-                           tol: float = 1e-9) -> tuple[np.ndarray, int]:
+def fixed_point_projection(matrix: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Spectral projection of x onto the eigenvalue-1 eigenspace of M.
 
     Equals the Cesaro limit of ``mean_k M^k x`` when the peripheral spectrum
     is semisimple (true for trace-preserving completely positive maps).
     Returns the projected vector and the fixed-space dimension.
     """
-    right, left = _fixed_space(matrix, tol)
+    right, left = _fixed_space(matrix)
     k = right.shape[1]
     if k == 0:
         return np.zeros_like(x), 0
@@ -178,7 +179,7 @@ def fixed_point_projection(matrix: np.ndarray, x: np.ndarray,
     return right @ coeff, k
 
 
-def invariant_state(walk: WalkSpec, tol: float = 1e-9) -> tuple[DiagonalState | None, int]:
+def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     """A normalized fixed point of the one-step map, plus the fixed-space dimension.
 
     The state is the exact Cesaro limit of the iteration started from the
@@ -192,7 +193,7 @@ def invariant_state(walk: WalkSpec, tol: float = 1e-9) -> tuple[DiagonalState | 
     uniform = DiagonalState(
         {s: np.eye(walk.dims[s], dtype=COMPLEX) / walk.total_dim for s in walk.sites})
     x = idx.pack(uniform)
-    proj, k = fixed_point_projection(full.matrix, x, tol)
+    proj, k = fixed_point_projection(full.matrix, x)
     if k == 0:
         return None, 0
     blocks = idx.unpack(walk, proj)
@@ -202,7 +203,6 @@ def invariant_state(walk: WalkSpec, tol: float = 1e-9) -> tuple[DiagonalState | 
         return None, k
     state = DiagonalState({s: b / total for s, b in blocks.items()})
     # fixed-point residual in trace norm
-    from .walk import apply_step
     stepped = apply_step(walk, state)
     resid = sum(np.abs(np.linalg.eigvalsh(herm(stepped.blocks[s] - state.blocks[s]))).sum()
                 for s in walk.sites)

@@ -17,10 +17,19 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import COMPLEX, herm
-from .walk import DiagonalObservable, Site, WalkSpec, _site_id, check_state, site_state
+from .structure import Enclosure, decompose, restrict_walk
+from .superop import invariant_state
+from .walk import (DiagonalObservable, Site, WalkSpec, _site_id, check_state, dual_apply,
+                   site_state)
 
 PROB_FLOOR = 1e-14   # transition weights below this count as zero
 SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
+HARMONIC_TOL = 1e-8  # residual up to which an observable counts as harmonic
+
+
+def _renorm_tol(walk: WalkSpec) -> float:
+    """Distance of the total step weight from 1 above which a step renormalizes."""
+    return max(walk.tolerance, 1e-9)
 
 
 def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -53,8 +62,8 @@ class EstimateWithCI:
         return 3.0 * self.standard_error
 
 
-def sample_step(walk: WalkSpec, site, rho: np.ndarray, rng: np.random.Generator,
-                tol: float | None = None) -> tuple[Site, np.ndarray, bool]:
+def sample_step(walk: WalkSpec, site, rho: np.ndarray,
+                rng: np.random.Generator) -> tuple[Site, np.ndarray, bool]:
     """One transition from (site, rho): returns (next site, next state, renormalized).
 
     The successor is drawn with probability ``Tr(L rho L†)`` over the nonzero
@@ -62,7 +71,6 @@ def sample_step(walk: WalkSpec, site, rho: np.ndarray, rng: np.random.Generator,
     probability floor are treated as zero.
     """
     s = _site_id(site)
-    tol = walk.tolerance if tol is None else tol
     rho = np.asarray(rho, dtype=COMPLEX)
     succs = walk._succ[s]
     weights = []
@@ -73,7 +81,7 @@ def sample_step(walk: WalkSpec, site, rho: np.ndarray, rng: np.random.Generator,
     total = sum(weights)
     if total <= PROB_FLOOR:
         raise NumericalError(f"dead end at site {s!r}: no transition has positive weight")
-    renorm = abs(total - 1.0) > max(tol, 1e-9)
+    renorm = abs(total - 1.0) > _renorm_tol(walk)
     u = rng.random() * total
     acc = 0.0
     choice = len(weights) - 1
@@ -170,7 +178,7 @@ class _Ensemble:
         self.seed = seed
         self.streams = index_offset + np.arange(n_traj, dtype=np.uint64)
         self.renorms = 0
-        self.renorm_tol = max(walk.tolerance, 1e-9)
+        self.renorm_tol = _renorm_tol(walk)
         d = self.dmax = max(walk.dims.values())
         succ = [walk._succ[s] for s in walk.sites]
         self.k = max(1, max(len(row) for row in succ))
@@ -327,8 +335,7 @@ class KacReport:
         return gap <= 3.0 * self.empirical.standard_error + 1e-9
 
 
-def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0,
-                 max_steps: int | None = None) -> KacReport:
+def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> KacReport:
     """Empirical k-th return time over k against the inverse invariant mass.
 
     Trajectories start from the invariant state conditioned at ``i``.  The
@@ -337,11 +344,9 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0,
     that carry that conditioned state.  When the sum is the whole walk (an
     irreducible walk, say) the target is the inverse invariant mass at
     ``i``; otherwise the walk is restricted to the sum and the target uses
-    the restricted walk's invariant state.
+    the restricted walk's invariant state.  Trajectories are censored after
+    ``max(100, 8 k_max max(2, target))`` steps, reported as ``max_steps``.
     """
-    from .structure import Enclosure, decompose, restrict_walk
-    from .superop import invariant_state
-
     s = _site_id(i)
     deco = decompose(walk)
     tau, fixed_dim = deco.invariant, deco.fixed_dim
@@ -373,8 +378,7 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0,
     else:
         target = 1.0 / mass
 
-    if max_steps is None:
-        max_steps = max(100, int(8 * k_max * max(2.0, target)))
+    max_steps = max(100, int(8 * k_max * max(2.0, target)))
     _, _, kth, ens = _run_hitting(walk, s, rho_hat, s, n_traj, max_steps, seed,
                                   track_visits=True, kth_return=k_max)
     done = np.isfinite(kth)
@@ -404,15 +408,14 @@ class MartingaleReport:
 
 def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
                           n_traj: int, horizon: int, seed: int = 0,
-                          stop_domain=None, tol: float = 1e-8) -> MartingaleReport:
+                          stop_domain=None) -> MartingaleReport:
     """Check the flatness of ``m_n = Tr(rho_n A(x_n))`` along trajectories.
 
     ``a`` must be harmonic (globally, or on ``stop_domain`` when supplied;
     trajectories are then stopped on exit and keep their last value, which is
-    the stopped martingale of the optional-sampling argument).
+    the stopped martingale of the optional-sampling argument).  Harmonic
+    means a residual of at most ``HARMONIC_TOL`` in operator norm.
     """
-    from .walk import dual_apply
-
     stepped = dual_apply(walk, a)
     check_sites = walk.sites if stop_domain is None else \
         tuple(_site_id(x) for x in stop_domain)
@@ -421,7 +424,7 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
         d = walk.dims[sname]
         worst = max(worst, float(np.linalg.norm(
             a.block(sname, d) - stepped.block(sname, d), 2)))
-    if worst > tol:
+    if worst > HARMONIC_TOL:
         raise InputError(f"observable is not harmonic (residual {worst:.3e})")
 
     rho = np.asarray(rho, dtype=COMPLEX)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .linalg import COMPLEX, as_matrix, frozen, herm, is_psd, kraus_block
+from .linalg import COMPLEX, as_matrix, frozen, is_psd, kraus_block
 
 Site = str
 
@@ -193,9 +193,9 @@ def site_state(walk: WalkSpec, site, rho) -> DiagonalState:
     return DiagonalState({s: mat})
 
 
-def check_state(walk: WalkSpec, state: DiagonalState, tol: float | None = None) -> None:
+def check_state(walk: WalkSpec, state: DiagonalState) -> None:
     """Raise InputError unless all blocks are PSD (and trace is 1 if normalized)."""
-    tol = walk.tolerance if tol is None else tol
+    tol = walk.tolerance
     for s, b in state.blocks.items():
         if s not in walk.dims:
             raise InputError(f"state block at unknown site {s!r}")
@@ -300,65 +300,6 @@ def doubly_stochastic_defect(walk: WalkSpec) -> tuple[float, tuple[Site, Site] |
     return worst, pair
 
 
-def is_doubly_stochastic(walk: WalkSpec, tol: float | None = None) -> bool:
+def is_doubly_stochastic(walk: WalkSpec) -> bool:
     defect, _ = doubly_stochastic_defect(walk)
-    return defect <= (walk.tolerance if tol is None else tol)
-
-
-@dataclass
-class DetailedBalanceReport:
-    sufficient_condition_holds: bool
-    sufficient_residual: float
-    selfadjoint_within_tol: bool
-    selfadjoint_residual: float
-    tolerance: float
-
-
-def check_detailed_balance(walk: WalkSpec, tau: DiagonalState,
-                           tol: float = 1e-8) -> DetailedBalanceReport:
-    """Check reversibility of the walk with respect to a faithful state.
-
-    (a) the pairwise sufficient condition
-    ``tau(i)^{1/2} L[j,i]† = L[i,j] tau(j)^{1/2}`` for all i, j, and
-    (b) selfadjointness of the dual step for the weighted inner product
-    ``<X, Y> = Tr(tau^{1/2} X† tau^{1/2} Y)`` over a Hermitian block basis.
-    """
-    from .linalg import psd_sqrt
-    from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
-
-    roots = {}
-    for s in walk.sites:
-        b = tau.blocks.get(s)
-        if b is None:
-            raise InputError(f"reference state has no block at site {s!r}")
-        w = np.linalg.eigvalsh(herm(b))
-        if w.min() <= 1e-12:
-            raise InputError(f"reference state is not faithful at site {s!r}")
-        roots[s] = psd_sqrt(b)
-
-    worst_a = 0.0
-    for i in walk.sites:
-        for j in walk.sites:
-            Lji = walk.block(j, i)
-            Lij = walk.block(i, j)
-            lhs = roots[i] @ (Lji.conj().T if Lji is not None
-                              else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX))
-            rhs = (Lij if Lij is not None
-                   else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX)) @ roots[j]
-            worst_a = max(worst_a, float(np.abs(lhs - rhs).max(initial=0.0)))
-
-    # selfadjointness on a basis B of diagonal observables: B^H W K^dag B is
-    # Hermitian, W the weight of the inner product and K^dag the dual step
-    idx = BlockIndex.build(walk, walk.sites)
-    B = hermitian_basis_matrix(walk, idx)
-    W = weight_matrix(idx, roots)
-    KB = block_matrix(walk, idx, idx).conj().T @ B
-    worst_b = float(np.abs(B.conj().T @ W @ KB - KB.conj().T @ W @ B).max(initial=0.0))
-
-    return DetailedBalanceReport(
-        sufficient_condition_holds=worst_a <= tol,
-        sufficient_residual=worst_a,
-        selfadjoint_within_tol=worst_b <= tol,
-        selfadjoint_residual=worst_b,
-        tolerance=tol,
-    )
+    return defect <= walk.tolerance

@@ -5,7 +5,7 @@ import pytest
 
 import oqw
 from oqw import serialize
-from oqw.cli import main, parse_rho
+from oqw.cli import build_parser, main, parse_rho
 from oqw.errors import InputError
 from oqw.fixtures import example_three_site_trap
 
@@ -158,6 +158,16 @@ def test_fixtures_list(capsys):
     code, out, _ = run_cli(capsys, "fixtures", "list")
     assert code == 0
     assert "example-5.2" in out
+
+
+def test_fixture_params_are_info_flags():
+    # every parameter that `oqw fixtures list` names is a flag of `oqw info`
+    parser = build_parser()
+    for name, params in oqw.fixtures.FIXTURE_PARAMS.items():
+        for param in params:
+            value = "taboo" if param == "boundary" else "3"
+            args = parser.parse_args(["info", "--walk", name, f"--{param}", value])
+            assert getattr(args, param.replace("-", "_")) is not None
 
 
 def test_info_on_ring(capsys):

@@ -43,8 +43,8 @@ def test_taboo_operator_is_cp_contraction(trap_walk, branch_walk, ruin_walk):
     pairs = [(trap_walk, "0", "0"), (branch_walk, "1", "0"), (ruin_walk, "3", "0")]
     for walk, i, j in pairs:
         op = oqw.taboo_operator(walk, i, j)
-        assert op.is_completely_positive(1e-8)
-        assert op.is_contraction(1e-8)
+        assert op.is_completely_positive()
+        assert op.is_contraction()
 
 
 def test_dual_identity_eigenvalues_in_unit_interval(branch_walk, half_line_down):
@@ -179,6 +179,20 @@ def test_visits_infinite_for_recurrent_faithful(half_line_down):
     assert oqw.passage_probability(half_line_down, "0", MIX, "0") >= 1 - 1e-9
     for rho in (E1, E2, MIX):
         assert math.isinf(oqw.expected_visits(half_line_down, "0", rho, "0").value)
+
+
+@pytest.mark.parametrize("i, builds", [("0", 1), ("1", 2)])
+def test_visits_build_the_return_series_once(trap_walk, monkeypatch, i, builds):
+    # from j itself the first-passage series is the return series
+    from oqw import hitting
+
+    calls = []
+    build = hitting.capture_series
+    monkeypatch.setattr(hitting, "capture_series",
+                        lambda *args, **kw: calls.append(args[1:3]) or build(*args, **kw))
+    oqw.expected_visits(trap_walk, i, MIX, "0")
+    assert len(calls) == builds
+    assert calls[-1] == ("0", "0")
 
 
 # ---------------------------------------------------------------------------

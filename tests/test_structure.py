@@ -377,18 +377,19 @@ def test_classify_mixed_half_line(half_line_up_taboo):
 
 
 def test_classify_builds_one_return_series(half_line_up_taboo, monkeypatch):
-    from oqw import hitting
+    from oqw import hitting, structure
 
     calls = []
     build = hitting.capture_series
-    monkeypatch.setattr(hitting, "capture_series",
-                        lambda *args, **kw: calls.append(args[1:]) or build(*args, **kw))
+    for module in (hitting, structure):
+        monkeypatch.setattr(module, "capture_series",
+                            lambda *args, **kw: calls.append(args[1:]) or build(*args, **kw))
     oqw.classify_recurrence(half_line_up_taboo, "0")
     assert calls == [("0", "0")]
 
 
 def test_classify_reports_the_series_certificate(half_line_up_taboo, monkeypatch):
-    from oqw import linalg
+    from oqw import linalg, structure
 
     sizes = []
     radius = linalg.spectral_radius
@@ -397,7 +398,8 @@ def test_classify_reports_the_series_certificate(half_line_up_taboo, monkeypatch
         sizes.append(m.shape[0])
         return radius(m)
 
-    monkeypatch.setattr(linalg, "spectral_radius", spy)
+    for module in (linalg, structure):
+        monkeypatch.setattr(module, "spectral_radius", spy)
     verdict = oqw.classify_recurrence(half_line_up_taboo, "0")
     assert sizes == [4]   # the 2-dim site's return operator; no interior eigvals
     diag = verdict.diagnostics
@@ -442,3 +444,29 @@ def test_bounds_equality_for_mixture_of_enclosures():
                                          np.array([[1.0]], dtype=complex), "a1")
     assert rep.supported_in_recurrent
     assert rep.equalities_hold
+
+
+def test_bounds_exit_inside_an_enclosure(trap_walk):
+    deco = oqw.decompose(trap_walk)
+    rep = oqw.check_decomposition_bounds(trap_walk, deco, "0", E1, "0", domain=["0", "1"])
+    assert rep.exit == (0.0, 0.0)   # the e1 cycle never leaves {0, 1}
+    assert rep.equalities_hold
+    rep = oqw.check_decomposition_bounds(trap_walk, deco, "0", MIX, "0", domain=["0", "1"])
+    assert rep.exit == pytest.approx((0.5, 0.0))   # e2 exits to "2" at once
+    assert rep.inequalities_hold and not rep.equalities_hold
+
+
+@pytest.mark.parametrize("target", ["a1", "b0"])
+def test_bounds_exit_through_the_enclosure_boundary(target):
+    """The exit bound counts every enclosure that carries the state, also one
+    that never visits the target, whose return time is then infinite."""
+    walk = twin_cycles()
+    deco = oqw.decompose(walk)
+    rep = oqw.check_decomposition_bounds(walk, deco, "a0", np.array([[1.0]], dtype=complex),
+                                         target, domain=["a0"])
+    assert rep.exit == pytest.approx((1.0, 1.0))
+    assert rep.supported_in_recurrent and rep.equalities_hold
+    if target == "b0":
+        assert rep.passage == (0.0, 0.0) and rep.visits == (0.0, 0.0)
+        assert math.isinf(rep.return_time[0]) and math.isinf(rep.return_time[1])
+
