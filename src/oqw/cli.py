@@ -17,7 +17,7 @@ import numpy as np
 from . import fixtures, hitting, serialize
 from .errors import InputError, NumericalError, OQWError
 from .linalg import COMPLEX
-from .walk import DiagonalState, WalkSpec, check_state, validate_walk
+from .walk import DEFAULT_TOLERANCE, DiagonalState, WalkSpec, check_state, validate_walk
 
 
 def parse_rho(spec: str, dim: int) -> np.ndarray:
@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed of randomized fixtures")
     common.add_argument("--boundary", choices=("absorbing", "taboo"), default=None,
                         help="truncation handling for lattice fixtures")
-    common.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                        help="validation tolerance")
     common.add_argument("--format", choices=("json", "table"), default="json")
 
     pv = sub.add_parser("validate", parents=[common], help="check stochasticity")

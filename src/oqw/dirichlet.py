@@ -35,6 +35,7 @@ from .walk import (
     doubly_stochastic_defect,
     dual_apply,
     identity_observable,
+    is_doubly_stochastic,
 )
 
 FAITHFUL_TOL = 1e-12  # a reference block is faithful when its smallest eigenvalue exceeds this
@@ -398,13 +399,13 @@ class GradientForm:
 def gradient_form(walk: WalkSpec, x: DiagonalObservable) -> GradientForm:
     """Discrete gradient blocks ``X_i L[i,j] - L[i,j] X_j`` and their energy.
 
-    Only defined for doubly stochastic walks (``L[i,j] = L[j,i]†`` checked).
+    Only defined for doubly stochastic walks (``walk.is_doubly_stochastic``).
     ``energy`` divides the half squared norm by the total internal dimension
     so that it coincides with the Dirichlet energy taken against the
     normalized flat invariant state.
     """
-    defect, pair = doubly_stochastic_defect(walk)
-    if defect > max(walk.tolerance, 1e-9):
+    if not is_doubly_stochastic(walk):
+        defect, pair = doubly_stochastic_defect(walk)
         raise InputError(
             f"walk is not doubly stochastic: block pair {pair} violates "
             f"L[i,j] = L[j,i]† by {defect:.3e}")

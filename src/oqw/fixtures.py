@@ -14,12 +14,12 @@ import numpy as np
 from .errors import InputError
 from .linalg import COMPLEX, psd_sqrt
 from .structure import is_irreducible
-from .walk import WalkSpec, minimal_dilation
+from .walk import DEFAULT_TOLERANCE, WalkSpec, minimal_dilation
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
-def example_three_site_trap(tolerance: float = 1e-9) -> WalkSpec:
+def example_three_site_trap(tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Three sites with qubit fibers; one internal direction is trapped.
 
     Starting at site "0", the e1 component shuttles 0 <-> 1 forever while
@@ -35,7 +35,7 @@ def example_three_site_trap(tolerance: float = 1e-9) -> WalkSpec:
 
 
 def example_half_line(p: float, n_sites: int, boundary: str = "absorbing",
-                      tolerance: float = 1e-9) -> WalkSpec:
+                      tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Half-line walk with a qubit at the origin and scalar fibers above it.
 
     The origin flips e2 -> e1 in place; e1 hops to site 1, after which the
@@ -68,7 +68,7 @@ def example_half_line(p: float, n_sites: int, boundary: str = "absorbing",
     return WalkSpec(tuple(sites), dims, trans, tolerance)
 
 
-def example_branch_return(tolerance: float = 1e-9) -> WalkSpec:
+def example_branch_return(tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Four-site walk whose passage probability to the root is (1 + r)/2.
 
     From site "1" the e2 component drops to the scalar root "0" and bounces
@@ -116,7 +116,7 @@ def _line_window(low: int, high: int, l_plus: np.ndarray, l_minus: np.ndarray,
 
 def example_lattice_normal(p1: float, p2: float, half_width: int = 20,
                            boundary: str = "absorbing",
-                           tolerance: float = 1e-9) -> WalkSpec:
+                           tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Nearest-neighbor lattice walk with commuting diagonal jump operators.
 
     ``L+ = diag(sqrt(p1), sqrt(p2))``, ``L- = diag(sqrt(1-p1), sqrt(1-p2))``
@@ -131,7 +131,7 @@ def example_lattice_normal(p1: float, p2: float, half_width: int = 20,
 
 
 def example_lattice_nonnormal(half_width: int = 50, boundary: str = "absorbing",
-                              tolerance: float = 1e-9) -> WalkSpec:
+                              tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Lattice walk with non-normal jump operators that is still recurrent.
 
     ``L+ = [[1,1],[0,0]]/sqrt2`` and ``L- = [[0,0],[1,-1]]/sqrt2``; the dual
@@ -144,7 +144,7 @@ def example_lattice_nonnormal(half_width: int = 50, boundary: str = "absorbing",
 
 
 def gamblers_ruin(n_sites: int = 11, p_up: float = 0.5,
-                  tolerance: float = 1e-9) -> WalkSpec:
+                  tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Minimal dilation of gambler's ruin on 0..n_sites-1 with absorbing ends."""
     n = n_sites
     if n < 3:
@@ -158,7 +158,7 @@ def gamblers_ruin(n_sites: int = 11, p_up: float = 0.5,
     return minimal_dilation(t, labels=[str(k) for k in range(n)], tolerance=tolerance)
 
 
-def cycle_dilation(n: int, bias: float = 0.5, tolerance: float = 1e-9) -> WalkSpec:
+def cycle_dilation(n: int, bias: float = 0.5, tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Minimal dilation of a biased cycle on n sites."""
     if n < 2:
         raise InputError("cycle needs at least two sites")
@@ -170,7 +170,7 @@ def cycle_dilation(n: int, bias: float = 0.5, tolerance: float = 1e-9) -> WalkSp
 
 
 def random_doubly_stochastic(n_sites: int = 3, dim: int = 2, seed: int = 7,
-                             hop: float = 0.55, tolerance: float = 1e-9) -> WalkSpec:
+                             hop: float = 0.55, tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Seeded random doubly stochastic walk on a ring (``L[i,j] = L[j,i]†``).
 
     Each ring edge carries a random contraction M with its adjoint on the
@@ -226,7 +226,7 @@ FIXTURE_PARAMS = {
 def build_fixture(name: str, p: float | None = None, p2: float | None = None,
                   N: int | None = None, dim: int | None = None,
                   seed: int | None = None, boundary: str | None = None,
-                  tolerance: float = 1e-9) -> WalkSpec:
+                  tolerance: float = DEFAULT_TOLERANCE) -> WalkSpec:
     """Instantiate a named builtin walk; range-checks its parameters."""
     boundary = boundary or "absorbing"
     if name == "example-5.1":

@@ -7,10 +7,12 @@ and ``C`` the capture step into ``j``, the path sum is
 
     direct + C (Id - S)^{-1} E,
 
-computed by dense linear solves.  Interior sites that cannot be reached
-from ``i`` or cannot reach ``j`` contribute nothing and are dropped before
-the solve; that keeps the resolvent nonsingular whenever the retained
-series converges.
+computed by one dense or sparse LU factorization of ``Id - S`` (sparse, by
+scipy's ``splu`` imported on first use, from ``SPARSE_MIN_UNKNOWNS``
+unknowns on), kept for every later solve of the same system.  Interior
+sites that cannot be reached from ``i`` or cannot reach ``j`` contribute
+nothing and are dropped before the solve; that keeps the resolvent
+nonsingular whenever the retained series converges.
 
 Every series ``sum_n S^n`` here (a capture series, the return map behind
 expected visits, the one-step map ``K_DD`` inside a finite domain) is summed
@@ -40,13 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import COMPLEX, RANK_TOL, herm, is_psd, kraus_block, unvec, vec
-from .superop import BlockIndex, block_matrix, fixed_point_projection
+from .superop import BlockIndex, block_diagonal, block_matrix, fixed_point_projection
 from .walk import DiagonalState, Site, WalkSpec, _site_id, check_state
 
 # The library sums every series by the certified solve and reads no alpha
@@ -57,6 +60,7 @@ CERTIFICATE_RESIDUAL_TOL = 1e-8  # relative residual above which a solve certifi
 TRAP_DEFECT_TOL = 1e-9  # invariance and exit defects above which a near-fixed part is not trapped
 PASSAGE_SURE_TOL = 1e-6  # passage probabilities closer to 1 than this count as certain
 CP_TOL = 1e-8  # Choi and dual-identity eigenvalue slack of a CP contraction
+SPARSE_MIN_UNKNOWNS = 128  # systems with this many unknowns or more are factored by sparse LU
 
 
 # ---------------------------------------------------------------------------
@@ -68,48 +72,33 @@ def _nonzero(walk: WalkSpec, to: Site, fr: Site) -> bool:
     return L is not None and float(np.abs(L).max(initial=0.0)) > walk.tolerance
 
 
-def _forward_reachable(walk: WalkSpec, seeds, allowed) -> set:
+def _reachable(seeds, step: dict, allowed) -> set:
+    """Sites of ``allowed`` reached from the allowed ``seeds`` along ``step``
+    (``walk._succ`` or ``walk._pred``) without leaving ``allowed``."""
     allowed = set(allowed)
-    seen = set()
-    frontier = [s for s in seeds if s in allowed]
+    seen, frontier = set(), [s for s in seeds if s in allowed]
     while frontier:
-        nxt = []
-        for s in frontier:
-            if s in seen:
-                continue
+        s = frontier.pop()
+        if s not in seen:
             seen.add(s)
-            for t in walk._succ[s]:
-                if t in allowed and t not in seen:
-                    nxt.append(t)
-        frontier = nxt
+            frontier += [t for t in step[s] if t in allowed and t not in seen]
     return seen
 
 
 def _backward_reachable(walk: WalkSpec, targets, allowed) -> set:
-    allowed = set(allowed)
-    seen = set()
-    frontier = [s for t in targets for s in walk._pred[t]
-                if s in allowed and _nonzero(walk, t, s)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if s in seen:
-                continue
-            seen.add(s)
-            for p in walk._pred[s]:
-                if p in allowed and p not in seen:
-                    nxt.append(p)
-        frontier = nxt
-    return seen
+    """Allowed sites with a path through allowed sites into ``targets`` whose
+    last block exceeds the walk's tolerance."""
+    seeds = [s for t in targets for s in walk._pred[t] if _nonzero(walk, t, s)]
+    return _reachable(seeds, walk._pred, allowed)
 
 
 @dataclass
 class CaptureSeries:
     """Matrices of the taboo-path decomposition for one (i, j, taboo) triple.
 
-    Only ``A = Id - S`` is stored; ``S`` is rebuilt from the walk's cached
-    Kraus blocks when read.  :attr:`solved` is the certified solve of
-    ``(Id - S) R = E``, made on first read.
+    Only ``A = Id - S`` is stored (dense or CSC, see :func:`_id_minus_step`);
+    ``S`` is rebuilt from the walk's cached Kraus blocks when read.
+    :attr:`solved` is the certified solve of ``(Id - S) R = E``, made on first read.
     """
 
     walk: WalkSpec
@@ -118,15 +107,15 @@ class CaptureSeries:
     taboo: frozenset
     interior: tuple[Site, ...]
     direct: np.ndarray | None   # L[j, i], None if absent
-    A: np.ndarray               # Id - S, interior -> interior
+    A: object                   # Id - S, interior -> interior (ndarray or CSC)
     E: np.ndarray               # {i} -> interior
     C: np.ndarray               # interior -> {j}
 
     @property
-    def S(self) -> np.ndarray:
-        """One-step map on the interior (a fresh array on every read)."""
+    def S(self):
+        """One-step map on the interior, dense or CSC as ``A`` is (fresh on every read)."""
         idx = BlockIndex.build(self.walk, self.interior)
-        return block_matrix(self.walk, idx, idx)
+        return block_matrix(self.walk, idx, idx, sparse=not isinstance(self.A, np.ndarray))
 
     @cached_property
     def solved(self) -> DomainSolve:
@@ -150,7 +139,8 @@ class CaptureSeries:
             if alpha == 1.0:
                 resolvent = self.solved.x
             else:
-                resolvent = np.linalg.solve(_id_minus(self.S, alpha), self.E)
+                # Id - alpha S = (1 - alpha) Id + alpha A
+                resolvent = _factor(alpha * self.A + (1.0 - alpha) * _eye(self.A))(self.E)
             m += (alpha ** 2) * (self.C @ resolvent)
         return m
 
@@ -184,24 +174,44 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
     if unknown:
         raise InputError(f"unknown sites {sorted(unknown)}")
     allowed = [s for s in walk.sites if s not in taboo and s != j]
-    entry_seeds = [t for t in walk._succ[i] if t in set(allowed)]
-    reach = _forward_reachable(walk, entry_seeds, allowed)
+    reach = _reachable(walk._succ[i], walk._succ, allowed)
     coreach = _backward_reachable(walk, [j], allowed)
     interior = tuple(s for s in allowed if s in reach and s in coreach)
 
     idx = BlockIndex.build(walk, interior)
     return CaptureSeries(
         walk=walk, source=i, target=j, taboo=taboo, interior=interior,
-        direct=walk.transitions.get((j, i)), A=_id_minus(block_matrix(walk, idx, idx)),
+        direct=walk.transitions.get((j, i)), A=_id_minus_step(walk, idx),
         E=block_matrix(walk, idx, BlockIndex.build(walk, (i,))),
         C=block_matrix(walk, BlockIndex.build(walk, (j,)), idx))
 
 
-def _id_minus(m: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """``Id - alpha m``, computed in place."""
-    m *= -alpha
-    m.reshape(-1)[:: m.shape[0] + 1] += 1.0   # the diagonal
-    return m
+def _eye(A):
+    """The identity of ``A``'s size, dense or CSC as ``A`` is."""
+    if isinstance(A, np.ndarray):
+        return np.eye(A.shape[0], dtype=COMPLEX)
+    from scipy.sparse import identity
+    return identity(A.shape[0], dtype=COMPLEX, format="csc")
+
+
+def _id_minus_step(walk: WalkSpec, idx: BlockIndex):
+    """``Id - S`` for the walk's one-step map S on ``idx``: dense below
+    ``SPARSE_MIN_UNKNOWNS`` unknowns, CSC from there on."""
+    S = block_matrix(walk, idx, idx, sparse=idx.total >= SPARSE_MIN_UNKNOWNS)
+    return _eye(S) - S
+
+
+def _dense(A) -> np.ndarray:
+    return A if isinstance(A, np.ndarray) else A.toarray()
+
+
+def _factor(A) -> Callable[[np.ndarray], np.ndarray]:
+    """``b -> A^{-1} b``: LAPACK's dense solve for an array ``A``, else one
+    ``splu`` factorization of the sparse ``A``, kept in the returned solve."""
+    if isinstance(A, np.ndarray):
+        return partial(np.linalg.solve, A)
+    from scipy.sparse.linalg import splu
+    return splu(A.tocsc()).solve
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +220,8 @@ def _id_minus(m: np.ndarray, alpha: float = 1.0) -> np.ndarray:
 
 def _trace_vector(dims: dict) -> np.ndarray:
     """Vector t with t† x = sum of the traces of x's blocks of dimensions ``dims``."""
-    return np.concatenate([vec(np.eye(d, dtype=COMPLEX)) for d in dims.values()])
+    eye = {d: vec(np.eye(d, dtype=COMPLEX)) for d in set(dims.values())}
+    return np.concatenate([eye[d] for d in dims.values()])
 
 
 def _blocks_by_dim(dims: dict) -> dict[int, np.ndarray]:
@@ -223,9 +234,9 @@ def _blocks_by_dim(dims: dict) -> dict[int, np.ndarray]:
     return {d: np.asarray(v) for d, v in out.items()}
 
 
-def _certify(A: np.ndarray, rhs: np.ndarray,
-             dims: dict) -> tuple[np.ndarray | None, float, float]:
-    """Solve ``A [X | Y] = [rhs | vec(Id on every block)]`` with ``A = Id - S``.
+def _certify(A, rhs: np.ndarray, dims: dict) -> tuple[np.ndarray | None, float, float, Callable]:
+    """Solve ``A [X | Y] = [rhs | vec(Id on every block)]`` with ``A = Id - S``
+    (dense or sparse) by one factorization of ``A``.
 
     ``S`` is a positive map on blocks of dimensions ``dims``, so a solution
     whose blocks are Hermitian and ``>= Id`` gives
@@ -233,24 +244,24 @@ def _certify(A: np.ndarray, rhs: np.ndarray,
     (Perron-Frobenius for positive maps); the residual of the ``Y`` column is
     charged against the ``Id`` term.  Conversely ``r(S) < 1`` makes ``Y`` the
     series ``sum_n S^n(Id) >= Id``.  Returns ``(X, bound, relative
-    residual)``; the bound is ``inf`` when the solve fails or ``Y`` is no
-    certificate.
+    residual, solve)`` with ``solve`` the kept ``b -> A^{-1} b``; the bound
+    is ``inf`` when the solve fails or ``Y`` is no certificate.
     """
     if not A.shape[0]:
-        return rhs, 0.0, 0.0
-    ones = _trace_vector(dims)
-    rhs = np.column_stack([rhs, ones])
+        return rhs, 0.0, 0.0, None
+    rhs = np.column_stack([rhs, _trace_vector(dims)])
     try:
-        X = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return None, math.inf, math.inf
+        solve = _factor(A)
+        X = solve(rhs)
+    except (np.linalg.LinAlgError, RuntimeError):   # RuntimeError: splu found A singular
+        return None, math.inf, math.inf, None
     if not np.isfinite(X).all():
-        return None, math.inf, math.inf
+        return None, math.inf, math.inf, None
     resid = A @ X - rhs
     residual = float(np.linalg.norm(resid) / np.linalg.norm(rhs))
     R = X[:, :-1]
     if residual > CERTIFICATE_RESIDUAL_TOL:
-        return R, math.inf, residual
+        return R, math.inf, residual, solve
     # the exact solution is Hermitian with lmin >= 1; accept rounding
     # relative to its size, but never a block that is not positive definite
     lo, hi, skew = math.inf, 0.0, 0.0
@@ -263,8 +274,8 @@ def _certify(A: np.ndarray, rhs: np.ndarray,
         lo, hi = min(lo, float(w.min())), max(hi, float(w.max()))
     eps = float(np.linalg.norm(resid[:, -1]))
     if skew > 1e-8 * hi or lo <= 0.0 or lo < 1.0 - 1e-6 * hi:
-        return R, math.inf, residual
-    return R, max(0.0, 1.0 - (1.0 - eps) / hi), residual
+        return R, math.inf, residual, solve
+    return R, max(0.0, 1.0 - (1.0 - eps) / hi), residual, solve
 
 
 @dataclass
@@ -274,7 +285,7 @@ class DomainSolve:
     ``method`` is ``"block_solve"``, or ``"compressed"`` when the solve ran on
     the compression off the trapped part; ``trapped`` names the blocks where
     that part is nonzero.  Bound and residual are the certifying solve's, and
-    ``system`` (with ``lift``, when compressed) is the system it solved.
+    ``factor`` (with ``lift``, when compressed) is its kept ``b -> A^{-1} b``.
     """
 
     x: np.ndarray
@@ -282,7 +293,7 @@ class DomainSolve:
     trapped: tuple[Site, ...]
     radius_bound: float
     residual: float
-    system: np.ndarray = field(repr=False)
+    factor: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     lift: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -295,15 +306,15 @@ class DomainSolve:
     def resolve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the same certified system for another right-hand side."""
         if self.lift is None:
-            return np.linalg.solve(self.system, rhs)
-        return self.lift @ np.linalg.solve(self.system, self.lift.conj().T @ rhs)
+            return self.factor(rhs)
+        return self.lift @ self.factor(self.lift.conj().T @ rhs)
 
 
-def _domain_solve(A: np.ndarray, rhs: np.ndarray, dims: dict,
-                  dual: bool = False) -> DomainSolve:
+def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainSolve:
     """Solve ``A x = rhs`` (``dual``: ``A^dag x = rhs``) with ``A = Id - S``,
     ``S`` a positive, trace non-increasing map on blocks of dimensions
-    ``dims`` (keyed by site).
+    ``dims`` (keyed by site), dense or sparse; only the trapped-part search
+    below densifies it.
 
     The solve certifies ``r(S) < 1 - DIVERGENCE_TOL`` (see :func:`_certify`).
     When it does not, T is the support of the Cesaro fixed point of
@@ -321,14 +332,14 @@ def _domain_solve(A: np.ndarray, rhs: np.ndarray, dims: dict,
     no solve is certified.
     """
     system = A.conj().T if dual else A
-    X, bound, residual = _certify(system, rhs, dims)
+    X, bound, residual, solve = _certify(system, rhs, dims)
     if bound < 1.0 - DIVERGENCE_TOL:
-        return DomainSolve(X, "block_solve", (), bound, residual, system)
+        return DomainSolve(X, "block_solve", (), bound, residual, solve)
     free, trap = _trapped_split(A, dims)
     trapped = tuple(s for s, w in trap.items() if w.shape[1])
     if not trapped:
         if bound < 1.0:
-            return DomainSolve(X, "block_solve", (), bound, residual, system)
+            return DomainSolve(X, "block_solve", (), bound, residual, solve)
         raise NumericalError("the series is not certified convergent and traps nothing",
                              {"radius_bound": bound, "trapped_sites": []})
     lift, lift_t = _lift(free), _lift(trap)
@@ -338,22 +349,22 @@ def _domain_solve(A: np.ndarray, rhs: np.ndarray, dims: dict,
         raise NumericalError(
             "the series is not certified convergent, and its near-fixed part is not trapped",
             {"radius_bound": bound, "trap_defect": defect, "trapped_sites": []})
-    compressed = lift.conj().T @ A @ lift
+    compressed = lift.conj().T @ (A @ lift)
     system = compressed.conj().T if dual else compressed
-    X_c, bound_c, residual = _certify(system, lift.conj().T @ rhs,
-                                      {s: v.shape[1] for s, v in free.items() if v.shape[1]})
+    X_c, bound_c, residual, solve = _certify(
+        system, lift.conj().T @ rhs, {s: v.shape[1] for s, v in free.items() if v.shape[1]})
     if not bound_c < 1.0 - DIVERGENCE_TOL:
         raise NumericalError(
             "the series is not certified convergent, not even off its trapped part",
             {"radius_bound": bound, "compressed_radius_bound": bound_c,
              "trapped_sites": list(trapped)})
-    return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual, system, lift)
+    return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual, solve, lift)
 
 
 def _trapped_split(A: np.ndarray, dims: dict) -> tuple[dict, dict]:
     """Per-block orthonormal bases of the complement of T and of T, the
     support of the Cesaro fixed point of ``vec(Id)`` under ``S = Id - A``."""
-    fixed, _ = fixed_point_projection(_id_minus(A.copy()), _trace_vector(dims))
+    fixed, _ = fixed_point_projection(_dense(_eye(A) - A), _trace_vector(dims))
     eig, off = {}, 0
     for s, d in dims.items():
         eig[s] = np.linalg.eigh(herm(unvec(fixed[off:off + d * d], d)))
@@ -367,14 +378,7 @@ def _trapped_split(A: np.ndarray, dims: dict) -> tuple[dict, dict]:
 def _lift(bases: dict) -> np.ndarray:
     """Block-diagonal ``(+)_s kron(conj V_s, V_s)``, which maps ``vec(x_s)``
     to ``vec(V_s x_s V_s^dag)``."""
-    out = np.zeros((sum(v.shape[0] ** 2 for v in bases.values()),
-                    sum(v.shape[1] ** 2 for v in bases.values())), dtype=COMPLEX)
-    r = c = 0
-    for v in bases.values():
-        d, k = v.shape
-        out[r:r + d * d, c:c + k * k] = kraus_block(v)
-        r, c = r + d * d, c + k * k
-    return out
+    return block_diagonal([kraus_block(v) for v in bases.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +517,7 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
     j = _site_id(j)
     P = first.matrix if _site_id(i) == j else capture_series(walk, j, j).matrix()
-    solve = _domain_solve(_id_minus(P.copy()), vec(sigma)[:, None], {j: walk.dims[j]})
+    solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], {j: walk.dims[j]})
     diag = solve.diagnostics
     if solve.method == "compressed":
         fixed, _ = fixed_point_projection(P, vec(sigma))
@@ -602,7 +606,7 @@ class DomainBlocks:
 
     inner: BlockIndex
     outer: BlockIndex
-    A: np.ndarray
+    A: object           # ndarray or CSC, see _id_minus_step
     K_out: np.ndarray
 
 
@@ -610,7 +614,7 @@ def _domain_blocks(walk: WalkSpec, domain, bnd) -> DomainBlocks:
     D = {_site_id(s) for s in domain}
     inner = BlockIndex.build(walk, [s for s in walk.sites if s in D])
     outer = BlockIndex.build(walk, bnd)
-    return DomainBlocks(inner, outer, _id_minus(block_matrix(walk, inner, inner)),
+    return DomainBlocks(inner, outer, _id_minus_step(walk, inner),
                         block_matrix(walk, outer, inner))
 
 
@@ -709,7 +713,7 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     lo, hi = blocks.inner.offsets[j]
     tr_rho = float(np.trace(rho).real)
     if solve.method == "compressed":
-        fixed, _ = fixed_point_projection(_id_minus(blocks.A.copy()), rhs[:, 0])
+        fixed, _ = fixed_point_projection(_dense(_eye(blocks.A) - blocks.A), rhs[:, 0])
         mass = float(np.trace(unvec(fixed[lo:hi], walk.dims[j])).real)
         if mass > 1e-10 * tr_rho:
             raise NumericalError(

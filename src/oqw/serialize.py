@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError
 from .fixtures import _line_window
 from .linalg import COMPLEX
-from .walk import DiagonalObservable, DiagonalState, WalkSpec
+from .walk import DEFAULT_TOLERANCE, DiagonalObservable, DiagonalState, WalkSpec
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -56,7 +56,7 @@ def walk_from_json(data: dict) -> WalkSpec:
         }
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed walk document: {exc}") from exc
-    return WalkSpec(sites, dims, trans, float(data.get("tolerance", 1e-9)))
+    return WalkSpec(sites, dims, trans, float(data.get("tolerance", DEFAULT_TOLERANCE)))
 
 
 def _expand_template(data: dict) -> WalkSpec:
@@ -72,7 +72,7 @@ def _expand_template(data: dict) -> WalkSpec:
     if boundary not in ("absorbing", "taboo"):
         raise InputError(f"unknown boundary mode {boundary!r}")
     return _line_window(low, high, lp, lm, boundary,
-                        float(data.get("tolerance", 1e-9)))
+                        float(data.get("tolerance", DEFAULT_TOLERANCE)))
 
 
 def walk_digest(walk: WalkSpec) -> str:

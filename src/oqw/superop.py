@@ -3,7 +3,8 @@
 A :class:`Superoperator` is the dense block matrix of a map on stacked
 column-major vectorized blocks; blocks are restricted to masked source and
 target sites.  Everything downstream (capture series, Dirichlet solvers) is
-built from these matrices.
+built by :func:`block_matrix`, dense for a dense LU or sparse (CSC) for a
+sparse LU.
 """
 
 from __future__ import annotations
@@ -90,38 +91,53 @@ class Superoperator:
         return spectral_radius(self.matrix)
 
 
-def block_matrix(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> np.ndarray:
-    """Dense matrix whose block (to, fr) is the walk's cached vec-Kraus block
-    of ``L[to, fr]``, for every transition from a ``cols`` site to a ``rows``
-    site; all other entries are zero."""
+def block_matrix(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex, sparse: bool = False):
+    """Matrix whose block (to, fr) is the walk's cached vec-Kraus block of
+    ``L[to, fr]``, for every transition from a ``cols`` site to a ``rows``
+    site, and zero elsewhere: COO triples gathered per group of
+    :meth:`WalkSpec.kraus_stack`, scattered into a dense array or (``sparse``,
+    scipy imported on first use) a CSC matrix."""
+    r, c, v = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=COMPLEX)]
+    for keys, K in walk.kraus_stack():
+        r0 = np.array([rows.offsets.get(to, (-1,))[0] for to, _ in keys])
+        c0 = np.array([cols.offsets.get(fr, (-1,))[0] for _, fr in keys])
+        keep = np.flatnonzero((r0 >= 0) & (c0 >= 0))
+        k, a, b = np.nonzero(K[keep])
+        k = keep[k]
+        r.append(r0[k] + a)
+        c.append(c0[k] + b)
+        v.append(K[k, a, b])
+    r, c, v = np.concatenate(r), np.concatenate(c), np.concatenate(v)
+    if sparse:
+        from scipy.sparse import csc_matrix
+        return csc_matrix((v, (r, c)), shape=(rows.total, cols.total))
     m = np.zeros((rows.total, cols.total), dtype=COMPLEX)
-    for fr in cols.sites:
-        c0, c1 = cols.offsets[fr]
-        for to in walk._succ[fr]:
-            span = rows.offsets.get(to)
-            if span is not None:
-                m[span[0]:span[1], c0:c1] = walk.kraus(to, fr)
+    m[r, c] = v
     return m
+
+
+def block_diagonal(blocks) -> np.ndarray:
+    """Dense block-diagonal matrix of the given, possibly rectangular, blocks."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=COMPLEX)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def hermitian_basis_matrix(walk: WalkSpec, idx: BlockIndex) -> np.ndarray:
     """Columns ``vec(e)`` for the real-orthonormal Hermitian basis ``e`` of
     every block in ``idx``, site by site (block-diagonal, ``idx.total`` square)."""
-    out = np.zeros((idx.total, idx.total), dtype=COMPLEX)
-    for s in idx.sites:
-        lo, hi = idx.offsets[s]
-        out[lo:hi, lo:hi] = np.column_stack([vec(e) for e in hermitian_basis(walk.dims[s])])
-    return out
+    return block_diagonal([np.column_stack([vec(e) for e in hermitian_basis(walk.dims[s])])
+                           for s in idx.sites])
 
 
 def weight_matrix(idx: BlockIndex, roots: dict) -> np.ndarray:
     """Block-diagonal ``W = (+)_s kron(root_s^T, root_s)``, so that
     ``vec(X)^H W vec(Y) = sum_s Tr(root_s X_s^H root_s Y_s)``."""
-    out = np.zeros((idx.total, idx.total), dtype=COMPLEX)
-    for s in idx.sites:
-        lo, hi = idx.offsets[s]
-        out[lo:hi, lo:hi] = np.kron(roots[s].T, roots[s])
-    return out
+    return block_diagonal([np.kron(roots[s].T, roots[s]) for s in idx.sites])
 
 
 def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -> Superoperator:
@@ -131,20 +147,13 @@ def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -
     j is in the source mask, i in the target mask, and L[i,j] is nonzero.
     Empty masks give an empty (but valid) operator.
     """
-    sources = walk.sites if source_mask is None else [s for s in walk.sites
-                                                      if s in {_site_id(x) for x in source_mask}]
-    targets = walk.sites if target_mask is None else [s for s in walk.sites
-                                                      if s in {_site_id(x) for x in target_mask}]
-    if source_mask is not None:
-        unknown = {_site_id(x) for x in source_mask} - set(walk.sites)
-        if unknown:
-            raise InputError(f"source mask has unknown sites {sorted(unknown)}")
-    if target_mask is not None:
-        unknown = {_site_id(x) for x in target_mask} - set(walk.sites)
-        if unknown:
-            raise InputError(f"target mask has unknown sites {sorted(unknown)}")
-    src = BlockIndex.build(walk, sources)
-    tgt = BlockIndex.build(walk, targets)
+    def index(mask, name: str) -> BlockIndex:
+        chosen = set(walk.sites) if mask is None else {_site_id(x) for x in mask}
+        if chosen - set(walk.sites):
+            raise InputError(f"{name} mask has unknown sites {sorted(chosen - set(walk.sites))}")
+        return BlockIndex.build(walk, [s for s in walk.sites if s in chosen])
+
+    src, tgt = index(source_mask, "source"), index(target_mask, "target")
     return Superoperator(walk, src, tgt, block_matrix(walk, tgt, src))
 
 

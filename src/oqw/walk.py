@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .linalg import COMPLEX, as_matrix, frozen, is_psd, kraus_block
+from .linalg import COMPLEX, as_matrix, frozen, is_psd
 
 Site = str
 
@@ -52,6 +52,7 @@ class WalkSpec:
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _kraus: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _stack: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         sites = tuple(_site_id(s) for s in self.sites)
@@ -100,15 +101,29 @@ class WalkSpec:
     def block(self, to, fr) -> np.ndarray | None:
         return self.transitions.get((_site_id(to), _site_id(fr)))
 
+    def kraus_stack(self) -> list[tuple[list, np.ndarray]]:
+        """Read-only ``kron(conj(L), L)`` of every transition, stacked per
+        ``(d_to, d_fr)`` group as ``(keys, K)``, ``K[k]`` that of ``L[keys[k]]``;
+        built on first use by one broadcast per group and kept with the walk."""
+        if not self._kraus and self.transitions:
+            groups: dict[tuple, list] = {}
+            for key, L in self.transitions.items():
+                groups.setdefault(L.shape, []).append(key)
+            for keys in groups.values():
+                L = np.stack([self.transitions[k] for k in keys])
+                m, a, b = L.shape
+                K = L.conj()[:, :, None, :, None] * L[:, None, :, None, :]
+                K = K.reshape(m, a * a, b * b)
+                K.setflags(write=False)
+                self._stack.append((keys, K))
+                self._kraus.update(zip(keys, K))
+        return self._stack
+
     def kraus(self, to: Site, fr: Site) -> np.ndarray:
         """Read-only vec-matrix ``kron(conj(L), L)`` of the transition
-        ``L[to, fr]``, built on first use and kept with the walk."""
-        blk = self._kraus.get((to, fr))
-        if blk is None:
-            blk = kraus_block(self.transitions[(to, fr)])
-            blk.setflags(write=False)
-            self._kraus[(to, fr)] = blk
-        return blk
+        ``L[to, fr]``, a view into :meth:`kraus_stack`."""
+        self.kraus_stack()
+        return self._kraus[(to, fr)]
 
     def successors(self, site) -> list[Site]:
         """Targets reachable in one step, in declared site order."""
