@@ -1,9 +1,10 @@
 """The acceptance table: one callable per criterion, with timing.
 
-Each criterion rebuilds its fixtures from scratch, computes the stated
-quantities at the stated tolerances, and reports a pass/fail line.  The
-suite is runnable through ``oqw acceptance`` and is mirrored one-to-one by
-``tests/test_acceptance.py``.
+Each criterion is registered once, with its name and time budget, by
+:func:`_criterion`, which also times it.  Each rebuilds its fixtures from
+scratch, computes the stated quantities at the stated tolerances, and
+reports a pass/fail line.  The suite is runnable through ``oqw acceptance``
+and is mirrored one-to-one by ``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,13 +78,30 @@ class _Criterion:
         return CheckResult(self.name, passed, elapsed, detail)
 
 
+CRITERIA: list[tuple[str, Callable[[], CheckResult]]] = []
+
+
+def _criterion(name: str, budget: float):
+    """Register a criterion body under its name and budget: the registered
+    callable times the body on a fresh :class:`_Criterion` and returns its
+    :class:`CheckResult`."""
+    def register(body: Callable[[_Criterion], None]) -> Callable[[], CheckResult]:
+        def run() -> CheckResult:
+            crit = _Criterion(name, budget)
+            t0 = time.perf_counter()
+            body(crit)
+            return crit.result(time.perf_counter() - t0)
+        CRITERIA.append((name, run))
+        return run
+    return register
+
+
 def _diag(r: float) -> np.ndarray:
     return np.diag([1 - r, r]).astype(complex)
 
 
-def criterion_1_trap_walk() -> CheckResult:
-    crit = _Criterion("1 exact hitting statistics (example-5.1)", budget=1.0)
-    t0 = time.perf_counter()
+@_criterion("1 exact hitting statistics (example-5.1)", budget=1.0)
+def criterion_1_trap_walk(crit: _Criterion) -> None:
     walk = fixtures.example_three_site_trap()
     for r in (0.0, 0.3, 1.0):
         p = passage_probability(walk, "0", _diag(r), "0")
@@ -93,12 +112,10 @@ def criterion_1_trap_walk() -> CheckResult:
     crit.check("visits from e2", v == 0.0, f"got {v}")
     v = expected_visits(walk, "0", E1, "0").value
     crit.check("visits from e1", math.isinf(v), f"got {v}")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_2_branch_walk() -> CheckResult:
-    crit = _Criterion("2 passage law (1+r)/2 (example-5.4)", budget=1.0)
-    t0 = time.perf_counter()
+@_criterion("2 passage law (1+r)/2 (example-5.4)", budget=1.0)
+def criterion_2_branch_walk(crit: _Criterion) -> None:
     walk = fixtures.example_branch_return()
     for r in (0.0, 0.5, 1.0):
         p = passage_probability(walk, "1", _diag(r), "0")
@@ -110,17 +127,15 @@ def criterion_2_branch_walk() -> CheckResult:
                        ("diag(0.3,0.7)", np.diag([0.3, 0.7]).astype(complex))):
         v = expected_visits(walk, "1", rho, "0").value
         crit.check(f"visits {label} infinite", math.isinf(v), f"got {v}")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_3_half_line_return_times() -> CheckResult:
+@_criterion("3 return times at p=3/4 (example-5.2)", budget=10.0)
+def criterion_3_half_line_return_times(crit: _Criterion) -> None:
     # The asserted coefficient lambda = (8p^3-8p^2+6p-1)/(4p(2p-1)) = 19/12
     # at p = 3/4 is part of the acceptance table as stated.  The classical
     # reduction of this walk gives lambda = p/(2p-1) = 3/2 instead (exact
     # solve, path enumeration and Monte Carlo agree to machine precision),
     # so the r = 0 and r = 1/2 clauses fail by 2(1-r)/12.
-    crit = _Criterion("3 return times at p=3/4 (example-5.2)", budget=10.0)
-    t0 = time.perf_counter()
     lam = 19.0 / 12.0
     values = {}
     for n in (60, 120):
@@ -134,12 +149,10 @@ def criterion_3_half_line_return_times() -> CheckResult:
                    abs(got - want) <= 1e-3, f"got {got:.6f}")
     drift = max(abs(values[(60, r)] - values[(120, r)]) for r in (0.0, 0.5, 1.0))
     crit.check("doubling N changes < 1e-6", drift < 1e-6, f"drift {drift:.2e}")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_4_half_line_mixed_case() -> CheckResult:
-    crit = _Criterion("4 mixed regime at p=1/4 (example-5.2)", budget=10.0)
-    t0 = time.perf_counter()
+@_criterion("4 mixed regime at p=1/4 (example-5.2)", budget=10.0)
+def criterion_4_half_line_mixed_case(crit: _Criterion) -> None:
     walk = fixtures.example_half_line(0.25, 40, boundary="taboo")
     p = passage_probability(walk, "0", E2, "0")
     crit.check("passage from e2 is 1", abs(p - 1.0) <= 1e-6, f"got {p}")
@@ -154,12 +167,10 @@ def criterion_4_half_line_mixed_case() -> CheckResult:
                    float(np.abs(verdict.witness_sure - E2).max()) <= 1e-8)
         crit.check("deficient witness is Id/2",
                    float(np.abs(verdict.witness_deficient - MIX).max()) <= 1e-12)
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_5_nonnormal_lattice() -> CheckResult:
-    crit = _Criterion("5 non-normal lattice recurrence (example-5.5)", budget=60.0)
-    t0 = time.perf_counter()
+@_criterion("5 non-normal lattice recurrence (example-5.5)", budget=60.0)
+def criterion_5_nonnormal_lattice(crit: _Criterion) -> None:
     devs = {}
     for n in (10, 25, 50):
         walk = fixtures.example_lattice_nonnormal(n)
@@ -175,12 +186,10 @@ def criterion_5_nonnormal_lattice() -> CheckResult:
                            seed=11, track_visits=False)
     p = est["p_hit_by_horizon"].estimate
     crit.check("Monte Carlo return by 1e4 steps >= 0.97", p >= 0.97, f"got {p:.4f}")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_6_classical_reduction() -> CheckResult:
-    crit = _Criterion("6 classical reduction (gamblers-ruin)", budget=1.0)
-    t0 = time.perf_counter()
+@_criterion("6 classical reduction (gamblers-ruin)", budget=1.0)
+def criterion_6_classical_reduction(crit: _Criterion) -> None:
     walk = fixtures.gamblers_ruin(11, 0.5)
     one = np.array([[1.0]], dtype=complex)
     domain = [str(k) for k in range(1, 10)]
@@ -195,12 +204,10 @@ def criterion_6_classical_reduction() -> CheckResult:
     worst = max(abs(sol.solution.blocks[str(i)][0, 0].real - i / 10)
                 for i in range(1, 10))
     crit.check("solution is i/10", worst <= 1e-10, f"worst {worst:.2e}")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_7_dirichlet_consistency() -> CheckResult:
-    crit = _Criterion("7 Dirichlet consistency (random-doubly-stochastic)", budget=5.0)
-    t0 = time.perf_counter()
+@_criterion("7 Dirichlet consistency (random-doubly-stochastic)", budget=5.0)
+def criterion_7_dirichlet_consistency(crit: _Criterion) -> None:
     walk = fixtures.random_doubly_stochastic(3, 2, seed=7)
     rng = np.random.default_rng(2024)
     domain = ["0", "1"]
@@ -230,12 +237,10 @@ def criterion_7_dirichlet_consistency() -> CheckResult:
                 total[s] = total[s] + op.blocks[s]
     part = max(float(np.abs(total[s] - np.eye(2)).max()) for s in total)
     crit.check("harmonic operators sum to identity", part <= 1e-8, f"defect {part:.2e}")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_8_gradient_identity() -> CheckResult:
-    crit = _Criterion("8 gradient identity (random-doubly-stochastic)", budget=5.0)
-    t0 = time.perf_counter()
+@_criterion("8 gradient identity (random-doubly-stochastic)", budget=5.0)
+def criterion_8_gradient_identity(crit: _Criterion) -> None:
     walk = fixtures.random_doubly_stochastic(3, 2, seed=7)
     flat = flat_state(walk)
     rng = np.random.default_rng(2025)
@@ -250,12 +255,10 @@ def criterion_8_gradient_identity() -> CheckResult:
                                - gradient_form(walk, x).energy))
     crit.check("identity within 1e-10 on 20 samples", worst <= 1e-10,
                f"worst {worst:.2e}")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_9_kac_formula() -> CheckResult:
-    crit = _Criterion("9 return-time law vs invariant mass (example-5.4)", budget=60.0)
-    t0 = time.perf_counter()
+@_criterion("9 return-time law vs invariant mass (example-5.4)", budget=60.0)
+def criterion_9_kac_formula(crit: _Criterion) -> None:
     walk = fixtures.example_branch_return()
     rep = estimate_kac(walk, "1", n_traj=1000, k_max=2000, seed=5)
     gap = abs(rep.empirical.estimate - rep.analytic_target)
@@ -264,12 +267,10 @@ def criterion_9_kac_formula() -> CheckResult:
                f"{rep.empirical.estimate:.6f} vs {rep.analytic_target:.6f}")
     crit.check("no censored trajectories", rep.n_censored == 0,
                f"{rep.n_censored} censored")
-    return crit.result(time.perf_counter() - t0)
 
 
-def criterion_10_oracle_equivalence() -> CheckResult:
-    crit = _Criterion("10 enumeration and Monte Carlo oracles", budget=60.0)
-    t0 = time.perf_counter()
+@_criterion("10 enumeration and Monte Carlo oracles", budget=60.0)
+def criterion_10_oracle_equivalence(crit: _Criterion) -> None:
     trap = fixtures.example_three_site_trap()
     branch = fixtures.example_branch_return()
     chain = fixtures.example_half_line(0.25, 5, boundary="taboo")
@@ -307,21 +308,6 @@ def criterion_10_oracle_equivalence() -> CheckResult:
         gap = abs(p.estimate - exact)
         crit.check(f"{label} Monte Carlo", gap <= 3 * se0 + 1e-9,
                    f"{p.estimate:.6f} vs exact {exact:.6f}")
-    return crit.result(time.perf_counter() - t0)
-
-
-CRITERIA = (
-    ("1 exact hitting statistics (example-5.1)", criterion_1_trap_walk),
-    ("2 passage law (1+r)/2 (example-5.4)", criterion_2_branch_walk),
-    ("3 return times at p=3/4 (example-5.2)", criterion_3_half_line_return_times),
-    ("4 mixed regime at p=1/4 (example-5.2)", criterion_4_half_line_mixed_case),
-    ("5 non-normal lattice recurrence (example-5.5)", criterion_5_nonnormal_lattice),
-    ("6 classical reduction (gamblers-ruin)", criterion_6_classical_reduction),
-    ("7 Dirichlet consistency (random-doubly-stochastic)", criterion_7_dirichlet_consistency),
-    ("8 gradient identity (random-doubly-stochastic)", criterion_8_gradient_identity),
-    ("9 return-time law vs invariant mass (example-5.4)", criterion_9_kac_formula),
-    ("10 enumeration and Monte Carlo oracles", criterion_10_oracle_equivalence),
-)
 
 
 def run_acceptance(only: str | None = None) -> list[CheckResult]:

@@ -378,7 +378,7 @@ def _cmd_dform(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .trajectory import estimate_hitting, sample_trajectory, trajectory_rng
+    from .trajectory import _hitting_paths, estimate_hitting
 
     walk = load_walk(args)
     rho = parse_rho(args.rho, walk.dim(args.src))
@@ -386,13 +386,10 @@ def _cmd_simulate(args) -> int:
                            n_traj=args.n_traj, horizon=args.horizon, seed=args.seed)
     if args.dump:
         with open(args.dump, "w") as fh:
-            for k in range(args.n_traj):
-                rec = sample_trajectory(
-                    walk, args.src, rho, args.horizon, stop={"hit": args.dst},
-                    rng=trajectory_rng(args.seed, k), record_states=False)
-                fh.write(json.dumps({
-                    "sites": rec.sites, "stop_reason": rec.stop_reason,
-                    "stopping_index": rec.stopping_index}) + "\n")
+            for sites, reason, index in _hitting_paths(walk, args.src, rho, args.dst,
+                                                       args.n_traj, args.horizon, args.seed):
+                fh.write(json.dumps({"sites": sites, "stop_reason": reason,
+                                     "stopping_index": index}) + "\n")
     payload = {
         "p_hit_by_horizon": est["p_hit_by_horizon"].estimate,
         "p_standard_error": est["p_hit_by_horizon"].standard_error,

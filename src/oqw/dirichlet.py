@@ -4,10 +4,10 @@ The domain problem ``(Id - dual step)(Z) = A on D, Z = B on the boundary``
 is one block system: with ``K_DD`` the one-step map inside ``D`` and
 ``K_{bnd,D}`` the step from ``D`` onto its boundary,
 ``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, solved once and
-certified convergent by the same solve.  A domain that fails the
-certificate traps mass in an invariant part T that never exits; the solve
-then runs on the compression to the complement of T (see
-``hitting._domain_solve``), and interior data on a site with a trapped
+certified convergent by the same solve: ``hitting.DomainBlocks.solve`` on
+the domain's blocks.  A domain that fails the certificate traps mass in an
+invariant part T that never exits; the solve then runs on the compression
+to the complement of T, and interior data on a site with a trapped
 direction is reported as a divergent visit operator.  The whole-space
 problem is the same solve with every site in the domain and no boundary.
 Under detailed balance the problem is also solved variationally, as the
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import DomainSolve, _domain_blocks, _domain_solve
+from .hitting import DomainSolve, _domain_blocks
 from .hitting import boundary as domain_boundary
 from .linalg import COMPLEX, herm, psd_sqrt
 from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
@@ -34,8 +34,8 @@ from .walk import (
     _site_id,
     doubly_stochastic_defect,
     dual_apply,
-    identity_observable,
     is_doubly_stochastic,
+    validate_walk,
 )
 
 FAITHFUL_TOL = 1e-12  # a reference block is faithful when its smallest eigenvalue exceeds this
@@ -127,7 +127,7 @@ def _dual_block_solve(walk: WalkSpec, domain, bnd, a: DiagonalObservable,
     ``a`` vanishes on every trapped site."""
     blocks = _domain_blocks(walk, domain, bnd)
     rhs = blocks.inner.pack(a) + blocks.K_out.conj().T @ blocks.outer.pack(b)
-    solve = _domain_solve(blocks.A, rhs[:, None], blocks.inner.dims(walk), dual=True)
+    solve = blocks.solve(rhs[:, None], dual=True)
     return ({s: herm(blk) for s, blk in blocks.inner.unpack(walk, solve.x[:, 0]).items()},
             solve)
 
@@ -156,14 +156,10 @@ def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSo
     blocks, solve = _dual_block_solve(walk, walk.sites, (), a, DiagonalObservable({}))
     _reject_trapped_data(walk, a, solve, "walk is recurrent at site {site!r}; the global "
                          "Dirichlet problem is unsupported")
-    # Traceless gauge: valid only when the identity is harmonic (stochastic
-    # family); on substochastic truncations the solution is rigid.
-    stepped_id = dual_apply(walk, identity_observable(walk))
-    id_harmonic = all(
-        float(np.abs(stepped_id.block(s, walk.dims[s])
-                     - np.eye(walk.dims[s])).max(initial=0.0)) <= 1e-9
-        for s in walk.sites)
-    if id_harmonic:
+    # Traceless gauge: valid only when the identity is harmonic, i.e. the
+    # family is stochastic to the walk's tolerance; on substochastic
+    # truncations the solution is rigid.
+    if validate_walk(walk).accepted:
         tr = sum(float(np.trace(b).real) for b in blocks.values())
         shift = tr / walk.total_dim
         blocks = {s: b - shift * np.eye(walk.dims[s], dtype=COMPLEX)
@@ -269,21 +265,20 @@ class VariationalSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def variational_solve(walk: WalkSpec, tau: DiagonalState, problem: DirichletProblem,
-                      check_balance: bool = True) -> VariationalSolution:
+def variational_solve(walk: WalkSpec, tau: DiagonalState,
+                      problem: DirichletProblem) -> VariationalSolution:
     """Solve the domain problem as the minimizer of the energy functional.
 
     Solves the stationarity system ``form(T, X) = <T, A - C>`` over Hermitian
     observables supported on the domain, where ``C = (Id - dual step)(B)``.
-    Requires detailed balance (checked unless disabled) and coercivity of the
-    form on the domain.
+    Requires detailed balance (checked) and coercivity of the form on the
+    domain.
     """
-    if check_balance:
-        rep = check_detailed_balance(walk, tau)
-        if not rep.selfadjoint_within_tol:
-            raise InputError(
-                "detailed balance fails (selfadjointness residual "
-                f"{rep.selfadjoint_residual:.3e}); the variational method does not apply")
+    rep = check_detailed_balance(walk, tau)
+    if not rep.selfadjoint_within_tol:
+        raise InputError(
+            "detailed balance fails (selfadjointness residual "
+            f"{rep.selfadjoint_residual:.3e}); the variational method does not apply")
     D = problem.domain
     bnd = domain_boundary(walk, D)
     a, b = problem.interior_data, problem.boundary_data

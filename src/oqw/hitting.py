@@ -14,27 +14,30 @@ sites that cannot be reached from ``i`` or cannot reach ``j`` contribute
 nothing and are dropped before the solve; that keeps the resolvent
 nonsingular whenever the retained series converges.
 
-Every series ``sum_n S^n`` here (a capture series, the return map behind
-expected visits, the one-step map ``K_DD`` inside a finite domain) is summed
-by one certified solve, :func:`_domain_solve`.  Next to its right-hand side
-the solve takes ``vec(Id)`` on every block, and a Hermitian solution
-``Y >= Id`` certifies ``r(S) <= 1 - 1/lmax(Y)`` because ``S`` is a positive
-map.  When that bound is not below ``1 - DIVERGENCE_TOL`` the series may trap
-mass: its trapped part T, the support of the Cesaro fixed point of
-``vec(Id)`` under ``S``, is checked to be invariant and exit-free, and the
-solve runs again, certified, on the compression of ``S`` off T.  Nothing
-that leaves the series (a capture, an exit) starts in T, so the compressed
-solve is exact for it.  Diagnostics name the ``method`` (``"solve"``,
-``"compressed"`` or ``"passage_deficit"``), the ``radius_bound``, its
-``radius_source`` (``"certificate"``) and the solve's relative ``residual``.
+A capture series and a finite domain are one :class:`DomainBlocks` system:
+``Id - S`` on a set of sites and its exit block.  Every series ``sum_n S^n``
+here (these and the return map behind expected visits) is summed by one
+certified solve.  Next to its right-hand side the solve takes ``vec(Id)``
+on every block, and a Hermitian solution ``Y >= Id`` certifies
+``r(S) <= 1 - 1/lmax(Y)`` because ``S`` is a positive map.  When that bound
+is not below ``1 - DIVERGENCE_TOL`` the series may trap mass: its trapped
+part T, the support of the Cesaro fixed point of ``vec(Id)`` under ``S``,
+is checked to be invariant and exit-free, and the solve runs again,
+certified, on the compression of ``S`` off T.  Nothing that leaves the
+series (a capture, an exit) starts in T, so the compressed solve is exact
+for it; the projection that finds T also gives the Cesaro limit of the
+right-hand side, the mass that stays trapped.  Diagnostics name the
+``method`` (``"solve"``, ``"compressed"`` or ``"passage_deficit"``), the
+``radius_bound``, its ``radius_source`` (``"certificate"``) and the solve's
+relative ``residual``.
 
 Infinity is a first-class value: expectations return ``math.inf`` together
 with diagnostics, never an exception, when the underlying series diverges.
 An expected visit count is infinite exactly when the Cesaro projection of
 the first-passage state under the return map keeps trace mass.
 
-Finite domains (exit states, harmonic measure, visits before exit and the
-Dirichlet problems built on them) make the same solve with ``K_DD``.
+Finite domains (exit states, harmonic measure, visits before exit) share
+one entry that checks their input before the solve with ``K_DD``.
 :func:`domain_operator` keeps the per-pair taboo series as public API.
 """
 
@@ -93,35 +96,70 @@ def _backward_reachable(walk: WalkSpec, targets, allowed) -> set:
 
 
 @dataclass
-class CaptureSeries:
-    """Matrices of the taboo-path decomposition for one (i, j, taboo) triple.
+class DomainBlocks:
+    """The system behind every capture series and finite domain: ``A = Id - S``
+    for the walk's one-step map ``S = K_DD`` inside a set of sites ``D``
+    (dense below ``SPARSE_MIN_UNKNOWNS`` unknowns, CSC from there on) and the
+    step ``K_out`` from ``D`` onto the ``outer`` sites, in walk site order.
 
-    Only ``A = Id - S`` is stored (dense or CSC, see :func:`_id_minus_step`);
-    ``S`` is rebuilt from the walk's cached Kraus blocks when read.
-    :attr:`solved` is the certified solve of ``(Id - S) R = E``, made on first read.
+    ``S`` is rebuilt from the walk's cached Kraus blocks when read, and
+    :meth:`solve` is the certified solve of ``(Id - S) x = rhs``.
     """
 
     walk: WalkSpec
-    source: Site
-    target: Site
-    taboo: frozenset
-    interior: tuple[Site, ...]
-    direct: np.ndarray | None   # L[j, i], None if absent
-    A: object                   # Id - S, interior -> interior (ndarray or CSC)
-    E: np.ndarray               # {i} -> interior
-    C: np.ndarray               # interior -> {j}
+    inner: BlockIndex
+    outer: BlockIndex
+    A: object           # Id - S, inner -> inner (ndarray or CSC)
+    K_out: np.ndarray   # inner -> outer
 
     @property
     def S(self):
-        """One-step map on the interior, dense or CSC as ``A`` is (fresh on every read)."""
-        idx = BlockIndex.build(self.walk, self.interior)
-        return block_matrix(self.walk, idx, idx, sparse=not isinstance(self.A, np.ndarray))
+        """One-step map on the inner sites, dense or CSC as ``A`` is (fresh on every read)."""
+        return block_matrix(self.walk, self.inner, self.inner,
+                            sparse=not isinstance(self.A, np.ndarray))
+
+    def solve(self, rhs: np.ndarray, dual: bool = False) -> DomainSolve:
+        """:func:`_domain_solve` of ``A x = rhs`` (``dual``: ``A^dag x = rhs``)."""
+        return _domain_solve(self.A, rhs, self.inner.dims(self.walk), dual)
+
+
+def _domain_blocks(walk: WalkSpec, sites, outer) -> DomainBlocks:
+    """The one builder: the system on ``sites`` (site ids) with its exit block onto ``outer``."""
+    D = set(sites)
+    inner = BlockIndex.build(walk, [s for s in walk.sites if s in D])
+    outer = BlockIndex.build(walk, outer)
+    S = block_matrix(walk, inner, inner, sparse=inner.total >= SPARSE_MIN_UNKNOWNS)
+    return DomainBlocks(walk, inner, outer, _eye(S) - S, block_matrix(walk, outer, inner))
+
+
+@dataclass
+class CaptureSeries(DomainBlocks):
+    """The taboo-path decomposition for one (i, j, taboo) triple: the system
+    on the pruned interior, whose exit block onto ``(j,)`` is the capture
+    step ``C``, with the entry step ``E`` out of ``i`` and the direct block.
+    :attr:`solved` is the certified solve of ``(Id - S) R = E``, made on first read.
+    """
+
+    source: Site
+    target: Site
+    taboo: frozenset
+    direct: np.ndarray | None   # L[j, i], None if absent
+    E: np.ndarray               # {i} -> interior
+
+    @property
+    def interior(self) -> tuple[Site, ...]:
+        return self.inner.sites
+
+    @property
+    def C(self) -> np.ndarray:
+        """Capture step, interior -> {j}."""
+        return self.K_out
 
     @cached_property
     def solved(self) -> DomainSolve:
-        """The resolvent ``(Id - S)^{-1} E`` from :func:`_domain_solve`;
-        :class:`NumericalError` when no solve is certified."""
-        return _domain_solve(self.A, self.E, {s: self.walk.dims[s] for s in self.interior})
+        """The resolvent ``(Id - S)^{-1} E``; :class:`NumericalError` when no
+        solve is certified."""
+        return self.solve(self.E)
 
     @property
     def diagnostics(self) -> dict:
@@ -130,9 +168,7 @@ class CaptureSeries:
     def matrix(self, alpha: float = 1.0) -> np.ndarray:
         """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2."""
         walk = self.walk
-        dj2 = walk.dims[self.target] ** 2
-        di2 = walk.dims[self.source] ** 2
-        m = np.zeros((dj2, di2), dtype=COMPLEX)
+        m = np.zeros((walk.dims[self.target] ** 2, walk.dims[self.source] ** 2), dtype=COMPLEX)
         if self.direct is not None:
             m += alpha * walk.kraus(self.target, self.source)
         if self.A.shape[0]:
@@ -147,9 +183,8 @@ class CaptureSeries:
     def length_terms(self, max_len: int) -> list[np.ndarray]:
         """Per-length vec-matrices of the path sum, lengths 1..max_len."""
         walk = self.walk
-        dj2 = walk.dims[self.target] ** 2
-        di2 = walk.dims[self.source] ** 2
-        terms = [np.zeros((dj2, di2), dtype=COMPLEX) for _ in range(max_len)]
+        shape = (walk.dims[self.target] ** 2, walk.dims[self.source] ** 2)
+        terms = [np.zeros(shape, dtype=COMPLEX) for _ in range(max_len)]
         if self.direct is not None:
             terms[0] = walk.kraus(self.target, self.source).copy()
         if self.A.shape[0]:
@@ -176,14 +211,10 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
     allowed = [s for s in walk.sites if s not in taboo and s != j]
     reach = _reachable(walk._succ[i], walk._succ, allowed)
     coreach = _backward_reachable(walk, [j], allowed)
-    interior = tuple(s for s in allowed if s in reach and s in coreach)
-
-    idx = BlockIndex.build(walk, interior)
+    blocks = _domain_blocks(walk, reach & coreach, (j,))
     return CaptureSeries(
-        walk=walk, source=i, target=j, taboo=taboo, interior=interior,
-        direct=walk.transitions.get((j, i)), A=_id_minus_step(walk, idx),
-        E=block_matrix(walk, idx, BlockIndex.build(walk, (i,))),
-        C=block_matrix(walk, BlockIndex.build(walk, (j,)), idx))
+        **vars(blocks), source=i, target=j, taboo=taboo, direct=walk.transitions.get((j, i)),
+        E=block_matrix(walk, blocks.inner, BlockIndex.build(walk, (i,))))
 
 
 def _eye(A):
@@ -192,17 +223,6 @@ def _eye(A):
         return np.eye(A.shape[0], dtype=COMPLEX)
     from scipy.sparse import identity
     return identity(A.shape[0], dtype=COMPLEX, format="csc")
-
-
-def _id_minus_step(walk: WalkSpec, idx: BlockIndex):
-    """``Id - S`` for the walk's one-step map S on ``idx``: dense below
-    ``SPARSE_MIN_UNKNOWNS`` unknowns, CSC from there on."""
-    S = block_matrix(walk, idx, idx, sparse=idx.total >= SPARSE_MIN_UNKNOWNS)
-    return _eye(S) - S
-
-
-def _dense(A) -> np.ndarray:
-    return A if isinstance(A, np.ndarray) else A.toarray()
 
 
 def _factor(A) -> Callable[[np.ndarray], np.ndarray]:
@@ -286,6 +306,8 @@ class DomainSolve:
     the compression off the trapped part; ``trapped`` names the blocks where
     that part is nonzero.  Bound and residual are the certifying solve's, and
     ``factor`` (with ``lift``, when compressed) is its kept ``b -> A^{-1} b``.
+    ``cesaro`` (when compressed) is the Cesaro limit of ``rhs`` under ``S``,
+    the mass that stays trapped, from the projection that found that part.
     """
 
     x: np.ndarray
@@ -295,6 +317,7 @@ class DomainSolve:
     residual: float
     factor: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     lift: np.ndarray | None = field(default=None, repr=False)
+    cesaro: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def diagnostics(self) -> dict:
@@ -335,7 +358,7 @@ def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainS
     X, bound, residual, solve = _certify(system, rhs, dims)
     if bound < 1.0 - DIVERGENCE_TOL:
         return DomainSolve(X, "block_solve", (), bound, residual, solve)
-    free, trap = _trapped_split(A, dims)
+    free, trap, cesaro = _trapped_split(A, dims, rhs)
     trapped = tuple(s for s, w in trap.items() if w.shape[1])
     if not trapped:
         if bound < 1.0:
@@ -358,21 +381,24 @@ def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainS
             "the series is not certified convergent, not even off its trapped part",
             {"radius_bound": bound, "compressed_radius_bound": bound_c,
              "trapped_sites": list(trapped)})
-    return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual, solve, lift)
+    return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual, solve, lift, cesaro)
 
 
-def _trapped_split(A: np.ndarray, dims: dict) -> tuple[dict, dict]:
+def _trapped_split(A, dims: dict, rhs: np.ndarray) -> tuple[dict, dict, np.ndarray]:
     """Per-block orthonormal bases of the complement of T and of T, the
-    support of the Cesaro fixed point of ``vec(Id)`` under ``S = Id - A``."""
-    fixed, _ = fixed_point_projection(_dense(_eye(A) - A), _trace_vector(dims))
+    support of the Cesaro fixed point of ``vec(Id)`` under ``S = Id - A``,
+    and the Cesaro limit of ``rhs``: one projection of ``[vec(Id) | rhs]``."""
+    S = _eye(A) - A
+    fixed, _ = fixed_point_projection(S if isinstance(S, np.ndarray) else S.toarray(),
+                                      np.column_stack([_trace_vector(dims), rhs]))
     eig, off = {}, 0
     for s, d in dims.items():
-        eig[s] = np.linalg.eigh(herm(unvec(fixed[off:off + d * d], d)))
+        eig[s] = np.linalg.eigh(herm(unvec(fixed[off:off + d * d, 0], d)))
         off += d * d
     top = max(0.0, *(float(w.max()) for w, _ in eig.values()))
     cut = {s: w <= RANK_TOL * top for s, (w, _) in eig.items()}
     return ({s: v[:, cut[s]] for s, (_, v) in eig.items()},
-            {s: v[:, ~cut[s]] for s, (_, v) in eig.items()})
+            {s: v[:, ~cut[s]] for s, (_, v) in eig.items()}, fixed[:, 1:])
 
 
 def _lift(bases: dict) -> np.ndarray:
@@ -520,8 +546,7 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], {j: walk.dims[j]})
     diag = solve.diagnostics
     if solve.method == "compressed":
-        fixed, _ = fixed_point_projection(P, vec(sigma))
-        mass = float(np.trace(unvec(fixed, walk.dims[j])).real)
+        mass = float(np.trace(unvec(solve.cesaro[:, 0], walk.dims[j])).real)
         if mass > 1e-10 * tr_sigma:
             return ExpectationResult(math.inf, {**diag, "cesaro_mass": mass})
     tvec = vec(np.eye(walk.dims[j], dtype=COMPLEX))
@@ -558,6 +583,7 @@ def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
 def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
     """Expected internal state at the first visit to j, given it happens."""
     rho = np.asarray(rho, dtype=COMPLEX)
+    check_state(walk, DiagonalState({_site_id(i): rho}))
     op = taboo_operator(walk, i, j)
     out = op.apply(rho)
     t = float(np.trace(out).real)
@@ -570,19 +596,19 @@ def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
 # finite domains
 
 
-def boundary(walk: WalkSpec, domain) -> tuple[Site, ...]:
-    """Sites outside the domain receiving a nonzero transition from it."""
+def _domain_sites(walk: WalkSpec, domain) -> set:
     D = {_site_id(s) for s in domain}
     unknown = D - set(walk.sites)
     if unknown:
         raise InputError(f"domain has unknown sites {sorted(unknown)}")
-    out = []
-    for s in walk.sites:
-        if s in D:
-            continue
-        if any(_nonzero(walk, s, j) for j in D):
-            out.append(s)
-    return tuple(out)
+    return D
+
+
+def boundary(walk: WalkSpec, domain) -> tuple[Site, ...]:
+    """Sites outside the domain receiving a nonzero transition from it."""
+    D = _domain_sites(walk, domain)
+    return tuple(s for s in walk.sites
+                 if s not in D and any(_nonzero(walk, s, j) for j in D))
 
 
 def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
@@ -592,68 +618,53 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
     interior target it captures {t_j <= t_boundary} (the first visit to j
     before leaving the domain).
     """
-    D = {_site_id(s) for s in domain}
+    D = _domain_sites(walk, domain)
     if _site_id(i) not in D:
         raise InputError(f"start site {i!r} is not in the domain")
     taboo = [s for s in walk.sites if s not in D]
     return taboo_operator(walk, i, j, taboo=taboo)
 
 
-@dataclass
-class DomainBlocks:
-    """The one-step map inside a domain ``D`` (``A = Id - K_DD``) and from it
-    onto its boundary (``K_out = K_{bnd,D}``), indexed in walk site order."""
-
-    inner: BlockIndex
-    outer: BlockIndex
-    A: object           # ndarray or CSC, see _id_minus_step
-    K_out: np.ndarray
-
-
-def _domain_blocks(walk: WalkSpec, domain, bnd) -> DomainBlocks:
-    D = {_site_id(s) for s in domain}
-    inner = BlockIndex.build(walk, [s for s in walk.sites if s in D])
-    outer = BlockIndex.build(walk, bnd)
-    return DomainBlocks(inner, outer, _id_minus_step(walk, inner),
-                        block_matrix(walk, outer, inner))
-
-
-def _forward_solve(walk: WalkSpec, domain, bnd, i,
-                   rho: np.ndarray) -> tuple[DomainBlocks, np.ndarray, DomainSolve]:
-    """The domain's blocks, the start vector (rho at i) and the solve of the
-    occupation ``sum_n K_DD^n`` of the start vector."""
-    i = _site_id(i)
-    if i not in {_site_id(s) for s in domain}:
+def _domain_query(walk: WalkSpec, domain, i, rho,
+                  target: Site | None = None) -> tuple[DomainBlocks, DomainSolve]:
+    """The one entry of the domain queries.  Checks the state ``rho`` at
+    ``i``, the domain's sites, that the domain has a boundary (an exit
+    query) or that it holds ``target`` (a visit count), and that ``i`` lies
+    in it; then solves the occupation ``sum_n K_DD^n`` of rho at i on the
+    domain's blocks, whose ``K_out`` maps onto the boundary."""
+    i, rho = _site_id(i), np.asarray(rho, dtype=COMPLEX)
+    check_state(walk, DiagonalState({i: rho}))
+    D = _domain_sites(walk, domain)
+    bnd = ()
+    if target is None:
+        bnd = boundary(walk, D)
+        if not bnd:
+            raise InputError("domain has empty boundary")
+    elif target not in D:
+        raise InputError(f"target {target!r} must lie inside the domain")
+    if i not in D:
         raise InputError(f"start site {i!r} is not in the domain")
-    blocks = _domain_blocks(walk, domain, bnd)
+    blocks = _domain_blocks(walk, D, bnd)
     rhs = np.zeros((blocks.inner.total, 1), dtype=COMPLEX)
     lo, hi = blocks.inner.offsets[i]
     rhs[lo:hi, 0] = vec(rho)
-    return blocks, rhs, _domain_solve(blocks.A, rhs, blocks.inner.dims(walk))
+    return blocks, blocks.solve(rhs)
 
 
-def _exit_states(walk: WalkSpec, domain, bnd, i, rho: np.ndarray) -> dict[Site, np.ndarray]:
+def _exit_states(walk: WalkSpec, domain, i, rho) -> dict[Site, np.ndarray]:
     """Unnormalized state at the exit through each boundary site, from (i, rho).
 
     One certified solve gives ``K_{bnd,D} (Id - K_DD)^{-1}`` applied to rho
     at i for every boundary site at once; trapped mass never exits, so the
     compressed solve of a trapping domain gives the same exit states.
     """
-    blocks, _, solve = _forward_solve(walk, domain, bnd, i, rho)
+    blocks, solve = _domain_query(walk, domain, i, rho)
     return blocks.outer.unpack(walk, blocks.K_out @ solve.x[:, 0])
 
 
 def exit_probability(walk: WalkSpec, domain, i, rho) -> float:
     """Probability of ever leaving the domain through its boundary."""
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, DiagonalState({_site_id(i): rho}))
-    bnd = boundary(walk, domain)
-    if not bnd:
-        raise InputError("domain has empty boundary")
-    states = _exit_states(walk, domain, bnd, i, rho)
-    total = 0.0
-    for j in bnd:
-        total += float(np.trace(states[j]).real)
+    total = sum(float(np.trace(out).real) for out in _exit_states(walk, domain, i, rho).values())
     if total > 1.0 + 1e-6:
         raise NumericalError(f"exit probability {total} exceeds 1")
     return min(1.0, max(0.0, total))
@@ -678,23 +689,14 @@ def harmonic_measure(walk: WalkSpec, domain, i, rho) -> HarmonicMeasure:
     ``masses[j]`` is the probability of exiting through boundary site j;
     for irreducible walks the masses sum to 1.
     """
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, DiagonalState({_site_id(i): rho}))
-    bnd = boundary(walk, domain)
-    if not bnd:
-        raise InputError("domain has empty boundary")
-    states = _exit_states(walk, domain, bnd, i, rho)
-    masses = {}
-    cond = {}
-    for j in bnd:
-        out = states[j]
+    masses, cond = {}, {}
+    for j, out in _exit_states(walk, domain, i, rho).items():
         t = float(np.trace(out).real)
         masses[j] = max(0.0, t)
         if t > 1e-12:
             cond[j] = herm(out / t)
-    total = sum(masses.values())
     return HarmonicMeasure(start=_site_id(i), masses=masses,
-                           conditional_states=cond, total_mass=total)
+                           conditional_states=cond, total_mass=sum(masses.values()))
 
 
 def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
@@ -703,18 +705,14 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     From the occupation ``x = sum_{n >= 0} K_DD^n (rho at i)`` of one forward
     solve the count is ``tr x_j - delta_ij tr rho``.  The count is infinite,
     and :class:`NumericalError` is raised, exactly when the Cesaro fixed point
-    of the start state has mass at j.
+    of the start state, read from the same solve, has mass at j.
     """
-    rho = np.asarray(rho, dtype=COMPLEX)
     j = _site_id(j)
-    if j not in {_site_id(s) for s in domain}:
-        raise InputError(f"target {j!r} must lie inside the domain")
-    blocks, rhs, solve = _forward_solve(walk, domain, (), i, rho)
+    blocks, solve = _domain_query(walk, domain, i, rho, target=j)
     lo, hi = blocks.inner.offsets[j]
-    tr_rho = float(np.trace(rho).real)
+    tr_rho = float(np.trace(np.asarray(rho, dtype=COMPLEX)).real)
     if solve.method == "compressed":
-        fixed, _ = fixed_point_projection(_dense(_eye(blocks.A) - blocks.A), rhs[:, 0])
-        mass = float(np.trace(unvec(fixed[lo:hi], walk.dims[j])).real)
+        mass = float(np.trace(unvec(solve.cesaro[lo:hi, 0], walk.dims[j])).real)
         if mass > 1e-10 * tr_rho:
             raise NumericalError(
                 "domain visit count diverges: the start state leaves mass trapped "

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError
 from .fixtures import _line_window
 from .linalg import COMPLEX
-from .walk import DEFAULT_TOLERANCE, DiagonalObservable, DiagonalState, WalkSpec
+from .walk import DEFAULT_TOLERANCE, DiagonalObservable, WalkSpec
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -79,10 +79,6 @@ def walk_digest(walk: WalkSpec) -> str:
     """Content hash of the normalized spec, for provenance in outputs."""
     payload = json.dumps(walk_to_json(walk), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def state_to_json(state: DiagonalState) -> dict:
-    return {s: matrix_to_json(b) for s, b in state.blocks.items()}
 
 
 def observable_to_json(obs: DiagonalObservable) -> dict:

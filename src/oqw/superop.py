@@ -194,8 +194,9 @@ def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     The state is the exact Cesaro limit of the iteration started from the
     maximally mixed state (spectral projection at eigenvalue 1), with its
     blocks projected back to the PSD cone and renormalized.  Returns
-    ``(None, 0)`` when no normalized positive fixed point exists, e.g. for
-    substochastic truncations.
+    ``(None, k)`` when no normalized positive fixed point exists: ``k = 0``
+    when nothing is fixed, as for substochastic truncations, and ``k`` the
+    fixed-space dimension when the projected fixed point has no trace.
     """
     full = assemble_superoperator(walk)
     idx = full.source_index

@@ -262,14 +262,20 @@ class _Ensemble:
 
 def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int,
                  track_visits: bool, kth_return: int | None = None,
-                 index_offset: int = 0):
+                 index_offset: int = 0, path: np.ndarray | None = None):
+    """Hitting, visit and k-th return times of an ensemble; ``path``, when
+    given, receives the site number of every trajectory after each step."""
     ens = _Ensemble(walk, i, rho, n_traj, seed, index_offset)
     j_idx = ens.site_index[_site_id(j)]
     hit_time = np.full(n_traj, np.inf)
     visit_count = np.zeros(n_traj, dtype=np.int64)
     kth_time = np.full(n_traj, np.inf)
+    if path is not None:
+        path[0] = ens.positions
     for n in range(1, horizon + 1):
         ens.step()
+        if path is not None:
+            path[n] = ens.positions
         at_target = ens.active & (ens.positions == j_idx)
         fresh = at_target & ~np.isfinite(hit_time)
         hit_time[fresh] = n
@@ -283,6 +289,24 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
         if (kth_return is not None or not track_visits) and not ens.active.any():
             break
     return hit_time, visit_count, kth_time, ens
+
+
+def _hitting_paths(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int,
+                   chunk: int = 4096):
+    """Per trajectory ``(sites, stop_reason, stopping_index)``, as
+    :func:`sample_trajectory` with ``stop={"hit": j}`` gives it on stream
+    ``(seed, k)``: the ensemble runs ``chunk`` trajectories at a time on the
+    same streams, holding one ``(horizon + 1) x chunk`` table of positions."""
+    if horizon < 1:
+        raise InputError("horizon must be >= 1")
+    names = np.array(walk.sites, dtype=object)
+    for start in range(0, n_traj, chunk):
+        path = np.zeros((horizon + 1, min(chunk, n_traj - start)), dtype=np.int64)
+        hit, _, _, _ = _run_hitting(walk, i, rho, j, path.shape[1], horizon, seed,
+                                    track_visits=False, index_offset=start, path=path)
+        for row, t in zip(names[path.T].tolist(), hit.tolist()):
+            reason, k = ("horizon", horizon) if math.isinf(t) else ("hit_target", int(t))
+            yield row[:k + 1], reason, k
 
 
 def estimate_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int,

@@ -288,6 +288,32 @@ def test_trap_visits_are_finite_off_the_trapped_mass(trap_walk):
         oqw.expected_domain_visits(trap_walk, ["0", "1"], "1", E1, "0")
 
 
+def test_trapped_domain_visits_project_once(trap_walk, monkeypatch):
+    # the trapped split and the Cesaro limit of the start state come from
+    # one projection
+    calls = []
+    project = hitting.fixed_point_projection
+    monkeypatch.setattr(hitting, "fixed_point_projection",
+                        lambda *args: calls.append(1) or project(*args))
+    assert oqw.expected_domain_visits(trap_walk, ["0", "1"], "1", E2, "0") == \
+        pytest.approx(1.0, abs=1e-14)
+    assert len(calls) == 1
+
+
+def test_domain_visits_check_their_inputs(branch_walk):
+    # the checks exit_probability and harmonic_measure make
+    with pytest.raises(oqw.InputError, match="not positive semidefinite"):
+        oqw.expected_domain_visits(branch_walk, ["1", "2"], "1", np.diag([2.0, -1.0]), "1")
+    with pytest.raises(oqw.InputError, match="unknown sites"):
+        oqw.expected_domain_visits(branch_walk, ["1", "2", "9"], "1", np.eye(2) / 2, "1")
+    with pytest.raises(oqw.InputError, match="unknown sites"):
+        oqw.domain_operator(branch_walk, ["1", "2", "9"], "1", "0")
+    with pytest.raises(oqw.InputError, match="not in the domain"):
+        oqw.expected_domain_visits(branch_walk, ["1", "2"], "3", np.eye(2) / 2, "1")
+    with pytest.raises(oqw.InputError, match="inside the domain"):
+        oqw.expected_domain_visits(branch_walk, ["1", "2"], "1", np.eye(2) / 2, "3")
+
+
 def test_compression_only_where_the_certificate_fails(walks, monkeypatch):
     calls = []
     project = hitting.fixed_point_projection

@@ -288,6 +288,24 @@ def test_simulate_command_with_dump(capsys, tmp_path):
     assert rec["sites"][0] == "0"
 
 
+def test_simulate_dump_comes_from_the_ensemble(capsys, tmp_path, monkeypatch):
+    from oqw import trajectory
+
+    dump = tmp_path / "traj.jsonl"
+    want = [trajectory.sample_trajectory(
+        example_three_site_trap(), "0", np.diag([0.7, 0.3]), 10, stop={"hit": "0"},
+        rng=trajectory.trajectory_rng(3, k), record_states=False) for k in range(40)]
+    monkeypatch.setattr(trajectory, "sample_trajectory", None)
+    code, _, _ = run_cli(capsys, "simulate", "--walk", "example-5.1",
+                         "--from", "0", "--to", "0", "--rho", "diag:0.7,0.3",
+                         "--seed", "3", "--n-traj", "40", "--horizon", "10",
+                         "--dump", str(dump))
+    assert code == 0
+    assert [json.loads(line) for line in dump.read_text().splitlines()] == [
+        {"sites": r.sites, "stop_reason": r.stop_reason, "stopping_index": r.stopping_index}
+        for r in want]
+
+
 def test_kac_command(capsys):
     code, out, _ = run_cli(capsys, "kac", "--walk", "cycle", "--N", "3", "--p", "1.0",
                            "--site", "0", "--n-traj", "20", "--k-max", "30")

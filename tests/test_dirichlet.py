@@ -115,6 +115,20 @@ def test_global_matches_green_function_column():
     assert sol.max_residual <= 1e-8
 
 
+def test_global_gauge_follows_the_walk_tolerance():
+    # a stochasticity defect of 2.5e-8 is accepted at tolerance 1e-6, so the
+    # identity counts as harmonic and the traceless representative is taken
+    ruin = fixtures.gamblers_ruin(5, tolerance=1e-6)
+    blocks = dict(ruin.transitions)
+    blocks[("2", "1")] = blocks[("2", "1")] * (1 + 2.5e-8)
+    walk = oqw.WalkSpec(ruin.sites, ruin.dims, blocks, tolerance=1e-6)
+    assert oqw.validate_walk(walk).accepted
+    sol = oqw.solve_dirichlet_global(walk, DiagonalObservable({"2": ONE}))
+    assert sol.uniqueness_note.startswith("unique up to a multiple of the identity")
+    assert sum(float(np.trace(b).real) for b in sol.solution.blocks.values()) == \
+        pytest.approx(0.0, abs=1e-12)
+
+
 def test_global_rejected_on_recurrent_walk(ring_walk):
     with pytest.raises(NumericalError, match="recurrent"):
         oqw.solve_dirichlet_global(ring_walk, DiagonalObservable({"0": np.eye(2)}))
@@ -339,15 +353,16 @@ def test_variational_matches_closed_form(ring_walk):
 
 
 def test_variational_matches_classical_path_problem():
-    walk = fixtures.gamblers_ruin(7, 0.5)
+    # the symmetric walk on 1..5 exiting at 0 or 6: on the 7-cycle, unlike
+    # the gambler's ruin with absorbing ends, the flat state satisfies
+    # detailed balance, so the variational method applies as checked
+    walk = fixtures.cycle_dilation(7, 0.5)
     sub = [str(k) for k in range(1, 6)]
-    tau = flat_state(walk)  # ruin walk is doubly stochastic classically? no:
-    # use the true invariant of the symmetric chain restricted... the walk
-    # has absorbing ends, so detailed balance is checked against a faithful
-    # flat reference instead; skip the balance check and verify the output.
+    tau = flat_state(walk)
     problem = oqw.DirichletProblem.build(
         walk, sub, None, DiagonalObservable({"6": ONE}))
-    var = oqw.variational_solve(walk, tau, problem, check_balance=False)
+    assert oqw.boundary(walk, sub) == ("0", "6")
+    var = oqw.variational_solve(walk, tau, problem)
     for i in range(1, 6):
         assert var.solution.blocks[str(i)][0, 0].real == \
             pytest.approx(i / 6, abs=1e-7)

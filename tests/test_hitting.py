@@ -195,6 +195,19 @@ def test_visits_build_the_return_series_once(trap_walk, monkeypatch, i, builds):
     assert calls[-1] == ("0", "0")
 
 
+def test_infinite_visits_project_once(trap_walk, monkeypatch):
+    # the trapped split and the Cesaro mass of the first-passage state come
+    # from one projection
+    from oqw import hitting
+
+    calls = []
+    project = hitting.fixed_point_projection
+    monkeypatch.setattr(hitting, "fixed_point_projection",
+                        lambda *args: calls.append(1) or project(*args))
+    assert math.isinf(oqw.expected_visits(trap_walk, "0", E1, "0").value)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # expected return times
 
@@ -276,6 +289,14 @@ def test_conditional_state_unit_trace(half_line_down):
 def test_conditional_state_undefined_at_zero_mass(trap_walk):
     with pytest.raises(InputError):
         oqw.conditional_state_at_hit(trap_walk, "0", E2, "0")
+
+
+def test_conditional_state_checks_the_state(branch_walk):
+    # checked as passage_probability checks it, before any series is built
+    with pytest.raises(InputError, match="not positive semidefinite"):
+        oqw.conditional_state_at_hit(branch_walk, "1", np.diag([2.0, -1.0]), "0")
+    with pytest.raises(InputError, match="wrong shape"):
+        oqw.conditional_state_at_hit(branch_walk, "1", np.eye(3) / 3, "0")
 
 
 # ---------------------------------------------------------------------------

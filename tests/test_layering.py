@@ -12,6 +12,8 @@ import oqw
 
 PACKAGE = Path(oqw.__file__).parent
 LOCAL_IMPORTS_ALLOWED = {"cli": None, "trajectory": {"philox"}}  # None: any module
+# the certified solve behind DomainBlocks.solve, private to hitting
+SOLVE_INTERNALS = {"_domain_solve", "_certify", "_trapped_split"}
 
 
 def _relative_targets(node: ast.ImportFrom) -> list[str]:
@@ -65,4 +67,21 @@ def test_no_function_local_relative_imports():
                     targets = set(_relative_targets(node))
                     if allowed is not None and not targets <= allowed:
                         offending.append(f"{name}.{fn.name} imports {sorted(targets)}")
+    assert not offending, offending
+
+
+def test_solve_internals_stay_in_hitting():
+    # every other module solves through hitting.DomainBlocks.solve
+    offending = []
+    for name, tree in _modules().items():
+        if name == "hitting":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                names = {alias.name for alias in node.names} & SOLVE_INTERNALS
+            elif isinstance(node, ast.Attribute) and node.attr in SOLVE_INTERNALS:
+                names = {node.attr}
+            else:
+                continue
+            offending += [f"{name} uses {n}" for n in sorted(names)]
     assert not offending, offending

@@ -302,6 +302,23 @@ def test_ensemble_follows_single_trajectory_paths(walk, start, target, horizon):
         assert paths[k] == rec.sites
 
 
+def test_hitting_paths_match_single_trajectories_across_chunks(branch_walk):
+    # the dump records: chunks of 7 on streams (seed, k) give the single
+    # sampler's record for every k, hits at the horizon included
+    from oqw.trajectory import _hitting_paths
+
+    n, horizon, seed = 30, 6, 12
+    got = list(_hitting_paths(branch_walk, "1", MIX, "0", n, horizon, seed, chunk=7))
+    assert len(got) == n
+    reasons = set()
+    for k, (sites, reason, index) in enumerate(got):
+        rec = oqw.sample_trajectory(branch_walk, "1", MIX, horizon, stop={"hit": "0"},
+                                    rng=trajectory_rng(seed, k), record_states=False)
+        assert (sites, reason, index) == (rec.sites, rec.stop_reason, rec.stopping_index)
+        reasons.add((reason, index == horizon))
+    assert {("hit_target", False), ("horizon", True)} <= reasons
+
+
 # Outputs of the per-site sampler with one numpy Generator per trajectory;
 # the gathered step and vectorized streams must reproduce them exactly.
 PINNED_HITTING = [
