@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Every subcommand loads a walk (builtin fixture name, JSON file path, or
-``-`` for stdin), runs one computation, and prints a JSON document (default)
-or an aligned table.  Exit codes: 0 success, 1 input error, 2 numerical
-error.
+Every subcommand runs through one pipeline: load the walk (builtin fixture
+name, JSON file path, or ``-`` for stdin), resolve the ``--from`` site and
+parse the ``--rho`` state where the subcommand takes them, run one
+computation, and print a JSON document (default) or an aligned table.  Exit
+codes: 0 success, 1 input error (reported as an ``error:`` line), 2
+numerical error.
 """
 
 from __future__ import annotations
@@ -17,88 +19,79 @@ import numpy as np
 from . import fixtures, hitting, serialize
 from .errors import InputError, NumericalError, OQWError
 from .linalg import COMPLEX
-from .walk import DEFAULT_TOLERANCE, DiagonalState, WalkSpec, check_state, validate_walk
+from .walk import (DEFAULT_TOLERANCE, DiagonalState, WalkSpec, _known_sites, check_state,
+                   validate_walk)
+
+
+def _read_json(path: str, what: str, obj: bool = True):
+    """The one reader of JSON inputs: the walk (``-``: stdin), ``--rho``, ``--problem``
+    and ``--observable`` files; ``obj``: the document must be a JSON object."""
+    try:
+        if path == "-" and what == "walk":
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    return _object(data, f"{what} {path!r}") if obj else data
+
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise InputError(f"{what} is not a JSON object")
+    return data
 
 
 def parse_rho(spec: str, dim: int) -> np.ndarray:
     """Parse a density-matrix argument.
 
     Grammar: ``diag:a,b,...`` | ``pure:v1,v2,...`` | ``mixed`` | file path.
-    The result is normalized to unit trace (with a warning on stderr when
-    that changes the input).
+    A pure vector is normalized; diagonal and file states are normalized to
+    unit trace (with a warning on stderr when that changes the input).
     """
     if spec == "mixed":
         return np.eye(dim, dtype=COMPLEX) / dim
-    if spec.startswith("diag:"):
-        vals = [float(x) for x in spec[5:].split(",")]
+    kind, _, entries = spec.partition(":")
+    if kind in ("diag", "pure"):
+        try:
+            vals = [float(x) if kind == "diag" else complex(x.replace("i", "j"))
+                    for x in entries.split(",")]
+        except ValueError as exc:
+            raise InputError(f"{kind} spec has a malformed entry: {exc}") from exc
         if len(vals) != dim:
-            raise InputError(f"diag spec has {len(vals)} entries, site dimension is {dim}")
+            raise InputError(f"{kind} spec has {len(vals)} entries, site dimension is {dim}")
+        if kind == "pure":
+            v = np.array(vals, dtype=COMPLEX)
+            norm = np.linalg.norm(v)
+            if norm == 0:
+                raise InputError("pure state vector must be nonzero")
+            v = v / norm
+            return np.outer(v, v.conj())
         if min(vals) < 0:
             raise InputError("diagonal entries must be nonnegative")
-        total = sum(vals)
-        if total <= 0:
-            raise InputError("state trace must be positive")
-        if abs(total - 1.0) > 1e-9:
-            print(f"warning: normalizing state trace {total} to 1", file=sys.stderr)
-        return np.diag([v / total for v in vals]).astype(COMPLEX)
-    if spec.startswith("pure:"):
-        parts = spec[5:].split(",")
-        vals = []
-        for x in parts:
-            if "j" in x or "i" in x:
-                vals.append(complex(x.replace("i", "j")))
-            else:
-                vals.append(complex(float(x)))
-        v = np.array(vals, dtype=COMPLEX)
-        if v.shape[0] != dim:
-            raise InputError(f"pure spec has {v.shape[0]} entries, site dimension is {dim}")
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise InputError("pure state vector must be nonzero")
-        v = v / norm
-        return np.outer(v, v.conj())
-    try:
-        with open(spec) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read state file {spec!r}: {exc}") from exc
-    rho = serialize.matrix_from_json(data)
-    if rho.shape != (dim, dim):
-        raise InputError(f"state file has shape {rho.shape}, expected ({dim}, {dim})")
+        rho = np.diag(vals)
+    else:
+        rho = serialize.matrix_from_json(_read_json(spec, "state file", obj=False))
+        if rho.shape != (dim, dim):
+            raise InputError(f"state file has shape {rho.shape}, expected ({dim}, {dim})")
     t = float(np.trace(rho).real)
     if t <= 0:
         raise InputError("state trace must be positive")
     if abs(t - 1.0) > 1e-9:
         print(f"warning: normalizing state trace {t} to 1", file=sys.stderr)
-    return rho / t
+    return (rho / t).astype(COMPLEX)
 
 
 def load_walk(args) -> WalkSpec:
-    name = args.walk
-    if name in fixtures.FIXTURE_PARAMS:
+    if args.walk in fixtures.FIXTURE_PARAMS:
         return fixtures.build_fixture(
-            name, p=args.p, p2=args.p2, N=args.N, dim=args.dim,
+            args.walk, p=args.p, p2=args.p2, N=args.N, dim=args.dim,
             seed=getattr(args, "fixture_seed", None), boundary=args.boundary,
             tolerance=args.tol)
-    if name == "-":
-        data = json.load(sys.stdin)
-    else:
-        try:
-            with open(name) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read walk {name!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"walk file {name!r} is not valid JSON: {exc}") from exc
-    return serialize.walk_from_json(data)
-
-
-def _emit(args, walk, payload, diagnostics=None) -> None:
-    doc = serialize.result_document(walk, payload, diagnostics)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, default=_json_default))
-    else:
-        _print_table(doc)
+    return serialize.walk_from_json(_read_json(args.walk, "walk"))
 
 
 def _json_default(x):
@@ -210,23 +203,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> int:
-    walk = load_walk(args)
+# Each subcommand maps (args, walk, rho) to (payload, diagnostics, exit code);
+# rho is the parsed --rho state at the --from site, None without one.
+
+
+def _cmd_validate(args, walk, rho):
     report = validate_walk(walk)
-    payload = {
+    return {
         "value": "accepted" if report.accepted else "rejected",
         "residuals": {s: float(r) for s, r in report.residuals.items()},
         "max_residual": report.max_residual,
-    }
-    _emit(args, walk, payload, {"tolerance": report.tolerance})
-    return 0 if report.accepted else 1
+    }, {"tolerance": report.tolerance}, 0 if report.accepted else 1
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args, walk, rho):
     from .dirichlet import check_detailed_balance
     from .structure import classify_recurrence, decompose, irreducibility
 
-    walk = load_walk(args)
     report = validate_walk(walk)
     deco = decompose(walk)
     irreducible, _, decision = irreducibility(walk, deco)
@@ -237,6 +230,7 @@ def _cmd_info(args) -> int:
         "irreducible": irreducible,
         "irreducible_decision": decision,
         "fixed_space_dim": deco.fixed_dim,
+        "invariant_site_masses": None,
     }
     if tau is not None:
         payload["invariant_site_masses"] = {
@@ -249,120 +243,92 @@ def _cmd_info(args) -> int:
             }
         except InputError:
             payload["detailed_balance"] = "invariant state not faithful"
-    else:
-        payload["invariant_site_masses"] = None
     if irreducible:
         verdict = classify_recurrence(walk, walk.sites[0], require_irreducible=False)
         payload["recurrence"] = serialize.verdict_to_json(verdict)
     else:
         payload["decomposition"] = serialize.decomposition_to_json(deco)
-    _emit(args, walk, payload)
-    return 0
+    return payload, None, 0
 
 
-def _cmd_hit(args) -> int:
-    walk = load_walk(args)
-    rho = parse_rho(args.rho, walk.dim(args.src))
+def _cmd_hit(args, walk, rho):
     check_state(walk, DiagonalState({args.src: rho}))
     op = hitting.taboo_operator(walk, args.src, args.dst)
-    _emit(args, walk, {"value": hitting._passage(op, rho)}, op.diagnostics)
-    return 0
+    return {"value": hitting._passage(op, rho)}, op.diagnostics, 0
 
 
-def _cmd_visits(args) -> int:
-    walk = load_walk(args)
-    rho = parse_rho(args.rho, walk.dim(args.src))
+def _cmd_visits(args, walk, rho):
     res = hitting.expected_visits(walk, args.src, rho, args.dst)
-    _emit(args, walk, {"value": res.value}, res.diagnostics)
-    return 0
+    return {"value": res.value}, res.diagnostics, 0
 
 
-def _cmd_return_time(args) -> int:
-    walk = load_walk(args)
-    rho = parse_rho(args.rho, walk.dim(args.src))
+def _cmd_return_time(args, walk, rho):
     res = hitting.expected_return_time(walk, args.src, rho, args.dst)
-    _emit(args, walk, {"value": res.value}, res.diagnostics)
-    return 0
+    return {"value": res.value}, res.diagnostics, 0
 
 
 def _split_domain(arg: str) -> list[str]:
     return [s.strip() for s in arg.split(",") if s.strip()]
 
 
-def _cmd_exit(args) -> int:
-    walk = load_walk(args)
-    rho = parse_rho(args.rho, walk.dim(args.src))
+def _cmd_exit(args, walk, rho):
     p = hitting.exit_probability(walk, _split_domain(args.domain), args.src, rho)
-    _emit(args, walk, {"value": p})
-    return 0
+    return {"value": p}, None, 0
 
 
-def _cmd_harmonic(args) -> int:
-    walk = load_walk(args)
-    rho = parse_rho(args.rho, walk.dim(args.src))
+def _cmd_harmonic(args, walk, rho):
     hm = hitting.harmonic_measure(walk, _split_domain(args.domain), args.src, rho)
-    payload = {
+    return {
         "measure": {s: m for s, m in hm.masses.items()},
         "total_mass": hm.total_mass,
         "conditional_states": {s: serialize.matrix_to_json(m)
                                for s, m in hm.conditional_states.items()},
-    }
-    _emit(args, walk, payload)
-    return 0
+    }, None, 0
 
 
-def _cmd_domain_visits(args) -> int:
-    walk = load_walk(args)
-    rho = parse_rho(args.rho, walk.dim(args.src))
+def _cmd_domain_visits(args, walk, rho):
     v = hitting.expected_domain_visits(walk, _split_domain(args.domain),
                                        args.src, rho, args.dst)
-    _emit(args, walk, {"value": v})
-    return 0
+    return {"value": v}, None, 0
 
 
-def _cmd_dirichlet(args) -> int:
+def _cmd_dirichlet(args, walk, rho):
     from .dirichlet import (DirichletProblem, solve_dirichlet_domain,
                             solve_dirichlet_global, variational_solve)
     from .superop import invariant_state
 
-    walk = load_walk(args)
-    with open(args.problem) as fh:
-        data = json.load(fh)
-    a = serialize.observable_from_json(data.get("A", {}))
+    data = _read_json(args.problem, "problem file")
+    a = serialize.observable_from_json(_object(data.get("A", {}), "problem data 'A'"))
     if args.method == "global":
         sol = solve_dirichlet_global(walk, a)
     else:
-        problem = DirichletProblem.build(
-            walk, data["domain"], a, serialize.observable_from_json(data.get("B", {})))
+        if not isinstance(data.get("domain"), list):
+            raise InputError(f"problem file {args.problem!r} has no \"domain\" list")
+        b = serialize.observable_from_json(_object(data.get("B", {}), "problem data 'B'"))
+        problem = DirichletProblem.build(walk, data["domain"], a, b)
         if args.method == "variational":
             tau, _ = invariant_state(walk)
             if tau is None:
                 raise InputError("variational method needs an invariant state")
-            sol = variational_solve(walk, tau, problem).__dict__
-            payload = {
-                "solution": serialize.observable_to_json(sol["solution"]),
-                "energy": sol["energy"],
-                "coercivity": sol["coercivity"],
-                "residuals": {s: float(r) for s, r in sol["residuals"].items()},
-            }
-            _emit(args, walk, payload, sol["diagnostics"])
-            return 0
+            var = variational_solve(walk, tau, problem)
+            return {
+                "solution": serialize.observable_to_json(var.solution),
+                "energy": var.energy,
+                "coercivity": var.coercivity,
+                "residuals": {s: float(r) for s, r in var.residuals.items()},
+            }, var.diagnostics, 0
         sol = solve_dirichlet_domain(walk, problem)
-    payload = {
+    return {
         "solution": serialize.observable_to_json(sol.solution),
         "residuals": {s: float(r) for s, r in sol.residuals.items()},
         "uniqueness": sol.uniqueness_note,
-    }
-    _emit(args, walk, payload, {"method": sol.method})
-    return 0
+    }, {"method": sol.method}, 0
 
 
-def _cmd_dform(args) -> int:
+def _cmd_dform(args, walk, rho):
     from .dirichlet import dirichlet_energy, flat_state, gradient_form
 
-    walk = load_walk(args)
-    with open(args.observable) as fh:
-        obs = serialize.observable_from_json(json.load(fh))
+    obs = serialize.observable_from_json(_read_json(args.observable, "observable file"))
     payload: dict = {}
     try:
         grad = gradient_form(walk, obs)
@@ -371,17 +337,14 @@ def _cmd_dform(args) -> int:
             f"{to}<-{fr}": serialize.matrix_to_json(g)
             for (to, fr), g in grad.blocks.items()}
     except InputError:
-        grad = None
+        pass
     payload["energy"] = dirichlet_energy(walk, flat_state(walk), obs)
-    _emit(args, walk, payload)
-    return 0
+    return payload, None, 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, walk, rho):
     from .trajectory import _hitting_paths, estimate_hitting
 
-    walk = load_walk(args)
-    rho = parse_rho(args.rho, walk.dim(args.src))
     est = estimate_hitting(walk, args.src, rho, args.dst,
                            n_traj=args.n_traj, horizon=args.horizon, seed=args.seed)
     if args.dump:
@@ -390,62 +353,32 @@ def _cmd_simulate(args) -> int:
                                                        args.n_traj, args.horizon, args.seed):
                 fh.write(json.dumps({"sites": sites, "stop_reason": reason,
                                      "stopping_index": index}) + "\n")
-    payload = {
+    return {
         "p_hit_by_horizon": est["p_hit_by_horizon"].estimate,
         "p_standard_error": est["p_hit_by_horizon"].standard_error,
         "censored_expected_time": est["censored_expected_time"].estimate,
         "time_standard_error": est["censored_expected_time"].standard_error,
         "censored_expected_visits": est["censored_expected_visits"].estimate,
         "censored_fraction": est["censored_fraction"],
-    }
-    _emit(args, walk, payload, {"seed": args.seed, "n_traj": args.n_traj,
-                                "horizon": args.horizon})
-    return 0
+    }, {"seed": args.seed, "n_traj": args.n_traj, "horizon": args.horizon}, 0
 
 
-def _cmd_kac(args) -> int:
+def _cmd_kac(args, walk, rho):
     from .trajectory import estimate_kac
 
-    walk = load_walk(args)
     rep = estimate_kac(walk, args.site, n_traj=args.n_traj, k_max=args.k_max,
                        seed=args.seed)
-    payload = {
+    return {
         "empirical_return_ratio": rep.empirical.estimate,
         "standard_error": rep.empirical.standard_error,
         "analytic_target": rep.analytic_target,
         "within_three_sigma": rep.within_three_sigma,
         "n_censored": rep.n_censored,
         "restricted_to_enclosure": rep.restricted_to_enclosure,
-    }
-    _emit(args, walk, payload, rep.diagnostics)
-    return 0
+    }, rep.diagnostics, 0
 
 
-def _cmd_fixtures(args) -> int:
-    if args.fixtures_command == "list":
-        for name, params in sorted(fixtures.FIXTURE_PARAMS.items()):
-            extra = f"  (params: {', '.join(params)})" if params else ""
-            print(f"{name}{extra}")
-        return 0
-    walk = load_walk(args)
-    print(json.dumps(serialize.walk_to_json(walk), indent=2))
-    return 0
-
-
-def _cmd_acceptance(args) -> int:
-    from .acceptance import run_acceptance
-
-    results = run_acceptance(only=args.only)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failed += 0 if res.passed else 1
-        print(f"[{status}] {res.name}  ({res.elapsed:.2f}s)  {res.detail}")
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
-    return 0 if failed == 0 else 1
-
-
-_HANDLERS = {
+_COMMANDS = {
     "validate": _cmd_validate,
     "info": _cmd_info,
     "hit": _cmd_hit,
@@ -458,22 +391,54 @@ _HANDLERS = {
     "dform": _cmd_dform,
     "simulate": _cmd_simulate,
     "kac": _cmd_kac,
-    "fixtures": _cmd_fixtures,
-    "acceptance": _cmd_acceptance,
 }
 
 
+def _run_acceptance(only) -> int:
+    from .acceptance import run_acceptance
+
+    results = run_acceptance(only=only)
+    for res in results:
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}  ({res.elapsed:.2f}s)  "
+              f"{res.detail}")
+    passed = sum(res.passed for res in results)
+    print(f"{passed}/{len(results)} criteria passed")
+    return 0 if passed == len(results) else 1
+
+
+def _run(args) -> int:
+    """Load the walk, resolve the start site and parse the state, run the subcommand,
+    print its result document; ``acceptance`` and ``fixtures`` print none."""
+    if args.command == "acceptance":
+        return _run_acceptance(args.only)
+    if args.command == "fixtures" and args.fixtures_command == "list":
+        for name, params in sorted(fixtures.FIXTURE_PARAMS.items()):
+            print(name + (f"  (params: {', '.join(params)})" if params else ""))
+        return 0
+    walk = load_walk(args)
+    if args.command == "fixtures":
+        print(json.dumps(serialize.walk_to_json(walk), indent=2))
+        return 0
+    rho = None
+    if hasattr(args, "rho"):
+        src, = _known_sites(walk, [args.src])
+        rho = parse_rho(args.rho, walk.dims[src])
+    payload, diagnostics, code = _COMMANDS[args.command](args, walk, rho)
+    doc = serialize.result_document(walk, payload, diagnostics)
+    if args.format == "json":
+        print(json.dumps(doc, indent=2, default=_json_default))
+    else:
+        _print_table(doc)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _run(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         if exc.diagnostics:

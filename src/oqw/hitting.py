@@ -53,7 +53,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .linalg import COMPLEX, RANK_TOL, herm, is_psd, kraus_block, unvec, vec
 from .superop import BlockIndex, block_diagonal, block_matrix, fixed_point_projection
-from .walk import DiagonalState, Site, WalkSpec, _site_id, check_state
+from .walk import DiagonalState, Site, WalkSpec, _known_sites, _site_id, check_state
 
 # The library sums every series by the certified solve and reads no alpha
 # grid; the benchmark's workloads still read this name.
@@ -145,6 +145,7 @@ class CaptureSeries(DomainBlocks):
     taboo: frozenset
     direct: np.ndarray | None   # L[j, i], None if absent
     E: np.ndarray               # {i} -> interior
+    _alpha_solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def interior(self) -> tuple[Site, ...]:
@@ -165,6 +166,17 @@ class CaptureSeries(DomainBlocks):
     def diagnostics(self) -> dict:
         return self.solved.diagnostics
 
+    def _weighted(self, alpha: float) -> DomainSolve:
+        """The certified solve of ``(Id - alpha S) R = E``: :attr:`solved` at
+        ``alpha = 1``, else one solve kept per alpha."""
+        if alpha == 1.0:
+            return self.solved
+        if alpha not in self._alpha_solves:
+            # Id - alpha S = (1 - alpha) Id + alpha A
+            self._alpha_solves[alpha] = _domain_solve(
+                alpha * self.A + (1.0 - alpha) * _eye(self.A), self.E, self.inner.dims(self.walk))
+        return self._alpha_solves[alpha]
+
     def matrix(self, alpha: float = 1.0) -> np.ndarray:
         """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2."""
         walk = self.walk
@@ -172,12 +184,7 @@ class CaptureSeries(DomainBlocks):
         if self.direct is not None:
             m += alpha * walk.kraus(self.target, self.source)
         if self.A.shape[0]:
-            if alpha == 1.0:
-                resolvent = self.solved.x
-            else:
-                # Id - alpha S = (1 - alpha) Id + alpha A
-                resolvent = _factor(alpha * self.A + (1.0 - alpha) * _eye(self.A))(self.E)
-            m += (alpha ** 2) * (self.C @ resolvent)
+            m += (alpha ** 2) * (self.C @ self._weighted(alpha).x)
         return m
 
     def length_terms(self, max_len: int) -> list[np.ndarray]:
@@ -203,11 +210,8 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
     endpoints are unconstrained.  The series is summed, and its convergence
     certified, by one solve on first use (:attr:`CaptureSeries.solved`).
     """
-    i, j = _site_id(i), _site_id(j)
-    taboo = frozenset(_site_id(s) for s in taboo)
-    unknown = ({i, j} | taboo) - set(walk.sites)
-    if unknown:
-        raise InputError(f"unknown sites {sorted(unknown)}")
+    i, j, *taboo = _known_sites(walk, [i, j, *taboo])
+    taboo = frozenset(taboo)
     allowed = [s for s in walk.sites if s not in taboo and s != j]
     reach = _reachable(walk._succ[i], walk._succ, allowed)
     coreach = _backward_reachable(walk, [j], allowed)
@@ -442,16 +446,11 @@ class CPMapBlock:
         return herm(self.dual_apply(np.eye(self.target_dim, dtype=COMPLEX)))
 
     def choi(self) -> np.ndarray:
-        """Choi matrix (unnormalized) of the represented map."""
+        """Choi matrix (unnormalized) of the represented map: block (k, l) is
+        the image of ``|k><l|``, whose entry (a, b) is ``matrix[a + b dt, k + l ds]``."""
         ds, dt = self.source_dim, self.target_dim
-        c = np.zeros((ds * dt, ds * dt), dtype=COMPLEX)
-        for k in range(ds):
-            for l in range(ds):
-                e = np.zeros((ds, ds), dtype=COMPLEX)
-                e[k, l] = 1.0
-                c[np.ix_(range(k * dt, (k + 1) * dt), range(l * dt, (l + 1) * dt))] = \
-                    self.apply(e)
-        return c
+        blocks = np.asarray(self.matrix, dtype=COMPLEX).reshape(dt, dt, ds, ds)  # [b, a, l, k]
+        return blocks.transpose(3, 1, 2, 0).reshape(ds * dt, ds * dt)
 
     def is_completely_positive(self) -> bool:
         return is_psd(self.choi(), CP_TOL)
@@ -488,7 +487,7 @@ def alpha_operator(walk: WalkSpec, i, j, taboo=(), alpha: float = 0.5) -> CPMapB
         source=series.source, target=series.target,
         source_dim=walk.dims[series.source], target_dim=walk.dims[series.target],
         matrix=series.matrix(alpha), taboo=series.taboo, alpha=alpha,
-        diagnostics={"method": "solve"})
+        diagnostics=series._weighted(alpha).diagnostics)
 
 
 # ---------------------------------------------------------------------------

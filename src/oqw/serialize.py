@@ -28,7 +28,7 @@ def matrix_from_json(data) -> np.ndarray:
     try:
         return np.array([[complex(cell[0], cell[1]) for cell in row] for row in data],
                         dtype=COMPLEX)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:   # ValueError: ragged rows
         raise InputError(f"malformed matrix payload: {exc}") from exc
 
 
@@ -54,9 +54,10 @@ def walk_from_json(data: dict) -> WalkSpec:
             (str(entry["to"]), str(entry["from"])): matrix_from_json(entry["matrix"])
             for entry in data.get("transitions", [])
         }
-    except (KeyError, TypeError) as exc:
+        tolerance = float(data.get("tolerance", DEFAULT_TOLERANCE))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed walk document: {exc}") from exc
-    return WalkSpec(sites, dims, trans, float(data.get("tolerance", DEFAULT_TOLERANCE)))
+    return WalkSpec(sites, dims, trans, tolerance)
 
 
 def _expand_template(data: dict) -> WalkSpec:
@@ -66,13 +67,13 @@ def _expand_template(data: dict) -> WalkSpec:
         low, high = (int(x) for x in data["range"])
         lp = matrix_from_json(data["L_plus"])
         lm = matrix_from_json(data["L_minus"])
+        tolerance = float(data.get("tolerance", DEFAULT_TOLERANCE))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed line template: {exc}") from exc
     boundary = data.get("boundary", "absorbing")
     if boundary not in ("absorbing", "taboo"):
         raise InputError(f"unknown boundary mode {boundary!r}")
-    return _line_window(low, high, lp, lm, boundary,
-                        float(data.get("tolerance", DEFAULT_TOLERANCE)))
+    return _line_window(low, high, lp, lm, boundary, tolerance)
 
 
 def walk_digest(walk: WalkSpec) -> str:

@@ -19,8 +19,8 @@ from .errors import InputError, NumericalError
 from .linalg import COMPLEX, herm
 from .structure import Enclosure, decompose, restrict_walk
 from .superop import invariant_state
-from .walk import (DiagonalObservable, Site, WalkSpec, _site_id, check_state, dual_apply,
-                   site_state)
+from .walk import (DiagonalObservable, Site, WalkSpec, _known_sites, _site_id, check_state,
+                   dual_apply, site_state)
 
 PROB_FLOOR = 1e-14   # transition weights below this count as zero
 SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
@@ -70,7 +70,7 @@ def sample_step(walk: WalkSpec, site, rho: np.ndarray,
     blocks out of the site, scanned in declared site order; weights below the
     probability floor are treated as zero.
     """
-    s = _site_id(site)
+    s, = _known_sites(walk, [site])
     rho = np.asarray(rho, dtype=COMPLEX)
     succs = walk._succ[s]
     weights = []
@@ -113,8 +113,8 @@ def sample_trajectory(walk: WalkSpec, i, rho, horizon: int,
     s = _site_id(i)
     rho = np.asarray(rho, dtype=COMPLEX)
     check_state(walk, site_state(walk, s, rho))
-    target = _site_id(stop["hit"]) if stop and "hit" in stop else None
-    domain = {_site_id(x) for x in stop["exit"]} if stop and "exit" in stop else None
+    target = _known_sites(walk, [stop["hit"]])[0] if stop and "hit" in stop else None
+    domain = set(_known_sites(walk, stop["exit"])) if stop and "exit" in stop else None
     if domain is not None and s not in domain:
         raise InputError("start site lies outside the stopping domain")
     sites = [s]
@@ -167,11 +167,14 @@ class _Ensemble:
     global indices, ``pos``: site numbers, ``vecs``: states); the others keep
     their final entry in ``positions``.  A deactivated trajectory stays
     stopped.  Uniforms are drawn in blocks for the held set only: the n-th
-    step of every live trajectory uses draw n-1 of its own stream.
+    step of every live trajectory uses draw n-1 of its own stream.  The
+    start ``(i, rho)`` is checked here, where every ensemble starts.
     """
 
     def __init__(self, walk: WalkSpec, i, rho, n_traj: int, seed: int,
                  index_offset: int = 0):
+        rho = np.asarray(rho, dtype=COMPLEX)
+        check_state(walk, site_state(walk, i, rho))
         self.walk = walk
         self.site_index = {s: k for k, s in enumerate(walk.sites)}
         self.n = n_traj
@@ -201,7 +204,6 @@ class _Ensemble:
         s0 = self.site_index[_site_id(i)]
         self.positions = np.full(n_traj, s0, dtype=np.int64)
         self.active = np.ones(n_traj, dtype=bool)
-        rho = np.asarray(rho, dtype=COMPLEX)
         first = np.zeros((d, d), dtype=COMPLEX)
         first[:rho.shape[0], :rho.shape[0]] = rho
         self.held = np.arange(n_traj)
@@ -266,7 +268,7 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
     """Hitting, visit and k-th return times of an ensemble; ``path``, when
     given, receives the site number of every trajectory after each step."""
     ens = _Ensemble(walk, i, rho, n_traj, seed, index_offset)
-    j_idx = ens.site_index[_site_id(j)]
+    j_idx = ens.site_index[_known_sites(walk, [j])[0]]
     hit_time = np.full(n_traj, np.inf)
     visit_count = np.zeros(n_traj, dtype=np.int64)
     kth_time = np.full(n_traj, np.inf)
@@ -320,8 +322,6 @@ def estimate_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int,
     """
     if n_traj < 1:
         raise InputError("n_traj must be >= 1")
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, site_state(walk, i, rho))
     hit, visits, _, ens = _run_hitting(walk, i, rho, j, n_traj, horizon, seed,
                                        track_visits=track_visits)
     hit_mask = np.isfinite(hit)
@@ -441,8 +441,7 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
     means a residual of at most ``HARMONIC_TOL`` in operator norm.
     """
     stepped = dual_apply(walk, a)
-    check_sites = walk.sites if stop_domain is None else \
-        tuple(_site_id(x) for x in stop_domain)
+    check_sites = walk.sites if stop_domain is None else _known_sites(walk, stop_domain)
     worst = 0.0
     for sname in check_sites:
         d = walk.dims[sname]
@@ -451,11 +450,10 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
     if worst > HARMONIC_TOL:
         raise InputError(f"observable is not harmonic (residual {worst:.3e})")
 
-    rho = np.asarray(rho, dtype=COMPLEX)
     ens = _Ensemble(walk, i, rho, n_traj, seed)
     domain_idx = None
     if stop_domain is not None:
-        domain_idx = {ens.site_index[_site_id(x)] for x in stop_domain}
+        domain_idx = {ens.site_index[s] for s in check_sites}
     d = ens.dmax
     padded = np.zeros((len(walk.sites), d, d), dtype=COMPLEX)
     for s_idx, s in enumerate(walk.sites):
@@ -492,7 +490,7 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
 def word_frequencies(walk: WalkSpec, i, rho, length: int, n_traj: int,
                      seed: int = 0) -> dict[tuple, int]:
     """Counts of position words (x_1 .. x_length) over an ensemble."""
-    ens = _Ensemble(walk, i, np.asarray(rho, dtype=COMPLEX), n_traj, seed)
+    ens = _Ensemble(walk, i, rho, n_traj, seed)
     words = np.empty((length, n_traj), dtype=np.int64)
     for n in range(length):
         ens.step()

@@ -198,9 +198,18 @@ def identity_observable(walk: WalkSpec, sites: Iterable[Site] | None = None) -> 
     return DiagonalObservable({s: np.eye(walk.dims[s], dtype=COMPLEX) for s in chosen})
 
 
+def _known_sites(walk: WalkSpec, sites) -> list[Site]:
+    """The ids of ``sites``; InputError naming those the walk does not have."""
+    ids = [_site_id(s) for s in sites]
+    unknown = {s for s in ids if s not in walk.dims}
+    if unknown:
+        raise InputError(f"unknown sites {sorted(unknown)}")
+    return ids
+
+
 def site_state(walk: WalkSpec, site, rho) -> DiagonalState:
     """State concentrated at one site."""
-    s = _site_id(site)
+    s, = _known_sites(walk, [site])
     mat = as_matrix(rho)
     if mat.shape != (walk.dims[s], walk.dims[s]):
         raise ShapeError(f"state block at {s!r} has shape {mat.shape}, expected "

@@ -469,3 +469,24 @@ def test_selfadjoint_residual_matches_pairwise(walks):
             rep = oqw.check_detailed_balance(walk, tau)
             assert rep.selfadjoint_residual == \
                 pytest.approx(pairwise_selfadjoint_residual(walk, tau), abs=1e-12)
+
+
+def test_sufficient_residual_matches_every_site_pair(walks):
+    # the pairwise condition, checked over every ordered pair of sites
+    def every_pair(walk, tau):
+        roots = {s: psd_sqrt(tau.blocks[s]) for s in walk.sites}
+        worst = 0.0
+        for i in walk.sites:
+            for j in walk.sites:
+                zero = np.zeros((walk.dims[i], walk.dims[j]), dtype=complex)
+                lji, lij = walk.block(j, i), walk.block(i, j)
+                lhs = roots[i] @ (zero if lji is None else lji.conj().T)
+                rhs = (zero if lij is None else lij) @ roots[j]
+                worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+        return worst
+
+    cases = [walks["ring"], walks["rds6"], fixtures.cycle_dilation(7, 0.8),
+             fixtures.random_doubly_stochastic(8, 2, seed=3)]
+    for walk in cases:
+        tau = oqw.invariant_state(walk)[0]
+        assert oqw.check_detailed_balance(walk, tau).sufficient_residual == every_pair(walk, tau)

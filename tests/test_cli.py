@@ -1,4 +1,7 @@
+import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +338,97 @@ def test_alpha_grid_flag_validation(capsys):
                      "--to", "0", "--alpha-grid", grid])
         assert code == 1
         assert "--alpha-grid" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the input-error contract: bad input prints one ``error:`` line, exits 1
+
+
+W54 = ["--walk", "example-5.4"]
+BAD_INPUT = {
+    # an unknown --from site
+    **{f"from-{cmd}": [cmd, *W54, "--from", "9", "--to", "0", "--rho", "mixed"]
+       for cmd in ("hit", "visits", "return-time")},
+    **{f"from-{cmd}": [cmd, *W54, "--domain", "1,2", "--from", "9", "--rho", "mixed"]
+       for cmd in ("exit", "harmonic")},
+    "from-domain-visits": ["domain-visits", *W54, "--domain", "1,2", "--from", "9",
+                           "--to", "1", "--rho", "mixed"],
+    "from-simulate": ["simulate", *W54, "--from", "9", "--to", "0", "--rho", "mixed",
+                      "--n-traj", "5", "--horizon", "3"],
+    # an unknown --to site of the sampler
+    "to-simulate": ["simulate", *W54, "--from", "1", "--to", "9", "--rho", "mixed",
+                    "--n-traj", "5", "--horizon", "3"],
+    # missing files
+    "missing-problem": ["dirichlet", "--walk", "gamblers-ruin", "--problem", "missing.json"],
+    "missing-observable": ["dform", "--walk", "gamblers-ruin", "--observable", "missing.json"],
+    # invalid JSON
+    "json-rho": ["hit", *W54, "--from", "1", "--to", "0", "--rho", "broken.json"],
+    "json-problem": ["dirichlet", "--walk", "gamblers-ruin", "--problem", "broken.json"],
+    "json-observable": ["dform", "--walk", "gamblers-ruin", "--observable", "broken.json"],
+    # documents of the wrong shape
+    "problem-without-domain": ["dirichlet", "--walk", "gamblers-ruin",
+                               "--problem", "no-domain.json"],
+    "problem-not-object": ["dirichlet", "--walk", "gamblers-ruin", "--problem", "list.json"],
+    "global-problem-not-object": ["dirichlet", "--walk", "gamblers-ruin", "--method", "global",
+                                  "--problem", "list.json"],
+    "problem-data-not-object": ["dirichlet", "--walk", "gamblers-ruin",
+                                "--problem", "list-data.json"],
+    "observable-not-object": ["dform", "--walk", "gamblers-ruin", "--observable", "list.json"],
+    "walk-dim-not-number": ["validate", "--walk", "text-dim.json"],
+    "template-tolerance-not-number": ["validate", "--walk", "text-tolerance.json"],
+    "ragged-state": ["hit", *W54, "--from", "1", "--to", "0", "--rho", "ragged.json"],
+    # malformed numbers in a state
+    "diag-number": ["hit", *W54, "--from", "1", "--to", "0", "--rho", "diag:x,1"],
+    "pure-number": ["hit", *W54, "--from", "1", "--to", "0", "--rho", "pure:1,2k"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_prints_an_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "no-domain.json").write_text('{"A": {}}')
+    (tmp_path / "list-data.json").write_text('{"domain": ["1"], "A": [1, 2]}')
+    (tmp_path / "text-dim.json").write_text('{"sites": [{"id": "0", "dim": "two"}]}')
+    (tmp_path / "ragged.json").write_text("[[[1, 0]], [[1, 0], [0, 0]]]")
+    (tmp_path / "text-tolerance.json").write_text(json.dumps(
+        {"template": "line", "range": [0, 3], "L_plus": [[[1, 0]]], "L_minus": [[[0, 0]]],
+         "tolerance": "small"}))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# README's examples
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``oqw`` command lines of README's CLI example block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("oqw ")]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.json").write_text(json.dumps(
+        {"domain": [str(k) for k in range(1, 10)], "A": {}, "B": {"10": [[[1.0, 0.0]]]}}))
+    (tmp_path / "obs.json").write_text(json.dumps(
+        {s: serialize.matrix_to_json(np.diag([1.0, -1.0])) for s in ("0", "1", "2")}))
+    commands = _readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv[0] != "fixtures":
+            assert "walk_digest" in json.loads(out), argv
+    # the piped walk: oqw fixtures emit --walk example-5.4 | oqw validate --walk -
+    code, out, _ = run_cli(capsys, "fixtures", "emit", "--walk", "example-5.4")
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run_cli(capsys, "validate", "--walk", "-")
+    assert code == 0 and json.loads(out)["value"] == "accepted"

@@ -47,6 +47,20 @@ def test_taboo_operator_is_cp_contraction(trap_walk, branch_walk, ruin_walk):
         assert op.is_contraction()
 
 
+def test_choi_blocks_are_images_of_matrix_units(trap_walk, branch_walk, half_line_down):
+    for walk, i, j in [(trap_walk, "0", "0"), (branch_walk, "1", "0"), (branch_walk, "0", "2"),
+                       (half_line_down, "0", "0"), (fixtures.gamblers_ruin(5), "2", "0")]:
+        op = oqw.taboo_operator(walk, i, j)
+        ds, dt = op.source_dim, op.target_dim
+        want = np.zeros((ds * dt, ds * dt), dtype=complex)
+        for k in range(ds):
+            for m in range(ds):
+                unit = np.zeros((ds, ds))
+                unit[k, m] = 1.0
+                want[k * dt:(k + 1) * dt, m * dt:(m + 1) * dt] = op.apply(unit)
+        assert np.array_equal(op.choi(), want)
+
+
 def test_dual_identity_eigenvalues_in_unit_interval(branch_walk, half_line_down):
     for walk, i, j in [(branch_walk, "1", "0"), (half_line_down, "0", "0")]:
         w = np.linalg.eigvalsh(oqw.taboo_operator(walk, i, j).dual_identity())
@@ -74,6 +88,14 @@ def test_alpha_two_step_loop_mass(trap_walk):
     for a in (0.2, 0.5, 0.9):
         op = oqw.alpha_operator(trap_walk, "0", "0", alpha=a)
         assert np.trace(op.apply(E1)).real == pytest.approx(a * a, abs=1e-12)
+
+
+def test_alpha_operator_reports_its_certified_solve(branch_walk, half_line_down):
+    for walk, i, j in [(branch_walk, "1", "0"), (half_line_down, "0", "0")]:
+        for a in (0.1, 0.9, 0.999):
+            diag = oqw.alpha_operator(walk, i, j, alpha=a).diagnostics
+            assert diag["method"] == "solve" and diag["radius_source"] == "certificate"
+            assert diag["radius_bound"] < 1.0 and diag["residual"] <= 1e-12
 
 
 def test_alpha_trace_monotone(branch_walk, half_line_down):

@@ -205,6 +205,36 @@ def _open_chain():
                         {str(k): 1 for k in range(4)}, trans), t
 
 
+def test_sampler_entries_check_sites_and_start_state(branch_walk):
+    # every entry names an unknown start, target or stop-domain site, and
+    # (but a single step) rejects a start state that is not a density matrix
+    # at the start site, as an input error
+    walk, ident = branch_walk, identity_observable(branch_walk)
+    entries = {
+        "estimate_hitting": lambda i, rho, j: oqw.estimate_hitting(
+            walk, i, rho, j, n_traj=5, horizon=3),
+        "hitting_paths": lambda i, rho, j: list(oqw.trajectory._hitting_paths(
+            walk, i, rho, j, 5, 3, 0)),
+        "martingale": lambda i, rho, j: oqw.martingale_diagnostic(
+            walk, ident, i, rho, 5, 3, stop_domain=[i, j]),
+        "words": lambda i, rho, j: word_frequencies(walk, i, rho, 3, 5),
+        "trajectory": lambda i, rho, j: oqw.sample_trajectory(
+            walk, i, rho, 3, stop={"hit": j}),
+        "trajectory_exit": lambda i, rho, j: oqw.sample_trajectory(
+            walk, i, rho, 3, stop={"exit": [i, j]}),
+        "step": lambda i, rho, j: oqw.sample_step(walk, i, rho, trajectory_rng(0)),
+    }
+    for name, run in entries.items():
+        run("1", MIX, "2")
+        bad = [("9", MIX, "2")] + [("1", MIX, "9")] * (name not in ("words", "step"))
+        for i, rho, j in bad:
+            with pytest.raises(InputError, match="unknown sites"):
+                run(i, rho, j)
+        for rho in [np.diag([2.0, -1.0]), np.eye(3) / 3] * (name != "step"):
+            with pytest.raises(InputError):
+                run("1", rho, "2")
+
+
 def test_martingale_identity_observable(ring_walk):
     rep = oqw.martingale_diagnostic(ring_walk, identity_observable(ring_walk),
                                     "0", MIX, n_traj=200, horizon=30, seed=22)
