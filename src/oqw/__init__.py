@@ -15,7 +15,7 @@ from .walk import (
     site_state,
     validate_walk,
 )
-from .superop import Superoperator, assemble_superoperator, invariant_state
+from .superop import invariant_state
 from .hitting import (
     CPMapBlock,
     HarmonicMeasure,

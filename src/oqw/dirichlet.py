@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .hitting import DomainSolve, _domain_blocks
 from .hitting import boundary as domain_boundary
-from .linalg import COMPLEX, herm, psd_sqrt
+from .linalg import COMPLEX, herm, psd_sqrt, unvec
 from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
 from .walk import (
     DiagonalObservable,
@@ -265,16 +265,56 @@ class VariationalSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class _WeightedForm:
+    """The form on Hermitian observables over every site.
+
+    With ``B`` the Hermitian basis matrix, ``W = (+)_s kron(root_s^T, root_s)``
+    the weight of the inner product and ``K`` the one-step map, ``matrix`` is
+    ``F = B^H W (B - K^dag B)``: entry (m, n) is ``form(e_m, e_n)``.  The
+    basis elements of a site take the columns of its offsets in ``idx``.
+    """
+
+    roots: dict[Site, np.ndarray]
+    idx: BlockIndex
+    basis: np.ndarray      # B
+    weighted: np.ndarray   # W B
+    matrix: np.ndarray     # F
+
+    def stationarity(self, domain, a: DiagonalObservable,
+                     b: DiagonalObservable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Basis columns of the domain's sites in domain order, the Gram
+        matrix ``Re F`` on them and the right-hand side
+        ``Re <e, A - (Id - dual step)(B)>``, read from ``F``'s domain rows."""
+        cols = np.concatenate([np.arange(*self.idx.offsets[s]) for s in domain])
+        coeff_b = (self.basis.conj().T @ self.idx.pack(b)).real
+        rhs = (self.weighted[:, cols].conj().T @ self.idx.pack(a)).real \
+            - self.matrix[cols].real @ coeff_b
+        return cols, self.matrix[np.ix_(cols, cols)].real, rhs
+
+
+def _weighted_form(walk: WalkSpec, tau: DiagonalState) -> _WeightedForm:
+    """The form of ``tau``, taking each root once; ``tau`` must be faithful
+    on every site (checked in site order)."""
+    roots = {s: _faithful_root(tau, s) for s in walk.sites}
+    idx = BlockIndex.build(walk, walk.sites)
+    basis = hermitian_basis_matrix(walk, idx)
+    weighted = weight_matrix(idx, roots) @ basis
+    step = block_matrix(walk, idx, idx).conj().T @ basis
+    return _WeightedForm(roots, idx, basis, weighted, weighted.conj().T @ (basis - step))
+
+
 def variational_solve(walk: WalkSpec, tau: DiagonalState,
                       problem: DirichletProblem) -> VariationalSolution:
     """Solve the domain problem as the minimizer of the energy functional.
 
     Solves the stationarity system ``form(T, X) = <T, A - C>`` over Hermitian
-    observables supported on the domain, where ``C = (Id - dual step)(B)``.
-    Requires detailed balance (checked) and coercivity of the form on the
-    domain.
+    observables supported on the domain, where ``C = (Id - dual step)(B)``;
+    the minimum energy is ``-<X, A - C> / 2``.  Requires detailed balance
+    (checked) and coercivity of the form on the domain.
     """
-    rep = check_detailed_balance(walk, tau)
+    form = _weighted_form(walk, tau)
+    rep = _balance_report(walk, form)
     if not rep.selfadjoint_within_tol:
         raise InputError(
             "detailed balance fails (selfadjointness residual "
@@ -282,14 +322,7 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState,
     D = problem.domain
     bnd = domain_boundary(walk, D)
     a, b = problem.interior_data, problem.boundary_data
-
-    # C = (Id - dual step)(B), computed once per problem
-    stepped_b = dual_apply(walk, b)
-    c = DiagonalObservable({s: b.block(s, walk.dims[s]) - stepped_b.block(s, walk.dims[s])
-                            for s in walk.sites})
-    target = DiagonalObservable({s: a.block(s, walk.dims[s]) - c.block(s, walk.dims[s])
-                                 for s in D})
-    idx, basis, gram, rhs = _stationarity_system(walk, tau, D, target)
+    cols, gram, rhs = form.stationarity(D, a, b)
     gram = 0.5 * (gram + gram.T)
     coercivity = float(np.linalg.eigvalsh(gram).min())
     if coercivity <= 1e-12:
@@ -297,40 +330,17 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState,
                              {"smallest_eigenvalue": coercivity})
     coeff = np.linalg.solve(gram, rhs)
 
-    x0_blocks = idx.unpack(walk, basis @ coeff)
+    x = form.basis[:, cols] @ coeff
+    x0_blocks = {s: unvec(x[slice(*form.idx.offsets[s])], walk.dims[s]) for s in D}
     x0 = DiagonalObservable(x0_blocks)
     z_blocks = {s: x0_blocks[s].copy() for s in D}
     for j in bnd:
         z_blocks[j] = b.block(j, walk.dims[j]).copy()
     z = DiagonalObservable(z_blocks)
-    energy = 0.5 * dirichlet_form(walk, tau, x0, x0).real \
-        + dirichlet_form(walk, tau, x0, b).real \
-        - diamond_inner(tau, a, x0, sites=D).real
     return VariationalSolution(
-        minimizer=x0, solution=z, energy=float(energy), coercivity=coercivity,
+        minimizer=x0, solution=z, energy=-0.5 * float(coeff @ rhs), coercivity=coercivity,
         residuals=_residuals(walk, z, a, D),
         diagnostics={"solver": "dense", "unknowns": len(coeff)})
-
-
-def _stationarity_system(walk: WalkSpec, tau: DiagonalState, domain,
-                         target: DiagonalObservable):
-    """Index, Hermitian basis matrix ``B``, form matrix and right-hand side.
-
-    With ``W = (+)_s kron(root_s^T, root_s)`` the weight of the inner product
-    and ``K_DD`` the one-step map inside the domain, the form matrix is
-    ``Re(B^H W (B - K_DD^dag B))`` and the right-hand side
-    ``Re(B^H W vec(target))``; ``tau`` must be faithful on every site (checked
-    domain first).
-    """
-    idx = BlockIndex.build(walk, domain)
-    roots = {s: _faithful_root(tau, s)
-             for s in (*idx.sites, *(s for s in walk.sites if s not in idx.offsets))}
-    basis = hermitian_basis_matrix(walk, idx)
-    WB = weight_matrix(idx, roots) @ basis
-    step = block_matrix(walk, idx, idx).conj().T @ basis
-    gram = (WB.conj().T @ (basis - step)).real
-    rhs = (WB.conj().T @ idx.pack(target)).real
-    return idx, basis, gram, rhs
 
 
 @dataclass
@@ -351,7 +361,11 @@ def check_detailed_balance(walk: WalkSpec, tau: DiagonalState) -> DetailedBalanc
     ``<X, Y> = Tr(tau^{1/2} X† tau^{1/2} Y)`` over a Hermitian block basis.
     Both residuals are judged against ``BALANCE_TOL``.
     """
-    roots = {s: _faithful_root(tau, s) for s in walk.sites}
+    return _balance_report(walk, _weighted_form(walk, tau))
+
+
+def _balance_report(walk: WalkSpec, form: _WeightedForm) -> DetailedBalanceReport:
+    roots = form.roots
     worst_a = 0.0
     # a pair without a block in either direction satisfies (a) trivially
     for i, j in {p for (to, fr) in walk.transitions for p in ((to, fr), (fr, to))}:
@@ -363,13 +377,9 @@ def check_detailed_balance(walk: WalkSpec, tau: DiagonalState) -> DetailedBalanc
                else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX)) @ roots[j]
         worst_a = max(worst_a, float(np.abs(lhs - rhs).max(initial=0.0)))
 
-    # selfadjointness on a basis B of diagonal observables: B^H W K^dag B is
-    # Hermitian, W the weight of the inner product and K^dag the dual step
-    idx = BlockIndex.build(walk, walk.sites)
-    B = hermitian_basis_matrix(walk, idx)
-    W = weight_matrix(idx, roots)
-    KB = block_matrix(walk, idx, idx).conj().T @ B
-    worst_b = float(np.abs(B.conj().T @ W @ KB - KB.conj().T @ W @ B).max(initial=0.0))
+    # (b): B^H W B is Hermitian, so F is Hermitian iff B^H W K^dag B is;
+    # its skew part is the residual
+    worst_b = float(np.abs(form.matrix - form.matrix.conj().T).max(initial=0.0))
 
     return DetailedBalanceReport(
         sufficient_condition_holds=worst_a <= BALANCE_TOL,

@@ -110,7 +110,6 @@ def verdict_to_json(verdict) -> dict:
         "site": verdict.site,
         "return_dual_identity": matrix_to_json(verdict.return_dual_identity),
         "eigenvalues": [float(x) for x in verdict.eigenvalues],
-        "truncated_model": verdict.truncated_model,
         "diagnostics": verdict.diagnostics,
     }
     if verdict.witness_sure is not None:

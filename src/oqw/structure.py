@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import (DIVERGENCE_TOL, PASSAGE_SURE_TOL, _taboo_block, boundary,
-                      capture_series, exit_probability, expected_return_time,
-                      expected_visits, passage_probability)
-from .linalg import COMPLEX, RANK_TOL, extend_basis, herm, spectral_radius
-from .superop import (assemble_superoperator, fixed_point_projection,
+from .hitting import (PASSAGE_SURE_TOL, _taboo_block, boundary, capture_series,
+                      exit_probability, expected_return_time, expected_visits,
+                      passage_probability)
+from .linalg import COMPLEX, RANK_TOL, extend_basis, herm
+from .superop import (BlockIndex, block_matrix, fixed_point_projection,
                       hermitian_basis_matrix, invariant_state)
 from .walk import DiagonalState, Site, WalkSpec, _site_id, identity_observable
 
@@ -184,12 +184,11 @@ def _minimal_enclosures(walk: WalkSpec, enc: Enclosure) -> list[Enclosure]:
     point.
     """
     sub, _ = restrict_walk(walk, enc)
-    op = assemble_superoperator(sub)
-    idx = op.source_index
+    idx = BlockIndex.build(sub, sub.sites)
     ramp = idx.pack(identity_observable(sub))  # ones on the diagonals, in order
     ramp[ramp != 0] = np.arange(1, sub.total_dim + 1) / sub.total_dim
-    fixed, k = fixed_point_projection(
-        op.matrix.conj().T, np.column_stack([ramp, hermitian_basis_matrix(sub, idx)]))
+    fixed, k = fixed_point_projection(block_matrix(sub, idx, idx).conj().T,
+                                      np.column_stack([ramp, hermitian_basis_matrix(sub, idx)]))
     if k <= 1:
         return [enc]
     groups = _eigenspace_groups(walk, idx.unpack(sub, fixed[:, 0]), enc)
@@ -247,12 +246,11 @@ class RecurrenceVerdict:
     witness_sure: np.ndarray | None = None     # rho with passage probability 1
     witness_deficient: np.ndarray | None = None  # rho' with passage probability < 1
     expected_visits_finite: bool | None = None
-    truncated_model: bool = False
     diagnostics: dict = field(default_factory=dict)
 
 
-def classify_recurrence(walk: WalkSpec, site, require_irreducible: bool = True,
-                        truncated_model: bool = False) -> RecurrenceVerdict:
+def classify_recurrence(walk: WalkSpec, site,
+                        require_irreducible: bool = True) -> RecurrenceVerdict:
     """Classify a site of an irreducible walk into the three return regimes.
 
     With ``P* = dual of the return operator applied to Id``:
@@ -260,34 +258,26 @@ def classify_recurrence(walk: WalkSpec, site, require_irreducible: bool = True,
     eigenvalue-1 eigenspace -> mixed, with a witness state supported there.
     The return operator comes from the s -> s series' certified solve, run
     off a trapped part where there is one; the diagnostics carry its method,
-    radius bound and residual.  Expected-visit finiteness is cross-checked
-    through the spectral radius of the return operator.  An eigenvalue
-    counts as 1 within ``PASSAGE_SURE_TOL``, the cut at which a passage
-    probability counts as certain.
+    radius bound and residual.  Expected visits are finite exactly in the
+    transient and mixed cases.  An eigenvalue counts as 1 within
+    ``PASSAGE_SURE_TOL``, the cut at which a passage probability counts as
+    certain.
     """
     s = _site_id(site)
     if require_irreducible and not is_irreducible(walk)[0]:
         raise InputError("walk is reducible; classify sites of its irreducible parts "
                          "via decompose()/restrict_walk()")
     series = capture_series(walk, s, s)
-    op = _taboo_block(series)
-    pstar = op.dual_identity()
+    pstar = _taboo_block(series).dual_identity()
     d = walk.dims[s]
     w = np.linalg.eigvalsh(pstar)
-    # finiteness of expected visits <=> spectral radius of the return map < 1
-    return_radius = spectral_radius(op.matrix)
-    diag = {**series.diagnostics,
-            "return_operator_radius": return_radius,
-            "spectral_check_visits_finite": bool(return_radius < 1.0 - DIVERGENCE_TOL),
-            "dual_identity_eigenvalues": [float(x) for x in w]}
+    diag = {**series.diagnostics, "dual_identity_eigenvalues": [float(x) for x in w]}
     if np.abs(pstar - np.eye(d)).max(initial=0.0) <= PASSAGE_SURE_TOL:
         return RecurrenceVerdict("recurrent", s, pstar, w,
-                                 expected_visits_finite=False,
-                                 truncated_model=truncated_model, diagnostics=diag)
+                                 expected_visits_finite=False, diagnostics=diag)
     if w.max(initial=0.0) < 1.0 - PASSAGE_SURE_TOL:
         return RecurrenceVerdict("transient", s, pstar, w,
-                                 expected_visits_finite=True,
-                                 truncated_model=truncated_model, diagnostics=diag)
+                                 expected_visits_finite=True, diagnostics=diag)
     wv, vv = np.linalg.eigh(pstar)
     sure = vv[:, wv >= 1.0 - PASSAGE_SURE_TOL]
     proj = sure @ sure.conj().T
@@ -295,8 +285,7 @@ def classify_recurrence(walk: WalkSpec, site, require_irreducible: bool = True,
     return RecurrenceVerdict("mixed", s, pstar, w,
                              witness_sure=witness,
                              witness_deficient=np.eye(d, dtype=COMPLEX) / d,
-                             expected_visits_finite=True,
-                             truncated_model=truncated_model, diagnostics=diag)
+                             expected_visits_finite=True, diagnostics=diag)
 
 
 @dataclass

@@ -1,10 +1,8 @@
-"""Superoperator assembly and fixed points of the one-step map.
+"""Block matrices and fixed points of the one-step map.
 
-A :class:`Superoperator` is the dense block matrix of a map on stacked
-column-major vectorized blocks; blocks are restricted to masked source and
-target sites.  Everything downstream (capture series, Dirichlet solvers) is
-built by :func:`block_matrix`, dense for a dense LU or sparse (CSC) for a
-sparse LU.
+The one-step map acts on stacked column-major vectorized blocks, laid out
+by a :class:`BlockIndex`.  :func:`block_matrix` builds every matrix of the
+map: dense, or sparse (CSC) for a sparse LU.
 """
 
 from __future__ import annotations
@@ -13,16 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .linalg import (
-    COMPLEX,
-    herm,
-    hermitian_basis,
-    positive_part,
-    spectral_radius,
-    unvec,
-    vec,
-)
+from .errors import NumericalError
+from .linalg import COMPLEX, herm, hermitian_basis, positive_part, unvec, vec
 from .walk import DiagonalObservable, DiagonalState, Site, WalkSpec, _site_id, apply_step
 
 FIXED_POINT_TOL = 1e-9  # relative singular value of M - Id below which a direction is fixed
@@ -67,28 +57,6 @@ class BlockIndex:
     def dims(self, walk: WalkSpec) -> dict:
         """Fibre dimension of every site, in block order."""
         return {s: walk.dims[s] for s in self.sites}
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Dense matrix of a masked one-step map on vectorized blocks."""
-
-    walk: WalkSpec
-    source_index: BlockIndex
-    target_index: BlockIndex
-    matrix: np.ndarray
-
-    def apply(self, state: DiagonalState) -> DiagonalState:
-        x = self.source_index.pack(state)
-        return DiagonalState(self.target_index.unpack(self.walk, self.matrix @ x),
-                             normalized=False)
-
-    def dual_apply(self, obs: DiagonalObservable) -> DiagonalObservable:
-        y = self.target_index.pack(obs)
-        return DiagonalObservable(self.source_index.unpack(self.walk, self.matrix.conj().T @ y))
-
-    def spectral_radius(self) -> float:
-        return spectral_radius(self.matrix)
 
 
 def block_matrix(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex, sparse: bool = False):
@@ -140,23 +108,6 @@ def weight_matrix(idx: BlockIndex, roots: dict) -> np.ndarray:
     return block_diagonal([np.kron(roots[s].T, roots[s]) for s in idx.sites])
 
 
-def assemble_superoperator(walk: WalkSpec, source_mask=None, target_mask=None) -> Superoperator:
-    """Matrix of the one-step map with sources and targets restricted to masks.
-
-    Block (i, j) is ``kron(conj(L[i,j]), L[i,j])`` and is present iff
-    j is in the source mask, i in the target mask, and L[i,j] is nonzero.
-    Empty masks give an empty (but valid) operator.
-    """
-    def index(mask, name: str) -> BlockIndex:
-        chosen = set(walk.sites) if mask is None else {_site_id(x) for x in mask}
-        if chosen - set(walk.sites):
-            raise InputError(f"{name} mask has unknown sites {sorted(chosen - set(walk.sites))}")
-        return BlockIndex.build(walk, [s for s in walk.sites if s in chosen])
-
-    src, tgt = index(source_mask, "source"), index(target_mask, "target")
-    return Superoperator(walk, src, tgt, block_matrix(walk, tgt, src))
-
-
 def _fixed_space(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of ker(M - I) and ker(M† - I) from one SVD.
 
@@ -198,12 +149,11 @@ def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     when nothing is fixed, as for substochastic truncations, and ``k`` the
     fixed-space dimension when the projected fixed point has no trace.
     """
-    full = assemble_superoperator(walk)
-    idx = full.source_index
+    idx = BlockIndex.build(walk, walk.sites)
     uniform = DiagonalState(
         {s: np.eye(walk.dims[s], dtype=COMPLEX) / walk.total_dim for s in walk.sites})
     x = idx.pack(uniform)
-    proj, k = fixed_point_projection(full.matrix, x)
+    proj, k = fixed_point_projection(block_matrix(walk, idx, idx), x)
     if k == 0:
         return None, 0
     blocks = idx.unpack(walk, proj)

@@ -50,12 +50,11 @@ class TrajectoryRecord:
 
 @dataclass
 class EstimateWithCI:
-    """Plug-in estimate with a normal-approximation confidence interval."""
+    """Plug-in estimate with a three-sigma normal-approximation interval."""
 
     estimate: float
     standard_error: float
     n_samples: int
-    confidence: float = 0.997   # three-sigma bands throughout
 
     @property
     def half_width(self) -> float:
@@ -68,10 +67,16 @@ def sample_step(walk: WalkSpec, site, rho: np.ndarray,
 
     The successor is drawn with probability ``Tr(L rho L†)`` over the nonzero
     blocks out of the site, scanned in declared site order; weights below the
-    probability floor are treated as zero.
+    probability floor are treated as zero.  The site must exist and ``rho``
+    must be a density matrix there (InputError otherwise).
     """
-    s, = _known_sites(walk, [site])
-    rho = np.asarray(rho, dtype=COMPLEX)
+    check_state(walk, site_state(walk, site, rho))
+    return _step(walk, _site_id(site), np.asarray(rho, dtype=COMPLEX), rng)
+
+
+def _step(walk: WalkSpec, s: Site, rho: np.ndarray,
+          rng: np.random.Generator) -> tuple[Site, np.ndarray, bool]:
+    """:func:`sample_step` from a checked site and state."""
     succs = walk._succ[s]
     weights = []
     for t in succs:
@@ -122,7 +127,7 @@ def sample_trajectory(walk: WalkSpec, i, rho, horizon: int,
     renorms = 0
     reason, stop_idx = "horizon", horizon
     for n in range(1, horizon + 1):
-        s, rho, rn = sample_step(walk, s, rho, rng)
+        s, rho, rn = _step(walk, s, rho, rng)
         renorms += int(rn)
         sites.append(s)
         if record_states:
@@ -356,7 +361,7 @@ class KacReport:
     @property
     def within_three_sigma(self) -> bool:
         gap = abs(self.empirical.estimate - self.analytic_target)
-        return gap <= 3.0 * self.empirical.standard_error + 1e-9
+        return gap <= self.empirical.half_width + 1e-9
 
 
 def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> KacReport:

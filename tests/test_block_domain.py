@@ -435,10 +435,15 @@ def test_gram_product_matches_pairwise_inner_products(walks, name, domain):
     rng = np.random.default_rng(34)
     tau = oqw.DiagonalState({s: random_density(rng, walk.dims[s]) / len(walk.sites)
                              for s in walk.sites})
-    target = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in domain})
-    idx, basis, gram, rhs = dirichlet._stationarity_system(walk, tau, domain, target)
+    a = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in domain})
+    b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s])
+                            for s in oqw.boundary(walk, domain)})
+    # target A - (Id - dual step)(B) on the domain
+    stepped = oqw.dual_apply(walk, b)
+    target = DiagonalObservable({s: a.blocks[s] - b.block(s, walk.dims[s])
+                                 + stepped.block(s, walk.dims[s]) for s in domain})
+    _, gram, rhs = dirichlet._weighted_form(walk, tau).stationarity(domain, a, b)
     want_gram, want_rhs = pairwise_stationarity(walk, tau, domain, target)
-    assert idx.sites == domain
     assert np.abs(gram - want_gram).max() <= 1e-12
     assert np.abs(rhs - want_rhs).max() <= 1e-12
 

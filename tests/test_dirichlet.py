@@ -377,6 +377,36 @@ def test_variational_refuses_unbalanced_walk():
         oqw.variational_solve(walk, tau, problem)
 
 
+def test_variational_energy_is_the_energy_functional_at_the_minimizer(ring_walk):
+    # the reported energy against 1/2 form(X0, X0) + form(X0, B) - <A, X0>
+    # from the public form and inner product
+    cases = [(ring_walk, ["0", "1"]),
+             (fixtures.random_doubly_stochastic(6, 2, seed=4), ["5", "1", "2"]),
+             (fixtures.cycle_dilation(7, 0.5), ["1", "2", "3"])]
+    for k, (walk, domain) in enumerate(cases):
+        tau, _ = oqw.invariant_state(walk)
+        problem = random_problem(walk, domain, seed=40 + k)
+        var = oqw.variational_solve(walk, tau, problem)
+        x0, a, b = var.minimizer, problem.interior_data, problem.boundary_data
+        want = (0.5 * oqw.dirichlet_form(walk, tau, x0, x0).real
+                + oqw.dirichlet_form(walk, tau, x0, b).real
+                - oqw.diamond_inner(tau, a, x0, sites=domain).real)
+        assert var.energy == pytest.approx(want, rel=1e-12)
+
+
+def test_variational_solve_takes_each_root_once(monkeypatch):
+    from oqw import dirichlet
+
+    walk = fixtures.random_doubly_stochastic(10, 2, seed=1)
+    tau, _ = oqw.invariant_state(walk)
+    problem = random_problem(walk, [str(k) for k in range(8)], seed=44)
+    calls = []
+    root = dirichlet.psd_sqrt
+    monkeypatch.setattr(dirichlet, "psd_sqrt", lambda m: calls.append(m) or root(m))
+    oqw.variational_solve(walk, tau, problem)
+    assert len(calls) == len(walk.sites)
+
+
 # ---------------------------------------------------------------------------
 # gradients on doubly stochastic walks
 

@@ -85,3 +85,36 @@ def test_solve_internals_stay_in_hitting():
                 continue
             offending += [f"{name} uses {n}" for n in sorted(names)]
     assert not offending, offending
+
+
+def _users(tree: ast.Module, name: str) -> set[str]:
+    """Innermost functions (``<module>`` outside any) that refer to ``name``
+    as a variable, an attribute or an imported name."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and child.name == name):
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_dense_eigvals_only_behind_spectral_radius():
+    users = {(module, fn) for module, tree in _modules().items()
+             for fn in _users(tree, "eigvals")}
+    assert users == {("linalg", "spectral_radius")}
+
+
+def test_spectral_radius_only_in_acceptance():
+    # criterion 10 states a radius condition; every other convergence
+    # decision rests on a solve's certificate
+    users = {module for module, tree in _modules().items() if _users(tree, "spectral_radius")}
+    assert users == {"acceptance"}

@@ -389,19 +389,16 @@ def test_classify_builds_one_return_series(half_line_up_taboo, monkeypatch):
 
 
 def test_classify_reports_the_series_certificate(half_line_up_taboo, monkeypatch):
-    from oqw import linalg, structure
-
     sizes = []
-    radius = linalg.spectral_radius
+    eigvals = np.linalg.eigvals
 
     def spy(m):
         sizes.append(m.shape[0])
-        return radius(m)
+        return eigvals(m)
 
-    for module in (linalg, structure):
-        monkeypatch.setattr(module, "spectral_radius", spy)
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
     verdict = oqw.classify_recurrence(half_line_up_taboo, "0")
-    assert sizes == [4]   # the 2-dim site's return operator; no interior eigvals
+    assert sizes == []   # the certificate decides; no dense eigvals at all
     diag = verdict.diagnostics
     assert diag["radius_source"] == "certificate"
     assert diag["radius_bound"] < 1.0 and diag["residual"] <= 1e-12

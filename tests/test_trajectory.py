@@ -207,8 +207,8 @@ def _open_chain():
 
 def test_sampler_entries_check_sites_and_start_state(branch_walk):
     # every entry names an unknown start, target or stop-domain site, and
-    # (but a single step) rejects a start state that is not a density matrix
-    # at the start site, as an input error
+    # rejects a start state that is not a density matrix at the start site,
+    # as an input error
     walk, ident = branch_walk, identity_observable(branch_walk)
     entries = {
         "estimate_hitting": lambda i, rho, j: oqw.estimate_hitting(
@@ -230,7 +230,7 @@ def test_sampler_entries_check_sites_and_start_state(branch_walk):
         for i, rho, j in bad:
             with pytest.raises(InputError, match="unknown sites"):
                 run(i, rho, j)
-        for rho in [np.diag([2.0, -1.0]), np.eye(3) / 3] * (name != "step"):
+        for rho in [np.diag([2.0, -1.0]), np.eye(3) / 3]:
             with pytest.raises(InputError):
                 run("1", rho, "2")
 
