@@ -11,6 +11,7 @@ numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -115,6 +116,7 @@ def _print_table(doc: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
+@functools.cache  # parse_args keeps no state: every action has an immutable default
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oqw",

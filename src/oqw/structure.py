@@ -70,6 +70,11 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
     The blocks are contractions, so an image of norm at most ``RANK_TOL`` is
     rounding and is dropped; the rest goes through a relative SVD cut.
     """
+    return _closure(walk, seeds, ())
+
+
+def _closure(walk: WalkSpec, seeds, known) -> Enclosure | None:
+    """:func:`enclosure_closure`, or None as soon as it fills a site in ``known``."""
     bases = {s: np.zeros((walk.dims[s], 0), dtype=COMPLEX) for s in walk.sites}
     for site, v in seeds:
         s = _site_id(site)
@@ -91,6 +96,8 @@ def enclosure_closure(walk: WalkSpec, seeds) -> Enclosure:
             image = image[:, np.linalg.norm(image, axis=0) > RANK_TOL]
             bases[to] = extend_basis(bases[to], image)
             if bases[to].shape[1] > before:
+                if bases[to].shape[1] == walk.dims[to] and to in known:
+                    return None
                 work.append((to, bases[to][:, before:]))
     return Enclosure(bases)
 
@@ -109,15 +116,19 @@ def irreducibility(walk: WalkSpec, deco: Decomposition) -> tuple[bool, Enclosure
     state: the walk is irreducible iff the decomposition is one full
     enclosure, else its first recurrent enclosure is the witness.
     ``"heuristic"`` otherwise: the closure of every basis vector must be full.
+    Such a closure is full, and stops, once it fills a known site, one whose
+    basis vectors all have full closures (closure is monotone).
     """
     if deco.invariant is not None:
         whole = len(deco.recurrent) == 1 and deco.recurrent[0].is_full(walk)
         return whole, None if whole else deco.recurrent[0], "certified"
+    known = set()
     for s in walk.sites:
         for e in np.eye(walk.dims[s], dtype=COMPLEX):
-            enc = enclosure_closure(walk, [(s, e)])
-            if not enc.is_full(walk):
+            enc = _closure(walk, [(s, e)], known)
+            if enc is not None and not enc.is_full(walk):
                 return False, enc, "heuristic"
+        known.add(s)
     return True, None, "heuristic"
 
 

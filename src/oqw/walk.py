@@ -144,50 +144,43 @@ class WalkSpec:
 
 
 @dataclass
-class DiagonalState:
+class _SiteBlocks:
+    """Site id -> square complex block; sites without a block hold zero."""
+
+    blocks: dict[Site, np.ndarray]
+
+    def __post_init__(self):
+        self.blocks = {_site_id(s): np.array(b, dtype=COMPLEX) for s, b in self.blocks.items()}
+
+    def block(self, site, dim: int | None = None) -> np.ndarray:
+        s = _site_id(site)
+        if s in self.blocks:
+            return self.blocks[s]
+        if dim is None:
+            raise KeyError(s)
+        return np.zeros((dim, dim), dtype=COMPLEX)
+
+
+@dataclass
+class DiagonalState(_SiteBlocks):
     """Block-diagonal state: site id -> PSD block.  Total trace <= 1.
 
     Sub-normalized states are first class; ``normalized`` only marks intent
     and is what :func:`check_state` enforces when set.
     """
 
-    blocks: dict[Site, np.ndarray]
     normalized: bool = True
-
-    def __post_init__(self):
-        self.blocks = {_site_id(s): np.array(b, dtype=COMPLEX) for s, b in self.blocks.items()}
 
     def trace(self) -> float:
         return float(sum(np.trace(b).real for b in self.blocks.values()))
-
-    def block(self, site, dim: int | None = None) -> np.ndarray:
-        s = _site_id(site)
-        if s in self.blocks:
-            return self.blocks[s]
-        if dim is None:
-            raise KeyError(s)
-        return np.zeros((dim, dim), dtype=COMPLEX)
 
     def copy(self) -> "DiagonalState":
         return DiagonalState({s: b.copy() for s, b in self.blocks.items()}, self.normalized)
 
 
 @dataclass
-class DiagonalObservable:
+class DiagonalObservable(_SiteBlocks):
     """Block-diagonal observable: site id -> Hermitian block."""
-
-    blocks: dict[Site, np.ndarray]
-
-    def __post_init__(self):
-        self.blocks = {_site_id(s): np.array(b, dtype=COMPLEX) for s, b in self.blocks.items()}
-
-    def block(self, site, dim: int | None = None) -> np.ndarray:
-        s = _site_id(site)
-        if s in self.blocks:
-            return self.blocks[s]
-        if dim is None:
-            raise KeyError(s)
-        return np.zeros((dim, dim), dtype=COMPLEX)
 
     def copy(self) -> "DiagonalObservable":
         return DiagonalObservable({s: b.copy() for s, b in self.blocks.items()})
@@ -210,7 +203,10 @@ def _known_sites(walk: WalkSpec, sites) -> list[Site]:
 def site_state(walk: WalkSpec, site, rho) -> DiagonalState:
     """State concentrated at one site."""
     s, = _known_sites(walk, [site])
-    mat = as_matrix(rho)
+    try:
+        mat = as_matrix(rho)
+    except ValueError as exc:  # not a finite 2-D array
+        raise InputError(f"state block at {s!r}: {exc}") from None
     if mat.shape != (walk.dims[s], walk.dims[s]):
         raise ShapeError(f"state block at {s!r} has shape {mat.shape}, expected "
                          f"({walk.dims[s]}, {walk.dims[s]})")

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,29 @@ def test_fixture_params_are_info_flags():
             value = "taboo" if param == "boundary" else "3"
             args = parser.parse_args(["info", "--walk", name, f"--{param}", value])
             assert getattr(args, param.replace("-", "_")) is not None
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_back_to_back_calls_print_what_separate_processes_print(capsys):
+    # the parser is shared between in-process calls, so a second call with
+    # another subcommand must see none of the first call's arguments
+    calls = [["info", "--walk", "example-5.2", "--p", "0.25", "--N", "6", "--boundary", "taboo"],
+             ["hit", "--walk", "example-5.4", "--from", "1", "--to", "2", "--rho", "mixed",
+              "--format", "table"]]
+    together = []
+    for argv in calls:
+        assert main(argv) == 0
+        together.append(capsys.readouterr().out)
+    src = Path(oqw.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    apart = [subprocess.run([sys.executable, "-m", "oqw.cli", *argv], capture_output=True,
+                            text=True, env=env, timeout=120, check=True).stdout
+             for argv in calls]
+    assert together == apart
 
 
 def test_info_on_ring(capsys):

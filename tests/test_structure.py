@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import oqw
-from oqw import fixtures
+from oqw import fixtures, structure
 from oqw.errors import InputError
 from oqw.linalg import extend_basis
 from oqw.structure import RANK_TOL, Enclosure, _minimal_enclosures, enclosure_closure
 
 from conftest import E1, E2, MIX, rotate, rotation
+from test_certificate import fixture_walks, random_walk
 
 
 def unit(d, k):
@@ -174,6 +175,94 @@ def test_half_line_taboo_truncation_irreducible():
         walk = fixtures.example_half_line(0.25, n, boundary="taboo")
         ok, _ = oqw.is_irreducible(walk)
         assert ok
+
+
+def closure_per_basis_vector(walk):
+    """Heuristic irreducibility by one full closure per basis vector, in
+    declared site order: the first closure that is not full is the witness."""
+    for s in walk.sites:
+        for e in np.eye(walk.dims[s], dtype=complex):
+            enc = enclosure_closure(walk, [(s, e)])
+            if not enc.is_full(walk):
+                return False, enc
+    return True, None
+
+
+def scalar_walk(weights):
+    """Walk with one-dimensional fibers and the given (to, from) -> weight blocks."""
+    sites = sorted({s for key in weights for s in key})
+    return oqw.WalkSpec(tuple(sites), {s: 1 for s in sites},
+                        {key: np.array([[w]]) for key, w in weights.items()})
+
+
+def shortcut_then_witness_walk():
+    """Sites "0" and "1" lead everywhere, "2" and "3" only to each other; mass
+    leaks, so there is no invariant state.  The closure from "1" fills the
+    known site "0" and stops; the closure from "2" is the witness {2, 3}."""
+    r = np.sqrt(0.5)
+    return scalar_walk({("1", "0"): 1.0, ("0", "1"): r, ("2", "1"): r,
+                        ("3", "2"): 1.0, ("2", "3"): 0.5})
+
+
+def heuristic_oracle_walks():
+    fixed = list(fixture_walks().values())
+    walks = fixed + [rotate(w, seed) for seed, w in enumerate(fixed)]
+    walks += [random_walk(seed, substochastic=True) for seed in range(300)]
+    walks += [fixtures.example_half_line(p, n, boundary="taboo")
+              for p in (0.25, 0.5, 0.75) for n in (2, 7, 30)]
+    walks += [fixtures.example_lattice_nonnormal(n, "taboo") for n in (2, 4, 8)]
+    walks += [fixtures.example_lattice_normal(0.3, 0.7, n, "taboo") for n in (2, 4)]
+    walks += [scalar_walk({("1", "0"): 1.0, ("2", "1"): 1.0, ("1", "2"): 0.5}),
+              shortcut_then_witness_walk()]
+    return [w for w in walks if oqw.decompose(w).invariant is None]
+
+
+def test_known_site_stop_keeps_verdicts_and_witnesses():
+    walks = heuristic_oracle_walks()
+    assert len(walks) >= 200
+    verdicts = []
+    for walk in walks:
+        ok, witness, how = structure.irreducibility(walk, oqw.decompose(walk))
+        want_ok, want = closure_per_basis_vector(walk)
+        assert (ok, how) == (want_ok, "heuristic")
+        if want is None:
+            assert witness is None
+        else:
+            for s in walk.sites:
+                assert np.array_equal(witness.bases[s], want.bases[s])
+        verdicts.append(ok)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_witness_after_a_closure_stopped_at_a_known_site(monkeypatch):
+    walk = shortcut_then_witness_walk()
+    results = []
+    closure = structure._closure
+
+    def spy(*args):
+        results.append(closure(*args))
+        return results[-1]
+
+    monkeypatch.setattr(structure, "_closure", spy)
+    ok, witness = oqw.is_irreducible(walk)
+    assert [r is None for r in results] == [False, True, False]
+    assert not ok
+    assert [witness.dim(s) for s in walk.sites] == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("n", [30, 120])
+def test_heuristic_irreducibility_makes_linearly_many_basis_extensions(n, monkeypatch):
+    walk = fixtures.example_half_line(0.25, n, boundary="taboo")
+    calls = []
+
+    def spy(*args):
+        calls.append(None)
+        return extend_basis(*args)
+
+    monkeypatch.setattr(structure, "extend_basis", spy)
+    ok, _ = oqw.is_irreducible(walk)
+    assert ok
+    assert len(calls) <= 5 * walk.total_dim
 
 
 def test_minimal_dilation_irreducibility_matches_connectivity():

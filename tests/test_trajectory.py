@@ -230,7 +230,7 @@ def test_sampler_entries_check_sites_and_start_state(branch_walk):
         for i, rho, j in bad:
             with pytest.raises(InputError, match="unknown sites"):
                 run(i, rho, j)
-        for rho in [np.diag([2.0, -1.0]), np.eye(3) / 3]:
+        for rho in [np.diag([2.0, -1.0]), np.eye(3) / 3, np.array([[np.nan, 0.0], [0.0, 1.0]])]:
             with pytest.raises(InputError):
                 run("1", rho, "2")
 
