@@ -52,7 +52,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import COMPLEX, RANK_TOL, herm, is_psd, kraus_block, unvec, vec
-from .superop import BlockIndex, block_diagonal, block_matrix, fixed_point_projection
+from .superop import (BlockIndex, block_diagonal, block_matrix, fixed_point_projection,
+                      identity_minus)
 from .walk import DiagonalState, Site, WalkSpec, _known_sites, _site_id, check_state
 
 # The library sums every series by the certified solve and reads no alpha
@@ -71,8 +72,7 @@ SPARSE_MIN_UNKNOWNS = 128  # systems with this many unknowns or more are factore
 
 
 def _nonzero(walk: WalkSpec, to: Site, fr: Site) -> bool:
-    L = walk.transitions.get((to, fr))
-    return L is not None and float(np.abs(L).max(initial=0.0)) > walk.tolerance
+    return walk._amax.get((to, fr), 0.0) > walk.tolerance
 
 
 def _reachable(seeds, step: dict, allowed) -> set:
@@ -128,8 +128,8 @@ def _domain_blocks(walk: WalkSpec, sites, outer) -> DomainBlocks:
     D = set(sites)
     inner = BlockIndex.build(walk, [s for s in walk.sites if s in D])
     outer = BlockIndex.build(walk, outer)
-    S = block_matrix(walk, inner, inner, sparse=inner.total >= SPARSE_MIN_UNKNOWNS)
-    return DomainBlocks(walk, inner, outer, _eye(S) - S, block_matrix(walk, outer, inner))
+    A = identity_minus(walk, inner, sparse=inner.total >= SPARSE_MIN_UNKNOWNS)
+    return DomainBlocks(walk, inner, outer, A, block_matrix(walk, outer, inner))
 
 
 @dataclass
@@ -606,8 +606,8 @@ def _domain_sites(walk: WalkSpec, domain) -> set:
 def boundary(walk: WalkSpec, domain) -> tuple[Site, ...]:
     """Sites outside the domain receiving a nonzero transition from it."""
     D = _domain_sites(walk, domain)
-    return tuple(s for s in walk.sites
-                 if s not in D and any(_nonzero(walk, s, j) for j in D))
+    hit = {t for j in D for t in walk._succ[j] if t not in D and _nonzero(walk, t, j)}
+    return tuple(s for s in walk.sites if s in hit)
 
 
 def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:

@@ -119,9 +119,3 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
             out.append(e)
     return out
 
-
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only copy; walks and operators are immutable by contract."""
-    b = np.array(a, dtype=COMPLEX)
-    b.setflags(write=False)
-    return b

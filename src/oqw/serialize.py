@@ -9,7 +9,6 @@ walk for provenance.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -77,9 +76,13 @@ def _expand_template(data: dict) -> WalkSpec:
 
 
 def walk_digest(walk: WalkSpec) -> str:
-    """Content hash of the normalized spec, for provenance in outputs."""
-    payload = json.dumps(walk_to_json(walk), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Content hash of the normalized spec, for provenance in outputs: SHA-256
+    of the ``repr`` of sites, dims, tolerance and sorted transition keys, then
+    each block's raw complex128 bytes in key order (``-0.0`` is not ``0.0``)."""
+    keys = sorted(walk.transitions)
+    head = repr((walk.sites, [walk.dims[s] for s in walk.sites], walk.tolerance, keys))
+    blocks = b"".join(walk.transitions[k].tobytes() for k in keys)
+    return hashlib.sha256(head.encode() + blocks).hexdigest()[:16]
 
 
 def observable_to_json(obs: DiagonalObservable) -> dict:

@@ -2,12 +2,13 @@
 
 The one-step map acts on stacked column-major vectorized blocks, laid out
 by a :class:`BlockIndex`.  :func:`block_matrix` builds every matrix of the
-map: dense, or sparse (CSC) for a sparse LU.
+map, :func:`identity_minus` its ``Id - M``: dense, or sparse (CSC) for a
+sparse LU, both from the walk's table of nonzero vec-Kraus entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,22 +21,25 @@ FIXED_POINT_TOL = 1e-9  # relative singular value of M - Id below which a direct
 
 @dataclass(frozen=True)
 class BlockIndex:
-    """Offsets of per-site vectorized blocks inside a stacked vector."""
+    """Offsets of per-site vectorized blocks inside a stacked vector; ``starts``
+    gives them by the site's position in the walk (-1: no block)."""
 
     sites: tuple[Site, ...]
     offsets: dict
     total: int
+    starts: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, walk: WalkSpec, sites) -> "BlockIndex":
         sites = tuple(_site_id(s) for s in sites)
-        offsets = {}
+        offsets, starts = {}, [-1] * len(walk.sites)
         off = 0
         for s in sites:
             d2 = walk.dims[s] ** 2
             offsets[s] = (off, off + d2)
+            starts[walk._index[s]] = off
             off += d2
-        return cls(sites, offsets, off)
+        return cls(sites, offsets, off, np.array(starts))
 
     def pack(self, blocks: DiagonalState | DiagonalObservable) -> np.ndarray:
         """Stacked vectorized blocks of a state or observable (zero where absent)."""
@@ -59,29 +63,45 @@ class BlockIndex:
         return {s: walk.dims[s] for s in self.sites}
 
 
+def _entries(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the walk's nonzero vec-Kraus entries whose
+    blocks run from a ``cols`` site to a ``rows`` site, placed by offset."""
+    walk.kraus_stack()
+    to, fr, a, b, v = walk._coo
+    r0, c0 = rows.starts[to], cols.starts[fr]
+    keep = np.flatnonzero((r0 >= 0) & (c0 >= 0))
+    return r0[keep] + a[keep], c0[keep] + b[keep], v[keep]
+
+
+def _scatter(r, c, v, shape: tuple, sparse: bool):
+    if sparse:
+        from scipy.sparse import csc_matrix
+        return csc_matrix((v, (r, c)), shape=shape)
+    m = np.zeros(shape, dtype=COMPLEX)
+    m[r, c] = v
+    return m
+
+
 def block_matrix(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex, sparse: bool = False):
     """Matrix whose block (to, fr) is the walk's cached vec-Kraus block of
     ``L[to, fr]``, for every transition from a ``cols`` site to a ``rows``
-    site, and zero elsewhere: COO triples gathered per group of
-    :meth:`WalkSpec.kraus_stack`, scattered into a dense array or (``sparse``,
-    scipy imported on first use) a CSC matrix."""
-    r, c, v = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=COMPLEX)]
-    for keys, K in walk.kraus_stack():
-        r0 = np.array([rows.offsets.get(to, (-1,))[0] for to, _ in keys])
-        c0 = np.array([cols.offsets.get(fr, (-1,))[0] for _, fr in keys])
-        keep = np.flatnonzero((r0 >= 0) & (c0 >= 0))
-        k, a, b = np.nonzero(K[keep])
-        k = keep[k]
-        r.append(r0[k] + a)
-        c.append(c0[k] + b)
-        v.append(K[k, a, b])
-    r, c, v = np.concatenate(r), np.concatenate(c), np.concatenate(v)
-    if sparse:
-        from scipy.sparse import csc_matrix
-        return csc_matrix((v, (r, c)), shape=(rows.total, cols.total))
-    m = np.zeros((rows.total, cols.total), dtype=COMPLEX)
-    m[r, c] = v
-    return m
+    site, and zero elsewhere: a dense array or (``sparse``, scipy imported on
+    first use) a CSC matrix."""
+    return _scatter(*_entries(walk, rows, cols), (rows.total, cols.total), sparse)
+
+
+def identity_minus(walk: WalkSpec, idx: BlockIndex, sparse: bool = False):
+    """``Id - block_matrix(walk, idx, idx, sparse)`` from the same entries,
+    equal to that subtraction entry for entry (exact zeros are left out of
+    the CSC matrix, as the sparse subtraction leaves them out)."""
+    r, c, v = _entries(walk, idx, idx)
+    on = r == c
+    v, free = on - v, np.ones(idx.total, dtype=bool)
+    free[r[on]] = False
+    d, keep = np.flatnonzero(free), v != 0
+    return _scatter(np.concatenate([r[keep], d]), np.concatenate([c[keep], d]),
+                    np.concatenate([v[keep], np.ones(len(d), dtype=COMPLEX)]),
+                    (idx.total, idx.total), sparse)
 
 
 def block_diagonal(blocks) -> np.ndarray:

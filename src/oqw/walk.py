@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .linalg import COMPLEX, as_matrix, frozen, is_psd
+from .linalg import COMPLEX, as_matrix, is_psd
 
 Site = str
 
@@ -46,13 +46,19 @@ class WalkSpec:
     dims: Mapping[Site, int]
     transitions: Mapping[tuple[Site, Site], np.ndarray]
     tolerance: float = DEFAULT_TOLERANCE
-    # _out: targets of each source in declared transition order.  _succ and
-    # _pred follow the declared site order, which seeded sampler outputs use.
+    # The walk's table, built once.  _out: targets of each source in declared
+    # transition order; _succ and _pred follow the declared site order _index,
+    # which seeded sampler outputs use.  _groups: (keys, read-only stack) per
+    # block shape, viewed by ``transitions``; _amax: each block's max |entry|.
     _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _groups: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _amax: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _kraus: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _stack: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _coo: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         sites = tuple(_site_id(s) for s in self.sites)
@@ -64,20 +70,30 @@ class WalkSpec:
                 raise InputError(f"missing dimension for site {s!r}")
             if dims[s] < 1:
                 raise InputError(f"dimension of site {s!r} must be >= 1")
-        trans: dict[tuple[Site, Site], np.ndarray] = {}
+        mats: dict[tuple[Site, Site], np.ndarray] = {}
         for (to, fr), L in self.transitions.items():
             to, fr = _site_id(to), _site_id(fr)
             if to not in dims or fr not in dims:
                 raise InputError(f"transition ({to!r}, {fr!r}) references unknown site")
-            mat = as_matrix(L)
+            mat = mats[(to, fr)] = np.asarray(L, dtype=COMPLEX)
             if mat.shape != (dims[to], dims[fr]):
                 raise ShapeError(
                     f"transition ({to!r}, {fr!r}) has shape {mat.shape}, "
                     f"expected {(dims[to], dims[fr])}"
                 )
-            if np.abs(mat).max(initial=0.0) == 0.0:
-                continue
-            trans[(to, fr)] = frozen(mat)
+        views = {}   # per block shape: one copy, finiteness check and max |entry|
+        for shape in dict.fromkeys(m.shape for m in mats.values()):
+            keys = [k for k, m in mats.items() if m.shape == shape]
+            L = np.concatenate([mats[k] for k in keys]).reshape(len(keys), *shape)
+            if not np.isfinite(L).all():
+                raise ValueError("matrix has non-finite entries")
+            amax = np.abs(L).max(axis=(1, 2), initial=0.0)   # zero blocks are dropped
+            keys, L, amax = [k for k, m in zip(keys, amax) if m], L[amax > 0], amax[amax > 0]
+            L.setflags(write=False)
+            self._groups.append((keys, L))
+            self._amax.update(zip(keys, amax.tolist()))
+            views.update(zip(keys, L))
+        trans = {k: views[k] for k in mats if k in views}
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "dims", dict(dims))
         object.__setattr__(self, "transitions", trans)
@@ -87,7 +103,8 @@ class WalkSpec:
             out[fr].append(to)
             pred[to].append(fr)
         object.__setattr__(self, "_out", out)
-        order = {s: k for k, s in enumerate(sites)}
+        order = self._index
+        order.update((s, k) for k, s in enumerate(sites))
         object.__setattr__(self, "_succ", {s: sorted(t, key=order.get) for s, t in out.items()})
         object.__setattr__(self, "_pred", {s: sorted(f, key=order.get) for s, f in pred.items()})
 
@@ -104,19 +121,22 @@ class WalkSpec:
     def kraus_stack(self) -> list[tuple[list, np.ndarray]]:
         """Read-only ``kron(conj(L), L)`` of every transition, stacked per
         ``(d_to, d_fr)`` group as ``(keys, K)``, ``K[k]`` that of ``L[keys[k]]``;
-        built on first use by one broadcast per group and kept with the walk."""
-        if not self._kraus and self.transitions:
-            groups: dict[tuple, list] = {}
-            for key, L in self.transitions.items():
-                groups.setdefault(L.shape, []).append(key)
-            for keys in groups.values():
-                L = np.stack([self.transitions[k] for k in keys])
+        built on first use by one broadcast per group and kept with the walk,
+        with all nonzero entries in ``_coo`` as ``[to, fr, a, b, value]`` arrays
+        (positions of the block's sites in ``sites``, row and column in it)."""
+        if not self._coo:
+            coo = [(np.zeros(0, dtype=int),) * 4 + (np.zeros(0, dtype=COMPLEX),)]
+            for keys, L in self._groups:
                 m, a, b = L.shape
                 K = L.conj()[:, :, None, :, None] * L[:, None, :, None, :]
                 K = K.reshape(m, a * a, b * b)
                 K.setflags(write=False)
                 self._stack.append((keys, K))
                 self._kraus.update(zip(keys, K))
+                ends = np.array([(self._index[t], self._index[f]) for t, f in keys], dtype=int)
+                k, r, c = np.nonzero(K)
+                coo.append((*ends.reshape(-1, 2)[k].T, r, c, K[k, r, c]))
+            self._coo.extend(np.concatenate(x) for x in zip(*coo))
         return self._stack
 
     def kraus(self, to: Site, fr: Site) -> np.ndarray:

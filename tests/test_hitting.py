@@ -509,3 +509,31 @@ def test_backward_reachable_ignores_blocks_below_tolerance():
         for j in w.sites:
             allowed = tuple(s for s in w.sites if s != j)
             assert _backward_reachable(w, [j], allowed) == reference(w, [j], allowed)
+
+
+def test_blocks_at_or_below_tolerance_are_neither_seeds_nor_boundary_edges(monkeypatch):
+    """A block whose max |entry| is at or below the walk's tolerance stays a
+    transition, but it seeds no co-reachable site and makes no boundary
+    site; both read the walk's per-block max and compute no |entry|."""
+    from oqw import hitting
+
+    tol = 1e-9
+    one, two = np.ones((1, 1)), np.ones((2, 1))
+    trans = {("b", "a"): one, ("a", "b"): 0.5 * one, ("c", "a"): tol * one,
+             ("d", "b"): 0.5 * tol * one, ("e", "b"): np.nextafter(tol, 1.0) * one,
+             ("f", "a"): np.array([[tol], [-tol]]), ("g", "a"): 1e-3 * two}
+    walk = oqw.WalkSpec(tuple("abcdefg"), {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1,
+                                           "f": 2, "g": 2}, trans, tolerance=tol)
+    assert list(walk.transitions) == list(trans)
+
+    class NoAbs:
+        def __getattr__(self, name):
+            if name in ("abs", "absolute", "max", "amax"):
+                raise AssertionError(f"np.{name} called")
+            return getattr(np, name)
+
+    monkeypatch.setattr(hitting, "np", NoAbs())
+    assert hitting.boundary(walk, ["a", "b"]) == ("e", "g")
+    for target, want in (("c", set()), ("d", set()), ("f", set()),
+                         ("e", {"a", "b"}), ("g", {"a", "b"})):
+        assert hitting._backward_reachable(walk, [target], ("a", "b")) == want, target

@@ -8,6 +8,8 @@ compiles ``oqw.philox`` only when it first draws.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import oqw
 
 PACKAGE = Path(oqw.__file__).parent
@@ -118,3 +120,76 @@ def test_spectral_radius_only_in_acceptance():
     # decision rests on a solve's certificate
     users = {module for module, tree in _modules().items() if _users(tree, "spectral_radius")}
     assert users == {"acceptance"}
+
+
+def test_walk_digest_hashes_bytes_not_json():
+    tree = _modules()["serialize"]
+    assert "walk_digest" not in _users(tree, "walk_to_json")
+    assert "walk_digest" not in _users(tree, "dumps")
+
+
+class _ReadSpy(dict):
+    """A dict that counts reads of its entries."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+class _IterSpy(list):
+    """A list of transition keys that counts passes over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+def test_block_matrix_reads_no_transition_once_the_table_is_built():
+    # a call assembles from the walk's integer table: no pass over the
+    # transitions, their Kraus blocks or the keys of their groups
+    from oqw import fixtures
+    from oqw.superop import BlockIndex, block_matrix, identity_minus
+
+    walk = fixtures.example_lattice_nonnormal(6, "absorbing")
+    idx = BlockIndex.build(walk, walk.sites[1:])
+    first = block_matrix(walk, idx, idx)
+    spies = [_ReadSpy(walk.transitions), _ReadSpy(walk._kraus)]
+    object.__setattr__(walk, "transitions", spies[0])
+    object.__setattr__(walk, "_kraus", spies[1])
+    for groups in (walk._stack, walk._groups):
+        groups[:] = [(_IterSpy(keys), stack) for keys, stack in groups]
+        spies += [keys for keys, _ in groups]
+    kraus_calls = []
+    object.__setattr__(walk, "kraus", lambda *key: kraus_calls.append(key))
+    again = block_matrix(walk, idx, idx)
+    block_matrix(walk, idx, BlockIndex.build(walk, ["0"]), sparse=True)
+    identity_minus(walk, idx, sparse=True)
+    assert [spy.reads for spy in spies] == [0] * len(spies)
+    assert kraus_calls == []
+    assert np.array_equal(again, first)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,3 +80,42 @@ def test_result_document_shape(trap_walk):
                                     {"spectral_radius": 1.0})
     assert doc["walk_digest"] == serialize.walk_digest(trap_walk)
     assert doc["diagnostics"]["spectral_radius"] == 1.0
+
+
+def test_digest_changes_when_one_entry_moves_by_one_ulp(branch_walk):
+    for key in branch_walk.transitions:
+        trans = {k: np.array(L) for k, L in branch_walk.transitions.items()}
+        a, b = np.unravel_index(np.argmax(np.abs(trans[key])), trans[key].shape)
+        x = trans[key][a, b]
+        trans[key][a, b] = complex(np.nextafter(x.real, np.inf), x.imag)
+        moved = oqw.WalkSpec(branch_walk.sites, branch_walk.dims, trans)
+        assert serialize.walk_digest(moved) != serialize.walk_digest(branch_walk), key
+
+
+def test_digest_tells_negative_zero_from_zero_and_ignores_declared_order():
+    sites, dims = ("a", "b"), {"a": 1, "b": 2}
+    trans = {("b", "a"): np.array([[1.0], [0.0]]), ("a", "b"): np.array([[0.5, 0.5]])}
+    walk = oqw.WalkSpec(sites, dims, trans)
+    signed = oqw.WalkSpec(sites, dims, {**trans, ("b", "a"): np.array([[1.0], [-0.0]])})
+    reordered = oqw.WalkSpec(sites, dims, dict(reversed(list(trans.items()))))
+    assert serialize.walk_digest(signed) != serialize.walk_digest(walk)
+    assert serialize.walk_digest(reordered) == serialize.walk_digest(walk)
+    # the JSON round trip keeps the sign of zero, and so the digest
+    back = serialize.walk_from_json(json.loads(json.dumps(serialize.walk_to_json(signed))))
+    assert serialize.walk_digest(back) == serialize.walk_digest(signed)
+
+
+def test_digest_is_equal_across_processes_with_different_hash_seeds():
+    code = ("import oqw; from oqw import serialize; "
+            "print(serialize.walk_digest(oqw.fixtures.build_fixture('example-5.4')), "
+            "serialize.walk_digest(oqw.fixtures.example_lattice_nonnormal(6, 'absorbing')))")
+    src = str(Path(oqw.__file__).resolve().parents[1])
+    outs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        outs.add(proc.stdout)
+    here = [serialize.walk_digest(oqw.fixtures.build_fixture("example-5.4")),
+            serialize.walk_digest(oqw.fixtures.example_lattice_nonnormal(6, "absorbing"))]
+    assert outs == {" ".join(here) + "\n"}

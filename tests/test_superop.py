@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import oqw
+from oqw import fixtures
 from oqw.linalg import kraus_block, unvec, vec
 from oqw.superop import BlockIndex, block_matrix, fixed_point_projection
 from oqw.walk import DiagonalObservable, DiagonalState
 
-from conftest import random_density
+from conftest import random_density, rotate
 
 
 def test_vec_convention_sandwich_identity():
@@ -99,3 +100,100 @@ def test_fixed_space_of_a_map_equal_to_identity_up_to_rounding():
         proj, k = fixed_point_projection(kraus_block(loop), np.ones(1, dtype=complex))
         assert k == 1
         assert proj == pytest.approx(np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# assembly from the walk's table against a per-transition reference
+
+
+def reference_entries(walk, rows, cols):
+    """COO triples of the step matrix, one ``np.kron`` block per transition
+    in declared order, exact zeros left out."""
+    r, c, v = [], [], []
+    for (to, fr), L in walk.transitions.items():
+        if to in rows.offsets and fr in cols.offsets:
+            K = np.kron(L.conj(), L)
+            a, b = np.nonzero(K)
+            r += list(rows.offsets[to][0] + a)
+            c += list(cols.offsets[fr][0] + b)
+            v += list(K[a, b])
+    return np.array(r, dtype=int), np.array(c, dtype=int), np.array(v, dtype=complex)
+
+
+def reference_dense(walk, rows, cols):
+    r, c, v = reference_entries(walk, rows, cols)
+    m = np.zeros((rows.total, cols.total), dtype=complex)
+    m[r, c] = v
+    return m
+
+
+def reference_csc(walk, rows, cols):
+    from scipy.sparse import csc_matrix
+    r, c, v = reference_entries(walk, rows, cols)
+    return csc_matrix((v, (r, c)), shape=(rows.total, cols.total))
+
+
+def same_bits(a, b) -> bool:
+    if hasattr(b, "tocsc"):
+        return (type(a) is type(b) and a.shape == b.shape
+                and all(same_bits(getattr(a, f), getattr(b, f))
+                        for f in ("indptr", "indices", "data")))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def table_walks():
+    return {
+        "branch": fixtures.example_branch_return(),
+        "branch rotated": rotate(fixtures.example_branch_return(), 1),
+        "trap": fixtures.example_three_site_trap(),
+        "window 4": fixtures.example_lattice_nonnormal(4, "absorbing"),
+        "half-line": fixtures.example_half_line(0.75, 5),
+        "ruin 7": fixtures.gamblers_ruin(7, 0.4),
+    }
+
+
+def index_pairs(walk):
+    s = list(walk.sites)
+    picks = [s, s[::2], s[1::2], s[::-1][:3], []]
+    return [(a, b) for a in picks for b in picks]
+
+
+def test_block_matrix_equals_the_per_transition_reference_bit_for_bit():
+    from scipy.sparse import identity
+
+    from oqw.superop import identity_minus
+
+    branch = table_walks()["branch"]
+    assert {L.shape for L in branch.transitions.values()} == {(2, 1), (1, 2), (2, 2)}
+    checked = 0
+    for name, walk in table_walks().items():
+        for rs, cs in index_pairs(walk):
+            rows, cols = BlockIndex.build(walk, rs), BlockIndex.build(walk, cs)
+            dense = reference_dense(walk, rows, cols)
+            csc = reference_csc(walk, rows, cols)
+            assert same_bits(block_matrix(walk, rows, cols), dense), (name, rs, cs)
+            assert same_bits(block_matrix(walk, rows, cols, sparse=True), csc), (name, rs, cs)
+            checked += 1
+        for rs in {tuple(rs) for rs, _ in index_pairs(walk)}:
+            idx = BlockIndex.build(walk, rs)
+            want = np.eye(idx.total, dtype=complex) - reference_dense(walk, idx, idx)
+            assert same_bits(identity_minus(walk, idx), want), (name, rs)
+            want = identity(idx.total, dtype=complex, format="csc") - reference_csc(walk, idx, idx)
+            assert same_bits(identity_minus(walk, idx, sparse=True), want), (name, rs)
+    assert checked == 6 * 25
+
+
+def test_kraus_stack_groups_blocks_by_shape_in_declared_order():
+    for name, walk in table_walks().items():
+        groups = {}
+        for key, L in walk.transitions.items():
+            groups.setdefault(L.shape, []).append(key)
+        stack = walk.kraus_stack()
+        assert [keys for keys, _ in stack] == list(groups.values()), name
+        for keys, K in stack:
+            assert not K.flags.writeable
+            want = np.array([np.kron(walk.transitions[k].conj(), walk.transitions[k])
+                             for k in keys])
+            assert same_bits(K, want), name
+            for k, Kk in zip(keys, K):
+                assert same_bits(walk.kraus(*k), Kk)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,90 @@ def test_sufficient_condition_implies_selfadjoint(ring_walk, ruin_walk):
 def test_walk_arrays_are_immutable(trap_walk):
     with pytest.raises(ValueError):
         trap_walk.transitions[("1", "0")][0, 0] = 9.0
+
+
+# ---------------------------------------------------------------------------
+# the transition table: validation, dropped blocks, order and views
+
+
+def mixed_walk_spec():
+    """Sites, dims and transitions with blocks of three shapes, declared out
+    of site order, one all-zero block and one that is the only block of its
+    shape and all zero."""
+    rng = np.random.default_rng(5)
+
+    def block(a, b):
+        return rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))
+
+    dims = {"a": 1, "b": 2, "c": 2, "d": 3}
+    trans = {
+        ("c", "b"): block(2, 2),
+        ("a", "b"): block(1, 2),
+        ("b", "c"): np.zeros((2, 2)),
+        ("b", "a"): block(2, 1),
+        ("d", "d"): np.zeros((3, 3)),
+        ("a", "a"): [[0.5]],
+        ("b", "b"): block(2, 2),
+        ("c", "c"): block(2, 2).real,
+        ("a", "c"): block(1, 2),
+    }
+    return ("a", "b", "c", "d"), dims, trans
+
+
+def test_unknown_site_in_a_transition_raises_input_error():
+    sites, dims, trans = mixed_walk_spec()
+    trans[("a", "z")] = np.ones((1, 1))
+    with pytest.raises(InputError, match="unknown site"):
+        oqw.WalkSpec(sites, dims, trans)
+
+
+def test_shape_error_names_the_first_offender_in_declared_order():
+    sites, dims, trans = mixed_walk_spec()
+    bad = {("b", "c"): np.ones((2, 3)), ("a", "b"): np.ones((1, 3))}
+    for first, second in (list(bad), list(bad)[::-1]):
+        rest = {k: L for k, L in trans.items() if k not in bad}
+        trans2 = {first: bad[first], **rest, second: bad[second]}
+        with pytest.raises(ShapeError, match=re.escape(repr(first))):
+            oqw.WalkSpec(sites, dims, trans2)
+    with pytest.raises(ShapeError, match=re.escape(repr(("a", "a")))):
+        oqw.WalkSpec(sites, dims, {**trans, ("a", "a"): np.ones(1)})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_entries_raise_value_error(value):
+    sites, dims, trans = mixed_walk_spec()
+    trans[("b", "b")] = np.array(trans[("b", "b")])
+    trans[("b", "b")][1, 0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        oqw.WalkSpec(sites, dims, trans)
+
+
+def test_zero_blocks_are_dropped_and_declared_order_is_kept():
+    sites, dims, trans = mixed_walk_spec()
+    walk = oqw.WalkSpec(sites, dims, trans)
+    kept = [k for k, L in trans.items() if np.abs(np.asarray(L)).max() > 0]
+    assert list(walk.transitions) == kept
+    assert {k for keys, _ in walk.kraus_stack() for k in keys} == set(kept)
+    assert walk._out == {"a": ["b", "a"], "b": ["c", "a", "b"], "c": ["c", "a"], "d": []}
+    assert walk.successors("b") == ["a", "b", "c"]
+    assert walk.predecessors("a") == ["a", "b", "c"]
+    for j in sites:
+        acc = -np.eye(dims[j], dtype=complex)
+        for to in walk._out[j]:   # summed in declared order
+            L = np.asarray(trans[(to, j)], dtype=complex)
+            acc = acc + L.conj().T @ L
+        assert walk.column_defect(j) == float(np.linalg.norm(acc, 2)), j
+
+
+def test_transition_values_are_read_only_copies_of_the_input():
+    sites, dims, trans = mixed_walk_spec()
+    walk = oqw.WalkSpec(sites, dims, trans)
+    for key, L in walk.transitions.items():
+        want = np.asarray(trans[key], dtype=np.complex128)
+        assert L.dtype == np.complex128 and L.shape == want.shape, key
+        assert L.tobytes() == want.tobytes(), key
+        assert not L.flags.writeable, key
+        with pytest.raises(ValueError):
+            L[0, 0] = 1.0
+    trans[("b", "b")][0, 0] = 7.0   # the walk keeps its own copy
+    assert walk.transitions[("b", "b")][0, 0] != 7.0
