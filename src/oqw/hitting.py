@@ -242,20 +242,17 @@ def _factor(A) -> Callable[[np.ndarray], np.ndarray]:
 # the certified solve
 
 
-def _trace_vector(dims: dict) -> np.ndarray:
-    """Vector t with t† x = sum of the traces of x's blocks of dimensions ``dims``."""
-    eye = {d: vec(np.eye(d, dtype=COMPLEX)) for d in set(dims.values())}
-    return np.concatenate([eye[d] for d in dims.values()])
-
-
-def _blocks_by_dim(dims: dict) -> dict[int, np.ndarray]:
-    """Block start offsets, grouped by the block's dimension."""
-    out: dict[int, list] = {}
-    off = 0
-    for d in dims.values():
-        out.setdefault(d, []).append(off)
-        off += d * d
-    return {d: np.asarray(v) for d, v in out.items()}
+def _layout(dims: dict) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Vector t with t† x = sum of the traces of x's blocks of dimensions
+    ``dims``, and the block start offsets grouped by the block's dimension."""
+    sizes = np.fromiter(dims.values(), dtype=np.intp, count=len(dims))
+    squares = sizes * sizes
+    starts = np.cumsum(squares) - squares
+    trace, groups = np.zeros(int(squares.sum()), dtype=COMPLEX), {}
+    for d in np.flatnonzero(np.bincount(sizes)).tolist():
+        groups[d] = starts[sizes == d]
+        trace[(groups[d][:, None] + np.arange(0, d * d, d + 1)).ravel()] = 1.0
+    return trace, groups
 
 
 def _certify(A, rhs: np.ndarray, dims: dict) -> tuple[np.ndarray | None, float, float, Callable]:
@@ -273,7 +270,8 @@ def _certify(A, rhs: np.ndarray, dims: dict) -> tuple[np.ndarray | None, float, 
     """
     if not A.shape[0]:
         return rhs, 0.0, 0.0, None
-    rhs = np.column_stack([rhs, _trace_vector(dims)])
+    trace, groups = _layout(dims)
+    rhs = np.column_stack([rhs, trace])
     try:
         solve = _factor(A)
         X = solve(rhs)
@@ -289,7 +287,7 @@ def _certify(A, rhs: np.ndarray, dims: dict) -> tuple[np.ndarray | None, float, 
     # the exact solution is Hermitian with lmin >= 1; accept rounding
     # relative to its size, but never a block that is not positive definite
     lo, hi, skew = math.inf, 0.0, 0.0
-    for d, starts in _blocks_by_dim(dims).items():
+    for d, starts in groups.items():
         take = (starts[:, None] + np.arange(d * d)).ravel()
         blocks = X[take, -1].reshape(-1, d, d)   # transposed blocks: same spectra
         h = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
@@ -371,7 +369,7 @@ def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainS
                              {"radius_bound": bound, "trapped_sites": []})
     lift, lift_t = _lift(free), _lift(trap)
     defect = max(float(np.linalg.norm(lift.conj().T @ (A @ lift_t))),
-                 float(np.linalg.norm(_trace_vector(dims).conj() @ (A @ lift_t))))
+                 float(np.linalg.norm(_layout(dims)[0].conj() @ (A @ lift_t))))
     if defect > TRAP_DEFECT_TOL:
         raise NumericalError(
             "the series is not certified convergent, and its near-fixed part is not trapped",
@@ -394,7 +392,7 @@ def _trapped_split(A, dims: dict, rhs: np.ndarray) -> tuple[dict, dict, np.ndarr
     and the Cesaro limit of ``rhs``: one projection of ``[vec(Id) | rhs]``."""
     S = _eye(A) - A
     fixed, _ = fixed_point_projection(S if isinstance(S, np.ndarray) else S.toarray(),
-                                      np.column_stack([_trace_vector(dims), rhs]))
+                                      np.column_stack([_layout(dims)[0], rhs]))
     eig, off = {}, 0
     for s, d in dims.items():
         eig[s] = np.linalg.eigh(herm(unvec(fixed[off:off + d * d, 0], d)))

@@ -74,9 +74,12 @@ def _entries(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> tuple[np.nda
 
 
 def _scatter(r, c, v, shape: tuple, sparse: bool):
+    """Dense or CSC matrix of distinct entries; CSC sorted by column, then row."""
     if sparse:
         from scipy.sparse import csc_matrix
-        return csc_matrix((v, (r, c)), shape=shape)
+        order = np.lexsort((r, c))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(c, minlength=shape[1]))))
+        return csc_matrix((v[order], r[order], indptr), shape=shape)
     m = np.zeros(shape, dtype=COMPLEX)
     m[r, c] = v
     return m

@@ -2,10 +2,10 @@
 
 Each trajectory owns a counter-based random stream keyed by (master seed,
 trajectory index), so ensembles are reproducible bit for bit regardless of
-batching.  The ensemble driver advances all live trajectories in lock step:
-per-site tables padded to a common size are gathered by position, so a step
-is a fixed number of numpy calls, and the uniforms of all live streams come
-from one vectorized Philox that matches numpy's generator bit for bit.
+batching.  The ensemble engine advances all live trajectories in lock step,
+stepping each distinct (site, state) class once, so a step is a fixed number
+of numpy calls, and the uniforms of all live streams come from one
+vectorized Philox that matches numpy's generator bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .walk import (DiagonalObservable, Site, WalkSpec, _known_sites, _site_id, c
 PROB_FLOOR = 1e-14   # transition weights below this count as zero
 SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
 HARMONIC_TOL = 1e-8  # residual up to which an observable counts as harmonic
+DRAW, DEAD = -1, -2  # class codes besides a forced successor: drawn / no positive weight
 
 
 def _renorm_tol(walk: WalkSpec) -> float:
@@ -158,22 +159,23 @@ def _trace_table(mats: np.ndarray) -> np.ndarray:
 
 
 class _Ensemble:
-    """All live trajectories advanced together from gathered per-site tables.
+    """All live trajectories advanced together through a table of classes.
 
     Sites are numbered in declared order; their blocks are zero-padded to the
     largest fibre dimension ``D`` and to the most successors ``K`` of any
-    site.  A state is held as ``vec(rho)`` (row-major, ``D*D`` entries).  The
-    weight of successor ``k`` from site ``s`` is ``Tr(L†L rho)``, a dot product
-    with ``gram[s, k]``; the chosen block maps the state by its superoperator
-    ``kron(L, conj L)`` (by ``L rho L†`` when ``D > SUPEROP_MAX_DIM``).  A step
-    is thus a fixed number of numpy calls whatever the sites occupied.
+    site.  A state is held as ``vec(rho)`` (row-major, ``D*D`` entries).
+    Trajectories at one site in one state, byte for byte, share a class,
+    whose weights ``Tr(L†L rho)`` (dot products with ``gram[s, k]``) are
+    computed once, as is the class each successor leads to, when first taken
+    (by the superoperator ``kron(L, conj L)``, or ``L rho L†`` when ``D >
+    SUPEROP_MAX_DIM``): a step costs each trajectory a draw and two lookups.
 
     Only trajectories still active at the last step are held (``held``:
-    global indices, ``pos``: site numbers, ``vecs``: states); the others keep
-    their final entry in ``positions``.  A deactivated trajectory stays
-    stopped.  Uniforms are drawn in blocks for the held set only: the n-th
-    step of every live trajectory uses draw n-1 of its own stream.  The
-    start ``(i, rho)`` is checked here, where every ensemble starts.
+    global indices, ``cls``: their classes); the others keep their final
+    entry in ``positions``.  A deactivated trajectory stays stopped.
+    Uniforms are drawn in blocks for the held set only: the n-th step of
+    every live trajectory uses draw n-1 of its own stream; a step whose
+    every move is forced draws none.  The start ``(i, rho)`` is checked here.
     """
 
     def __init__(self, walk: WalkSpec, i, rho, n_traj: int, seed: int,
@@ -192,7 +194,6 @@ class _Ensemble:
         self.k = max(1, max(len(row) for row in succ))
         blocks = np.zeros((len(succ), self.k, d, d), dtype=COMPLEX)
         self.targets = np.zeros(len(succ) * self.k, dtype=np.int64)
-        self.last = np.array([max(len(row) - 1, 0) for row in succ], dtype=np.int64)
         for s_idx, (s, row) in enumerate(zip(walk.sites, succ)):
             for k, t in enumerate(row):
                 L = walk.transitions[(t, s)]
@@ -206,17 +207,36 @@ class _Ensemble:
         else:
             self.superop, self.blocks = None, blocks
         self.diag = np.arange(d) * (d + 1)
+        # blocks of rank one or a multiple of the source fibre's identity bring
+        # different paths to one state: their results are merged (_merge)
+        eye = np.arange(d) < np.repeat([walk.dims[s] for s in walk.sites], self.k)[:, None]
+        self.lookup = (np.linalg.matrix_rank(blocks) == 1) | np.all(
+            blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
+        self.merging = bool(self.lookup.any())   # else no slot array is kept
+        # odd multiples of 2^64 / golden ratio hash a site and the 2*D*D words of its state
+        self.mult = np.arange(1, 4 * d * d + 3, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        self.renormalizing = False              # some class's weights need renormalizing
         s0 = self.site_index[_site_id(i)]
+        first = np.zeros((1, d * d), dtype=COMPLEX)
+        first.reshape(d, d)[:rho.shape[0], :rho.shape[0]] = rho
+        self.site, self.vec = np.array([s0]), first   # made class 0 of the table
+        self.cls, self.held = np.zeros(n_traj, dtype=np.int64), np.arange(n_traj)
+        self._make_room(self.k)
         self.positions = np.full(n_traj, s0, dtype=np.int64)
         self.active = np.ones(n_traj, dtype=bool)
-        first = np.zeros((d, d), dtype=COMPLEX)
-        first[:rho.shape[0], :rho.shape[0]] = rho
-        self.held = np.arange(n_traj)
-        self.pos = self.positions.copy()
-        self.vecs = np.tile(first.reshape(-1), (n_traj, 1))
         self.draws = 0                          # steps taken by every held trajectory
         self.uniforms = np.empty((n_traj, 0))   # draws u_start, ... of the held streams
         self.u_start = 0
+
+    @property
+    def pos(self) -> np.ndarray:
+        """Site numbers of the held trajectories."""
+        return self.site[self.cls]
+
+    @property
+    def vecs(self) -> np.ndarray:
+        """States ``vec(rho)`` of the held trajectories."""
+        return self.vec[self.cls]
 
     def _next_uniforms(self) -> np.ndarray:
         col = self.draws - self.u_start
@@ -232,39 +252,112 @@ class _Ensemble:
 
     def step(self) -> None:
         """Advance every active trajectory by one transition."""
-        live = np.count_nonzero(self.active)
-        if live == 0:
-            return
-        if live < self.held.size:
-            keep = self.active[self.held]
-            self.held, self.pos, self.vecs = self.held[keep], self.pos[keep], self.vecs[keep]
+        keep = self.active[self.held]
+        if not keep.all():
+            self.held, self.cls = self.held[keep], self.cls[keep]
             self.uniforms = self.uniforms[keep]
-        pos, vecs = self.pos, self.vecs
-        w = np.einsum("bkj,bj->bk", self.gram[pos], vecs.view(np.float64))
-        w[w < PROB_FLOOR] = 0.0
-        cum = np.cumsum(w, axis=1)
-        total = cum[:, -1]
-        dead = total <= PROB_FLOOR
-        if dead.any():
-            site = self.walk.sites[int(pos[dead].min())]
+        if not self.held.size:
+            return
+        need = min(self.held.size, self.k * self.n_cls)   # the most new classes a step makes
+        if self.n_cls + need > self.site.size:
+            self._make_room(need)
+        cls = self.cls
+        code = self.code[cls]
+        lowest = code.min()
+        if lowest == DEAD:
+            site = self.walk.sites[int(self.site[cls[code == DEAD]].min())]
             raise NumericalError(f"dead end at site {site!r} during sampling")
-        self.renorms += int(np.count_nonzero(np.abs(total - 1.0) > self.renorm_tol))
-        u = self._next_uniforms() * total
-        choice = np.count_nonzero(cum <= u[:, None], axis=1)
-        np.minimum(choice, self.last[pos], out=choice)
-        flat = pos * self.k + choice
+        if self.renormalizing:
+            self.renorms += int(np.count_nonzero(abs(self.cum[-1, cls] - 1.0) > self.renorm_tol))
+        if lowest == DRAW:
+            # u < total = cum[-1], so the count stops at the last positive weight
+            cum = np.take(self.cum, cls, axis=1)
+            u = self._next_uniforms() * cum[-1]
+            code = (cum[:-1] <= u).sum(axis=0)
+        pair = cls * self.k + code
+        nxt = np.take(self.child, pair)
+        if nxt.min() < 0:
+            miss = np.flatnonzero(nxt < 0)
+            nxt[miss] = self._children(pair[miss])
+        self.cls = nxt
+        self.positions[self.held] = self.site[nxt]
+        self.draws += 1
+
+    def _children(self, pairs: np.ndarray) -> np.ndarray:
+        """Classes the flat (class, successor) ``pairs`` lead to, each pair once."""
+        child = self.child.reshape(-1)
+        rows = np.arange(pairs.size)
+        child[pairs] = rows                       # one row of each pair stays
+        lead = pairs[child[pairs] == rows]
+        src = lead // self.k
+        flat = self.site[src] * self.k + (lead - src * self.k)
+        vecs = np.take(self.vec, src, axis=0)
         if self.superop is not None:
-            new = np.einsum("bij,bj->bi", self.superop[flat], vecs)
+            new = np.einsum("bij,bj->bi", np.take(self.superop, flat, axis=0), vecs)
         else:
             d = self.dmax
-            L = self.blocks[flat]
+            L = np.take(self.blocks, flat, axis=0)
             new = (L @ vecs.reshape(-1, d, d) @ np.swapaxes(L, 1, 2).conj()).reshape(-1, d * d)
         re_im = new.view(np.float64)
         re_im /= new[:, self.diag].real.sum(axis=1)[:, None]   # unit trace
-        self.vecs = new
-        self.pos = self.targets[flat]
-        self.positions[self.held] = self.pos
-        self.draws += 1
+        ids = self._append(self.targets[flat], new)
+        if self.merging:
+            look = np.flatnonzero(self.lookup[flat])
+            ids[look] = self._merge(ids[look])
+        child[lead] = ids
+        return child[pairs]
+
+    def _merge(self, ids: np.ndarray) -> np.ndarray:
+        """The classes ``ids``, each replaced by the class its slot shows when
+        that holds the same site and state byte for byte, else entered there;
+        a replaced row is left unused."""
+        words = np.take(self.vec, ids, axis=0).view(np.uint64)
+        h = words @ self.mult[1:] + self.site[ids].view(np.uint64) * self.mult[0]
+        slot = (h >> self.shift).astype(np.intp)
+        old = self.slots[slot]
+        known = (self.site[old] == self.site[ids]) & (
+            np.take(self.vec, old, axis=0).view(np.uint64) == words).all(axis=1)
+        self.slots[slot[~known]] = ids[~known]
+        return np.where(known, old, ids)
+
+    def _append(self, sites: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """Ids of new classes for the rows ``(sites, vecs)``."""
+        n = self.n_cls
+        new = slice(n, n + sites.size)
+        self.site[new], self.vec[new], self.child[new] = sites, vecs, -1
+        w = np.einsum("bkj,bj->bk", np.take(self.gram, sites, axis=0), vecs.view(np.float64))
+        w[w < PROB_FLOOR] = 0.0
+        cum = self.cum[:, new]                  # cumulative sums, one row per successor
+        cum[0] = w[:, 0]
+        for k in range(1, self.k):
+            np.add(cum[k - 1], w[:, k], out=cum[k])
+        # the draw u lies in [0, total): it decides nothing when every
+        # cumulative weight is 0 or the total (one successor of positive weight)
+        low = (cum[:-1] <= 0.0).sum(axis=0)
+        code = np.where(low == (cum[:-1] < cum[-1]).sum(axis=0), low, DRAW)
+        code[cum[-1] <= PROB_FLOOR] = DEAD
+        self.code[new] = code
+        self.renormalizing |= bool((np.abs(cum[-1] - 1.0) > self.renorm_tol).any())
+        self.n_cls = new.stop
+        return np.arange(n, new.stop)
+
+    def _make_room(self, need: int) -> None:
+        """Recreate the held trajectories' classes, in order, in a table of at
+        least four rows per class kept or ``need``ed (two slots a row)."""
+        keep, self.cls = np.unique(self.cls, return_inverse=True)
+        sites, vecs = self.site[keep], np.take(self.vec, keep, axis=0)
+        cap = self.site.size
+        while 4 * (keep.size + need) > cap:
+            cap *= 2
+        self.n_cls, self.site, self.code = 0, np.empty(cap, np.int64), np.empty(cap, np.int64)
+        self.vec, self.cum = np.empty((cap, self.dmax ** 2), COMPLEX), np.empty((self.k, cap))
+        self.child = np.empty((cap, self.k), np.int64)
+        ids = self._append(sites, vecs)
+        if self.merging:
+            bits = (2 * cap - 1).bit_length()
+            self.shift = np.uint64(64 - bits)
+            self.slots = np.zeros(1 << bits, dtype=np.intp)
+            self._merge(ids)
 
 
 def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int,
@@ -283,17 +376,18 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
         ens.step()
         if path is not None:
             path[n] = ens.positions
-        at_target = ens.active & (ens.positions == j_idx)
-        fresh = at_target & ~np.isfinite(hit_time)
-        hit_time[fresh] = n
+        at_target = ens.held[ens.pos == j_idx]   # every held trajectory is active here
+        if not at_target.size:
+            continue
+        hit_time[at_target] = np.minimum(hit_time[at_target], n)
         visit_count[at_target] += 1
         if kth_return is not None:
-            done = at_target & (visit_count == kth_return)
+            done = at_target[visit_count[at_target] == kth_return]
             kth_time[done] = n
             ens.active[done] = False
         if not track_visits:
             ens.active[at_target] = False
-        if (kth_return is not None or not track_visits) and not ens.active.any():
+        if (kth_return is not None or not track_visits) and not ens.active[ens.held].any():
             break
     return hit_time, visit_count, kth_time, ens
 

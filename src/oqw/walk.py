@@ -98,15 +98,17 @@ class WalkSpec:
         object.__setattr__(self, "dims", dict(dims))
         object.__setattr__(self, "transitions", trans)
         out: dict[Site, list[Site]] = {s: [] for s in sites}
-        pred: dict[Site, list[Site]] = {s: [] for s in sites}
         for to, fr in trans:
             out[fr].append(to)
-            pred[to].append(fr)
         object.__setattr__(self, "_out", out)
         order = self._index
         order.update((s, k) for k, s in enumerate(sites))
-        object.__setattr__(self, "_succ", {s: sorted(t, key=order.get) for s, t in out.items()})
-        object.__setattr__(self, "_pred", {s: sorted(f, key=order.get) for s, f in pred.items()})
+        succ, pred = self._succ, self._pred
+        succ.update((s, []) for s in sites)
+        pred.update((s, []) for s in sites)
+        for to, fr in sorted(sorted(trans, key=lambda k: order[k[0]]), key=lambda k: order[k[1]]):
+            succ[fr].append(to)
+            pred[to].append(fr)
 
     def dim(self, site) -> int:
         return self.dims[_site_id(site)]

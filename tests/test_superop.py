@@ -183,6 +183,21 @@ def test_block_matrix_equals_the_per_transition_reference_bit_for_bit():
     assert checked == 6 * 25
 
 
+@pytest.mark.parametrize("walk", [fixtures.example_lattice_nonnormal(120),
+                                  fixtures.gamblers_ruin(81)], ids=["window 120", "ruin 81"])
+def test_sparse_assembly_gives_scipy_canonical_arrays(walk):
+    # the CSC arrays sorted by column, then row, are those of scipy's COO conversion
+    from scipy.sparse import csc_matrix
+
+    from oqw.superop import _entries, identity_minus
+
+    idx = BlockIndex.build(walk, walk.sites[1:-1])
+    r, c, v = _entries(walk, idx, idx)
+    want = csc_matrix((v, (r, c)), shape=(idx.total, idx.total))
+    assert same_bits(block_matrix(walk, idx, idx, sparse=True), want)
+    assert same_bits(identity_minus(walk, idx, sparse=True), csc_matrix(identity_minus(walk, idx)))
+
+
 def test_kraus_stack_groups_blocks_by_shape_in_declared_order():
     for name, walk in table_walks().items():
         groups = {}

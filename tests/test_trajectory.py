@@ -6,6 +6,7 @@ import oqw
 from oqw import fixtures
 from oqw.errors import InputError
 from oqw.hitting import capture_series
+from oqw.structure import decompose
 from oqw import philox
 from oqw.trajectory import trajectory_rng, word_frequencies
 from oqw.walk import DiagonalObservable, identity_observable
@@ -303,18 +304,38 @@ def test_philox_matches_numpy_streams(seed, monkeypatch):
                 assert np.array_equal(row, refs[k][start:start + length])
 
 
-@pytest.mark.parametrize("walk, start, target, horizon", [
-    (fixtures.example_branch_return(), "1", "0", 80),           # fibre dims 1 and 2
-    (fixtures.example_lattice_nonnormal(5), "0", "0", 80),
-    (fixtures.random_doubly_stochastic(6, 5, seed=4), "0", "3", 12),  # D > SUPEROP_MAX_DIM
-])
-def test_ensemble_follows_single_trajectory_paths(walk, start, target, horizon):
+def conditioned_invariant_state(walk, site):
+    block = decompose(walk).invariant.blocks[site]
+    return block / np.trace(block).real
+
+
+def leaky_walk():
+    """Substochastic three-site walk: from "0" a trajectory reaches "1", which
+    has no outgoing block, or turns through "2" back to "0"."""
+    turn = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+    return oqw.WalkSpec(("0", "1", "2"), {"0": 2, "1": 2, "2": 2},
+                        {("1", "0"): np.sqrt(0.15) * np.eye(2), ("2", "0"): np.sqrt(0.85) * turn,
+                         ("0", "2"): np.eye(2)})
+
+
+@pytest.mark.parametrize("walk, start, rho, target, horizon, all_stop", [
+    (fixtures.example_branch_return(), "1", None, "0", 80, False),   # fibre dims 1 and 2
+    (fixtures.example_lattice_nonnormal(5), "0", None, "0", 80, False),
+    (fixtures.random_doubly_stochastic(6, 5, seed=4), "0", None, "3", 12, False),  # D > 4
+    # the Kac shape: every move forced, so every trajectory returns at step 2
+    (fixtures.example_branch_return(), "1",
+     conditioned_invariant_state(fixtures.example_branch_return(), "1"), "1", 10, True),
+    (leaky_walk(), "0", None, "1", 40, False),   # the target's class is a dead end
+    (fixtures.random_doubly_stochastic(8, 2, seed=3), "0", None, "5", 30, False),
+], ids=["walk0-1-0-80", "walk1-0-0-80", "walk2-0-3-12", "kac-shape", "leaky", "random-8-2"])
+def test_ensemble_follows_single_trajectory_paths(walk, start, rho, target, horizon, all_stop):
     # trajectory k of the ensemble walks the same sites as the single
     # sampler on stream (seed, offset + k), also once others have stopped
     from oqw.trajectory import _Ensemble
 
     n, seed, offset = 60, 31, 5
-    rho = np.eye(walk.dims[start], dtype=complex) / walk.dims[start]
+    if rho is None:
+        rho = np.eye(walk.dims[start], dtype=complex) / walk.dims[start]
     ens = _Ensemble(walk, start, rho, n, seed, index_offset=offset)
     j = ens.site_index[target]
     paths = [[start] for _ in range(n)]
@@ -324,7 +345,7 @@ def test_ensemble_follows_single_trajectory_paths(walk, start, target, horizon):
         for k in moving:
             paths[k].append(walk.sites[ens.positions[k]])
         ens.active[ens.positions == j] = False
-    assert 0 < ens.active.sum() < n
+    assert ens.active.sum() == 0 if all_stop else 0 < ens.active.sum() < n
     for k in range(n):
         rec = oqw.sample_trajectory(walk, start, rho, horizon, stop={"hit": target},
                                     rng=trajectory_rng(seed, offset + k),
@@ -406,3 +427,52 @@ def test_word_frequencies_pinned(branch_walk, trap_walk):
     got = word_frequencies(trap_walk, "0", np.diag([0.6, 0.4]).astype(complex), 3, 500,
                            seed=12)
     assert got == {("1", "0", "1"): 307, ("2", "2", "2"): 193}
+
+
+def test_forced_moves_draw_no_uniforms(monkeypatch):
+    # from the conditioned invariant state at "1" every move of example 5.4
+    # is forced, so the sampler never asks the streams for a draw
+    def draw(*args):
+        raise AssertionError("a forced move drew a uniform")
+
+    monkeypatch.setattr(philox, "uniforms", draw)
+    rep = oqw.estimate_kac(fixtures.example_branch_return(), "1", n_traj=300, k_max=40, seed=9)
+    assert (rep.empirical.estimate, rep.n_censored) == (2.0, 0)
+
+
+# sha256 of the hit, visit and position bytes of _run_hitting, computed with
+# the per-trajectory step that the class table replaced
+PINNED_RUN_DIGESTS = [
+    ("branch", dict(walk=fixtures.example_branch_return(), i="1", rho=MIX, j="0",
+                    n_traj=400, horizon=40, seed=7, track_visits=True),
+     "642a2e7960c0e7deadfb03f742ff38f53b09e422d70411768418110730afe278"),
+    ("lattice", dict(walk=fixtures.example_lattice_nonnormal(10), i="0", rho=MIX, j="0",
+                     n_traj=2000, horizon=300, seed=11, track_visits=False),
+     "7fe017f71a66c79dbc71d80d72d6a6ab2e3942f0b3db53558e8da43ad9c63a8d"),
+    ("random D=2", dict(walk=fixtures.random_doubly_stochastic(8, 2, seed=3), i="0", rho=MIX,
+                        j="5", n_traj=500, horizon=100, seed=3, track_visits=True),
+     "e0930ea98e9face9a08172f43dec9742c332d77f23d5ba6ce6bef2f66502052c"),
+]
+
+
+@pytest.mark.parametrize("one_slot", [False, True], ids=["hashed", "one slot"])
+@pytest.mark.parametrize("case, kwargs, digest", PINNED_RUN_DIGESTS,
+                         ids=[c[0] for c in PINNED_RUN_DIGESTS])
+def test_run_hitting_pinned_digests(case, kwargs, digest, one_slot, monkeypatch):
+    # one_slot hashes every class to one slot: classes merge only when their
+    # bytes match, so fewer are shared and nothing else changes
+    import hashlib
+
+    from oqw.trajectory import _Ensemble, _run_hitting
+
+    init = _Ensemble.__init__
+
+    def hash_to_one_slot(self, *args, **kw):
+        init(self, *args, **kw)
+        self.mult[:] = 0
+
+    if one_slot:
+        monkeypatch.setattr(_Ensemble, "__init__", hash_to_one_slot)
+    hit, visits, _, ens = _run_hitting(**kwargs)
+    got = hashlib.sha256(hit.tobytes() + visits.tobytes() + ens.positions.tobytes())
+    assert got.hexdigest() == digest
