@@ -16,12 +16,12 @@ from .walk import (
     validate_walk,
 )
 from .superop import invariant_state
+from ._oracles import brute_force_path_sum
 from .hitting import (
     CPMapBlock,
     HarmonicMeasure,
     alpha_operator,
     boundary,
-    brute_force_path_sum,
     conditional_state_at_hit,
     domain_operator,
     exit_probability,

@@ -26,16 +26,9 @@ from .dirichlet import (
     solve_dirichlet_domain,
     variational_solve,
 )
-from .hitting import (
-    brute_force_path_sum,
-    capture_series,
-    expected_return_time,
-    expected_visits,
-    harmonic_measure,
-    passage_probability,
-    shanks_limit,
-    taboo_operator,
-)
+from ._oracles import brute_force_path_sum, path_terms, shanks_limit
+from .hitting import (capture_series, expected_return_time, expected_visits, harmonic_measure,
+                      passage_probability, taboo_operator)
 from .linalg import spectral_radius, unvec, vec
 from .structure import classify_recurrence
 from .superop import invariant_state
@@ -296,7 +289,7 @@ def criterion_10_oracle_equivalence(crit: _Criterion) -> None:
         ("down-drift chain", fixtures.example_half_line(0.75, 30), "0", E1, "0", 60),
     ]
     for label, walk, i, rho, j, horizon in mc_cases:
-        terms = capture_series(walk, i, j).length_terms(horizon)
+        terms = path_terms(capture_series(walk, i, j), horizon)
         dj = walk.dims[j]
         exact = sum(float(np.trace(unvec(m @ vec(rho), dj)).real) for m in terms)
         n = 20_000

@@ -20,8 +20,7 @@ import numpy as np
 from . import fixtures, hitting, serialize
 from .errors import InputError, NumericalError, OQWError
 from .linalg import COMPLEX
-from .walk import (DEFAULT_TOLERANCE, DiagonalState, WalkSpec, _known_sites, check_state,
-                   validate_walk)
+from .walk import DEFAULT_TOLERANCE, WalkSpec, _known_sites, validate_walk
 
 
 def _read_json(path: str, what: str, obj: bool = True):
@@ -254,9 +253,8 @@ def _cmd_info(args, walk, rho):
 
 
 def _cmd_hit(args, walk, rho):
-    check_state(walk, DiagonalState({args.src: rho}))
-    op = hitting.taboo_operator(walk, args.src, args.dst)
-    return {"value": hitting._passage(op, rho)}, op.diagnostics, 0
+    _, first, _, _, p = hitting._first_passage(walk, args.src, rho, args.dst)
+    return {"value": p}, first.diagnostics, 0
 
 
 def _cmd_visits(args, walk, rho):

@@ -36,8 +36,10 @@ with diagnostics, never an exception, when the underlying series diverges.
 An expected visit count is infinite exactly when the Cesaro projection of
 the first-passage state under the return map keeps trace mass.
 
-Finite domains (exit states, harmonic measure, visits before exit) share
-one entry that checks their input before the solve with ``K_DD``.
+First-passage queries (passage, visits, return time, the state at the
+hit) share one entry that checks the start state before building the
+series; finite domains (exit states, harmonic measure, visits before exit)
+share one that checks their input before the solve with ``K_DD``.
 :func:`domain_operator` keeps the per-pair taboo series as public API.
 """
 
@@ -63,6 +65,9 @@ DIVERGENCE_TOL = 1e-7
 CERTIFICATE_RESIDUAL_TOL = 1e-8  # relative residual above which a solve certifies nothing
 TRAP_DEFECT_TOL = 1e-9  # invariance and exit defects above which a near-fixed part is not trapped
 PASSAGE_SURE_TOL = 1e-6  # passage probabilities closer to 1 than this count as certain
+ESCAPE_TOL = 1e-6  # a passage or exit probability leaving [0, 1] by more than this is an error
+ZERO_MASS_TOL = 1e-12  # a passage, exit or invariant mass at or below this is zero
+TRAPPED_SHARE_TOL = 1e-10  # a trapped (Cesaro) mass above this share of its start mass is trapped
 CP_TOL = 1e-8  # Choi and dual-identity eigenvalue slack of a CP contraction
 SPARSE_MIN_UNKNOWNS = 128  # systems with this many unknowns or more are factored by sparse LU
 
@@ -145,7 +150,6 @@ class CaptureSeries(DomainBlocks):
     taboo: frozenset
     direct: np.ndarray | None   # L[j, i], None if absent
     E: np.ndarray               # {i} -> interior
-    _alpha_solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def interior(self) -> tuple[Site, ...]:
@@ -168,39 +172,23 @@ class CaptureSeries(DomainBlocks):
 
     def _weighted(self, alpha: float) -> DomainSolve:
         """The certified solve of ``(Id - alpha S) R = E``: :attr:`solved` at
-        ``alpha = 1``, else one solve kept per alpha."""
+        ``alpha = 1``, else a new solve."""
         if alpha == 1.0:
             return self.solved
-        if alpha not in self._alpha_solves:
-            # Id - alpha S = (1 - alpha) Id + alpha A
-            self._alpha_solves[alpha] = _domain_solve(
-                alpha * self.A + (1.0 - alpha) * _eye(self.A), self.E, self.inner.dims(self.walk))
-        return self._alpha_solves[alpha]
+        # Id - alpha S = (1 - alpha) Id + alpha A
+        return _domain_solve(alpha * self.A + (1.0 - alpha) * _eye(self.A), self.E,
+                             self.inner.dims(self.walk))
 
-    def matrix(self, alpha: float = 1.0) -> np.ndarray:
-        """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2."""
+    def matrix(self, alpha: float = 1.0, solved: DomainSolve | None = None) -> np.ndarray:
+        """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2, from
+        ``solved``, the :meth:`_weighted` solve (made here when not given)."""
         walk = self.walk
         m = np.zeros((walk.dims[self.target] ** 2, walk.dims[self.source] ** 2), dtype=COMPLEX)
         if self.direct is not None:
             m += alpha * walk.kraus(self.target, self.source)
         if self.A.shape[0]:
-            m += (alpha ** 2) * (self.C @ self._weighted(alpha).x)
+            m += (alpha ** 2) * (self.C @ (solved or self._weighted(alpha)).x)
         return m
-
-    def length_terms(self, max_len: int) -> list[np.ndarray]:
-        """Per-length vec-matrices of the path sum, lengths 1..max_len."""
-        walk = self.walk
-        shape = (walk.dims[self.target] ** 2, walk.dims[self.source] ** 2)
-        terms = [np.zeros(shape, dtype=COMPLEX) for _ in range(max_len)]
-        if self.direct is not None:
-            terms[0] = walk.kraus(self.target, self.source).copy()
-        if self.A.shape[0]:
-            S = self.S
-            power = self.E.copy()
-            for ell in range(2, max_len + 1):
-                terms[ell - 1] = terms[ell - 1] + self.C @ power
-                power = S @ power
-        return terms
 
 
 def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
@@ -327,6 +315,14 @@ class DomainSolve:
         return {"method": "solve" if self.method == "block_solve" else self.method,
                 "radius_bound": self.radius_bound, "radius_source": "certificate",
                 "residual": self.residual}
+
+    def trapped_mass(self, lo: int, d: int, start_mass: float) -> float | None:
+        """The :attr:`cesaro` mass of the d x d block at offset ``lo`` when it
+        exceeds ``TRAPPED_SHARE_TOL * start_mass``, else None."""
+        if self.cesaro is None:
+            return None
+        mass = float(np.trace(unvec(self.cesaro[lo:lo + d * d, 0], d)).real)
+        return mass if mass > TRAPPED_SHARE_TOL * start_mass else None
 
     def resolve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the same certified system for another right-hand side."""
@@ -458,13 +454,15 @@ class CPMapBlock:
         return bool(w.min(initial=0.0) >= -CP_TOL and w.max(initial=0.0) <= 1.0 + CP_TOL)
 
 
-def _taboo_block(series: CaptureSeries) -> CPMapBlock:
-    walk = series.walk
+def _taboo_block(series: CaptureSeries, alpha: float | None = None) -> CPMapBlock:
+    """The series' CP map from one certified solve, each step weighted by ``alpha`` if given."""
+    walk, weight = series.walk, 1.0 if alpha is None else alpha
+    solved = series._weighted(weight)
     return CPMapBlock(
         source=series.source, target=series.target,
         source_dim=walk.dims[series.source], target_dim=walk.dims[series.target],
-        matrix=series.matrix(), taboo=series.taboo, alpha=None,
-        diagnostics=series.diagnostics)
+        matrix=series.matrix(weight, solved), taboo=series.taboo, alpha=alpha,
+        diagnostics=solved.diagnostics)
 
 
 def taboo_operator(walk: WalkSpec, i, j, taboo=()) -> CPMapBlock:
@@ -480,30 +478,30 @@ def alpha_operator(walk: WalkSpec, i, j, taboo=(), alpha: float = 0.5) -> CPMapB
     """Length-weighted taboo operator: every step carries a factor ``alpha``."""
     if not (0.0 < alpha < 1.0):
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    series = capture_series(walk, i, j, taboo)
-    return CPMapBlock(
-        source=series.source, target=series.target,
-        source_dim=walk.dims[series.source], target_dim=walk.dims[series.target],
-        matrix=series.matrix(alpha), taboo=series.taboo, alpha=alpha,
-        diagnostics=series._weighted(alpha).diagnostics)
+    return _taboo_block(capture_series(walk, i, j, taboo), alpha)
 
 
 # ---------------------------------------------------------------------------
 # scalar statistics
 
 
-def _passage(op: CPMapBlock, rho: np.ndarray) -> float:
-    p = float(np.trace(op.apply(rho)).real)
-    if p < -1e-6 or p > 1.0 + 1e-6:
-        raise NumericalError(f"passage probability {p} escapes [0, 1]", op.diagnostics)
-    return min(1.0, max(0.0, p))
+def _first_passage(walk: WalkSpec, i, rho, j):
+    """The one checked entry of the first-passage queries: the i -> j series, its block, the
+    checked ``rho`` as an array, the state at the first visit and its trace in [0, 1]."""
+    rho = np.asarray(rho, dtype=COMPLEX)
+    check_state(walk, DiagonalState({_site_id(i): rho}))
+    series = capture_series(walk, i, j)
+    first = _taboo_block(series)
+    hit = first.apply(rho)
+    p = float(np.trace(hit).real)
+    if p < -ESCAPE_TOL or p > 1.0 + ESCAPE_TOL:
+        raise NumericalError(f"passage probability {p} escapes [0, 1]", first.diagnostics)
+    return series, first, rho, hit, min(1.0, max(0.0, p))
 
 
 def passage_probability(walk: WalkSpec, i, rho, j) -> float:
     """Probability that the walk started at (i, rho) ever visits j."""
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, DiagonalState({_site_id(i): rho}))
-    return _passage(taboo_operator(walk, i, j), rho)
+    return _first_passage(walk, i, rho, j)[-1]
 
 
 @dataclass
@@ -531,21 +529,17 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     returns forever.  When ``i == j`` the first-passage operator is the
     return map, and its one solve serves both.
     """
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, DiagonalState({_site_id(i): rho}))
-    first = taboo_operator(walk, i, j)
-    sigma = first.apply(rho)
+    _, first, _, sigma, _ = _first_passage(walk, i, rho, j)
     tr_sigma = float(np.trace(sigma).real)
-    if tr_sigma <= 1e-14:
+    if tr_sigma <= ZERO_MASS_TOL:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
     j = _site_id(j)
     P = first.matrix if _site_id(i) == j else capture_series(walk, j, j).matrix()
     solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], {j: walk.dims[j]})
     diag = solve.diagnostics
-    if solve.method == "compressed":
-        mass = float(np.trace(unvec(solve.cesaro[:, 0], walk.dims[j])).real)
-        if mass > 1e-10 * tr_sigma:
-            return ExpectationResult(math.inf, {**diag, "cesaro_mass": mass})
+    mass = solve.trapped_mass(0, walk.dims[j], tr_sigma)
+    if mass is not None:
+        return ExpectationResult(math.inf, {**diag, "cesaro_mass": mass})
     tvec = vec(np.eye(walk.dims[j], dtype=COMPLEX))
     return ExpectationResult(float(np.vdot(tvec, solve.x[:, 0]).real), diag)
 
@@ -558,15 +552,11 @@ def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     passage series' certified solve and a second solve on the same, possibly
     compressed, system.
     """
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, DiagonalState({_site_id(i): rho}))
-    series = capture_series(walk, i, j)
-    p = _passage(_taboo_block(series), rho)
+    series, _, rho, _, p = _first_passage(walk, i, rho, j)
     if p < 1.0 - PASSAGE_SURE_TOL:
         return ExpectationResult(math.inf, {"method": "passage_deficit",
                                             "passage_probability": p})
-    dj = walk.dims[series.target]
-    tvec = vec(np.eye(dj, dtype=COMPLEX))
+    tvec = vec(np.eye(walk.dims[series.target], dtype=COMPLEX))
     val = 0.0
     if series.direct is not None:
         val = float(np.trace(series.direct @ rho @ series.direct.conj().T).real)
@@ -579,12 +569,9 @@ def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
 
 def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
     """Expected internal state at the first visit to j, given it happens."""
-    rho = np.asarray(rho, dtype=COMPLEX)
-    check_state(walk, DiagonalState({_site_id(i): rho}))
-    op = taboo_operator(walk, i, j)
-    out = op.apply(rho)
+    out = _first_passage(walk, i, rho, j)[3]
     t = float(np.trace(out).real)
-    if t <= 1e-12:
+    if t <= ZERO_MASS_TOL:
         raise InputError("conditional state undefined: passage probability is zero")
     return herm(out / t)
 
@@ -662,7 +649,7 @@ def _exit_states(walk: WalkSpec, domain, i, rho) -> dict[Site, np.ndarray]:
 def exit_probability(walk: WalkSpec, domain, i, rho) -> float:
     """Probability of ever leaving the domain through its boundary."""
     total = sum(float(np.trace(out).real) for out in _exit_states(walk, domain, i, rho).values())
-    if total > 1.0 + 1e-6:
+    if total > 1.0 + ESCAPE_TOL:
         raise NumericalError(f"exit probability {total} exceeds 1")
     return min(1.0, max(0.0, total))
 
@@ -690,7 +677,7 @@ def harmonic_measure(walk: WalkSpec, domain, i, rho) -> HarmonicMeasure:
     for j, out in _exit_states(walk, domain, i, rho).items():
         t = float(np.trace(out).real)
         masses[j] = max(0.0, t)
-        if t > 1e-12:
+        if t > ZERO_MASS_TOL:
             cond[j] = herm(out / t)
     return HarmonicMeasure(start=_site_id(i), masses=masses,
                            conditional_states=cond, total_mass=sum(masses.values()))
@@ -708,106 +695,11 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     blocks, solve = _domain_query(walk, domain, i, rho, target=j)
     lo, hi = blocks.inner.offsets[j]
     tr_rho = float(np.trace(np.asarray(rho, dtype=COMPLEX)).real)
-    if solve.method == "compressed":
-        mass = float(np.trace(unvec(solve.cesaro[lo:hi, 0], walk.dims[j])).real)
-        if mass > 1e-10 * tr_rho:
-            raise NumericalError(
-                "domain visit count diverges: the start state leaves mass trapped "
-                f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(solve.trapped)})
+    mass = solve.trapped_mass(lo, walk.dims[j], tr_rho)
+    if mass is not None:
+        raise NumericalError(
+            "domain visit count diverges: the start state leaves mass trapped "
+            f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(solve.trapped)})
     visits = float(np.trace(unvec(solve.x[lo:hi, 0], walk.dims[j])).real)
     return visits - (tr_rho if _site_id(i) == j else 0.0)
 
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-@dataclass
-class PathSumResult:
-    """Exact taboo-path enumeration up to a maximal length."""
-
-    lengths: list[int]
-    masses: list[float]          # per-length trace mass for the supplied state
-    operators: list[np.ndarray]  # per-length vec-matrices of the path sum
-
-    @property
-    def partial_sums(self) -> list[float]:
-        out, acc = [], 0.0
-        for m in self.masses:
-            acc += m
-            out.append(acc)
-        return out
-
-
-def brute_force_path_sum(walk: WalkSpec, i, rho, j, taboo=(), max_len: int = 20,
-                         node_budget: int = 2_000_000) -> PathSumResult:
-    """Enumerate taboo paths exactly; the independent oracle for the solvers.
-
-    Raises :class:`NumericalError` if the enumeration tree exceeds
-    ``node_budget`` nodes.
-    """
-    i, j = _site_id(i), _site_id(j)
-    rho = np.asarray(rho, dtype=COMPLEX)
-    taboo_set = {_site_id(s) for s in taboo}
-    allowed = set(walk.sites) - taboo_set - {j}
-    dj2 = walk.dims[j] ** 2
-    di2 = walk.dims[i] ** 2
-    ops = [np.zeros((dj2, di2), dtype=COMPLEX) for _ in range(max_len)]
-    budget = [node_budget]
-
-    def explore(site: Site, m: np.ndarray, depth: int):
-        for t in walk._succ[site]:
-            L = walk.transitions[(t, site)]
-            m2 = L @ m
-            if float(np.abs(m2).max(initial=0.0)) < 1e-250:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise NumericalError(
-                    f"path enumeration exceeded the node budget ({node_budget})")
-            if t == j:
-                ops[depth] += kraus_block(m2)
-            elif t in allowed and depth + 1 < max_len:
-                explore(t, m2, depth + 1)
-
-    explore(i, np.eye(walk.dims[i], dtype=COMPLEX), 0)
-    masses = [float(np.trace(unvec(op @ vec(rho), walk.dims[j])).real) for op in ops]
-    return PathSumResult(lengths=list(range(1, max_len + 1)), masses=masses, operators=ops)
-
-
-def shanks_limit(partial_sums) -> float:
-    """Shanks extrapolation of a partial-sum sequence via Wynn's epsilon.
-
-    Zero increments (parity-structured walks) are squeezed out first; the
-    even epsilon columns then reproduce the limit exactly when the tail is a
-    finite sum of geometric modes, which is the case for every finite walk.
-    """
-    seq = [float(partial_sums[0])]
-    for x in partial_sums[1:]:
-        if abs(float(x) - seq[-1]) > 1e-15:
-            seq.append(float(x))
-    n = len(seq)
-    # increments this small are rounding drift, and Wynn's epsilon would
-    # extrapolate the drift: keep the last partial sum
-    drift = 1e-13 * max(1.0, abs(seq[-1]))
-    if n < 3 or all(abs(b - a) < drift for a, b in zip(seq, seq[1:])):
-        return float(partial_sums[-1])
-    eps_prev = [0.0] * (n + 1)           # epsilon_{-1}
-    eps_curr = list(seq)                 # epsilon_0
-    best = seq[-1]
-    col = 0
-    while len(eps_curr) >= 2:
-        col += 1
-        nxt = []
-        for k in range(len(eps_curr) - 1):
-            diff = eps_curr[k + 1] - eps_curr[k]
-            if abs(diff) < 1e-300:
-                nxt = []
-                break
-            nxt.append(eps_prev[k + 1] + 1.0 / diff)
-        if not nxt:
-            break
-        eps_prev, eps_curr = eps_curr, nxt
-        if col % 2 == 0 and eps_curr:
-            best = eps_curr[-1]
-    return best

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import (PASSAGE_SURE_TOL, _taboo_block, boundary, capture_series,
+from .hitting import (PASSAGE_SURE_TOL, ZERO_MASS_TOL, _taboo_block, boundary, capture_series,
                       exit_probability, expected_return_time, expected_visits,
                       passage_probability)
 from .linalg import COMPLEX, RANK_TOL, extend_basis, herm
@@ -334,7 +334,7 @@ def check_decomposition_bounds(walk: WalkSpec, deco: Decomposition, i, rho, j,
             continue
         block = bi.conj().T @ rho @ bi
         weight = float(np.trace(block).real)
-        if weight <= 1e-14:
+        if weight <= ZERO_MASS_TOL:
             continue
         block = block / weight
         sub, _ = restrict_walk(walk, enc)

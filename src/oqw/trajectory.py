@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .hitting import TRAPPED_SHARE_TOL, ZERO_MASS_TOL
 from .linalg import COMPLEX, herm
 from .structure import Enclosure, decompose, restrict_walk
 from .superop import invariant_state
@@ -478,13 +479,13 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> K
                          "has no analytic target")
     block = tau.blocks.get(s)
     mass = float(np.trace(block).real) if block is not None else 0.0
-    if mass <= 1e-12:
+    if mass <= ZERO_MASS_TOL:
         raise InputError(f"invariant state carries no mass at site {s!r}")
     rho_hat = herm(block) / mass
 
     d = walk.dims[s]
     carriers = [enc for enc in deco.recurrent
-                if float(np.trace(enc.projector(s, d) @ rho_hat).real) > 1e-10]
+                if float(np.trace(enc.projector(s, d) @ rho_hat).real) > TRAPPED_SHARE_TOL]
     if not carriers:
         raise InputError("conditioned invariant state does not determine "
                          "an ergodic component at this site")

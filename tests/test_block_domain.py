@@ -20,7 +20,7 @@ import pytest
 import oqw
 from oqw import dirichlet, fixtures, hitting
 from oqw.errors import NumericalError
-from oqw.hitting import brute_force_path_sum, shanks_limit
+from oqw._oracles import brute_force_path_sum, shanks_limit
 from oqw.linalg import COMPLEX, herm, hermitian_basis, psd_sqrt, spectral_radius, unvec, vec
 from oqw.walk import DiagonalObservable, identity_observable
 

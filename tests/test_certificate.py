@@ -15,6 +15,7 @@ import pytest
 
 import oqw
 from oqw import fixtures, hitting
+from oqw._oracles import path_terms
 from oqw.hitting import DIVERGENCE_TOL, capture_series
 
 from conftest import E1, E2, MIX, random_density
@@ -59,7 +60,7 @@ def dense_taboo_matrix(walk, i, j, taboo=()):
     S, E, C, radius = dense_series(walk, series.source, series.target, series.interior)
     if radius < 1.0 - DIVERGENCE_TOL:
         return _dense_path_sum(walk, series.source, series.target, S, E, C), "solve"
-    return sum(series.length_terms(3000)), "length_terms"
+    return sum(path_terms(series, 3000)), "length_terms"
 
 
 def dense_return_time(walk, i, rho, j):

@@ -6,7 +6,8 @@ import pytest
 import oqw
 from oqw import fixtures
 from oqw.errors import InputError
-from oqw.hitting import capture_series, shanks_limit
+from oqw._oracles import path_terms, shanks_limit
+from oqw.hitting import capture_series
 from oqw.linalg import unvec, vec
 
 from conftest import E1, E2, MIX, random_density
@@ -96,6 +97,21 @@ def test_alpha_operator_reports_its_certified_solve(branch_walk, half_line_down)
             diag = oqw.alpha_operator(walk, i, j, alpha=a).diagnostics
             assert diag["method"] == "solve" and diag["radius_source"] == "certificate"
             assert diag["radius_bound"] < 1.0 and diag["residual"] <= 1e-12
+
+
+def test_alpha_operator_makes_one_solve(branch_walk, half_line_down, monkeypatch):
+    # the weighted map and its diagnostics come from the same solve
+    from oqw import hitting
+
+    for walk, i, j in [(branch_walk, "1", "0"), (half_line_down, "0", "0")]:
+        calls = []
+        solve = hitting._domain_solve
+        monkeypatch.setattr(hitting, "_domain_solve",
+                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        op = oqw.alpha_operator(walk, i, j, alpha=0.9)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert np.array_equal(op.matrix, capture_series(walk, i, j).matrix(0.9))
 
 
 def test_alpha_trace_monotone(branch_walk, half_line_down):
@@ -313,6 +329,24 @@ def test_conditional_state_undefined_at_zero_mass(trap_walk):
         oqw.conditional_state_at_hit(trap_walk, "0", E2, "0")
 
 
+def test_passage_mass_at_the_zero_cut_is_zero_for_every_query():
+    # passage "0" -> "1" is 5e-13 and "1" returns with probability 1/2: counted,
+    # the visits would be 1e-12, while the conditional state calls it zero
+    p = 5e-13
+    walk = oqw.WalkSpec(("0", "1", "2"), {"0": 1, "1": 1, "2": 1}, {
+        ("1", "0"): np.array([[math.sqrt(p)]]), ("2", "0"): np.array([[math.sqrt(1 - p)]]),
+        ("1", "1"): np.array([[math.sqrt(0.5)]]), ("2", "1"): np.array([[math.sqrt(0.5)]]),
+        ("2", "2"): np.eye(1)})
+    one = np.eye(1)
+    assert oqw.passage_probability(walk, "0", one, "1") == pytest.approx(p, rel=1e-9)
+    res = oqw.expected_visits(walk, "0", one, "1")
+    assert res.value == 0.0
+    assert res.diagnostics["first_passage_mass"] == pytest.approx(p, rel=1e-9)
+    assert oqw.expected_visits(walk, "1", one, "1").value == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InputError, match="passage probability is zero"):
+        oqw.conditional_state_at_hit(walk, "0", one, "1")
+
+
 def test_conditional_state_checks_the_state(branch_walk):
     # checked as passage_probability checks it, before any series is built
     with pytest.raises(InputError, match="not positive semidefinite"):
@@ -450,7 +484,7 @@ def test_brute_force_matches_operator_terms(branch_walk, trap_walk):
     for walk, i, j in [(branch_walk, "1", "0"), (trap_walk, "0", "0")]:
         rho = random_density(rng, walk.dims[i])
         res = oqw.brute_force_path_sum(walk, i, rho, j, max_len=12)
-        terms = capture_series(walk, i, j).length_terms(12)
+        terms = path_terms(capture_series(walk, i, j), 12)
         for bf_op, series_op in zip(res.operators, terms):
             assert np.abs(bf_op - series_op).max() <= 1e-12
 

@@ -193,3 +193,34 @@ def test_block_matrix_reads_no_transition_once_the_table_is_built():
     assert [spy.reads for spy in spies] == [0] * len(spies)
     assert kraus_calls == []
     assert np.array_equal(again, first)
+
+
+def test_oracles_stay_out_of_the_production_modules():
+    # path enumeration, Shanks and per-length path sums check the solvers;
+    # only acceptance imports them, and the package re-exports one
+    modules = _modules()
+    oracles = {node.name for node in modules["_oracles"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"brute_force_path_sum", "PathSumResult", "shanks_limit", "path_terms"} <= oracles
+    assert {"walk", "superop", "hitting", "structure", "dirichlet", "trajectory", "cli",
+            "serialize", "fixtures", "linalg"} <= set(modules)
+    offending = []
+    for name, tree in modules.items():
+        if name == "_oracles":
+            continue
+        production = name not in {"acceptance", "__init__"}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if production and node.name in oracles:
+                    offending.append(f"{name} defines {node.name}")
+            elif isinstance(node, ast.ImportFrom):
+                if node.level >= 1:
+                    targets = set(_relative_targets(node))
+                else:
+                    targets = {(node.module or "").removeprefix("oqw.")}
+                if production and "_oracles" in targets:
+                    offending.append(f"{name} imports _oracles")
+                if production:
+                    offending += [f"{name} imports {alias.name}"
+                                  for alias in node.names if alias.name in oracles]
+    assert not offending, offending

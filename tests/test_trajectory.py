@@ -4,6 +4,7 @@ from scipy import stats
 
 import oqw
 from oqw import fixtures
+from oqw._oracles import path_terms
 from oqw.errors import InputError
 from oqw.hitting import capture_series
 from oqw.structure import decompose
@@ -140,7 +141,7 @@ def test_estimate_hitting_censored_time(half_line_down):
 def test_monte_carlo_matches_exact_finite_horizon(branch_walk):
     # compare against the exact finite-horizon law from the series terms
     horizon = 24
-    terms = capture_series(branch_walk, "1", "0").length_terms(horizon)
+    terms = path_terms(capture_series(branch_walk, "1", "0"), horizon)
     from oqw.linalg import unvec, vec
     exact = sum(np.trace(unvec(m @ vec(MIX), 1)).real for m in terms)
     est = oqw.estimate_hitting(branch_walk, "1", MIX, "0",
