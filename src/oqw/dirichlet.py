@@ -3,13 +3,13 @@
 The domain problem ``(Id - dual step)(Z) = A on D, Z = B on the boundary``
 is one block system: with ``K_DD`` the one-step map inside ``D`` and
 ``K_{bnd,D}`` the step from ``D`` onto its boundary,
-``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, solved once and
-certified convergent by the same solve: ``hitting.DomainBlocks.solve`` on
-the domain's blocks.  A domain that fails the certificate traps mass in an
-invariant part T that never exits; the solve then runs on the compression
-to the complement of T, and interior data on a site with a trapped
-direction is reported as a divergent visit operator.  The whole-space
-problem is the same solve with every site in the domain and no boundary.
+``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, read from the
+domain's certified exit law ``X`` (``hitting._exit_law``, kept per walk,
+which harmonic operators read too).  A domain that fails the certificate
+traps mass in an invariant part T that never exits; the law then comes
+from the compression to the complement of T, and interior data on a site
+with a trapped direction is reported as a divergent visit operator.  The
+whole-space problem is one solve with every site in the domain.
 Under detailed balance the problem is also solved variationally, as the
 stationarity system of the energy functional.  All of these restrict the
 solution to ``D`` plus its boundary (the free part outside is set to zero).
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import DomainSolve, _domain_blocks
+from .hitting import CERTIFICATE_RESIDUAL_TOL, DomainSolve, _domain_blocks, _exit_law
 from .hitting import boundary as domain_boundary
-from .linalg import COMPLEX, herm, psd_sqrt, unvec
+from .linalg import COMPLEX, herm, psd_sqrt, unvec, vec
 from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
 from .walk import (
     DiagonalObservable,
@@ -82,13 +82,15 @@ class DirichletSolution:
 
 def _residuals(walk: WalkSpec, z: DiagonalObservable, a: DiagonalObservable,
                domain) -> dict[Site, float]:
-    stepped = dual_apply(walk, z)
+    """Spectral norm of ``z - dual step(z) - a`` per site, one batched SVD per block size."""
+    stepped, dims = dual_apply(walk, z), walk.dims
+    r = {s: z.block(s, dims[s]) - stepped.block(s, dims[s]) - a.block(s, dims[s]) for s in domain}
     out = {}
-    for s in domain:
-        d = walk.dims[s]
-        r = z.block(s, d) - stepped.block(s, d) - a.block(s, d)
-        out[s] = float(np.linalg.norm(r, 2))
-    return out
+    for d in dict.fromkeys(dims[s] for s in r):
+        sites = [s for s in r if dims[s] == d]
+        out.update(zip(sites, np.linalg.norm(np.stack([r[s] for s in sites]), 2,
+                                             axis=(1, 2)).tolist()))
+    return {s: out[s] for s in r}
 
 
 UNIQUENESS_NOTE = ("unique up to an operator supported outside the domain "
@@ -96,40 +98,34 @@ UNIQUENESS_NOTE = ("unique up to an operator supported outside the domain "
 
 
 def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> DirichletSolution:
-    """Solution on a finite domain by one certified block solve.
+    """Solution on a finite domain from its certified exit law ``X``.
 
-    ``z = (Id - K_DD^dag)^{-1} (vec(A) + K_{bnd,D}^dag vec(B))`` on D with the
-    boundary condition imposed exactly; ``method`` is ``"block_solve"``, or
-    ``"compressed"`` when the domain traps mass and the solve ran on the
-    complement of the trapped part.  Interior data on a site with a trapped
-    direction has a divergent visit operator: :class:`NumericalError`.
+    ``z = (Id - K_DD^dag)^{-1} vec(A) + X vec(B)`` on D with the boundary
+    condition imposed exactly, the first term by the law's kept factor;
+    ``method`` is ``"block_solve"``, or ``"compressed"`` when the domain traps
+    mass and the law ran on the complement of the trapped part.  Interior
+    data on a site with a trapped direction has a divergent visit operator:
+    :class:`NumericalError`.
     """
     D = problem.domain
     bnd = domain_boundary(walk, D)
     a, b = problem.interior_data, problem.boundary_data
-    solved, solve = _dual_block_solve(walk, D, bnd, a, b)
-    _reject_trapped_data(walk, a, solve, "domain visit operator diverges at {site!r}; "
+    system, law = _exit_law(walk, D, bnd)
+    _reject_trapped_data(walk, a, law, "domain visit operator diverges at {site!r}; "
                          "the walk is not irreducible on this domain (try decompose())")
-    blocks = {j: b.block(j, walk.dims[j]).copy() for j in bnd}
-    for i in D:
-        blocks[i] = solved[i]
-    z = DiagonalObservable(blocks)
+    x, interior = law.x @ system.outer.pack(b), system.inner.pack(a)
+    if interior.any():   # the law's kept factor, held to the certificate's residual gate
+        y = law.resolve(interior)
+        r = system.A.conj().T @ y - interior   # off the trapped part when compressed
+        r = float(np.linalg.norm(r if law.lift is None else law.lift.conj().T @ r))
+        if r > CERTIFICATE_RESIDUAL_TOL * np.linalg.norm(interior):
+            raise NumericalError("the interior solve misses its residual gate", {"residual": r})
+        x = x + y
+    solved = {s: herm(blk) for s, blk in system.inner.unpack(walk, x).items()}
+    z = DiagonalObservable({j: b.block(j, walk.dims[j]) for j in bnd} | {i: solved[i] for i in D})
     return DirichletSolution(
         solution=z, residuals=_residuals(walk, z, a, D), boundary_sites=bnd,
-        method=solve.method, uniqueness_note=UNIQUENESS_NOTE)
-
-
-def _dual_block_solve(walk: WalkSpec, domain, bnd, a: DiagonalObservable,
-                      b: DiagonalObservable) -> tuple[dict[Site, np.ndarray], DomainSolve]:
-    """Hermitian blocks on the domain of
-    ``(Id - K_DD^dag)^{-1} (vec(a) + K_{bnd,D}^dag vec(b))`` and the solve
-    that gave them; on a trapping domain the blocks are exact only where
-    ``a`` vanishes on every trapped site."""
-    blocks = _domain_blocks(walk, domain, bnd)
-    rhs = blocks.inner.pack(a) + blocks.K_out.conj().T @ blocks.outer.pack(b)
-    solve = blocks.solve(rhs[:, None], dual=True)
-    return ({s: herm(blk) for s, blk in blocks.inner.unpack(walk, solve.x[:, 0]).items()},
-            solve)
+        method=law.method, uniqueness_note=UNIQUENESS_NOTE)
 
 
 def _reject_trapped_data(walk: WalkSpec, a: DiagonalObservable, solve: DomainSolve,
@@ -153,9 +149,11 @@ def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSo
     by uniqueness; substochastic truncations have a rigid solution that is
     returned as computed.
     """
-    blocks, solve = _dual_block_solve(walk, walk.sites, (), a, DiagonalObservable({}))
+    system = _domain_blocks(walk, walk.sites, ())
+    solve = system.solve(system.inner.pack(a)[:, None], dual=True)
     _reject_trapped_data(walk, a, solve, "walk is recurrent at site {site!r}; the global "
                          "Dirichlet problem is unsupported")
+    blocks = {s: herm(blk) for s, blk in system.inner.unpack(walk, solve.x[:, 0]).items()}
     # Traceless gauge: valid only when the identity is harmonic, i.e. the
     # family is stochastic to the walk's tolerance; on substochastic
     # truncations the solution is rigid.
@@ -180,7 +178,7 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     """Quantum harmonic-measure operator of a boundary site.
 
     Blocks are the duals of the exit operators on the domain plus the
-    identity at j itself, from one dual block solve with ``vec(Id)`` at j;
+    identity at j itself: the domain's exit law applied to ``vec(Id)`` at j;
     tracing against an initial state recovers the harmonic-measure mass at
     j, and the family over the boundary sums to the identity on the closed
     domain for irreducible walks.  Trapped directions never exit, so the
@@ -191,12 +189,11 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     j = _site_id(j)
     if j not in bnd:
         raise InputError(f"site {j!r} is not on the domain boundary")
-    blocks = {j: np.eye(walk.dims[j], dtype=COMPLEX)}
-    solved, _ = _dual_block_solve(walk, D, bnd, DiagonalObservable({}),
-                                  DiagonalObservable(blocks))
-    for i in D:
-        blocks[i] = solved[i]
-    return DiagonalObservable(blocks)
+    eye = np.eye(walk.dims[j], dtype=COMPLEX)
+    system, law = _exit_law(walk, D, bnd)
+    x = law.x[:, slice(*system.outer.offsets[j])] @ vec(eye)
+    solved = {s: herm(blk) for s, blk in system.inner.unpack(walk, x).items()}
+    return DiagonalObservable({j: eye, **{i: solved[i] for i in D}})
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ the first-passage state under the return map keeps trace mass.
 First-passage queries (passage, visits, return time, the state at the
 hit) share one entry that checks the start state before building the
 series; finite domains (exit states, harmonic measure, visits before exit)
-share one that checks their input before the solve with ``K_DD``.
-:func:`domain_operator` keeps the per-pair taboo series as public API.
+share one check of their input; exit states read the domain's exit law,
+one kept per walk (:func:`_exit_law`).  :func:`domain_operator` keeps the
+per-pair taboo series as public API.
 """
 
 from __future__ import annotations
@@ -529,12 +530,15 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     returns forever.  When ``i == j`` the first-passage operator is the
     return map, and its one solve serves both.
     """
-    _, first, _, sigma, _ = _first_passage(walk, i, rho, j)
+    return _visits(walk, *_first_passage(walk, i, rho, j))
+
+
+def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     tr_sigma = float(np.trace(sigma).real)
     if tr_sigma <= ZERO_MASS_TOL:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
-    j = _site_id(j)
-    P = first.matrix if _site_id(i) == j else capture_series(walk, j, j).matrix()
+    j = series.target
+    P = first.matrix if series.source == j else capture_series(walk, j, j).matrix()
     solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], {j: walk.dims[j]})
     diag = solve.diagnostics
     mass = solve.trapped_mass(0, walk.dims[j], tr_sigma)
@@ -552,7 +556,10 @@ def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     passage series' certified solve and a second solve on the same, possibly
     compressed, system.
     """
-    series, _, rho, _, p = _first_passage(walk, i, rho, j)
+    return _return_time(walk, *_first_passage(walk, i, rho, j))
+
+
+def _return_time(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     if p < 1.0 - PASSAGE_SURE_TOL:
         return ExpectationResult(math.inf, {"method": "passage_deficit",
                                             "passage_probability": p})
@@ -565,6 +572,12 @@ def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
         z = series.solved.resolve(y)
         val += float(np.vdot(tvec, series.C @ (y + z)).real)
     return ExpectationResult(val, {**series.diagnostics, "passage_probability": p})
+
+
+def _passage_statistics(walk: WalkSpec, i, rho, j) -> tuple[float, float, float]:
+    """Passage probability, expected visits and return time from one first-passage entry."""
+    passage = _first_passage(walk, i, rho, j)
+    return passage[-1], _visits(walk, *passage).value, _return_time(walk, *passage).value
 
 
 def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
@@ -582,7 +595,7 @@ def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
 
 def _domain_sites(walk: WalkSpec, domain) -> set:
     D = {_site_id(s) for s in domain}
-    unknown = D - set(walk.sites)
+    unknown = D.difference(walk.dims)
     if unknown:
         raise InputError(f"domain has unknown sites {sorted(unknown)}")
     return D
@@ -610,12 +623,10 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
 
 
 def _domain_query(walk: WalkSpec, domain, i, rho,
-                  target: Site | None = None) -> tuple[DomainBlocks, DomainSolve]:
-    """The one entry of the domain queries.  Checks the state ``rho`` at
-    ``i``, the domain's sites, that the domain has a boundary (an exit
-    query) or that it holds ``target`` (a visit count), and that ``i`` lies
-    in it; then solves the occupation ``sum_n K_DD^n`` of rho at i on the
-    domain's blocks, whose ``K_out`` maps onto the boundary."""
+                  target: Site | None = None) -> tuple[Site, np.ndarray, set, tuple]:
+    """The one entry of the domain queries: checks ``rho`` at ``i``, the domain's sites,
+    its boundary (exits) or that it holds ``target`` (visits), and that ``i`` lies in it;
+    returns ``i``, ``rho`` (an array), the domain and its boundary."""
     i, rho = _site_id(i), np.asarray(rho, dtype=COMPLEX)
     check_state(walk, DiagonalState({i: rho}))
     D = _domain_sites(walk, domain)
@@ -628,22 +639,29 @@ def _domain_query(walk: WalkSpec, domain, i, rho,
         raise InputError(f"target {target!r} must lie inside the domain")
     if i not in D:
         raise InputError(f"start site {i!r} is not in the domain")
-    blocks = _domain_blocks(walk, D, bnd)
-    rhs = np.zeros((blocks.inner.total, 1), dtype=COMPLEX)
-    lo, hi = blocks.inner.offsets[i]
-    rhs[lo:hi, 0] = vec(rho)
-    return blocks, blocks.solve(rhs)
+    return i, rho, D, bnd
+
+
+def _exit_law(walk: WalkSpec, domain, bnd: tuple) -> tuple[DomainBlocks, DomainSolve]:
+    """System of ``domain`` onto ``bnd`` and its exit law ``X`` (``X^dag`` maps states to exit
+    states), the certified ``(Id - K_DD^dag) X = K_out^dag``, kept per walk by domain and bnd."""
+    key, slot = frozenset(domain), walk._exit_law
+    if not slot or slot[0][:2] != (key, bnd):
+        blocks = _domain_blocks(walk, key, bnd)
+        slot[:] = [(key, bnd, (blocks, blocks.solve(blocks.K_out.conj().T, dual=True)))]
+    return slot[0][2]
 
 
 def _exit_states(walk: WalkSpec, domain, i, rho) -> dict[Site, np.ndarray]:
     """Unnormalized state at the exit through each boundary site, from (i, rho).
 
-    One certified solve gives ``K_{bnd,D} (Id - K_DD)^{-1}`` applied to rho
-    at i for every boundary site at once; trapped mass never exits, so the
-    compressed solve of a trapping domain gives the same exit states.
+    The rows of i in the domain's exit law give ``K_{bnd,D} (Id - K_DD)^{-1}``
+    applied to rho at i for every boundary site at once; trapped mass never
+    exits, so a trapping domain's compressed law gives the same exit states.
     """
-    blocks, solve = _domain_query(walk, domain, i, rho)
-    return blocks.outer.unpack(walk, blocks.K_out @ solve.x[:, 0])
+    i, rho, D, bnd = _domain_query(walk, domain, i, rho)
+    blocks, law = _exit_law(walk, D, bnd)
+    return blocks.outer.unpack(walk, law.x[slice(*blocks.inner.offsets[i])].conj().T @ vec(rho))
 
 
 def exit_probability(walk: WalkSpec, domain, i, rho) -> float:
@@ -692,14 +710,15 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     of the start state, read from the same solve, has mass at j.
     """
     j = _site_id(j)
-    blocks, solve = _domain_query(walk, domain, i, rho, target=j)
+    i, rho, D, _ = _domain_query(walk, domain, i, rho, target=j)
+    blocks = _domain_blocks(walk, D, ())
+    solve = blocks.solve(blocks.inner.pack(DiagonalState({i: rho}))[:, None])
     lo, hi = blocks.inner.offsets[j]
-    tr_rho = float(np.trace(np.asarray(rho, dtype=COMPLEX)).real)
+    tr_rho = float(np.trace(rho).real)
     mass = solve.trapped_mass(lo, walk.dims[j], tr_rho)
     if mass is not None:
         raise NumericalError(
             "domain visit count diverges: the start state leaves mass trapped "
             f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(solve.trapped)})
     visits = float(np.trace(unvec(solve.x[lo:hi, 0], walk.dims[j])).real)
-    return visits - (tr_rho if _site_id(i) == j else 0.0)
-
+    return visits - (tr_rho if i == j else 0.0)

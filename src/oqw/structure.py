@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import (PASSAGE_SURE_TOL, ZERO_MASS_TOL, _taboo_block, boundary, capture_series,
-                      exit_probability, expected_return_time, expected_visits,
-                      passage_probability)
+from .hitting import (PASSAGE_SURE_TOL, ZERO_MASS_TOL, _passage_statistics, _taboo_block,
+                      boundary, capture_series, exit_probability)
 from .linalg import COMPLEX, RANK_TOL, extend_basis, herm
 from .superop import (BlockIndex, block_matrix, fixed_point_projection,
                       hermitian_basis_matrix, invariant_state)
@@ -322,9 +321,7 @@ def check_decomposition_bounds(walk: WalkSpec, deco: Decomposition, i, rho, j,
     i, j = _site_id(i), _site_id(j)
     rho = np.asarray(rho, dtype=COMPLEX)
 
-    lhs_p = passage_probability(walk, i, rho, j)
-    lhs_n = expected_visits(walk, i, rho, j).value
-    lhs_t = expected_return_time(walk, i, rho, j).value
+    lhs_p, lhs_n, lhs_t = _passage_statistics(walk, i, rho, j)
     lhs_e = exit_probability(walk, domain, i, rho) if domain is not None else None
 
     rhs_p = rhs_n = rhs_t = rhs_e = 0.0
@@ -339,9 +336,8 @@ def check_decomposition_bounds(walk: WalkSpec, deco: Decomposition, i, rho, j,
         block = block / weight
         sub, _ = restrict_walk(walk, enc)
         if j in sub.dims:   # an infinite term makes its sum infinite
-            rhs_p += weight * passage_probability(sub, i, block, j)
-            rhs_n += weight * expected_visits(sub, i, block, j).value
-            rhs_t += weight * expected_return_time(sub, i, block, j).value
+            p, n, t = _passage_statistics(sub, i, block, j)
+            rhs_p, rhs_n, rhs_t = rhs_p + weight * p, rhs_n + weight * n, rhs_t + weight * t
         else:   # the enclosure never visits j
             rhs_t = math.inf
         if domain is not None:

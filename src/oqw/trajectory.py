@@ -159,6 +159,35 @@ def _trace_table(mats: np.ndarray) -> np.ndarray:
     return dual.reshape(mats.shape[:-2] + (d * d,)).view(np.float64)
 
 
+def _sampler_tables(walk: WalkSpec) -> tuple:
+    """:class:`_Ensemble`'s read-only tables, kept in ``walk._sampler``: ``D``, ``K``
+    and per (site, successor) its target, Gram rows, superoperator, block, merge flag."""
+    if not walk._sampler:
+        d = max(walk.dims.values())
+        succ = [walk._succ[s] for s in walk.sites]
+        k_max = max(1, max(len(row) for row in succ))
+        blocks = np.zeros((len(succ), k_max, d, d), dtype=COMPLEX)
+        targets = np.zeros(len(succ) * k_max, dtype=np.int64)
+        for s_idx, (s, row) in enumerate(zip(walk.sites, succ)):
+            for k, t in enumerate(row):
+                L = walk.transitions[(t, s)]
+                blocks[s_idx, k, :L.shape[0], :L.shape[1]] = L
+                targets[s_idx * k_max + k] = walk._index[t]
+        gram = _trace_table(np.swapaxes(blocks, -1, -2).conj() @ blocks)
+        blocks = blocks.reshape(-1, d, d)
+        superop = (np.einsum("kac,kbd->kabcd", blocks, blocks.conj()).reshape(-1, d * d, d * d)
+                   if d <= SUPEROP_MAX_DIM else None)
+        # blocks of rank one or a multiple of the source fibre's identity bring
+        # different paths to one state: their results are merged (_merge)
+        eye = np.arange(d) < np.repeat([walk.dims[s] for s in walk.sites], k_max)[:, None]
+        lookup = (np.linalg.matrix_rank(blocks) == 1) | np.all(
+            blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
+        walk._sampler.append((d, k_max, targets, gram, superop, blocks, lookup))
+        for table in (t for t in walk._sampler[0][2:] if t is not None):
+            table.setflags(write=False)
+    return walk._sampler[0]
+
+
 class _Ensemble:
     """All live trajectories advanced together through a table of classes.
 
@@ -184,35 +213,16 @@ class _Ensemble:
         rho = np.asarray(rho, dtype=COMPLEX)
         check_state(walk, site_state(walk, i, rho))
         self.walk = walk
-        self.site_index = {s: k for k, s in enumerate(walk.sites)}
+        self.site_index = walk._index
         self.n = n_traj
         self.seed = seed
         self.streams = index_offset + np.arange(n_traj, dtype=np.uint64)
         self.renorms = 0
         self.renorm_tol = _renorm_tol(walk)
-        d = self.dmax = max(walk.dims.values())
-        succ = [walk._succ[s] for s in walk.sites]
-        self.k = max(1, max(len(row) for row in succ))
-        blocks = np.zeros((len(succ), self.k, d, d), dtype=COMPLEX)
-        self.targets = np.zeros(len(succ) * self.k, dtype=np.int64)
-        for s_idx, (s, row) in enumerate(zip(walk.sites, succ)):
-            for k, t in enumerate(row):
-                L = walk.transitions[(t, s)]
-                blocks[s_idx, k, :L.shape[0], :L.shape[1]] = L
-                self.targets[s_idx * self.k + k] = self.site_index[t]
-        self.gram = _trace_table(np.swapaxes(blocks, -1, -2).conj() @ blocks)
-        blocks = blocks.reshape(-1, d, d)
-        if d <= SUPEROP_MAX_DIM:
-            self.superop = np.einsum("kac,kbd->kabcd", blocks, blocks.conj()
-                                     ).reshape(-1, d * d, d * d)
-        else:
-            self.superop, self.blocks = None, blocks
+        tables = _sampler_tables(walk)
+        d, self.k, self.targets, self.gram, self.superop, self.blocks, self.lookup = tables
+        self.dmax = d
         self.diag = np.arange(d) * (d + 1)
-        # blocks of rank one or a multiple of the source fibre's identity bring
-        # different paths to one state: their results are merged (_merge)
-        eye = np.arange(d) < np.repeat([walk.dims[s] for s in walk.sites], self.k)[:, None]
-        self.lookup = (np.linalg.matrix_rank(blocks) == 1) | np.all(
-            blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
         self.merging = bool(self.lookup.any())   # else no slot array is kept
         # odd multiples of 2^64 / golden ratio hash a site and the 2*D*D words of its state
         self.mult = np.arange(1, 4 * d * d + 3, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)

@@ -50,6 +50,7 @@ class WalkSpec:
     # transition order; _succ and _pred follow the declared site order _index,
     # which seeded sampler outputs use.  _groups: (keys, read-only stack) per
     # block shape, viewed by ``transitions``; _amax: each block's max |entry|.
+    # _exit_law, _sampler: hitting's last exit law, the sampler's padded tables.
     _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -59,6 +60,8 @@ class WalkSpec:
     _kraus: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _stack: list = field(init=False, repr=False, compare=False, default_factory=list)
     _coo: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _exit_law: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _sampler: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         sites = tuple(_site_id(s) for s in self.sites)

@@ -325,17 +325,23 @@ def test_compression_only_where_the_certificate_fails(walks, monkeypatch):
     monkeypatch.setattr(hitting, "fixed_point_projection", spy)
     rho = np.eye(2, dtype=complex) / 2
     rng = np.random.default_rng(38)
+
+    def fresh(walk):   # drop a kept exit law, so every view below makes its own solve
+        walk._exit_law.clear()
+        return walk
+
     for name, domain in CERTIFIED:
         walk = walks[name]
         i = domain[0]
-        oqw.harmonic_measure(walk, domain, i, np.eye(walk.dims[i]) / walk.dims[i])
+        oqw.harmonic_measure(fresh(walk), domain, i, np.eye(walk.dims[i]) / walk.dims[i])
         oqw.expected_domain_visits(walk, domain, i, np.eye(walk.dims[i]) / walk.dims[i], i)
-        oqw.solve_dirichlet_domain(walk, random_problem(walk, domain, rng))
+        oqw.solve_dirichlet_domain(fresh(walk), random_problem(walk, domain, rng))
         for j in oqw.boundary(walk, domain):
-            oqw.harmonic_operator(walk, domain, j)
+            oqw.harmonic_operator(fresh(walk), domain, j)
     assert calls == []
-    oqw.harmonic_measure(walks["trap"], ["0", "1"], "0", rho)
-    oqw.exit_probability(walks["branch"], ["1", "2", "3"], "1", rho)
+    # fresh walks: a walk keeps the exit law of the last domain it was asked about
+    oqw.harmonic_measure(fixtures.example_three_site_trap(), ["0", "1"], "0", rho)
+    oqw.exit_probability(fixtures.example_branch_return(), ["1", "2", "3"], "1", rho)
     assert calls == [8, 12]
 
 
@@ -410,6 +416,215 @@ def test_near_fixed_return_map_of_a_phase_is_trapped():
 def test_exit_start_outside_domain_rejected(ring_walk):
     with pytest.raises(oqw.InputError, match="not in the domain"):
         oqw.harmonic_measure(ring_walk, ["0", "1"], "2", np.eye(2) / 2)
+
+
+# ---------------------------------------------------------------------------
+# the exit law: one dual solve per (walk, domain) against forward solves
+
+
+def window_domain(walk):
+    """Every site of a lattice window but its two ends: the absorbing cut
+    sites lie inside, so the domain traps mass (the compressed path)."""
+    return [s for s in walk.sites if s not in ("-40", "40")]
+
+
+EXIT_LAW_CASES = {
+    "ruin21": lambda: (fixtures.gamblers_ruin(21), [str(k) for k in range(1, 20)]),
+    "ruin201": lambda: (fixtures.gamblers_ruin(201), [str(k) for k in range(1, 200)]),
+    "rds10": lambda: (fixtures.random_doubly_stochastic(10, 2, seed=3),
+                      [str(k) for k in range(8)]),
+    "window40": lambda: (lambda w: (w, window_domain(w)))(
+        fixtures.example_lattice_nonnormal(40)),
+    "trap": lambda: (fixtures.example_three_site_trap(), ["0", "1"]),
+}
+
+
+def forward_exit_map(walk, domain):
+    """The domain's blocks, ``F = (Id - K_DD)^{-1}`` from one forward solve
+    with every unit vector as right-hand side (compressed off a trapped
+    part), and the exit map ``K_out F``."""
+    blocks = hitting._domain_blocks(walk, domain, oqw.boundary(walk, domain))
+    forward = blocks.solve(np.eye(blocks.inner.total, dtype=COMPLEX))
+    return blocks, forward, blocks.K_out @ forward.x
+
+
+@pytest.mark.parametrize("case", list(EXIT_LAW_CASES))
+def test_exit_law_matches_forward_solves(case):
+    walk, domain = EXIT_LAW_CASES[case]()
+    blocks, forward, exit_map = forward_exit_map(walk, domain)
+    bnd = blocks.outer.sites
+    rng = np.random.default_rng(19)
+    for i in domain:
+        rho = random_density(rng, walk.dims[i])
+        want = blocks.outer.unpack(walk, exit_map[:, slice(*blocks.inner.offsets[i])] @ vec(rho))
+        hm = oqw.harmonic_measure(walk, domain, i, rho)
+        assert list(hm.masses) == list(bnd)
+        for j, out in want.items():
+            t = float(np.trace(out).real)
+            assert abs(hm.masses[j] - max(0.0, t)) <= 1e-12
+            if t > 1e-9:
+                assert np.abs(hm.conditional_states[j] - herm(out) / t).max() <= 1e-12
+        total = sum(float(np.trace(out).real) for out in want.values())
+        assert abs(oqw.exit_probability(walk, domain, i, rho) - min(1.0, total)) <= 1e-12
+    for j in bnd:
+        unit = np.zeros(blocks.outer.total, dtype=COMPLEX)
+        unit[slice(*blocks.outer.offsets[j])] = vec(np.eye(walk.dims[j]))
+        want = {j: np.eye(walk.dims[j])}
+        want.update({s: herm(b) for s, b in
+                     blocks.inner.unpack(walk, exit_map.conj().T @ unit).items()})
+        got = oqw.harmonic_operator(walk, domain, j).blocks
+        assert set(got) == set(want)
+        assert max(float(np.abs(got[s] - want[s]).max()) for s in want) <= 1e-12
+    # interior data only off the trapped sites, where the visit operator is finite
+    a = DiagonalObservable({s: random_hermitian(rng, walk.dims[s])
+                            for s in domain if s not in forward.trapped})
+    b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in bnd})
+    sol = oqw.solve_dirichlet_domain(walk, oqw.DirichletProblem.build(walk, domain, a, b))
+    z = forward.x.conj().T @ blocks.inner.pack(a) + exit_map.conj().T @ blocks.outer.pack(b)
+    want = {s: herm(blk) for s, blk in blocks.inner.unpack(walk, z).items()}
+    want.update({s: b.blocks[s] for s in bnd})
+    assert sol.method == forward.method
+    scale = max(1.0, max(float(np.abs(x).max()) for x in want.values()))   # ~n^2/8 on ruin
+    assert max(float(np.abs(sol.solution.blocks[s] - want[s]).max()) for s in want) \
+        <= 1e-12 * scale
+
+
+def every_start_measures(walk, domain):
+    return [oqw.harmonic_measure(walk, domain, i, np.eye(walk.dims[i]) / walk.dims[i])
+            for i in domain]
+
+
+def test_every_start_reads_one_certified_solve(monkeypatch):
+    calls = []
+    certify = hitting._certify
+    monkeypatch.setattr(hitting, "_certify", lambda *args: calls.append(1) or certify(*args))
+    for n in (21, 201):
+        walk, domain = EXIT_LAW_CASES[f"ruin{n}"]()
+        calls.clear()
+        every_start_measures(walk, domain)
+        oqw.exit_probability(walk, domain, "1", np.eye(1))
+        oqw.harmonic_operator(walk, domain, "0")
+        a = DiagonalObservable({s: np.eye(1) for s in domain})
+        oqw.solve_dirichlet_domain(walk, oqw.DirichletProblem.build(walk, domain, a))
+        assert len(calls) == 1
+
+
+def law_answers(walk, domain, order, interior):
+    """Every view of the domain's exit law, asked in the given order, with
+    interior data on the sites ``interior``."""
+    rng = np.random.default_rng(5)
+    bnd = oqw.boundary(walk, domain)
+    a = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in interior})
+    b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in bnd})
+    queries = {
+        "measure": lambda: [(hm.masses, hm.conditional_states)
+                            for hm in every_start_measures(walk, domain)],
+        "operator": lambda: [oqw.harmonic_operator(walk, domain, j).blocks for j in bnd],
+        "dirichlet": lambda: oqw.solve_dirichlet_domain(
+            walk, oqw.DirichletProblem.build(walk, domain, a, b)).solution.blocks,
+    }
+    return {name: queries[name]() for name in order}
+
+
+def assert_bit_identical(x, y):
+    if isinstance(x, dict):
+        assert list(x) == list(y)
+        for k in x:
+            assert_bit_identical(x[k], y[k])
+    elif isinstance(x, (list, tuple)):
+        assert len(x) == len(y)
+        for u, v in zip(x, y):
+            assert_bit_identical(u, v)
+    else:
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("case", ["rds10", "trap"])
+def test_answers_do_not_depend_on_which_entry_builds_the_law(case):
+    orders = [("measure", "operator", "dirichlet"), ("operator", "dirichlet", "measure"),
+              ("dirichlet", "measure", "operator")]
+    runs = []
+    for order in orders:
+        walk, domain = EXIT_LAW_CASES[case]()
+        # no interior data on the trap's sites: both hold a trapped direction
+        runs.append(law_answers(walk, domain, order, [] if case == "trap" else domain[-2:]))
+    for run in runs[1:]:
+        assert_bit_identical({k: run[k] for k in orders[0]}, runs[0])
+
+
+def test_a_new_domain_replaces_the_kept_law():
+    walk, first = EXIT_LAW_CASES["ruin21"]()
+    second = first[:5]
+    before = every_start_measures(walk, first)
+    assert [entry[:2] for entry in walk._exit_law] == [(frozenset(first), ("0", "20"))]
+    for domain in (first, set(first), np.array(first), first[:-1]):   # any iterable of sites
+        assert oqw.boundary(walk, domain) == (("0", "20") if len(domain) == 19 else ("0", "19"))
+    every_start_measures(walk, second)
+    assert [entry[:2] for entry in walk._exit_law] == [(frozenset(second), ("0", "6"))]
+    assert_bit_identical([hm.masses for hm in every_start_measures(walk, first)],
+                         [hm.masses for hm in before])
+    assert len(walk._exit_law) == 1
+
+
+@pytest.mark.parametrize("query", ["harmonic_measure", "exit_probability"])
+@pytest.mark.parametrize("domain,start,rho,message", [
+    (["0", "1", "2"], "0", np.eye(2) / 2, "domain has empty boundary"),
+    (["0", "1"], "2", np.eye(2) / 2, "start site '2' is not in the domain"),
+    (["0", "9"], "0", np.eye(2) / 2, "domain has unknown sites ['9']"),
+    (["0", "1"], "9", np.eye(2) / 2, "state block at unknown site '9'"),
+    (["0", "1"], "0", np.diag([2.0, -1.0]), "state block at '0' is not positive semidefinite"),
+    # the checks run in order: state, domain sites, boundary, start site
+    (["0", "9"], "0", np.diag([2.0, -1.0]), "state block at '0' is not positive semidefinite"),
+    (["0", "1", "2"], "7", np.eye(2) / 2, "state block at unknown site '7'"),
+    (["0", "1", "2", "9"], "2", np.eye(2) / 2, "domain has unknown sites ['9']"),
+    (["2"], "0", np.eye(2) / 2, "domain has empty boundary"),
+], ids=["empty-boundary", "start-outside", "unknown-domain-site", "unknown-start",
+        "not-psd", "state-first", "start-before-boundary", "sites-before-boundary",
+        "boundary-before-start"])
+def test_exit_queries_raise_as_before(trap_walk, query, domain, start, rho, message):
+    with pytest.raises(oqw.InputError) as err:
+        getattr(oqw, query)(trap_walk, domain, start, rho)
+    assert str(err.value) == message
+
+
+def test_harmonic_operator_and_dirichlet_raise_as_before(trap_walk, ruin_walk):
+    with pytest.raises(oqw.InputError) as err:
+        oqw.harmonic_operator(ruin_walk, ["3", "4"], "7")
+    assert str(err.value) == "site '7' is not on the domain boundary"
+    with pytest.raises(oqw.InputError) as err:
+        oqw.harmonic_operator(ruin_walk, ["3", "99"], "2")
+    assert str(err.value) == "domain has unknown sites ['99']"
+    with pytest.raises(oqw.InputError) as err:
+        oqw.DirichletProblem.build(trap_walk, ["0", "1", "2"])
+    assert str(err.value) == "domain has empty boundary"
+    # interior data on a trapped site: the divergent visit operator
+    problem = oqw.DirichletProblem.build(trap_walk, ["0", "1"],
+                                         DiagonalObservable({"0": np.eye(2)}))
+    with pytest.raises(NumericalError, match="domain visit operator diverges at '0'"):
+        oqw.solve_dirichlet_domain(trap_walk, problem)
+
+
+@pytest.mark.parametrize("name,domain,trapped", [("ruin", ("3", "4", "5", "6"), ()),
+                                                 ("trap", ("1", "2"), ("2",)),
+                                                 ("branch", ("1", "2", "3"), ("3",))])
+def test_interior_solve_keeps_the_residual_gate(walks, monkeypatch, name, domain, trapped):
+    """Interior data is solved by the exit law's kept factor; a resolve that misses
+    the certificate's residual gate raises instead of returning a solution."""
+    walk, rng = walks[name], np.random.default_rng(5)
+    a = DiagonalObservable({s: random_hermitian(rng, walk.dims[s])
+                            for s in domain if s not in trapped})
+    b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s])
+                            for s in oqw.boundary(walk, domain)})
+    problem = oqw.DirichletProblem.build(walk, domain, a, b)
+    solution = oqw.solve_dirichlet_domain(walk, problem)
+    assert solution.method == ("compressed" if trapped else "block_solve")
+    assert max(solution.residuals.values()) < 1e-10
+    resolve = hitting.DomainSolve.resolve
+    monkeypatch.setattr(hitting.DomainSolve, "resolve",
+                        lambda self, rhs: resolve(self, rhs) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match="interior solve misses its residual gate") as err:
+        oqw.solve_dirichlet_domain(walk, problem)
+    assert err.value.diagnostics["residual"] > hitting.CERTIFICATE_RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------------------

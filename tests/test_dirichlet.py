@@ -432,3 +432,26 @@ def test_gradient_energy_equals_dirichlet_energy(ring_walk):
 def test_gradient_rejects_generic_walk(trap_walk):
     with pytest.raises(InputError, match="doubly stochastic"):
         gradient_form(trap_walk, identity_observable(trap_walk))
+
+
+@pytest.mark.parametrize("walk,domain", [
+    (fixtures.gamblers_ruin(21), [str(k) for k in range(1, 20)]),
+    (fixtures.random_doubly_stochastic(10, 2, seed=3), [str(k) for k in range(8)]),
+    (fixtures.example_branch_return(), ["0", "2"]),   # fibre dims 1 and 2
+], ids=["ruin21", "rds10", "branch"])
+def test_residuals_match_the_per_site_norms_bit_for_bit(walk, domain):
+    # one batched SVD per block dimension gives the per-site spectral norms
+    from oqw.dirichlet import _residuals
+    from oqw.walk import dual_apply
+
+    rng = np.random.default_rng(8)
+    a = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in domain})
+    b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s])
+                            for s in oqw.boundary(walk, domain)})
+    z = oqw.solve_dirichlet_domain(walk, oqw.DirichletProblem.build(walk, domain, a, b)).solution
+    stepped = dual_apply(walk, z)
+    want = {s: float(np.linalg.norm(z.block(s, walk.dims[s]) - stepped.block(s, walk.dims[s])
+                                    - a.block(s, walk.dims[s]), 2)) for s in domain}
+    got = _residuals(walk, z, a, domain)
+    assert list(got) == list(want)
+    assert all(got[s] == want[s] for s in want)

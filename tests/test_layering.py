@@ -109,6 +109,39 @@ def _users(tree: ast.Module, name: str) -> set[str]:
     return found
 
 
+def _domain_blocks_calls() -> set[tuple[str, str, str]]:
+    """(module, innermost function, source of the ``outer`` argument) of
+    every call of ``_domain_blocks``."""
+    found = set()
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "_domain_blocks"
+                    or getattr(child.func, "attr", None) == "_domain_blocks"):
+                outer = child.args[2] if len(child.args) > 2 else next(
+                    k.value for k in child.keywords if k.arg == "outer")
+                found.add((module, where, ast.unparse(outer)))
+            visit(child, module, inner)
+
+    for module, tree in _modules().items():
+        visit(tree, module, "<module>")
+    return found
+
+
+def test_only_the_exit_law_builds_a_bounded_domain_system():
+    # a bounded domain's exit system comes from hitting's one kept exit law
+    # (capture series build their own, onto the target); dirichlet builds a
+    # system only for the global, boundary-free problem
+    calls = _domain_blocks_calls()
+    assert {(m, fn) for m, fn, outer in calls if outer != "()"} == \
+        {("hitting", "capture_series"), ("hitting", "_exit_law")}
+    assert {(fn, outer) for m, fn, outer in calls if m == "dirichlet"} == \
+        {("solve_dirichlet_global", "()")}
+
+
 def test_dense_eigvals_only_behind_spectral_radius():
     users = {(module, fn) for module, tree in _modules().items()
              for fn in _users(tree, "eigvals")}

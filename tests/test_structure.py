@@ -523,6 +523,29 @@ def test_bounds_strict_for_leaking_state(trap_walk):
     assert not math.isinf(rep.return_time[1])
 
 
+def test_bounds_share_one_first_passage_per_walk(trap_walk, monkeypatch):
+    # passage, visits and return time come from one i -> j series on the walk
+    # and one on the enclosure's sub-walk, bit for bit the separate queries
+    from oqw import hitting
+
+    deco = oqw.decompose(trap_walk)
+    calls = []
+    build = hitting.capture_series
+    monkeypatch.setattr(hitting, "capture_series",
+                        lambda *args: calls.append(args[1:]) or build(*args))
+    rep = oqw.check_decomposition_bounds(trap_walk, deco, "0", MIX, "0")
+    assert calls == [("0", "0")] * 2
+    monkeypatch.undo()
+    sub, _ = structure.restrict_walk(trap_walk, deco.recurrent[0])
+    block = deco.recurrent[0].bases["0"].conj().T @ MIX @ deco.recurrent[0].bases["0"]
+    weight = float(np.trace(block).real)
+    separate = [(oqw.passage_probability(w, "0", r, "0"), oqw.expected_visits(w, "0", r, "0").value,
+                 oqw.expected_return_time(w, "0", r, "0").value)
+                for w, r in ((trap_walk, MIX), (sub, block / weight))]
+    assert (rep.passage, rep.visits, rep.return_time) == tuple(
+        (lhs, weight * rhs) for lhs, rhs in zip(*separate))
+
+
 def test_bounds_equality_for_mixture_of_enclosures():
     walk = twin_cycles()
     deco = oqw.decompose(walk)

@@ -441,6 +441,31 @@ def test_forced_moves_draw_no_uniforms(monkeypatch):
     assert (rep.empirical.estimate, rep.n_censored) == (2.0, 0)
 
 
+@pytest.mark.parametrize("make", [lambda: fixtures.example_lattice_nonnormal(10),
+                                  lambda: fixtures.random_doubly_stochastic(6, 5, seed=4)],
+                         ids=["lattice", "D>4"])
+def test_sampler_tables_are_built_once_per_walk(make, monkeypatch):
+    # the padded blocks, Gram rows, superoperators and rank flags depend only
+    # on the walk: built by its first sampler call, kept read-only, and the
+    # seeded outputs of later calls are those of a fresh walk, bit for bit
+    from oqw import trajectory
+
+    calls = []
+    build = trajectory._trace_table
+    monkeypatch.setattr(trajectory, "_trace_table", lambda m: calls.append(1) or build(m))
+    walk = make()
+    rho = np.eye(walk.dims["0"], dtype=complex) / walk.dims["0"]
+    runs = [oqw.estimate_hitting(walk, "0", rho, "3", n_traj=300, horizon=40, seed=seed)
+            for seed in (4, 5, 4)]
+    words = word_frequencies(walk, "0", rho, 6, 200, seed=4)
+    assert len(calls) == 1
+    assert runs[0] == runs[2] != runs[1]
+    assert runs[0] == oqw.estimate_hitting(make(), "0", rho, "3", n_traj=300, horizon=40, seed=4)
+    assert words == word_frequencies(make(), "0", rho, 6, 200, seed=4)
+    tables = [t for t in walk._sampler[0] if isinstance(t, np.ndarray)]
+    assert len(tables) >= 4 and not any(t.flags.writeable for t in tables)
+
+
 # sha256 of the hit, visit and position bytes of _run_hitting, computed with
 # the per-trajectory step that the class table replaced
 PINNED_RUN_DIGESTS = [
