@@ -219,11 +219,11 @@ def _cmd_validate(args, walk, rho):
 
 def _cmd_info(args, walk, rho):
     from .dirichlet import check_detailed_balance
-    from .structure import classify_recurrence, decompose, irreducibility
+    from .structure import _irreducibility, classify_recurrence, decompose
 
     report = validate_walk(walk)
     deco = decompose(walk)
-    irreducible, _, decision = irreducibility(walk, deco)
+    irreducible, _, decision = _irreducibility(walk)
     tau = deco.invariant
     payload: dict = {
         "stochastic": report.accepted,

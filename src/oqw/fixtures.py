@@ -201,8 +201,7 @@ def random_doubly_stochastic(n_sites: int = 3, dim: int = 2, seed: int = 7,
             raise InputError("hop amplitude too large for a stochastic self-loop")
         trans[(s, s)] = psd_sqrt(slack)
     walk = WalkSpec(tuple(sites), dims, trans, tolerance)
-    ok, _ = is_irreducible(walk)
-    if not ok:
+    if not is_irreducible(walk)[0]:
         raise InputError(f"seed {seed} produced a reducible walk; pick another")
     return walk
 

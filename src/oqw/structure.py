@@ -102,9 +102,14 @@ def _closure(walk: WalkSpec, seeds, known) -> Enclosure | None:
 
 
 def is_irreducible(walk: WalkSpec) -> tuple[bool, Enclosure | None]:
-    """True iff the walk has no proper enclosure, with a witness if it has."""
-    irreducible, witness, _ = irreducibility(walk, decompose(walk))
-    return irreducible, witness
+    """True iff the walk has no proper enclosure, with a witness if it has; kept per walk."""
+    return _irreducibility(walk)[:2]
+
+
+def _irreducibility(walk: WalkSpec) -> tuple[bool, Enclosure | None, str]:
+    """:func:`irreducibility` of the walk's decomposition, kept in its structure record."""
+    return walk._kept("irreducibility",
+                      lambda w: irreducibility(w, w._kept("decomposition", _decompose)))
 
 
 def irreducibility(walk: WalkSpec, deco: Decomposition) -> tuple[bool, Enclosure | None, str]:
@@ -162,7 +167,13 @@ def decompose(walk: WalkSpec) -> Decomposition:
     minimal enclosure; otherwise it splits by :func:`_minimal_enclosures`.
     The rest is the transient part.  ``fixed_dim`` is the dimension that
     :func:`invariant_state` reports, also when there is no invariant state.
+    Computed once per walk, kept in its structure record; each call returns a copy.
     """
+    return walk._kept("decomposition", _decompose)
+
+
+def _decompose(walk: WalkSpec) -> Decomposition:
+    """The structure record's decomposition: :func:`decompose`, computed."""
     tau, fixed_dim = invariant_state(walk)
     if tau is None:
         full = Enclosure({s: np.eye(walk.dims[s], dtype=COMPLEX) for s in walk.sites})

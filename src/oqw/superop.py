@@ -171,7 +171,13 @@ def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     ``(None, k)`` when no normalized positive fixed point exists: ``k = 0``
     when nothing is fixed, as for substochastic truncations, and ``k`` the
     fixed-space dimension when the projected fixed point has no trace.
+    Computed once per walk, kept in its structure record; each call returns a copy.
     """
+    return walk._kept("invariant", _invariant_state)
+
+
+def _invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
+    """The structure record's invariant state: :func:`invariant_state`, computed."""
     idx = BlockIndex.build(walk, walk.sites)
     uniform = DiagonalState(
         {s: np.eye(walk.dims[s], dtype=COMPLEX) / walk.total_dim for s in walk.sites})

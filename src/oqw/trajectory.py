@@ -473,7 +473,7 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> K
     """Empirical k-th return time over k against the inverse invariant mass.
 
     Trajectories start from the invariant state conditioned at ``i``.  The
-    analytic target comes from one :func:`~oqw.structure.decompose`: the
+    analytic target comes from the walk's kept :func:`~oqw.structure.decompose`: the
     trajectories live in the direct sum of the minimal recurrent enclosures
     that carry that conditioned state.  When the sum is the whole walk (an
     irreducible walk, say) the target is the inverse invariant mass at

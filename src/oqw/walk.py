@@ -10,6 +10,7 @@ operations, but flagged by :func:`validate_walk`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -50,7 +51,8 @@ class WalkSpec:
     # transition order; _succ and _pred follow the declared site order _index,
     # which seeded sampler outputs use.  _groups: (keys, read-only stack) per
     # block shape, viewed by ``transitions``; _amax: each block's max |entry|.
-    # _exit_law, _sampler: hitting's last exit law, the sampler's padded tables.
+    # _exit_law, _sampler, _structure: hitting's last exit law, the sampler's padded
+    # tables, the structure record (invariant state, decomposition, irreducibility).
     _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -62,6 +64,7 @@ class WalkSpec:
     _coo: list = field(init=False, repr=False, compare=False, default_factory=list)
     _exit_law: list = field(init=False, repr=False, compare=False, default_factory=list)
     _sampler: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _structure: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         sites = tuple(_site_id(s) for s in self.sites)
@@ -143,6 +146,12 @@ class WalkSpec:
                 coo.append((*ends.reshape(-1, 2)[k].T, r, c, K[k, r, c]))
             self._coo.extend(np.concatenate(x) for x in zip(*coo))
         return self._stack
+
+    def _kept(self, key: str, build):
+        """A deep copy of the structure record's entry ``key``, ``build(self)`` on first use."""
+        if key not in self._structure:
+            self._structure[key] = build(self)
+        return copy.deepcopy(self._structure[key])
 
     def kraus(self, to: Site, fr: Site) -> np.ndarray:
         """Read-only vec-matrix ``kron(conj(L), L)`` of the transition

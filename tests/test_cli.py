@@ -241,6 +241,23 @@ def test_info_checks_irreducibility_once(capsys, monkeypatch):
         assert sorted(calls) == ["decompose", "invariant_state"]
 
 
+def test_info_reads_the_structure_record_the_fixture_filled(capsys, monkeypatch):
+    # the fixture's irreducibility assertion factors the step matrix; info
+    # reads the verdict, the decomposition and the invariant state it kept
+    from oqw import superop
+
+    calls = []
+    fixed_space = superop._fixed_space
+    monkeypatch.setattr(superop, "_fixed_space",
+                        lambda m: calls.append(m.shape) or fixed_space(m))
+    code, out, _ = run_cli(capsys, "info", "--walk", "random-doubly-stochastic",
+                           "--N", "8", "--dim", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["irreducible"] is True and doc["irreducible_decision"] == "certified"
+    assert calls == [(32, 32)]
+
+
 def test_info_prints_the_fixed_dimension_without_invariant_state(capsys, monkeypatch):
     from oqw import structure
 

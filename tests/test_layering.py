@@ -142,6 +142,19 @@ def test_only_the_exit_law_builds_a_bounded_domain_system():
         {("solve_dirichlet_global", "()")}
 
 
+def test_only_the_structure_record_builds_structure():
+    # the invariant state, the decomposition and the irreducibility verdict
+    # are computed once per walk, by one private builder per entry of the
+    # walk's structure record; every other caller (cli included) reads it
+    users = {name: {(module, fn) for module, tree in _modules().items()
+                    for fn in _users(tree, name)}
+             for name in ("_invariant_state", "_decompose", "irreducibility")}
+    assert users == {"_invariant_state": {("superop", "invariant_state")},
+                     "_decompose": {("structure", "decompose"),
+                                    ("structure", "_irreducibility")},
+                     "irreducibility": {("structure", "_irreducibility")}}
+
+
 def test_dense_eigvals_only_behind_spectral_radius():
     users = {(module, fn) for module, tree in _modules().items()
              for fn in _users(tree, "eigvals")}

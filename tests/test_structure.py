@@ -19,6 +19,11 @@ def unit(d, k):
     return v
 
 
+def fresh(walk):
+    """The same walk with an empty structure record."""
+    return oqw.WalkSpec(walk.sites, walk.dims, dict(walk.transitions), walk.tolerance)
+
+
 # ---------------------------------------------------------------------------
 # closures
 
@@ -273,7 +278,9 @@ def test_minimal_dilation_irreducibility_matches_connectivity():
 
 
 def test_irreducible_walk_factors_its_step_matrix_once(monkeypatch):
-    walk = fixtures.random_doubly_stochastic(6, 5, seed=4)
+    # the fixture's own irreducibility assertion fills its walk's structure
+    # record, so the same walk is built again with an empty one
+    walk = fresh(fixtures.random_doubly_stochastic(6, 5, seed=4))
     n = sum(d * d for d in walk.dims.values())
     shapes = []
     svd = np.linalg.svd
@@ -287,6 +294,9 @@ def test_irreducible_walk_factors_its_step_matrix_once(monkeypatch):
     assert ok and witness is None
     assert shapes.count((n, n)) == 1
     assert max(shapes, key=lambda s: s[0] * s[-1]) == (n, n)
+    shapes.clear()
+    assert oqw.is_irreducible(walk) == (True, None)
+    assert shapes == []
 
 
 def test_irreducibility_invariant_under_local_unitaries(ring_walk):
@@ -300,6 +310,77 @@ def test_irreducibility_invariant_under_local_unitaries(ring_walk):
              for (to, fr), L in ring_walk.transitions.items()}
     rotated = oqw.WalkSpec(ring_walk.sites, ring_walk.dims, trans)
     assert oqw.is_irreducible(rotated)[0] == oqw.is_irreducible(ring_walk)[0]
+
+
+# ---------------------------------------------------------------------------
+# the structure record: computed once per walk, read by every structure query
+
+
+def structure_answers(walk):
+    """Verdict, witness, decomposition and invariant state as plain data."""
+
+    def enc(e):
+        return None if e is None else {s: b.copy() for s, b in e.bases.items()}
+
+    def state(t):
+        return None if t is None else {s: b.copy() for s, b in t.blocks.items()}
+
+    ok, witness = oqw.is_irreducible(walk)
+    deco = oqw.decompose(walk)
+    tau, k = oqw.invariant_state(walk)
+    return (ok, enc(witness), [enc(e) for e in deco.recurrent], enc(deco.transient),
+            state(deco.invariant), deco.fixed_dim, deco.warning, state(tau), k)
+
+
+def same_data(a, b):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(
+            same_data(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(
+            same_data(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("build", [fixtures.example_three_site_trap, shortcut_then_witness_walk,
+                                   lambda: twin_cycles(), lambda: plus_minus_walk()[0]],
+                         ids=["trap", "heuristic-witness", "twin-cycles", "plus-minus"])
+def test_returned_structure_cannot_change_the_record(build):
+    walk = build()
+    want = structure_answers(fresh(walk))
+    ok, witness = oqw.is_irreducible(walk)
+    deco = oqw.decompose(walk)
+    tau, _ = oqw.invariant_state(walk)
+    for enclosure in [witness, deco.transient, *deco.recurrent]:
+        for b in (enclosure.bases.values() if enclosure is not None else ()):
+            b[...] = 7.0
+    for state in (tau, deco.invariant):
+        for b in (state.blocks.values() if state is not None else ()):
+            b[...] = 7.0
+    deco.recurrent.clear()
+    deco.recurrent.append(Enclosure({}))
+    assert same_data(structure_answers(walk), want)
+    assert same_data(structure_answers(walk), want)
+
+
+def test_classify_every_site_reads_one_irreducibility(monkeypatch):
+    walk = fixtures.example_half_line(0.25, 30, boundary="taboo")
+    calls = []
+    closure = structure._closure
+
+    def spy(*args):
+        calls.append(None)
+        return closure(*args)
+
+    monkeypatch.setattr(structure, "_closure", spy)
+    assert oqw.is_irreducible(fresh(walk))[0]
+    once = len(calls)
+    calls.clear()
+    cases = [structure.classify_recurrence(walk, s).case for s in walk.sites]
+    assert len(calls) == once > 0
+    assert cases == ["mixed"] + ["transient"] * 30
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,18 @@ def test_kac_rejects_site_outside_every_enclosure():
         oqw.estimate_kac(walk, "1", n_traj=10, k_max=10, seed=21)
 
 
+def test_kac_decomposes_once_per_walk(monkeypatch):
+    from oqw import structure
+
+    calls = []
+    build = structure._decompose
+    monkeypatch.setattr(structure, "_decompose", lambda walk: calls.append(1) or build(walk))
+    walk = fixtures.example_branch_return()
+    first, second = (oqw.estimate_kac(walk, "1", n_traj=10, k_max=5, seed=s) for s in (3, 4))
+    assert calls == [1]
+    assert first.analytic_target == second.analytic_target
+
+
 def test_kac_requires_invariant_state():
     walk, _ = _open_chain()
     with pytest.raises(InputError, match="invariant"):
