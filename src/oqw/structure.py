@@ -108,8 +108,7 @@ def is_irreducible(walk: WalkSpec) -> tuple[bool, Enclosure | None]:
 
 def _irreducibility(walk: WalkSpec) -> tuple[bool, Enclosure | None, str]:
     """:func:`irreducibility` of the walk's decomposition, kept in its structure record."""
-    return walk._kept("irreducibility",
-                      lambda w: irreducibility(w, w._kept("decomposition", _decompose)))
+    return walk._kept("irreducibility", lambda w: irreducibility(w, decompose(w)))
 
 
 def irreducibility(walk: WalkSpec, deco: Decomposition) -> tuple[bool, Enclosure | None, str]:
@@ -167,7 +166,7 @@ def decompose(walk: WalkSpec) -> Decomposition:
     minimal enclosure; otherwise it splits by :func:`_minimal_enclosures`.
     The rest is the transient part.  ``fixed_dim`` is the dimension that
     :func:`invariant_state` reports, also when there is no invariant state.
-    Computed once per walk, kept in its structure record; each call returns a copy.
+    Computed once per walk, kept in its structure record; arrays are read-only.
     """
     return walk._kept("decomposition", _decompose)
 

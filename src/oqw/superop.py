@@ -171,7 +171,7 @@ def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     ``(None, k)`` when no normalized positive fixed point exists: ``k = 0``
     when nothing is fixed, as for substochastic truncations, and ``k`` the
     fixed-space dimension when the projected fixed point has no trace.
-    Computed once per walk, kept in its structure record; each call returns a copy.
+    Computed once per walk, kept in its structure record; arrays are read-only.
     """
     return walk._kept("invariant", _invariant_state)
 

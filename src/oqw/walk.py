@@ -11,7 +11,7 @@ operations, but flagged by :func:`validate_walk`.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -148,10 +148,10 @@ class WalkSpec:
         return self._stack
 
     def _kept(self, key: str, build):
-        """A deep copy of the structure record's entry ``key``, ``build(self)`` on first use."""
+        """Entry ``key`` of the structure record, ``build(self)`` on first use; see :func:`_fresh`."""
         if key not in self._structure:
             self._structure[key] = build(self)
-        return copy.deepcopy(self._structure[key])
+        return _fresh(self._structure[key])
 
     def kraus(self, to: Site, fr: Site) -> np.ndarray:
         """Read-only vec-matrix ``kron(conj(L), L)`` of the transition
@@ -175,6 +175,21 @@ class WalkSpec:
             L = self.transitions[(to, j)]
             acc = acc + L.conj().T @ L
         return float(np.linalg.norm(acc, 2))
+
+
+def _fresh(x):
+    """``x`` in new lists, tuples, dicts and dataclasses over its arrays, made read-only."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+    elif isinstance(x, (list, tuple)):
+        return type(x)(map(_fresh, x))
+    elif isinstance(x, dict):
+        return {k: _fresh(v) for k, v in x.items()}
+    elif is_dataclass(x):
+        y = copy.copy(x)
+        vars(y).update(_fresh(vars(x)))
+        return y
+    return x
 
 
 @dataclass

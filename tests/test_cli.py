@@ -221,7 +221,8 @@ def test_info_without_invariant_state_is_heuristic(capsys):
 
 def test_info_checks_irreducibility_once(capsys, monkeypatch):
     # one decomposition (and so one invariant state) serves the verdict, the
-    # fixed-space dimension and the printed decomposition
+    # fixed-space dimension and the printed decomposition; the spies sit on
+    # the structure record's builders, which do the work once per walk
     from oqw import structure, superop
 
     calls = []
@@ -229,10 +230,9 @@ def test_info_checks_irreducibility_once(capsys, monkeypatch):
     def counting(name, fn):
         return lambda walk: calls.append(name) or fn(walk)
 
-    monkeypatch.setattr(structure, "decompose", counting("decompose", structure.decompose))
-    state = counting("invariant_state", superop.invariant_state)
-    monkeypatch.setattr(structure, "invariant_state", state)
-    monkeypatch.setattr(superop, "invariant_state", state)
+    monkeypatch.setattr(structure, "_decompose", counting("decompose", structure._decompose))
+    monkeypatch.setattr(superop, "_invariant_state",
+                        counting("invariant_state", superop._invariant_state))
     for name, key in (("cycle", "recurrence"), ("example-5.1", "decomposition")):
         calls.clear()
         code, out, _ = run_cli(capsys, "info", "--walk", name)

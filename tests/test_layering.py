@@ -150,8 +150,7 @@ def test_only_the_structure_record_builds_structure():
                     for fn in _users(tree, name)}
              for name in ("_invariant_state", "_decompose", "irreducibility")}
     assert users == {"_invariant_state": {("superop", "invariant_state")},
-                     "_decompose": {("structure", "decompose"),
-                                    ("structure", "_irreducibility")},
+                     "_decompose": {("structure", "decompose")},
                      "irreducibility": {("structure", "_irreducibility")}}
 
 

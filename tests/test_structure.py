@@ -348,17 +348,20 @@ def same_data(a, b):
                                    lambda: twin_cycles(), lambda: plus_minus_walk()[0]],
                          ids=["trap", "heuristic-witness", "twin-cycles", "plus-minus"])
 def test_returned_structure_cannot_change_the_record(build):
+    # the record's arrays are read-only by design: writing into one raises;
+    # replacing one in a returned container leaves the record as it was
     walk = build()
     want = structure_answers(fresh(walk))
     ok, witness = oqw.is_irreducible(walk)
     deco = oqw.decompose(walk)
     tau, _ = oqw.invariant_state(walk)
-    for enclosure in [witness, deco.transient, *deco.recurrent]:
-        for b in (enclosure.bases.values() if enclosure is not None else ()):
-            b[...] = 7.0
-    for state in (tau, deco.invariant):
-        for b in (state.blocks.values() if state is not None else ()):
-            b[...] = 7.0
+    for blocks in [*(e.bases for e in [witness, deco.transient, *deco.recurrent]
+                     if e is not None),
+                   *(t.blocks for t in (tau, deco.invariant) if t is not None)]:
+        for s, b in blocks.items():
+            with pytest.raises(ValueError, match="read-only"):
+                b[...] = 7.0
+            blocks[s] = np.full_like(b, 7.0)
     deco.recurrent.clear()
     deco.recurrent.append(Enclosure({}))
     assert same_data(structure_answers(walk), want)
