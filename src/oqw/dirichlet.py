@@ -149,7 +149,7 @@ def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSo
     by uniqueness; substochastic truncations have a rigid solution that is
     returned as computed.
     """
-    system = _domain_blocks(walk, walk.sites, ())
+    system = _domain_blocks(walk, range(len(walk.sites)), ())
     solve = system.solve(system.inner.pack(a)[:, None], dual=True)
     _reject_trapped_data(walk, a, solve, "walk is recurrent at site {site!r}; the global "
                          "Dirichlet problem is unsupported")

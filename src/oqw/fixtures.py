@@ -55,13 +55,14 @@ def example_half_line(p: float, n_sites: int, boundary: str = "absorbing",
         ("1", "0"): np.array([[1.0, 0.0]], dtype=COMPLEX),
         ("0", "1"): np.sqrt(p / 2.0) * np.array([[1.0], [1.0]], dtype=COMPLEX),
     }
+    down, up = (np.array([[np.sqrt(x)]], dtype=COMPLEX) for x in (p, q))   # the walk copies them
     for k in range(1, n_sites):
-        trans[(str(k), str(k + 1))] = np.array([[np.sqrt(p)]], dtype=COMPLEX)
-        trans[(str(k + 1), str(k))] = np.array([[np.sqrt(q)]], dtype=COMPLEX)
+        trans[(str(k), str(k + 1))] = down
+        trans[(str(k + 1), str(k))] = up
     if boundary == "absorbing":
         sites.append("cut+")
         dims["cut+"] = 1
-        trans[("cut+", str(n_sites))] = np.array([[np.sqrt(q)]], dtype=COMPLEX)
+        trans[("cut+", str(n_sites))] = up
         trans[("cut+", "cut+")] = np.array([[1.0]], dtype=COMPLEX)
     elif boundary != "taboo":
         raise InputError(f"unknown boundary mode {boundary!r}")

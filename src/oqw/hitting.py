@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -77,28 +78,21 @@ SPARSE_MIN_UNKNOWNS = 128  # systems with this many unknowns or more are factore
 # capture-series plumbing
 
 
-def _nonzero(walk: WalkSpec, to: Site, fr: Site) -> bool:
-    return walk._amax.get((to, fr), 0.0) > walk.tolerance
-
-
-def _reachable(seeds, step: dict, allowed) -> set:
-    """Sites of ``allowed`` reached from the allowed ``seeds`` along ``step``
-    (``walk._succ`` or ``walk._pred``) without leaving ``allowed``."""
-    allowed = set(allowed)
-    seen, frontier = set(), [s for s in seeds if s in allowed]
-    while frontier:
-        s = frontier.pop()
-        if s not in seen:
-            seen.add(s)
-            frontier += [t for t in step[s] if t in allowed and t not in seen]
-    return seen
-
-
-def _backward_reachable(walk: WalkSpec, targets, allowed) -> set:
-    """Allowed sites with a path through allowed sites into ``targets`` whose
-    last block exceeds the walk's tolerance."""
-    seeds = [s for t in targets for s in walk._pred[t] if _nonzero(walk, t, s)]
-    return _reachable(seeds, walk._pred, allowed)
+def _search(step: list, seeds, marks: bytearray, free: int) -> list[int]:
+    """Positions marked ``free`` that are reached from ``seeds`` along ``step``
+    (the walk's successor or predecessor positions per site) through positions
+    marked ``free``, breadth first; each is marked ``free + 1`` when found."""
+    found, taken = [], free + 1
+    for s in seeds:
+        if marks[s] == free:
+            marks[s] = taken
+            found.append(s)
+    for s in found:   # grows while it is read
+        for t in step[s]:
+            if marks[t] == free:
+                marks[t] = taken
+                found.append(t)
+    return found
 
 
 @dataclass
@@ -129,11 +123,10 @@ class DomainBlocks:
         return _domain_solve(self.A, rhs, self.inner.dims(self.walk), dual)
 
 
-def _domain_blocks(walk: WalkSpec, sites, outer) -> DomainBlocks:
-    """The one builder: the system on ``sites`` (site ids) with its exit block onto ``outer``."""
-    D = set(sites)
-    inner = BlockIndex.build(walk, [s for s in walk.sites if s in D])
-    outer = BlockIndex.build(walk, outer)
+def _domain_blocks(walk: WalkSpec, inner, outer) -> DomainBlocks:
+    """The one builder: the system on the sites at positions ``inner`` (ascending)
+    with its exit block onto those at ``outer``."""
+    inner, outer = BlockIndex.at(walk, inner), BlockIndex.at(walk, outer)
     A = identity_minus(walk, inner, sparse=inner.total >= SPARSE_MIN_UNKNOWNS)
     return DomainBlocks(walk, inner, outer, A, block_matrix(walk, outer, inner))
 
@@ -200,14 +193,18 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
     certified, by one solve on first use (:attr:`CaptureSeries.solved`).
     """
     i, j, *taboo = _known_sites(walk, [i, j, *taboo])
-    taboo = frozenset(taboo)
-    allowed = [s for s in walk.sites if s not in taboo and s != j]
-    reach = _reachable(walk._succ[i], walk._succ, allowed)
-    coreach = _backward_reachable(walk, [j], allowed)
-    blocks = _domain_blocks(walk, reach & coreach, (j,))
+    taboo, at, graph = frozenset(taboo), walk._index, walk._graph
+    marks = bytearray(b"\x01") * len(walk.sites)   # 1: allowed interior site
+    for s in (*taboo, j):
+        marks[at[s]] = 0
+    # 2: reached from i; 3: and reaching j, its last block above the walk's
+    # tolerance (every site on such a path is reached from i)
+    _search(graph.succ, graph.succ[at[i]], marks, 1)
+    interior = _search(graph.pred, graph.pred_above[at[j]], marks, 2)
+    blocks = _domain_blocks(walk, sorted(interior), [at[j]])
     return CaptureSeries(
         **vars(blocks), source=i, target=j, taboo=taboo, direct=walk.transitions.get((j, i)),
-        E=block_matrix(walk, blocks.inner, BlockIndex.build(walk, (i,))))
+        E=block_matrix(walk, blocks.inner, BlockIndex.at(walk, [at[i]])))
 
 
 def _eye(A):
@@ -593,19 +590,29 @@ def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
 # finite domains
 
 
-def _domain_sites(walk: WalkSpec, domain) -> set:
-    D = {_site_id(s) for s in domain}
-    unknown = D.difference(walk.dims)
-    if unknown:
-        raise InputError(f"domain has unknown sites {sorted(unknown)}")
-    return D
+def _domain_sites(walk: WalkSpec, domain) -> tuple[list[Site], list[int]]:
+    """The domain's site ids and their positions in the walk; InputError naming
+    the sites the walk does not have."""
+    ids = list(domain)
+    pos = list(map(walk._index.get, ids))
+    if None in pos:   # ids given as other types than str, or unknown sites
+        ids = [_site_id(s) for s in ids]
+        pos = list(map(walk._index.get, ids))
+        if None in pos:
+            raise InputError(f"domain has unknown sites {sorted(set(ids).difference(walk._index))}")
+    return ids, pos
+
+
+def _boundary(walk: WalkSpec, pos: list[int]) -> tuple[Site, ...]:
+    """:func:`boundary` of the domain at the (checked) positions ``pos``."""
+    hit = set(chain.from_iterable(map(walk._graph.succ_above.__getitem__, pos)))
+    hit.difference_update(pos)
+    return tuple(map(walk.sites.__getitem__, sorted(hit)))
 
 
 def boundary(walk: WalkSpec, domain) -> tuple[Site, ...]:
     """Sites outside the domain receiving a nonzero transition from it."""
-    D = _domain_sites(walk, domain)
-    hit = {t for j in D for t in walk._succ[j] if t not in D and _nonzero(walk, t, j)}
-    return tuple(s for s in walk.sites if s in hit)
+    return _boundary(walk, _domain_sites(walk, domain)[1])
 
 
 def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
@@ -615,7 +622,7 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
     interior target it captures {t_j <= t_boundary} (the first visit to j
     before leaving the domain).
     """
-    D = _domain_sites(walk, domain)
+    D = set(_domain_sites(walk, domain)[0])
     if _site_id(i) not in D:
         raise InputError(f"start site {i!r} is not in the domain")
     taboo = [s for s in walk.sites if s not in D]
@@ -623,16 +630,16 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
 
 
 def _domain_query(walk: WalkSpec, domain, i, rho,
-                  target: Site | None = None) -> tuple[Site, np.ndarray, set, tuple]:
+                  target: Site | None = None) -> tuple[Site, np.ndarray, list, tuple]:
     """The one entry of the domain queries: checks ``rho`` at ``i``, the domain's sites,
     its boundary (exits) or that it holds ``target`` (visits), and that ``i`` lies in it;
-    returns ``i``, ``rho`` (an array), the domain and its boundary."""
+    returns ``i``, ``rho`` (an array), the domain's site ids and its boundary."""
     i, rho = _site_id(i), np.asarray(rho, dtype=COMPLEX)
     check_state(walk, DiagonalState({i: rho}))
-    D = _domain_sites(walk, domain)
+    D, pos = _domain_sites(walk, domain)
     bnd = ()
     if target is None:
-        bnd = boundary(walk, D)
+        bnd = _boundary(walk, pos)
         if not bnd:
             raise InputError("domain has empty boundary")
     elif target not in D:
@@ -642,12 +649,17 @@ def _domain_query(walk: WalkSpec, domain, i, rho,
     return i, rho, D, bnd
 
 
+def _positions(walk: WalkSpec, sites) -> list[int]:
+    """Ascending positions in the walk of the (known) ``sites``."""
+    return sorted(set(map(walk._index.__getitem__, sites)))
+
+
 def _exit_law(walk: WalkSpec, domain, bnd: tuple) -> tuple[DomainBlocks, DomainSolve]:
     """System of ``domain`` onto ``bnd`` and its exit law ``X`` (``X^dag`` maps states to exit
     states), the certified ``(Id - K_DD^dag) X = K_out^dag``, kept per walk by domain and bnd."""
     key, slot = frozenset(domain), walk._exit_law
     if not slot or slot[0][:2] != (key, bnd):
-        blocks = _domain_blocks(walk, key, bnd)
+        blocks = _domain_blocks(walk, _positions(walk, key), _positions(walk, bnd))
         slot[:] = [(key, bnd, (blocks, blocks.solve(blocks.K_out.conj().T, dual=True)))]
     return slot[0][2]
 
@@ -711,7 +723,7 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     """
     j = _site_id(j)
     i, rho, D, _ = _domain_query(walk, domain, i, rho, target=j)
-    blocks = _domain_blocks(walk, D, ())
+    blocks = _domain_blocks(walk, _positions(walk, D), ())
     solve = blocks.solve(blocks.inner.pack(DiagonalState({i: rho}))[:, None])
     lo, hi = blocks.inner.offsets[j]
     tr_rho = float(np.trace(rho).real)

@@ -31,15 +31,21 @@ class BlockIndex:
 
     @classmethod
     def build(cls, walk: WalkSpec, sites) -> "BlockIndex":
-        sites = tuple(_site_id(s) for s in sites)
-        offsets, starts = {}, [-1] * len(walk.sites)
-        off = 0
-        for s in sites:
-            d2 = walk.dims[s] ** 2
-            offsets[s] = (off, off + d2)
-            starts[walk._index[s]] = off
-            off += d2
-        return cls(sites, offsets, off, np.array(starts))
+        """Blocks of ``sites`` (site ids), in that order."""
+        return cls.at(walk, [walk._index[_site_id(s)] for s in sites])
+
+    @classmethod
+    def at(cls, walk: WalkSpec, positions) -> "BlockIndex":
+        """Blocks of the sites at ``positions`` in the walk, in that order: offsets
+        are a cumulative sum of their d^2."""
+        pos = np.array(positions, dtype=np.intp)
+        squares = walk._graph.squares[pos]
+        stops = np.cumsum(squares)
+        starts = np.full(len(walk.sites), -1)
+        starts[pos] = lo = stops - squares
+        sites = tuple(map(walk.sites.__getitem__, pos.tolist()))
+        offsets = dict(zip(sites, zip(lo.tolist(), stops.tolist())))
+        return cls(sites, offsets, int(stops[-1]) if len(pos) else 0, starts)
 
     def pack(self, blocks: DiagonalState | DiagonalObservable) -> np.ndarray:
         """Stacked vectorized blocks of a state or observable (zero where absent)."""

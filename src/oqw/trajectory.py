@@ -79,7 +79,7 @@ def sample_step(walk: WalkSpec, site, rho: np.ndarray,
 def _step(walk: WalkSpec, s: Site, rho: np.ndarray,
           rng: np.random.Generator) -> tuple[Site, np.ndarray, bool]:
     """:func:`sample_step` from a checked site and state."""
-    succs = walk._succ[s]
+    succs = walk.successors(s)
     weights = []
     for t in succs:
         L = walk.transitions[(t, s)]
@@ -164,15 +164,15 @@ def _sampler_tables(walk: WalkSpec) -> tuple:
     and per (site, successor) its target, Gram rows, superoperator, block, merge flag."""
     if not walk._sampler:
         d = max(walk.dims.values())
-        succ = [walk._succ[s] for s in walk.sites]
+        succ, sites = walk._graph.succ, walk.sites
         k_max = max(1, max(len(row) for row in succ))
         blocks = np.zeros((len(succ), k_max, d, d), dtype=COMPLEX)
         targets = np.zeros(len(succ) * k_max, dtype=np.int64)
-        for s_idx, (s, row) in enumerate(zip(walk.sites, succ)):
+        for s_idx, (s, row) in enumerate(zip(sites, succ)):
             for k, t in enumerate(row):
-                L = walk.transitions[(t, s)]
+                L = walk.transitions[(sites[t], s)]
                 blocks[s_idx, k, :L.shape[0], :L.shape[1]] = L
-                targets[s_idx * k_max + k] = walk._index[t]
+                targets[s_idx * k_max + k] = t
         gram = _trace_table(np.swapaxes(blocks, -1, -2).conj() @ blocks)
         blocks = blocks.reshape(-1, d, d)
         superop = (np.einsum("kac,kbd->kabcd", blocks, blocks.conj()).reshape(-1, d * d, d * d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, is_dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,19 @@ DEFAULT_TOLERANCE = 1e-9
 
 def _site_id(s) -> Site:
     return s if isinstance(s, str) else str(s)
+
+
+class SiteGraph(NamedTuple):
+    """A walk's transitions by site position (declared site order): per site the
+    positions of its successors and predecessors, in that order, all of them and
+    those whose block's largest |entry| exceeds the walk's tolerance, and every
+    site's d^2, the length of its vectorized block."""
+
+    succ: list[list[int]]
+    pred: list[list[int]]
+    succ_above: list[list[int]]
+    pred_above: list[list[int]]
+    squares: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,17 +61,16 @@ class WalkSpec:
     transitions: Mapping[tuple[Site, Site], np.ndarray]
     tolerance: float = DEFAULT_TOLERANCE
     # The walk's table, built once.  _out: targets of each source in declared
-    # transition order; _succ and _pred follow the declared site order _index,
-    # which seeded sampler outputs use.  _groups: (keys, read-only stack) per
-    # block shape, viewed by ``transitions``; _amax: each block's max |entry|.
-    # _exit_law, _sampler, _structure: hitting's last exit law, the sampler's padded
-    # tables, the structure record (invariant state, decomposition, irreducibility).
+    # transition order; _index: each site's position in the declared site order;
+    # _graph: the transitions by position (:class:`SiteGraph`), which graph searches,
+    # block layouts and seeded sampler outputs read.  _groups: (keys, read-only stack)
+    # per block shape, viewed by ``transitions``.  _exit_law, _sampler, _structure:
+    # hitting's last exit law, the sampler's padded tables, the structure record
+    # (invariant state, decomposition, irreducibility).
     _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _pred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _graph: SiteGraph = field(init=False, repr=False, compare=False, default=None)
     _groups: list = field(init=False, repr=False, compare=False, default_factory=list)
-    _amax: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _kraus: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _stack: list = field(init=False, repr=False, compare=False, default_factory=list)
     _coo: list = field(init=False, repr=False, compare=False, default_factory=list)
@@ -87,9 +99,11 @@ class WalkSpec:
                     f"transition ({to!r}, {fr!r}) has shape {mat.shape}, "
                     f"expected {(dims[to], dims[fr])}"
                 )
-        views = {}   # per block shape: one copy, finiteness check and max |entry|
-        for shape in dict.fromkeys(m.shape for m in mats.values()):
-            keys = [k for k, m in mats.items() if m.shape == shape]
+        shapes: dict[tuple, list] = {}
+        for k, m in mats.items():
+            shapes.setdefault(m.shape, []).append(k)
+        views, weak = {}, set()   # per block shape: one copy, finiteness check and max |entry|
+        for shape, keys in shapes.items():
             L = np.concatenate([mats[k] for k in keys]).reshape(len(keys), *shape)
             if not np.isfinite(L).all():
                 raise ValueError("matrix has non-finite entries")
@@ -97,24 +111,31 @@ class WalkSpec:
             keys, L, amax = [k for k, m in zip(keys, amax) if m], L[amax > 0], amax[amax > 0]
             L.setflags(write=False)
             self._groups.append((keys, L))
-            self._amax.update(zip(keys, amax.tolist()))
+            weak.update(keys[k] for k in np.flatnonzero(amax <= self.tolerance).tolist())
             views.update(zip(keys, L))
         trans = {k: views[k] for k in mats if k in views}
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "dims", dict(dims))
         object.__setattr__(self, "transitions", trans)
         out: dict[Site, list[Site]] = {s: [] for s in sites}
+        at, n = self._index, len(sites)
+        at.update(zip(sites, range(n)))
+        succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
         for to, fr in trans:
             out[fr].append(to)
+            succ[at[fr]].append(at[to])
+            pred[at[to]].append(at[fr])
+        for row in (*succ, *pred):
+            row.sort()
+        succ_above, pred_above = succ, pred
+        if weak:   # blocks at or below the tolerance, rare: filtered copies
+            weak = {(at[to], at[fr]) for to, fr in weak}
+            succ_above = [[t for t in row if (t, f) not in weak] for f, row in enumerate(succ)]
+            pred_above = [[f for f in row if (t, f) not in weak] for t, row in enumerate(pred)]
+        squares = np.array([dims[s] for s in sites], dtype=np.intp) ** 2
+        squares.setflags(write=False)
         object.__setattr__(self, "_out", out)
-        order = self._index
-        order.update((s, k) for k, s in enumerate(sites))
-        succ, pred = self._succ, self._pred
-        succ.update((s, []) for s in sites)
-        pred.update((s, []) for s in sites)
-        for to, fr in sorted(sorted(trans, key=lambda k: order[k[0]]), key=lambda k: order[k[1]]):
-            succ[fr].append(to)
-            pred[to].append(fr)
+        object.__setattr__(self, "_graph", SiteGraph(succ, pred, succ_above, pred_above, squares))
 
     def dim(self, site) -> int:
         return self.dims[_site_id(site)]
@@ -161,10 +182,10 @@ class WalkSpec:
 
     def successors(self, site) -> list[Site]:
         """Targets reachable in one step, in declared site order."""
-        return list(self._succ[_site_id(site)])
+        return [self.sites[k] for k in self._graph.succ[self._index[_site_id(site)]]]
 
     def predecessors(self, site) -> list[Site]:
-        return list(self._pred[_site_id(site)])
+        return [self.sites[k] for k in self._graph.pred[self._index[_site_id(site)]]]
 
     def column_defect(self, source) -> float:
         """Operator-norm residual of the stochasticity constraint at a source,
@@ -308,7 +329,7 @@ def apply_step(walk: WalkSpec, state: DiagonalState) -> DiagonalState:
     for s, b in state.blocks.items():
         if s not in walk.dims:
             raise InputError(f"state block at unknown site {s!r}")
-        for t in walk._succ[s]:
+        for t in walk.successors(s):
             L = walk.transitions[(t, s)]
             out[t] += L @ b @ L.conj().T
     return DiagonalState(out, normalized=state.normalized)
@@ -343,11 +364,10 @@ def minimal_dilation(transition_matrix, labels: Sequence | None = None,
     if labels is None:
         labels = [str(k) for k in range(n)]
     labels = [_site_id(s) for s in labels]
-    trans = {}
-    for i in range(n):
-        for j in range(n):
-            if T[i, j] > 0.0:
-                trans[(labels[i], labels[j])] = np.array([[np.sqrt(T[i, j])]], dtype=COMPLEX)
+    rows, cols = np.nonzero(T > 0.0)   # row-major: the order of the declared transitions
+    blocks = np.sqrt(T[rows, cols]).astype(COMPLEX).reshape(-1, 1, 1)
+    trans = dict(zip(zip(map(labels.__getitem__, rows.tolist()),
+                         map(labels.__getitem__, cols.tolist())), blocks))
     return WalkSpec(tuple(labels), {s: 1 for s in labels}, trans, tolerance)
 
 

@@ -347,7 +347,7 @@ def test_compression_only_where_the_certificate_fails(walks, monkeypatch):
 
 def test_exit_path_selected_by_certificate(walks):
     def solve(walk, domain):
-        blocks = hitting._domain_blocks(walk, domain, ())
+        blocks = hitting._domain_blocks(walk, hitting._positions(walk, domain), ())
         rhs = blocks.inner.pack(oqw.DiagonalState({domain[0]: np.eye(2) / 2}))[:, None]
         return hitting._domain_solve(blocks.A, rhs, blocks.inner.dims(walk))
 
@@ -443,7 +443,8 @@ def forward_exit_map(walk, domain):
     """The domain's blocks, ``F = (Id - K_DD)^{-1}`` from one forward solve
     with every unit vector as right-hand side (compressed off a trapped
     part), and the exit map ``K_out F``."""
-    blocks = hitting._domain_blocks(walk, domain, oqw.boundary(walk, domain))
+    blocks = hitting._domain_blocks(walk, hitting._positions(walk, domain),
+                                    hitting._positions(walk, oqw.boundary(walk, domain)))
     forward = blocks.solve(np.eye(blocks.inner.total, dtype=COMPLEX))
     return blocks, forward, blocks.K_out @ forward.x
 

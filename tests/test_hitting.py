@@ -517,9 +517,25 @@ def test_operator_matches_extrapolated_enumeration(branch_walk):
     assert shanks_limit(res.partial_sums) == pytest.approx(exact, abs=1e-9)
 
 
-def test_backward_reachable_ignores_blocks_below_tolerance():
-    from oqw.hitting import _backward_reachable, _nonzero
+def _nonzero(walk, to, fr):
+    """Whether the block ``L[to, fr]`` exists and its largest |entry| exceeds the walk's tolerance."""
+    L = walk.transitions.get((to, fr))
+    return L is not None and float(np.abs(L).max()) > walk.tolerance
 
+
+def _backward_reachable(walk, targets, allowed):
+    """Allowed sites with a path through allowed sites into ``targets`` whose
+    last block exceeds the walk's tolerance, by the integer search."""
+    from oqw.hitting import _search
+
+    marks = bytearray(len(walk.sites))
+    for s in allowed:
+        marks[walk._index[s]] = 1
+    seeds = [p for t in targets for p in walk._graph.pred_above[walk._index[t]]]
+    return {walk.sites[k] for k in _search(walk._graph.pred, seeds, marks, 1)}
+
+
+def test_backward_reachable_ignores_blocks_below_tolerance():
     one = np.array([[1.0]])
     walk = oqw.WalkSpec(("a", "b", "c"), {"a": 1, "b": 1, "c": 1},
                         {("b", "a"): one, ("b", "b"): one, ("c", "b"): 1e-12 * one,
@@ -570,4 +586,4 @@ def test_blocks_at_or_below_tolerance_are_neither_seeds_nor_boundary_edges(monke
     assert hitting.boundary(walk, ["a", "b"]) == ("e", "g")
     for target, want in (("c", set()), ("d", set()), ("f", set()),
                          ("e", {"a", "b"}), ("g", {"a", "b"})):
-        assert hitting._backward_reachable(walk, [target], ("a", "b")) == want, target
+        assert _backward_reachable(walk, [target], ("a", "b")) == want, target
