@@ -58,7 +58,8 @@ def brute_force_path_sum(walk: WalkSpec, i, rho, j, taboo=(), max_len: int = 20,
     budget = [node_budget]
 
     def explore(site: Site, m: np.ndarray, depth: int):
-        for t in walk.successors(site):
+        for k in walk._graph.succ[walk._index[site]]:
+            t = walk.sites[k]
             L = walk.transitions[(t, site)]
             m2 = L @ m
             if float(np.abs(m2).max(initial=0.0)) < 1e-250:

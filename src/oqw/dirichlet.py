@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import CERTIFICATE_RESIDUAL_TOL, DomainSolve, _domain_blocks, _exit_law
+from .hitting import (CERTIFICATE_RESIDUAL_TOL, DomainSolve, _boundary, _domain_blocks,
+                      _domain_sites, _exit_law)
 from .hitting import boundary as domain_boundary
 from .linalg import COMPLEX, herm, psd_sqrt, unvec, vec
 from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
@@ -108,9 +109,9 @@ def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> Dirichl
     :class:`NumericalError`.
     """
     D = problem.domain
-    bnd = domain_boundary(walk, D)
-    a, b = problem.interior_data, problem.boundary_data
-    system, law = _exit_law(walk, D, bnd)
+    inner = _domain_sites(walk, D)[1]
+    system, law = _exit_law(walk, inner, _boundary(walk, inner))
+    a, b, bnd = problem.interior_data, problem.boundary_data, system.outer.sites
     _reject_trapped_data(walk, a, law, "domain visit operator diverges at {site!r}; "
                          "the walk is not irreducible on this domain (try decompose())")
     x, interior = law.x @ system.outer.pack(b), system.inner.pack(a)
@@ -184,13 +185,12 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     domain for irreducible walks.  Trapped directions never exit, so the
     blocks vanish on them.
     """
-    D = tuple(_site_id(s) for s in domain)
-    bnd = domain_boundary(walk, D)
-    j = _site_id(j)
-    if j not in bnd:
+    D, inner = _domain_sites(walk, domain)
+    outer, j = _boundary(walk, inner), _site_id(j)
+    if walk._index.get(j) not in outer:
         raise InputError(f"site {j!r} is not on the domain boundary")
     eye = np.eye(walk.dims[j], dtype=COMPLEX)
-    system, law = _exit_law(walk, D, bnd)
+    system, law = _exit_law(walk, inner, outer)
     x = law.x[:, slice(*system.outer.offsets[j])] @ vec(eye)
     solved = {s: herm(blk) for s, blk in system.inner.unpack(walk, x).items()}
     return DiagonalObservable({j: eye, **{i: solved[i] for i in D}})

@@ -591,28 +591,25 @@ def conditional_state_at_hit(walk: WalkSpec, i, rho, j) -> np.ndarray:
 
 
 def _domain_sites(walk: WalkSpec, domain) -> tuple[list[Site], list[int]]:
-    """The domain's site ids and their positions in the walk; InputError naming
-    the sites the walk does not have."""
-    ids = list(domain)
+    """The domain's site ids and the ascending, distinct positions of its sites
+    in the walk; InputError naming the sites the walk does not have."""
+    ids = [_site_id(s) for s in domain]
     pos = list(map(walk._index.get, ids))
-    if None in pos:   # ids given as other types than str, or unknown sites
-        ids = [_site_id(s) for s in ids]
-        pos = list(map(walk._index.get, ids))
-        if None in pos:
-            raise InputError(f"domain has unknown sites {sorted(set(ids).difference(walk._index))}")
-    return ids, pos
+    if None in pos:
+        raise InputError(f"domain has unknown sites {sorted(set(ids).difference(walk._index))}")
+    return ids, sorted(set(pos))
 
 
-def _boundary(walk: WalkSpec, pos: list[int]) -> tuple[Site, ...]:
-    """:func:`boundary` of the domain at the (checked) positions ``pos``."""
+def _boundary(walk: WalkSpec, pos: list[int]) -> list[int]:
+    """Ascending positions of :func:`boundary` of the domain at the (checked) positions ``pos``."""
     hit = set(chain.from_iterable(map(walk._graph.succ_above.__getitem__, pos)))
     hit.difference_update(pos)
-    return tuple(map(walk.sites.__getitem__, sorted(hit)))
+    return sorted(hit)
 
 
 def boundary(walk: WalkSpec, domain) -> tuple[Site, ...]:
     """Sites outside the domain receiving a nonzero transition from it."""
-    return _boundary(walk, _domain_sites(walk, domain)[1])
+    return tuple(map(walk.sites.__getitem__, _boundary(walk, _domain_sites(walk, domain)[1])))
 
 
 def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
@@ -629,38 +626,36 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
     return taboo_operator(walk, i, j, taboo=taboo)
 
 
-def _domain_query(walk: WalkSpec, domain, i, rho,
-                  target: Site | None = None) -> tuple[Site, np.ndarray, list, tuple]:
+def _domain_query(walk: WalkSpec, domain, i, rho, target: Site | None = None
+                  ) -> tuple[Site, np.ndarray, list[int], list[int]]:
     """The one entry of the domain queries: checks ``rho`` at ``i``, the domain's sites,
     its boundary (exits) or that it holds ``target`` (visits), and that ``i`` lies in it;
-    returns ``i``, ``rho`` (an array), the domain's site ids and its boundary."""
+    returns ``i``, ``rho`` (an array) and the ascending positions of the domain's sites
+    and of its boundary (empty for visits)."""
     i, rho = _site_id(i), np.asarray(rho, dtype=COMPLEX)
     check_state(walk, DiagonalState({i: rho}))
-    D, pos = _domain_sites(walk, domain)
-    bnd = ()
+    D, inner = _domain_sites(walk, domain)
+    outer = []
     if target is None:
-        bnd = _boundary(walk, pos)
-        if not bnd:
+        outer = _boundary(walk, inner)
+        if not outer:
             raise InputError("domain has empty boundary")
     elif target not in D:
         raise InputError(f"target {target!r} must lie inside the domain")
     if i not in D:
         raise InputError(f"start site {i!r} is not in the domain")
-    return i, rho, D, bnd
+    return i, rho, inner, outer
 
 
-def _positions(walk: WalkSpec, sites) -> list[int]:
-    """Ascending positions in the walk of the (known) ``sites``."""
-    return sorted(set(map(walk._index.__getitem__, sites)))
-
-
-def _exit_law(walk: WalkSpec, domain, bnd: tuple) -> tuple[DomainBlocks, DomainSolve]:
-    """System of ``domain`` onto ``bnd`` and its exit law ``X`` (``X^dag`` maps states to exit
-    states), the certified ``(Id - K_DD^dag) X = K_out^dag``, kept per walk by domain and bnd."""
-    key, slot = frozenset(domain), walk._exit_law
-    if not slot or slot[0][:2] != (key, bnd):
-        blocks = _domain_blocks(walk, _positions(walk, key), _positions(walk, bnd))
-        slot[:] = [(key, bnd, (blocks, blocks.solve(blocks.K_out.conj().T, dual=True)))]
+def _exit_law(walk: WalkSpec, inner: list[int], outer: list[int]
+              ) -> tuple[DomainBlocks, DomainSolve]:
+    """System of the domain at positions ``inner`` onto its boundary at ``outer`` and its exit
+    law ``X`` (``X^dag`` maps states to exit states), the certified ``(Id - K_DD^dag) X =
+    K_out^dag``, kept per walk by those positions."""
+    slot = walk._exit_law
+    if not slot or slot[0][:2] != (inner, outer):
+        blocks = _domain_blocks(walk, inner, outer)
+        slot[:] = [(inner, outer, (blocks, blocks.solve(blocks.K_out.conj().T, dual=True)))]
     return slot[0][2]
 
 
@@ -671,8 +666,8 @@ def _exit_states(walk: WalkSpec, domain, i, rho) -> dict[Site, np.ndarray]:
     applied to rho at i for every boundary site at once; trapped mass never
     exits, so a trapping domain's compressed law gives the same exit states.
     """
-    i, rho, D, bnd = _domain_query(walk, domain, i, rho)
-    blocks, law = _exit_law(walk, D, bnd)
+    i, rho, inner, outer = _domain_query(walk, domain, i, rho)
+    blocks, law = _exit_law(walk, inner, outer)
     return blocks.outer.unpack(walk, law.x[slice(*blocks.inner.offsets[i])].conj().T @ vec(rho))
 
 
@@ -722,8 +717,8 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     of the start state, read from the same solve, has mass at j.
     """
     j = _site_id(j)
-    i, rho, D, _ = _domain_query(walk, domain, i, rho, target=j)
-    blocks = _domain_blocks(walk, _positions(walk, D), ())
+    i, rho, inner, _ = _domain_query(walk, domain, i, rho, target=j)
+    blocks = _domain_blocks(walk, inner, ())
     solve = blocks.solve(blocks.inner.pack(DiagonalState({i: rho}))[:, None])
     lo, hi = blocks.inner.offsets[j]
     tr_rho = float(np.trace(rho).real)

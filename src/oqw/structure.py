@@ -87,7 +87,8 @@ def _closure(walk: WalkSpec, seeds, known) -> Enclosure | None:
     work = deque((s, b) for s, b in bases.items() if b.shape[1])
     while work:
         fr, new = work.popleft()
-        for to in walk.successors(fr):
+        for k in walk._graph.succ[walk._index[fr]]:
+            to = walk.sites[k]
             before = bases[to].shape[1]
             if before == walk.dims[to]:
                 continue

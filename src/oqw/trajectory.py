@@ -79,10 +79,10 @@ def sample_step(walk: WalkSpec, site, rho: np.ndarray,
 def _step(walk: WalkSpec, s: Site, rho: np.ndarray,
           rng: np.random.Generator) -> tuple[Site, np.ndarray, bool]:
     """:func:`sample_step` from a checked site and state."""
-    succs = walk.successors(s)
+    sites, succs = walk.sites, walk._graph.succ[walk._index[s]]
     weights = []
     for t in succs:
-        L = walk.transitions[(t, s)]
+        L = walk.transitions[(sites[t], s)]
         w = float(np.einsum("ij,jk,ik->", L, rho, L.conj()).real)
         weights.append(0.0 if w < PROB_FLOOR else w)
     total = sum(weights)
@@ -97,7 +97,7 @@ def _step(walk: WalkSpec, s: Site, rho: np.ndarray,
         if u < acc:
             choice = k
             break
-    t = succs[choice]
+    t = sites[succs[choice]]
     L = walk.transitions[(t, s)]
     new = L @ rho @ L.conj().T
     return t, new / float(np.trace(new).real), renorm

@@ -329,7 +329,8 @@ def apply_step(walk: WalkSpec, state: DiagonalState) -> DiagonalState:
     for s, b in state.blocks.items():
         if s not in walk.dims:
             raise InputError(f"state block at unknown site {s!r}")
-        for t in walk.successors(s):
+        for k in walk._graph.succ[walk._index[s]]:
+            t = walk.sites[k]
             L = walk.transitions[(t, s)]
             out[t] += L @ b @ L.conj().T
     return DiagonalState(out, normalized=state.normalized)

@@ -347,7 +347,7 @@ def test_compression_only_where_the_certificate_fails(walks, monkeypatch):
 
 def test_exit_path_selected_by_certificate(walks):
     def solve(walk, domain):
-        blocks = hitting._domain_blocks(walk, hitting._positions(walk, domain), ())
+        blocks = hitting._domain_blocks(walk, hitting._domain_sites(walk, domain)[1], ())
         rhs = blocks.inner.pack(oqw.DiagonalState({domain[0]: np.eye(2) / 2}))[:, None]
         return hitting._domain_solve(blocks.A, rhs, blocks.inner.dims(walk))
 
@@ -443,8 +443,8 @@ def forward_exit_map(walk, domain):
     """The domain's blocks, ``F = (Id - K_DD)^{-1}`` from one forward solve
     with every unit vector as right-hand side (compressed off a trapped
     part), and the exit map ``K_out F``."""
-    blocks = hitting._domain_blocks(walk, hitting._positions(walk, domain),
-                                    hitting._positions(walk, oqw.boundary(walk, domain)))
+    inner = hitting._domain_sites(walk, domain)[1]
+    blocks = hitting._domain_blocks(walk, inner, hitting._boundary(walk, inner))
     forward = blocks.solve(np.eye(blocks.inner.total, dtype=COMPLEX))
     return blocks, forward, blocks.K_out @ forward.x
 
@@ -557,11 +557,12 @@ def test_a_new_domain_replaces_the_kept_law():
     walk, first = EXIT_LAW_CASES["ruin21"]()
     second = first[:5]
     before = every_start_measures(walk, first)
-    assert [entry[:2] for entry in walk._exit_law] == [(frozenset(first), ("0", "20"))]
+    # the law is kept by the positions of the domain and its boundary; site "k" is at k
+    assert [entry[:2] for entry in walk._exit_law] == [(list(range(1, 20)), [0, 20])]
     for domain in (first, set(first), np.array(first), first[:-1]):   # any iterable of sites
         assert oqw.boundary(walk, domain) == (("0", "20") if len(domain) == 19 else ("0", "19"))
     every_start_measures(walk, second)
-    assert [entry[:2] for entry in walk._exit_law] == [(frozenset(second), ("0", "6"))]
+    assert [entry[:2] for entry in walk._exit_law] == [(list(range(1, 6)), [0, 6])]
     assert_bit_identical([hm.masses for hm in every_start_measures(walk, first)],
                          [hm.masses for hm in before])
     assert len(walk._exit_law) == 1

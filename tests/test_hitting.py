@@ -535,12 +535,26 @@ def _backward_reachable(walk, targets, allowed):
     return {walk.sites[k] for k in _search(walk._graph.pred, seeds, marks, 1)}
 
 
+def _pruned_interior(walk, target, allowed):
+    """The interior of the capture series into ``target`` (not allowed) through
+    the ``allowed`` sites, from a new site "src" that steps onto every site of
+    ``walk``: every allowed site is reached, so only co-reachability prunes and
+    the interior is :func:`_backward_reachable` of ``target``."""
+    steps = {(s, "src"): np.ones((d, 1)) / np.sqrt(len(walk.sites) * d)
+             for s, d in walk.dims.items()}
+    wide = oqw.WalkSpec((*walk.sites, "src"), {**walk.dims, "src": 1},
+                        {**walk.transitions, **steps}, tolerance=walk.tolerance)
+    taboo = [s for s in walk.sites if s not in set(allowed) and s != target]
+    return set(capture_series(wide, "src", target, taboo).interior)
+
+
 def test_backward_reachable_ignores_blocks_below_tolerance():
     one = np.array([[1.0]])
     walk = oqw.WalkSpec(("a", "b", "c"), {"a": 1, "b": 1, "c": 1},
                         {("b", "a"): one, ("b", "b"): one, ("c", "b"): 1e-12 * one,
                          ("a", "c"): one, ("c", "c"): one})
     assert _backward_reachable(walk, ["c"], ("a", "b")) == set()
+    assert _pruned_interior(walk, "c", ("a", "b")) == set()
     assert _backward_reachable(walk, ["b"], ("a", "b")) == {"a", "b"}
 
     def reference(walk, targets, allowed):
@@ -559,6 +573,7 @@ def test_backward_reachable_ignores_blocks_below_tolerance():
         for j in w.sites:
             allowed = tuple(s for s in w.sites if s != j)
             assert _backward_reachable(w, [j], allowed) == reference(w, [j], allowed)
+            assert _pruned_interior(w, j, allowed) == reference(w, [j], allowed)
 
 
 def test_blocks_at_or_below_tolerance_are_neither_seeds_nor_boundary_edges(monkeypatch):
@@ -587,3 +602,4 @@ def test_blocks_at_or_below_tolerance_are_neither_seeds_nor_boundary_edges(monke
     for target, want in (("c", set()), ("d", set()), ("f", set()),
                          ("e", {"a", "b"}), ("g", {"a", "b"})):
         assert _backward_reachable(walk, [target], ("a", "b")) == want, target
+        assert _pruned_interior(walk, target, ("a", "b")) == want, target

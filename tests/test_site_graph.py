@@ -100,7 +100,7 @@ def check_walk(walk, pairs, taboos, domains):
             _successors(walk, s), _predecessors(walk, s))
     for domain in domains:
         assert oqw.boundary(walk, domain) == reference_boundary(walk, domain), domain
-        positions = hitting._positions(walk, domain)
+        positions = hitting._domain_sites(walk, domain)[1]
         assert layout(BlockIndex.at(walk, positions)) == reference_layout(
             walk, [s for s in walk.sites if s in set(domain)])
         assert layout(BlockIndex.build(walk, domain[::-1])) == reference_layout(walk, domain[::-1])

@@ -154,7 +154,7 @@ def test_domain_answers_agree_on_both_sides_of_the_cut(monkeypatch):
                 walk, domain, np.random.default_rng(5)))
             assert_close(sparse, dense, f"{name} {domain}")
         solves = [under_cut(monkeypatch, cut, lambda: hitting._domain_solve(
-            hitting._domain_blocks(walk, hitting._positions(walk, domain), ()).A, np.ones((sum(
+            hitting._domain_blocks(walk, hitting._domain_sites(walk, domain)[1], ()).A, np.ones((sum(
                 walk.dims[s] ** 2 for s in domain), 1)), {s: walk.dims[s] for s in domain}))
             for cut in (DENSE, SPARSE)]
         assert_close(solves[1].x, solves[0].x, f"{name} {domain} plain solve")
