@@ -3,13 +3,13 @@
 The domain problem ``(Id - dual step)(Z) = A on D, Z = B on the boundary``
 is one block system: with ``K_DD`` the one-step map inside ``D`` and
 ``K_{bnd,D}`` the step from ``D`` onto its boundary,
-``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, read from the
-domain's certified exit law ``X`` (``hitting._exit_law``, kept per walk,
-which harmonic operators read too).  A domain that fails the certificate
-traps mass in an invariant part T that never exits; the law then comes
-from the compression to the complement of T, and interior data on a site
-with a trapped direction is reported as a divergent visit operator.  The
-whole-space problem is one solve with every site in the domain.
+``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, read from the domain's
+certified exit law ``X`` (``hitting._exit_law``, which harmonic operators read
+too; the walk keeps it for the four domains built last).  A domain that fails
+the certificate traps mass in an invariant part T that never exits; the law
+then comes from the compression to the complement of T, and interior data on
+a site with a trapped direction is reported as a divergent visit operator.
+The whole-space problem is one solve with every site in the domain.
 Under detailed balance the problem is also solved variationally, as the
 stationarity system of the energy functional.  All of these restrict the
 solution to ``D`` plus its boundary (the free part outside is set to zero).

@@ -40,8 +40,8 @@ First-passage queries (passage, visits, return time, the state at the
 hit) share one entry that checks the start state before building the
 series; finite domains (exit states, harmonic measure, visits before exit)
 share one check of their input; exit states read the domain's exit law,
-one kept per walk (:func:`_exit_law`).  :func:`domain_operator` keeps the
-per-pair taboo series as public API.
+kept in the walk's store for the four domains built last (:func:`_exit_law`).
+:func:`domain_operator` keeps the per-pair taboo series as public API.
 """
 
 from __future__ import annotations
@@ -651,12 +651,9 @@ def _exit_law(walk: WalkSpec, inner: list[int], outer: list[int]
               ) -> tuple[DomainBlocks, DomainSolve]:
     """System of the domain at positions ``inner`` onto its boundary at ``outer`` and its exit
     law ``X`` (``X^dag`` maps states to exit states), the certified ``(Id - K_DD^dag) X =
-    K_out^dag``, kept per walk by those positions."""
-    slot = walk._exit_law
-    if not slot or slot[0][:2] != (inner, outer):
-        blocks = _domain_blocks(walk, inner, outer)
-        slot[:] = [(inner, outer, (blocks, blocks.solve(blocks.K_out.conj().T, dual=True)))]
-    return slot[0][2]
+    K_out^dag``, kept in the walk's store by those positions."""
+    return walk._memo(("domain", tuple(inner), tuple(outer)), lambda w: (
+        blocks := _domain_blocks(w, inner, outer), blocks.solve(blocks.K_out.conj().T, dual=True)))
 
 
 def _exit_states(walk: WalkSpec, domain, i, rho) -> dict[Site, np.ndarray]:

@@ -21,7 +21,7 @@ from .hitting import (PASSAGE_SURE_TOL, ZERO_MASS_TOL, _passage_statistics, _tab
 from .linalg import COMPLEX, RANK_TOL, extend_basis, herm
 from .superop import (BlockIndex, block_matrix, fixed_point_projection,
                       hermitian_basis_matrix, invariant_state)
-from .walk import DiagonalState, Site, WalkSpec, _site_id, identity_observable
+from .walk import DiagonalState, Site, WalkSpec, _fresh, _site_id, identity_observable
 
 BOUNDS_TOL = 1e-8  # slack of the enclosure-sum bounds and of the recurrent-support test
 SPLIT_TOL = 1e-6  # relative eigenvalue gap between groups; closure defect of a group
@@ -104,12 +104,12 @@ def _closure(walk: WalkSpec, seeds, known) -> Enclosure | None:
 
 def is_irreducible(walk: WalkSpec) -> tuple[bool, Enclosure | None]:
     """True iff the walk has no proper enclosure, with a witness if it has; kept per walk."""
-    return _irreducibility(walk)[:2]
+    return _fresh(_irreducibility(walk)[:2])
 
 
 def _irreducibility(walk: WalkSpec) -> tuple[bool, Enclosure | None, str]:
-    """:func:`irreducibility` of the walk's decomposition, kept in its structure record."""
-    return walk._kept("irreducibility", lambda w: irreducibility(w, decompose(w)))
+    """:func:`irreducibility` of the walk's decomposition, kept in its store."""
+    return walk._memo(("irreducibility",), lambda w: irreducibility(w, decompose(w)))
 
 
 def irreducibility(walk: WalkSpec, deco: Decomposition) -> tuple[bool, Enclosure | None, str]:
@@ -167,13 +167,13 @@ def decompose(walk: WalkSpec) -> Decomposition:
     minimal enclosure; otherwise it splits by :func:`_minimal_enclosures`.
     The rest is the transient part.  ``fixed_dim`` is the dimension that
     :func:`invariant_state` reports, also when there is no invariant state.
-    Computed once per walk, kept in its structure record; arrays are read-only.
+    Computed once per walk, kept in its store; arrays are read-only.
     """
-    return walk._kept("decomposition", _decompose)
+    return _fresh(walk._memo(("decomposition",), _decompose))
 
 
 def _decompose(walk: WalkSpec) -> Decomposition:
-    """The structure record's decomposition: :func:`decompose`, computed."""
+    """The walk's kept decomposition: :func:`decompose`, computed."""
     tau, fixed_dim = invariant_state(walk)
     if tau is None:
         full = Enclosure({s: np.eye(walk.dims[s], dtype=COMPLEX) for s in walk.sites})

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import COMPLEX, herm, hermitian_basis, positive_part, unvec, vec
-from .walk import DiagonalObservable, DiagonalState, Site, WalkSpec, _site_id, apply_step
+from .walk import (DiagonalObservable, DiagonalState, Site, WalkSpec, _fresh, _site_id,
+                   apply_step)
 
 FIXED_POINT_TOL = 1e-9  # relative singular value of M - Id below which a direction is fixed
 
@@ -72,8 +73,7 @@ class BlockIndex:
 def _entries(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> tuple[np.ndarray, ...]:
     """Rows, columns and values of the walk's nonzero vec-Kraus entries whose
     blocks run from a ``cols`` site to a ``rows`` site, placed by offset."""
-    walk.kraus_stack()
-    to, fr, a, b, v = walk._coo
+    to, fr, a, b, v = walk._kraus_tables()[2]
     r0, c0 = rows.starts[to], cols.starts[fr]
     keep = np.flatnonzero((r0 >= 0) & (c0 >= 0))
     return r0[keep] + a[keep], c0[keep] + b[keep], v[keep]
@@ -177,13 +177,13 @@ def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     ``(None, k)`` when no normalized positive fixed point exists: ``k = 0``
     when nothing is fixed, as for substochastic truncations, and ``k`` the
     fixed-space dimension when the projected fixed point has no trace.
-    Computed once per walk, kept in its structure record; arrays are read-only.
+    Computed once per walk, kept in its store; arrays are read-only.
     """
-    return walk._kept("invariant", _invariant_state)
+    return _fresh(walk._memo(("invariant",), _invariant_state))
 
 
 def _invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
-    """The structure record's invariant state: :func:`invariant_state`, computed."""
+    """The walk's kept invariant state: :func:`invariant_state`, computed."""
     idx = BlockIndex.build(walk, walk.sites)
     uniform = DiagonalState(
         {s: np.eye(walk.dims[s], dtype=COMPLEX) / walk.total_dim for s in walk.sites})

@@ -160,32 +160,30 @@ def _trace_table(mats: np.ndarray) -> np.ndarray:
 
 
 def _sampler_tables(walk: WalkSpec) -> tuple:
-    """:class:`_Ensemble`'s read-only tables, kept in ``walk._sampler``: ``D``, ``K``
-    and per (site, successor) its target, Gram rows, superoperator, block, merge flag."""
-    if not walk._sampler:
-        d = max(walk.dims.values())
-        succ, sites = walk._graph.succ, walk.sites
-        k_max = max(1, max(len(row) for row in succ))
-        blocks = np.zeros((len(succ), k_max, d, d), dtype=COMPLEX)
-        targets = np.zeros(len(succ) * k_max, dtype=np.int64)
-        for s_idx, (s, row) in enumerate(zip(sites, succ)):
-            for k, t in enumerate(row):
-                L = walk.transitions[(sites[t], s)]
-                blocks[s_idx, k, :L.shape[0], :L.shape[1]] = L
-                targets[s_idx * k_max + k] = t
-        gram = _trace_table(np.swapaxes(blocks, -1, -2).conj() @ blocks)
-        blocks = blocks.reshape(-1, d, d)
-        superop = (np.einsum("kac,kbd->kabcd", blocks, blocks.conj()).reshape(-1, d * d, d * d)
-                   if d <= SUPEROP_MAX_DIM else None)
-        # blocks of rank one or a multiple of the source fibre's identity bring
-        # different paths to one state: their results are merged (_merge)
-        eye = np.arange(d) < np.repeat([walk.dims[s] for s in walk.sites], k_max)[:, None]
-        lookup = (np.linalg.matrix_rank(blocks) == 1) | np.all(
-            blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
-        walk._sampler.append((d, k_max, targets, gram, superop, blocks, lookup))
-        for table in (t for t in walk._sampler[0][2:] if t is not None):
-            table.setflags(write=False)
-    return walk._sampler[0]
+    """:class:`_Ensemble`'s read-only tables, kept in the walk's store: ``D``, ``K`` and
+    per (site, successor) its target, Gram rows, superoperator, block, merge flag."""
+    d = max(walk.dims.values())
+    succ, sites = walk._graph.succ, walk.sites
+    k_max = max(1, max(len(row) for row in succ))
+    blocks = np.zeros((len(succ), k_max, d, d), dtype=COMPLEX)
+    targets = np.zeros(len(succ) * k_max, dtype=np.int64)
+    for s_idx, (s, row) in enumerate(zip(sites, succ)):
+        for k, t in enumerate(row):
+            L = walk.transitions[(sites[t], s)]
+            blocks[s_idx, k, :L.shape[0], :L.shape[1]] = L
+            targets[s_idx * k_max + k] = t
+    gram = _trace_table(np.swapaxes(blocks, -1, -2).conj() @ blocks)
+    blocks = blocks.reshape(-1, d, d)
+    superop = (np.einsum("kac,kbd->kabcd", blocks, blocks.conj()).reshape(-1, d * d, d * d)
+               if d <= SUPEROP_MAX_DIM else None)
+    # blocks of rank one or a multiple of the source fibre's identity bring
+    # different paths to one state: their results are merged (_merge)
+    eye = np.arange(d) < np.repeat([walk.dims[s] for s in walk.sites], k_max)[:, None]
+    lookup = (np.linalg.matrix_rank(blocks) == 1) | np.all(
+        blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
+    for table in (t for t in (targets, gram, superop, blocks, lookup) if t is not None):
+        table.setflags(write=False)
+    return d, k_max, targets, gram, superop, blocks, lookup
 
 
 class _Ensemble:
@@ -219,7 +217,7 @@ class _Ensemble:
         self.streams = index_offset + np.arange(n_traj, dtype=np.uint64)
         self.renorms = 0
         self.renorm_tol = _renorm_tol(walk)
-        tables = _sampler_tables(walk)
+        tables = walk._memo(("sampler",), _sampler_tables)
         d, self.k, self.targets, self.gram, self.superop, self.blocks, self.lookup = tables
         self.dmax = d
         self.diag = np.arange(d) * (d + 1)
@@ -478,7 +476,8 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> K
     that carry that conditioned state.  When the sum is the whole walk (an
     irreducible walk, say) the target is the inverse invariant mass at
     ``i``; otherwise the walk is restricted to the sum and the target uses
-    the restricted walk's invariant state.  Trajectories are censored after
+    the restricted walk's invariant state, kept with the walk by the indices of
+    those enclosures in the decomposition.  Trajectories are censored after
     ``max(100, 8 k_max max(2, target))`` steps, reported as ``max_steps``.
     """
     s = _site_id(i)
@@ -494,17 +493,17 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> K
     rho_hat = herm(block) / mass
 
     d = walk.dims[s]
-    carriers = [enc for enc in deco.recurrent
-                if float(np.trace(enc.projector(s, d) @ rho_hat).real) > TRAPPED_SHARE_TOL]
+    carriers = tuple(k for k, enc in enumerate(deco.recurrent)
+                     if float(np.trace(enc.projector(s, d) @ rho_hat).real) > TRAPPED_SHARE_TOL)
     if not carriers:
         raise InputError("conditioned invariant state does not determine "
                          "an ergodic component at this site")
-    component = Enclosure({t: np.hstack([enc.bases[t] for enc in carriers])
+    component = Enclosure({t: np.hstack([deco.recurrent[k].bases[t] for k in carriers])
                            for t in walk.sites})
     restricted = not component.is_full(walk)
     if restricted:
-        sub, _bases = restrict_walk(walk, component)
-        sub_tau, _ = invariant_state(sub)
+        sub_tau = walk._memo(("restricted", carriers),
+                             lambda w: invariant_state(restrict_walk(w, component)[0])[0])
         if sub_tau is None or s not in sub_tau.blocks:
             raise InputError("conditioned invariant state does not determine "
                              "an ergodic component at this site")

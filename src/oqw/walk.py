@@ -22,10 +22,9 @@ from .linalg import COMPLEX, as_matrix, is_psd
 Site = str
 
 DEFAULT_TOLERANCE = 1e-9
+KEPT_PER_KIND = 4   # entries of one kind in a walk's store (:meth:`WalkSpec._memo`)
 
-
-def _site_id(s) -> Site:
-    return s if isinstance(s, str) else str(s)
+_site_id = str   # a site's id: its key in ``dims``, ``_index`` and ``transitions``
 
 
 class SiteGraph(NamedTuple):
@@ -64,19 +63,13 @@ class WalkSpec:
     # transition order; _index: each site's position in the declared site order;
     # _graph: the transitions by position (:class:`SiteGraph`), which graph searches,
     # block layouts and seeded sampler outputs read.  _groups: (keys, read-only stack)
-    # per block shape, viewed by ``transitions``.  _exit_law, _sampler, _structure:
-    # hitting's last exit law, the sampler's padded tables, the structure record
-    # (invariant state, decomposition, irreducibility).
+    # per block shape, viewed by ``transitions``.  _store: what queries keep with the
+    # walk, filled by :meth:`_memo` only.
     _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _graph: SiteGraph = field(init=False, repr=False, compare=False, default=None)
     _groups: list = field(init=False, repr=False, compare=False, default_factory=list)
-    _kraus: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _stack: list = field(init=False, repr=False, compare=False, default_factory=list)
-    _coo: list = field(init=False, repr=False, compare=False, default_factory=list)
-    _exit_law: list = field(init=False, repr=False, compare=False, default_factory=list)
-    _sampler: list = field(init=False, repr=False, compare=False, default_factory=list)
-    _structure: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _store: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         sites = tuple(_site_id(s) for s in self.sites)
@@ -147,38 +140,33 @@ class WalkSpec:
     def block(self, to, fr) -> np.ndarray | None:
         return self.transitions.get((_site_id(to), _site_id(fr)))
 
+    def _memo(self, key: tuple, build):
+        """Entry ``key`` of the walk's store, ``build(self)`` on first use.  ``key[0]`` names
+        the entry's kind, which one module writes; building a kind's fifth entry drops its
+        oldest, so a kind keeps the ``KEPT_PER_KIND`` entries built last."""
+        if key not in self._store:
+            entry, kind = build(self), [k for k in self._store if k[0] == key[0]]
+            if len(kind) >= KEPT_PER_KIND:
+                del self._store[kind[0]]
+            self._store[key] = entry
+        return self._store[key]
+
+    def _kraus_tables(self) -> tuple[list, dict, tuple]:
+        """The ``("kraus",)`` entry: :meth:`kraus_stack`, its blocks by transition key, and
+        all nonzero entries as ``(to, fr, a, b, value)`` arrays (positions of the block's
+        sites in ``sites``, row and column in it)."""
+        return self._memo(("kraus",), _vec_kraus)
+
     def kraus_stack(self) -> list[tuple[list, np.ndarray]]:
         """Read-only ``kron(conj(L), L)`` of every transition, stacked per
         ``(d_to, d_fr)`` group as ``(keys, K)``, ``K[k]`` that of ``L[keys[k]]``;
-        built on first use by one broadcast per group and kept with the walk,
-        with all nonzero entries in ``_coo`` as ``[to, fr, a, b, value]`` arrays
-        (positions of the block's sites in ``sites``, row and column in it)."""
-        if not self._coo:
-            coo = [(np.zeros(0, dtype=int),) * 4 + (np.zeros(0, dtype=COMPLEX),)]
-            for keys, L in self._groups:
-                m, a, b = L.shape
-                K = L.conj()[:, :, None, :, None] * L[:, None, :, None, :]
-                K = K.reshape(m, a * a, b * b)
-                K.setflags(write=False)
-                self._stack.append((keys, K))
-                self._kraus.update(zip(keys, K))
-                ends = np.array([(self._index[t], self._index[f]) for t, f in keys], dtype=int)
-                k, r, c = np.nonzero(K)
-                coo.append((*ends.reshape(-1, 2)[k].T, r, c, K[k, r, c]))
-            self._coo.extend(np.concatenate(x) for x in zip(*coo))
-        return self._stack
-
-    def _kept(self, key: str, build):
-        """Entry ``key`` of the structure record, ``build(self)`` on first use; see :func:`_fresh`."""
-        if key not in self._structure:
-            self._structure[key] = build(self)
-        return _fresh(self._structure[key])
+        built on first use by one broadcast per group and kept with the walk."""
+        return self._kraus_tables()[0]
 
     def kraus(self, to: Site, fr: Site) -> np.ndarray:
         """Read-only vec-matrix ``kron(conj(L), L)`` of the transition
         ``L[to, fr]``, a view into :meth:`kraus_stack`."""
-        self.kraus_stack()
-        return self._kraus[(to, fr)]
+        return self._kraus_tables()[1][(to, fr)]
 
     def successors(self, site) -> list[Site]:
         """Targets reachable in one step, in declared site order."""
@@ -196,6 +184,21 @@ class WalkSpec:
             L = self.transitions[(to, j)]
             acc = acc + L.conj().T @ L
         return float(np.linalg.norm(acc, 2))
+
+
+def _vec_kraus(walk: WalkSpec) -> tuple[list, dict, tuple]:
+    """:meth:`WalkSpec._kraus_tables`, computed."""
+    stack, coo = [], [(np.zeros(0, dtype=int),) * 4 + (np.zeros(0, dtype=COMPLEX),)]
+    for keys, L in walk._groups:
+        m, a, b = L.shape
+        K = (L.conj()[:, :, None, :, None] * L[:, None, :, None, :]).reshape(m, a * a, b * b)
+        K.setflags(write=False)
+        stack.append((keys, K))
+        ends = np.array([(walk._index[t], walk._index[f]) for t, f in keys], dtype=int)
+        k, r, c = np.nonzero(K)
+        coo.append((*ends.reshape(-1, 2)[k].T, r, c, K[k, r, c]))
+    by_key = {k: Kk for keys, K in stack for k, Kk in zip(keys, K)}
+    return stack, by_key, tuple(np.concatenate(x) for x in zip(*coo))
 
 
 def _fresh(x):

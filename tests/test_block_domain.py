@@ -326,8 +326,8 @@ def test_compression_only_where_the_certificate_fails(walks, monkeypatch):
     rho = np.eye(2, dtype=complex) / 2
     rng = np.random.default_rng(38)
 
-    def fresh(walk):   # drop a kept exit law, so every view below makes its own solve
-        walk._exit_law.clear()
+    def fresh(walk):   # drop the kept exit laws, so every view below makes its own solve
+        walk._store.clear()
         return walk
 
     for name, domain in CERTIFIED:
@@ -553,19 +553,47 @@ def test_answers_do_not_depend_on_which_entry_builds_the_law(case):
         assert_bit_identical({k: run[k] for k in orders[0]}, runs[0])
 
 
-def test_a_new_domain_replaces_the_kept_law():
+def domain_keys(walk):
+    return [key for key in walk._store if key[0] == "domain"]
+
+
+def test_a_new_domain_is_kept_beside_the_first():
     walk, first = EXIT_LAW_CASES["ruin21"]()
     second = first[:5]
     before = every_start_measures(walk, first)
     # the law is kept by the positions of the domain and its boundary; site "k" is at k
-    assert [entry[:2] for entry in walk._exit_law] == [(list(range(1, 20)), [0, 20])]
+    assert domain_keys(walk) == [("domain", tuple(range(1, 20)), (0, 20))]
     for domain in (first, set(first), np.array(first), first[:-1]):   # any iterable of sites
         assert oqw.boundary(walk, domain) == (("0", "20") if len(domain) == 19 else ("0", "19"))
-    every_start_measures(walk, second)
-    assert [entry[:2] for entry in walk._exit_law] == [(list(range(1, 6)), [0, 6])]
+    fresh = every_start_measures(EXIT_LAW_CASES["ruin21"]()[0], second)
+    assert_bit_identical([hm.masses for hm in every_start_measures(walk, second)],
+                         [hm.masses for hm in fresh])
+    assert domain_keys(walk) == [("domain", tuple(range(1, 20)), (0, 20)),
+                                 ("domain", tuple(range(1, 6)), (0, 6))]
     assert_bit_identical([hm.masses for hm in every_start_measures(walk, first)],
                          [hm.masses for hm in before])
-    assert len(walk._exit_law) == 1
+    assert len(domain_keys(walk)) == 2
+
+
+def test_the_store_keeps_the_four_domains_built_last(monkeypatch):
+    # alternating two domains builds each law once; a fifth domain drops the
+    # oldest; answers read from kept laws are those of a fresh walk, bit for bit
+    builds = []
+    build = hitting._domain_blocks
+    monkeypatch.setattr(hitting, "_domain_blocks", lambda *a: builds.append(1) or build(*a))
+    walk = fixtures.gamblers_ruin(21)
+    domains = [[str(k) for k in range(lo, lo + 5)] for lo in (1, 4, 7, 10, 13)]
+    for n in range(100):
+        oqw.harmonic_measure(walk, domains[n % 2], domains[n % 2][0], np.eye(1))
+    assert len(builds) == 2
+    for domain in domains * 2:
+        for i in domain:
+            got = oqw.harmonic_measure(walk, domain, i, np.eye(1))
+            want = oqw.harmonic_measure(fixtures.gamblers_ruin(21), domain, i, np.eye(1))
+            assert_bit_identical([got.masses, got.conditional_states],
+                                 [want.masses, want.conditional_states])
+        assert len(domain_keys(walk)) <= 4
+    assert [key[1][0] for key in domain_keys(walk)] == [4, 7, 10, 13]
 
 
 @pytest.mark.parametrize("query", ["harmonic_measure", "exit_probability"])

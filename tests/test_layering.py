@@ -154,6 +154,37 @@ def test_only_the_structure_record_builds_structure():
                      "irreducibility": {("structure", "_irreducibility")}}
 
 
+def test_the_walk_keeps_one_store():
+    # WalkSpec's private fields are its table and one store; only walk.py
+    # touches the store, through WalkSpec._memo
+    modules = _modules()
+    spec = next(node for node in modules["walk"].body
+                if isinstance(node, ast.ClassDef) and node.name == "WalkSpec")
+    private = [node.target.id for node in spec.body
+               if isinstance(node, ast.AnnAssign) and node.target.id.startswith("_")]
+    assert private == ["_out", "_index", "_graph", "_groups", "_store"]
+    users = {name for name, tree in modules.items() if _users(tree, "_store")}
+    assert users == {"walk"}
+
+
+def test_each_kind_of_kept_entry_has_one_module():
+    # every _memo key is a tuple display whose first item, a string, names the
+    # kind of entry; the module that builds a kind is the only one that names it
+    kinds, keys = {}, []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_memo":
+                key = node.args[0]
+                keys.append(ast.unparse(key))
+                if isinstance(key, ast.Tuple) and isinstance(key.elts[0], ast.Constant):
+                    kinds.setdefault(key.elts[0].value, set()).add(name)
+    assert len(keys) == sum(map(len, kinds.values())) == 7, keys
+    assert kinds == {"kraus": {"walk"}, "invariant": {"superop"},
+                     "decomposition": {"structure"}, "irreducibility": {"structure"},
+                     "domain": {"hitting"}, "sampler": {"trajectory"},
+                     "restricted": {"trajectory"}}
+
+
 def test_dense_eigvals_only_behind_spectral_radius():
     users = {(module, fn) for module, tree in _modules().items()
              for fn in _users(tree, "eigvals")}
@@ -224,10 +255,11 @@ def test_block_matrix_reads_no_transition_once_the_table_is_built():
     walk = fixtures.example_lattice_nonnormal(6, "absorbing")
     idx = BlockIndex.build(walk, walk.sites[1:])
     first = block_matrix(walk, idx, idx)
-    spies = [_ReadSpy(walk.transitions), _ReadSpy(walk._kraus)]
+    stacked, by_key, coo = walk._store[("kraus",)]   # the walk's vec-Kraus entry
+    spies = [_ReadSpy(walk.transitions), _ReadSpy(by_key)]
     object.__setattr__(walk, "transitions", spies[0])
-    object.__setattr__(walk, "_kraus", spies[1])
-    for groups in (walk._stack, walk._groups):
+    walk._store[("kraus",)] = (stacked, spies[1], coo)
+    for groups in (stacked, walk._groups):
         groups[:] = [(_IterSpy(keys), stack) for keys, stack in groups]
         spies += [keys for keys, _ in groups]
     kraus_calls = []

@@ -200,6 +200,28 @@ def test_kac_decomposes_once_per_walk(monkeypatch):
     assert first.analytic_target == second.analytic_target
 
 
+def test_kac_factors_the_restricted_walk_once(monkeypatch):
+    # the first call factors the 12 x 12 step matrix, the splits' sub-walks
+    # and the 4 x 4 walk restricted to the carrying enclosures; later calls
+    # read the restricted walk's invariant state from the walk's store
+    from oqw import superop
+
+    calls = []
+    factor = superop._fixed_space
+    monkeypatch.setattr(superop, "_fixed_space", lambda m: calls.append(m.shape[0]) or factor(m))
+    walk = fixtures.example_three_site_trap()
+    logs, reports = [], []
+    for seed in (3, 4, 3):
+        calls.clear()
+        reports.append(oqw.estimate_kac(walk, "2", n_traj=50, k_max=5, seed=seed))
+        logs.append(list(calls))
+    assert logs == [[12, 6, 2, 1, 1, 4], [], []]
+    assert all(rep.restricted_to_enclosure for rep in reports)
+    assert reports[0] == reports[2]
+    assert reports[0] == oqw.estimate_kac(fixtures.example_three_site_trap(), "2",
+                                          n_traj=50, k_max=5, seed=3)
+
+
 def test_kac_requires_invariant_state():
     walk, _ = _open_chain()
     with pytest.raises(InputError, match="invariant"):
@@ -474,7 +496,7 @@ def test_sampler_tables_are_built_once_per_walk(make, monkeypatch):
     assert runs[0] == runs[2] != runs[1]
     assert runs[0] == oqw.estimate_hitting(make(), "0", rho, "3", n_traj=300, horizon=40, seed=4)
     assert words == word_frequencies(make(), "0", rho, 6, 200, seed=4)
-    tables = [t for t in walk._sampler[0] if isinstance(t, np.ndarray)]
+    tables = [t for t in walk._store[("sampler",)] if isinstance(t, np.ndarray)]
     assert len(tables) >= 4 and not any(t.flags.writeable for t in tables)
 
 
