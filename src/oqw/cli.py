@@ -20,7 +20,7 @@ import numpy as np
 from . import fixtures, hitting, serialize
 from .errors import InputError, NumericalError, OQWError
 from .linalg import COMPLEX
-from .walk import DEFAULT_TOLERANCE, WalkSpec, _known_sites, validate_walk
+from .walk import DEFAULT_TOLERANCE, WalkSpec, _check_blocks, _known_sites, validate_walk
 
 
 def _read_json(path: str, what: str, obj: bool = True):
@@ -300,12 +300,15 @@ def _cmd_dirichlet(args, walk, rho):
     data = _read_json(args.problem, "problem file")
     a = serialize.observable_from_json(_object(data.get("A", {}), "problem data 'A'"))
     if args.method == "global":
+        _check_blocks(walk, a, "problem data 'A'")
         sol = solve_dirichlet_global(walk, a)
     else:
         if not isinstance(data.get("domain"), list):
             raise InputError(f"problem file {args.problem!r} has no \"domain\" list")
         b = serialize.observable_from_json(_object(data.get("B", {}), "problem data 'B'"))
         problem = DirichletProblem.build(walk, data["domain"], a, b)
+        _check_blocks(walk, a, "problem data 'A'")   # after build, whose messages come first
+        _check_blocks(walk, b, "problem data 'B'")
         if args.method == "variational":
             tau, _ = invariant_state(walk)
             if tau is None:
@@ -329,6 +332,7 @@ def _cmd_dform(args, walk, rho):
     from .dirichlet import dirichlet_energy, flat_state, gradient_form
 
     obs = serialize.observable_from_json(_read_json(args.observable, "observable file"))
+    _check_blocks(walk, obs, "observable")
     payload: dict = {}
     try:
         grad = gradient_form(walk, obs)

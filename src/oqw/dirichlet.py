@@ -25,7 +25,7 @@ from .errors import InputError, NumericalError
 from .hitting import (CERTIFICATE_RESIDUAL_TOL, DomainSolve, _boundary, _domain_blocks,
                       _domain_sites, _exit_law)
 from .hitting import boundary as domain_boundary
-from .linalg import COMPLEX, herm, psd_sqrt, unvec, vec
+from .linalg import COMPLEX, herm, psd_sqrt, vec
 from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
 from .walk import (
     DiagonalObservable,
@@ -53,7 +53,7 @@ class DirichletProblem:
 
     @classmethod
     def build(cls, walk: WalkSpec, domain, interior_data=None, boundary_data=None):
-        D = tuple(_site_id(s) for s in domain)
+        D = tuple(dict.fromkeys(map(_site_id, domain)))   # each site once, first come first
         bnd = domain_boundary(walk, D)
         if not bnd:
             raise InputError("domain has empty boundary")
@@ -122,7 +122,7 @@ def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> Dirichl
         if r > CERTIFICATE_RESIDUAL_TOL * np.linalg.norm(interior):
             raise NumericalError("the interior solve misses its residual gate", {"residual": r})
         x = x + y
-    solved = {s: herm(blk) for s, blk in system.inner.unpack(walk, x).items()}
+    solved = {s: herm(blk) for s, blk in system.inner.unpack(x).items()}
     z = DiagonalObservable({j: b.block(j, walk.dims[j]) for j in bnd} | {i: solved[i] for i in D})
     return DirichletSolution(
         solution=z, residuals=_residuals(walk, z, a, D), boundary_sites=bnd,
@@ -154,7 +154,7 @@ def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSo
     solve = system.solve(system.inner.pack(a)[:, None], dual=True)
     _reject_trapped_data(walk, a, solve, "walk is recurrent at site {site!r}; the global "
                          "Dirichlet problem is unsupported")
-    blocks = {s: herm(blk) for s, blk in system.inner.unpack(walk, solve.x[:, 0]).items()}
+    blocks = {s: herm(blk) for s, blk in system.inner.unpack(solve.x[:, 0]).items()}
     # Traceless gauge: valid only when the identity is harmonic, i.e. the
     # family is stochastic to the walk's tolerance; on substochastic
     # truncations the solution is rigid.
@@ -191,8 +191,9 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
         raise InputError(f"site {j!r} is not on the domain boundary")
     eye = np.eye(walk.dims[j], dtype=COMPLEX)
     system, law = _exit_law(walk, inner, outer)
-    x = law.x[:, slice(*system.outer.offsets[j])] @ vec(eye)
-    solved = {s: herm(blk) for s, blk in system.inner.unpack(walk, x).items()}
+    lo = system.outer.starts[walk._index[j]]
+    x = law.x[:, lo:lo + eye.size] @ vec(eye)
+    solved = {s: herm(blk) for s, blk in system.inner.unpack(x).items()}
     return DiagonalObservable({j: eye, **{i: solved[i] for i in D}})
 
 
@@ -269,7 +270,8 @@ class _WeightedForm:
     With ``B`` the Hermitian basis matrix, ``W = (+)_s kron(root_s^T, root_s)``
     the weight of the inner product and ``K`` the one-step map, ``matrix`` is
     ``F = B^H W (B - K^dag B)``: entry (m, n) is ``form(e_m, e_n)``.  The
-    basis elements of a site take the columns of its offsets in ``idx``.
+    basis elements of a site take the columns of its block in ``idx``, which
+    lays out every site in walk order.
     """
 
     roots: dict[Site, np.ndarray]
@@ -278,12 +280,13 @@ class _WeightedForm:
     weighted: np.ndarray   # W B
     matrix: np.ndarray     # F
 
-    def stationarity(self, domain, a: DiagonalObservable,
+    def stationarity(self, positions, a: DiagonalObservable,
                      b: DiagonalObservable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Basis columns of the domain's sites in domain order, the Gram
-        matrix ``Re F`` on them and the right-hand side
+        """Basis columns of the domain's sites (at ``positions`` in the walk, in
+        domain order), the Gram matrix ``Re F`` on them and the right-hand side
         ``Re <e, A - (Id - dual step)(B)>``, read from ``F``'s domain rows."""
-        cols = np.concatenate([np.arange(*self.idx.offsets[s]) for s in domain])
+        cols = np.concatenate([np.arange(lo, lo + d * d) for lo, d in
+                               zip(self.idx.begins[positions], self.idx.sizes[positions])])
         coeff_b = (self.basis.conj().T @ self.idx.pack(b)).real
         rhs = (self.weighted[:, cols].conj().T @ self.idx.pack(a)).real \
             - self.matrix[cols].real @ coeff_b
@@ -294,8 +297,8 @@ def _weighted_form(walk: WalkSpec, tau: DiagonalState) -> _WeightedForm:
     """The form of ``tau``, taking each root once; ``tau`` must be faithful
     on every site (checked in site order)."""
     roots = {s: _faithful_root(tau, s) for s in walk.sites}
-    idx = BlockIndex.build(walk, walk.sites)
-    basis = hermitian_basis_matrix(walk, idx)
+    idx = BlockIndex.at(walk, range(len(walk.sites)))
+    basis = hermitian_basis_matrix(idx)
     weighted = weight_matrix(idx, roots) @ basis
     step = block_matrix(walk, idx, idx).conj().T @ basis
     return _WeightedForm(roots, idx, basis, weighted, weighted.conj().T @ (basis - step))
@@ -319,7 +322,7 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState,
     D = problem.domain
     bnd = domain_boundary(walk, D)
     a, b = problem.interior_data, problem.boundary_data
-    cols, gram, rhs = form.stationarity(D, a, b)
+    cols, gram, rhs = form.stationarity([walk._index[s] for s in D], a, b)
     gram = 0.5 * (gram + gram.T)
     coercivity = float(np.linalg.eigvalsh(gram).min())
     if coercivity <= 1e-12:
@@ -327,13 +330,9 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState,
                              {"smallest_eigenvalue": coercivity})
     coeff = np.linalg.solve(gram, rhs)
 
-    x = form.basis[:, cols] @ coeff
-    x0_blocks = {s: unvec(x[slice(*form.idx.offsets[s])], walk.dims[s]) for s in D}
-    x0 = DiagonalObservable(x0_blocks)
-    z_blocks = {s: x0_blocks[s].copy() for s in D}
-    for j in bnd:
-        z_blocks[j] = b.block(j, walk.dims[j]).copy()
-    z = DiagonalObservable(z_blocks)
+    x = form.idx.unpack(form.basis[:, cols] @ coeff)
+    x0 = DiagonalObservable({s: x[s] for s in D})
+    z = DiagonalObservable(x0.blocks | {j: b.block(j, walk.dims[j]) for j in bnd})
     return VariationalSolution(
         minimizer=x0, solution=z, energy=-0.5 * float(coeff @ rhs), coercivity=coercivity,
         residuals=_residuals(walk, z, a, D),

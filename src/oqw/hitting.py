@@ -17,8 +17,8 @@ nonsingular whenever the retained series converges.
 A capture series and a finite domain are one :class:`DomainBlocks` system:
 ``Id - S`` on a set of sites and its exit block.  Every series ``sum_n S^n``
 here (these and the return map behind expected visits) is summed by one
-certified solve.  Next to its right-hand side the solve takes ``vec(Id)``
-on every block, and a Hermitian solution ``Y >= Id`` certifies
+certified solve.  Next to its right-hand side the solve takes ``vec(Id)`` on
+every block, its layout's trace vector, and a Hermitian solution ``Y >= Id`` certifies
 ``r(S) <= 1 - 1/lmax(Y)`` because ``S`` is a positive map.  When that bound
 is not below ``1 - DIVERGENCE_TOL`` the series may trap mass: its trapped
 part T, the support of the Cesaro fixed point of ``vec(Id)`` under ``S``,
@@ -120,7 +120,7 @@ class DomainBlocks:
 
     def solve(self, rhs: np.ndarray, dual: bool = False) -> DomainSolve:
         """:func:`_domain_solve` of ``A x = rhs`` (``dual``: ``A^dag x = rhs``)."""
-        return _domain_solve(self.A, rhs, self.inner.dims(self.walk), dual)
+        return _domain_solve(self.A, rhs, self.inner, dual)
 
 
 def _domain_blocks(walk: WalkSpec, inner, outer) -> DomainBlocks:
@@ -170,8 +170,7 @@ class CaptureSeries(DomainBlocks):
         if alpha == 1.0:
             return self.solved
         # Id - alpha S = (1 - alpha) Id + alpha A
-        return _domain_solve(alpha * self.A + (1.0 - alpha) * _eye(self.A), self.E,
-                             self.inner.dims(self.walk))
+        return _domain_solve(alpha * self.A + (1.0 - alpha) * _eye(self.A), self.E, self.inner)
 
     def matrix(self, alpha: float = 1.0, solved: DomainSolve | None = None) -> np.ndarray:
         """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2, from
@@ -228,24 +227,12 @@ def _factor(A) -> Callable[[np.ndarray], np.ndarray]:
 # the certified solve
 
 
-def _layout(dims: dict) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Vector t with t† x = sum of the traces of x's blocks of dimensions
-    ``dims``, and the block start offsets grouped by the block's dimension."""
-    sizes = np.fromiter(dims.values(), dtype=np.intp, count=len(dims))
-    squares = sizes * sizes
-    starts = np.cumsum(squares) - squares
-    trace, groups = np.zeros(int(squares.sum()), dtype=COMPLEX), {}
-    for d in np.flatnonzero(np.bincount(sizes)).tolist():
-        groups[d] = starts[sizes == d]
-        trace[(groups[d][:, None] + np.arange(0, d * d, d + 1)).ravel()] = 1.0
-    return trace, groups
-
-
-def _certify(A, rhs: np.ndarray, dims: dict) -> tuple[np.ndarray | None, float, float, Callable]:
+def _certify(A, rhs: np.ndarray, layout: BlockIndex
+             ) -> tuple[np.ndarray | None, float, float, Callable]:
     """Solve ``A [X | Y] = [rhs | vec(Id on every block)]`` with ``A = Id - S``
     (dense or sparse) by one factorization of ``A``.
 
-    ``S`` is a positive map on blocks of dimensions ``dims``, so a solution
+    ``S`` is a positive map on the blocks of ``layout``, so a solution
     whose blocks are Hermitian and ``>= Id`` gives
     ``S(Y) = Y - Id <= (1 - 1/lmax(Y)) Y`` and hence ``r(S) <= 1 - 1/lmax(Y)``
     (Perron-Frobenius for positive maps); the residual of the ``Y`` column is
@@ -256,8 +243,7 @@ def _certify(A, rhs: np.ndarray, dims: dict) -> tuple[np.ndarray | None, float, 
     """
     if not A.shape[0]:
         return rhs, 0.0, 0.0, None
-    trace, groups = _layout(dims)
-    rhs = np.column_stack([rhs, trace])
+    rhs = np.column_stack([rhs, layout.trace])
     try:
         solve = _factor(A)
         X = solve(rhs)
@@ -273,7 +259,7 @@ def _certify(A, rhs: np.ndarray, dims: dict) -> tuple[np.ndarray | None, float, 
     # the exact solution is Hermitian with lmin >= 1; accept rounding
     # relative to its size, but never a block that is not positive definite
     lo, hi, skew = math.inf, 0.0, 0.0
-    for d, starts in groups.items():
+    for d, starts in layout.groups.items():
         take = (starts[:, None] + np.arange(d * d)).ravel()
         blocks = X[take, -1].reshape(-1, d, d)   # transposed blocks: same spectra
         h = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
@@ -329,11 +315,10 @@ class DomainSolve:
         return self.lift @ self.factor(self.lift.conj().T @ rhs)
 
 
-def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainSolve:
+def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) -> DomainSolve:
     """Solve ``A x = rhs`` (``dual``: ``A^dag x = rhs``) with ``A = Id - S``,
-    ``S`` a positive, trace non-increasing map on blocks of dimensions
-    ``dims`` (keyed by site), dense or sparse; only the trapped-part search
-    below densifies it.
+    ``S`` a positive, trace non-increasing map on the blocks of ``layout``,
+    dense or sparse; only the trapped-part search below densifies it.
 
     The solve certifies ``r(S) < 1 - DIVERGENCE_TOL`` (see :func:`_certify`).
     When it does not, T is the support of the Cesaro fixed point of
@@ -351,11 +336,11 @@ def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainS
     no solve is certified.
     """
     system = A.conj().T if dual else A
-    X, bound, residual, solve = _certify(system, rhs, dims)
+    X, bound, residual, solve = _certify(system, rhs, layout)
     if bound < 1.0 - DIVERGENCE_TOL:
         return DomainSolve(X, "block_solve", (), bound, residual, solve)
-    free, trap, cesaro = _trapped_split(A, dims, rhs)
-    trapped = tuple(s for s, w in trap.items() if w.shape[1])
+    free, trap, cesaro = _trapped_split(A, layout, rhs)
+    trapped = tuple(s for s, w in zip(layout.sites, trap) if w.shape[1])
     if not trapped:
         if bound < 1.0:
             return DomainSolve(X, "block_solve", (), bound, residual, solve)
@@ -363,7 +348,7 @@ def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainS
                              {"radius_bound": bound, "trapped_sites": []})
     lift, lift_t = _lift(free), _lift(trap)
     defect = max(float(np.linalg.norm(lift.conj().T @ (A @ lift_t))),
-                 float(np.linalg.norm(_layout(dims)[0].conj() @ (A @ lift_t))))
+                 float(np.linalg.norm(layout.trace.conj() @ (A @ lift_t))))
     if defect > TRAP_DEFECT_TOL:
         raise NumericalError(
             "the series is not certified convergent, and its near-fixed part is not trapped",
@@ -371,7 +356,7 @@ def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainS
     compressed = lift.conj().T @ (A @ lift)
     system = compressed.conj().T if dual else compressed
     X_c, bound_c, residual, solve = _certify(
-        system, lift.conj().T @ rhs, {s: v.shape[1] for s, v in free.items() if v.shape[1]})
+        system, lift.conj().T @ rhs, BlockIndex.of_sizes([v.shape[1] for v in free]))
     if not bound_c < 1.0 - DIVERGENCE_TOL:
         raise NumericalError(
             "the series is not certified convergent, not even off its trapped part",
@@ -380,27 +365,24 @@ def _domain_solve(A, rhs: np.ndarray, dims: dict, dual: bool = False) -> DomainS
     return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual, solve, lift, cesaro)
 
 
-def _trapped_split(A, dims: dict, rhs: np.ndarray) -> tuple[dict, dict, np.ndarray]:
-    """Per-block orthonormal bases of the complement of T and of T, the
+def _trapped_split(A, layout: BlockIndex, rhs: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """Orthonormal bases, block by block, of the complement of T and of T, the
     support of the Cesaro fixed point of ``vec(Id)`` under ``S = Id - A``,
     and the Cesaro limit of ``rhs``: one projection of ``[vec(Id) | rhs]``."""
     S = _eye(A) - A
     fixed, _ = fixed_point_projection(S if isinstance(S, np.ndarray) else S.toarray(),
-                                      np.column_stack([_layout(dims)[0], rhs]))
-    eig, off = {}, 0
-    for s, d in dims.items():
-        eig[s] = np.linalg.eigh(herm(unvec(fixed[off:off + d * d, 0], d)))
-        off += d * d
-    top = max(0.0, *(float(w.max()) for w, _ in eig.values()))
-    cut = {s: w <= RANK_TOL * top for s, (w, _) in eig.items()}
-    return ({s: v[:, cut[s]] for s, (_, v) in eig.items()},
-            {s: v[:, ~cut[s]] for s, (_, v) in eig.items()}, fixed[:, 1:])
+                                      np.column_stack([layout.trace, rhs]))
+    eig = [np.linalg.eigh(herm(b)) for b in layout.unpack(fixed[:, 0]).values()]
+    top = max(0.0, *(float(w.max()) for w, _ in eig))
+    cuts = [w <= RANK_TOL * top for w, _ in eig]
+    return ([v[:, cut] for (_, v), cut in zip(eig, cuts)],
+            [v[:, ~cut] for (_, v), cut in zip(eig, cuts)], fixed[:, 1:])
 
 
-def _lift(bases: dict) -> np.ndarray:
+def _lift(bases: list) -> np.ndarray:
     """Block-diagonal ``(+)_s kron(conj V_s, V_s)``, which maps ``vec(x_s)``
     to ``vec(V_s x_s V_s^dag)``."""
-    return block_diagonal([kraus_block(v) for v in bases.values()])
+    return block_diagonal([kraus_block(v) for v in bases])
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +518,12 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
     j = series.target
     P = first.matrix if series.source == j else capture_series(walk, j, j).matrix()
-    solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], {j: walk.dims[j]})
+    solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], series.outer)
     diag = solve.diagnostics
     mass = solve.trapped_mass(0, walk.dims[j], tr_sigma)
     if mass is not None:
         return ExpectationResult(math.inf, {**diag, "cesaro_mass": mass})
-    tvec = vec(np.eye(walk.dims[j], dtype=COMPLEX))
-    return ExpectationResult(float(np.vdot(tvec, solve.x[:, 0]).real), diag)
+    return ExpectationResult(float(np.vdot(series.outer.trace, solve.x[:, 0]).real), diag)
 
 
 def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
@@ -560,14 +541,13 @@ def _return_time(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationRes
     if p < 1.0 - PASSAGE_SURE_TOL:
         return ExpectationResult(math.inf, {"method": "passage_deficit",
                                             "passage_probability": p})
-    tvec = vec(np.eye(walk.dims[series.target], dtype=COMPLEX))
     val = 0.0
     if series.direct is not None:
         val = float(np.trace(series.direct @ rho @ series.direct.conj().T).real)
     if series.A.shape[0]:
         y = series.solved.x @ vec(rho)
         z = series.solved.resolve(y)
-        val += float(np.vdot(tvec, series.C @ (y + z)).real)
+        val += float(np.vdot(series.outer.trace, series.C @ (y + z)).real)
     return ExpectationResult(val, {**series.diagnostics, "passage_probability": p})
 
 
@@ -665,7 +645,8 @@ def _exit_states(walk: WalkSpec, domain, i, rho) -> dict[Site, np.ndarray]:
     """
     i, rho, inner, outer = _domain_query(walk, domain, i, rho)
     blocks, law = _exit_law(walk, inner, outer)
-    return blocks.outer.unpack(walk, law.x[slice(*blocks.inner.offsets[i])].conj().T @ vec(rho))
+    lo = blocks.inner.starts[walk._index[i]]
+    return blocks.outer.unpack(law.x[lo:lo + rho.size].conj().T @ vec(rho))
 
 
 def exit_probability(walk: WalkSpec, domain, i, rho) -> float:
@@ -717,12 +698,12 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     i, rho, inner, _ = _domain_query(walk, domain, i, rho, target=j)
     blocks = _domain_blocks(walk, inner, ())
     solve = blocks.solve(blocks.inner.pack(DiagonalState({i: rho}))[:, None])
-    lo, hi = blocks.inner.offsets[j]
+    lo, d = blocks.inner.starts[walk._index[j]], walk.dims[j]
     tr_rho = float(np.trace(rho).real)
-    mass = solve.trapped_mass(lo, walk.dims[j], tr_rho)
+    mass = solve.trapped_mass(lo, d, tr_rho)
     if mass is not None:
         raise NumericalError(
             "domain visit count diverges: the start state leaves mass trapped "
             f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(solve.trapped)})
-    visits = float(np.trace(unvec(solve.x[lo:hi, 0], walk.dims[j])).real)
+    visits = float(np.trace(unvec(solve.x[lo:lo + d * d, 0], d)).real)
     return visits - (tr_rho if i == j else 0.0)

@@ -21,7 +21,7 @@ from .hitting import (PASSAGE_SURE_TOL, ZERO_MASS_TOL, _passage_statistics, _tab
 from .linalg import COMPLEX, RANK_TOL, extend_basis, herm
 from .superop import (BlockIndex, block_matrix, fixed_point_projection,
                       hermitian_basis_matrix, invariant_state)
-from .walk import DiagonalState, Site, WalkSpec, _fresh, _site_id, identity_observable
+from .walk import DiagonalState, Site, WalkSpec, _fresh, _site_id
 
 BOUNDS_TOL = 1e-8  # slack of the enclosure-sum bounds and of the recurrent-support test
 SPLIT_TOL = 1e-6  # relative eigenvalue gap between groups; closure defect of a group
@@ -205,16 +205,16 @@ def _minimal_enclosures(walk: WalkSpec, enc: Enclosure) -> list[Enclosure]:
     point.
     """
     sub, _ = restrict_walk(walk, enc)
-    idx = BlockIndex.build(sub, sub.sites)
-    ramp = idx.pack(identity_observable(sub))  # ones on the diagonals, in order
+    idx = BlockIndex.at(sub, range(len(sub.sites)))
+    ramp = idx.trace.copy()  # ones on the diagonals, in order
     ramp[ramp != 0] = np.arange(1, sub.total_dim + 1) / sub.total_dim
     fixed, k = fixed_point_projection(block_matrix(sub, idx, idx).conj().T,
-                                      np.column_stack([ramp, hermitian_basis_matrix(sub, idx)]))
+                                      np.column_stack([ramp, hermitian_basis_matrix(idx)]))
     if k <= 1:
         return [enc]
-    groups = _eigenspace_groups(walk, idx.unpack(sub, fixed[:, 0]), enc)
+    groups = _eigenspace_groups(walk, idx.unpack(fixed[:, 0]), enc)
     if len(groups) == 1:
-        groups = max((_eigenspace_groups(walk, idx.unpack(sub, y), enc) for y in fixed[:, 1:].T),
+        groups = max((_eigenspace_groups(walk, idx.unpack(y), enc) for y in fixed[:, 1:].T),
                      key=len)
     closed = [g for g in groups if g.closure_defect(walk) <= SPLIT_TOL]
     if len(groups) == 1 or not closed:

@@ -1,7 +1,8 @@
 """Block matrices and fixed points of the one-step map.
 
-The one-step map acts on stacked column-major vectorized blocks, laid out
-by a :class:`BlockIndex`.  :func:`block_matrix` builds every matrix of the
+The one-step map acts on stacked column-major vectorized blocks; a
+:class:`BlockIndex` is the one description of such a vector (offsets, trace
+vector, blocks per size).  :func:`block_matrix` builds every matrix of the
 map, :func:`identity_minus` its ``Id - M``: dense, or sparse (CSC) for a
 sparse LU, both from the walk's table of nonzero vec-Kraus entries.
 """
@@ -9,65 +10,75 @@ sparse LU, both from the walk's table of nonzero vec-Kraus entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError
 from .linalg import COMPLEX, herm, hermitian_basis, positive_part, unvec, vec
-from .walk import (DiagonalObservable, DiagonalState, Site, WalkSpec, _fresh, _site_id,
-                   apply_step)
+from .walk import DiagonalObservable, DiagonalState, Site, WalkSpec, _fresh, apply_step
 
 FIXED_POINT_TOL = 1e-9  # relative singular value of M - Id below which a direction is fixed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockIndex:
-    """Offsets of per-site vectorized blocks inside a stacked vector; ``starts``
-    gives them by the site's position in the walk (-1: no block)."""
+    """The one layout of a stacked vector of column-major vectorized blocks:
+    block k is ``sizes[k]`` square and begins at offset ``begins[k]``.  Laid out
+    from walk positions (:meth:`at`), ``sites`` names the blocks and ``starts``
+    gives each site's offset by its position in the walk (-1: no block)."""
 
-    sites: tuple[Site, ...]
-    offsets: dict
+    sizes: np.ndarray
+    begins: np.ndarray
     total: int
-    starts: np.ndarray = field(repr=False, compare=False)
+    sites: tuple[Site, ...] = ()
+    starts: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, walk: WalkSpec, sites) -> "BlockIndex":
-        """Blocks of ``sites`` (site ids), in that order."""
-        return cls.at(walk, [walk._index[_site_id(s)] for s in sites])
+    def of_sizes(cls, sizes, sites=(), starts=None) -> "BlockIndex":
+        """Blocks of the given sizes (zero included), in order: offsets from a cumsum of d^2."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        stops = np.cumsum(sizes * sizes)
+        return cls(sizes, stops - sizes * sizes, int(stops[-1]) if len(sizes) else 0,
+                   sites, starts)
 
     @classmethod
     def at(cls, walk: WalkSpec, positions) -> "BlockIndex":
-        """Blocks of the sites at ``positions`` in the walk, in that order: offsets
-        are a cumulative sum of their d^2."""
+        """Blocks of the sites at ``positions`` in the walk, in that order."""
         pos = np.array(positions, dtype=np.intp)
-        squares = walk._graph.squares[pos]
-        stops = np.cumsum(squares)
-        starts = np.full(len(walk.sites), -1)
-        starts[pos] = lo = stops - squares
         sites = tuple(map(walk.sites.__getitem__, pos.tolist()))
-        offsets = dict(zip(sites, zip(lo.tolist(), stops.tolist())))
-        return cls(sites, offsets, int(stops[-1]) if len(pos) else 0, starts)
+        idx = cls.of_sizes(walk._graph.sizes[pos], sites, np.full(len(walk.sites), -1))
+        idx.starts[pos] = idx.begins
+        return idx
+
+    @cached_property
+    def groups(self) -> dict[int, np.ndarray]:
+        """Offsets of the blocks of each nonzero size, by ascending size."""
+        return {d: self.begins[self.sizes == d]
+                for d in np.flatnonzero(np.bincount(self.sizes)).tolist() if d}
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        """Vector t with t^H x = the sum of the traces of x's blocks (read-only)."""
+        t = np.zeros(self.total, dtype=COMPLEX)
+        for d, begins in self.groups.items():
+            t[(begins[:, None] + np.arange(0, d * d, d + 1)).ravel()] = 1.0
+        t.setflags(write=False)
+        return t
 
     def pack(self, blocks: DiagonalState | DiagonalObservable) -> np.ndarray:
         """Stacked vectorized blocks of a state or observable (zero where absent)."""
         x = np.zeros(self.total, dtype=COMPLEX)
-        for s in self.sites:
+        for s, lo, d in zip(self.sites, self.begins.tolist(), self.sizes.tolist(), strict=True):
             b = blocks.blocks.get(s)
             if b is not None:
-                lo, hi = self.offsets[s]
-                x[lo:hi] = vec(b)
+                x[lo:lo + d * d] = vec(b)
         return x
 
-    def unpack(self, walk: WalkSpec, x: np.ndarray) -> dict:
-        out = {}
-        for s in self.sites:
-            lo, hi = self.offsets[s]
-            out[s] = unvec(x[lo:hi], walk.dims[s])
-        return out
-
-    def dims(self, walk: WalkSpec) -> dict:
-        """Fibre dimension of every site, in block order."""
-        return {s: walk.dims[s] for s in self.sites}
+    def unpack(self, x: np.ndarray) -> dict:
+        """The blocks of ``x`` by site."""
+        spans = zip(self.sites, self.begins.tolist(), self.sizes.tolist(), strict=True)
+        return {s: unvec(x[lo:lo + d * d], d) for s, lo, d in spans}
 
 
 def _entries(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> tuple[np.ndarray, ...]:
@@ -124,11 +135,11 @@ def block_diagonal(blocks) -> np.ndarray:
     return out
 
 
-def hermitian_basis_matrix(walk: WalkSpec, idx: BlockIndex) -> np.ndarray:
+def hermitian_basis_matrix(idx: BlockIndex) -> np.ndarray:
     """Columns ``vec(e)`` for the real-orthonormal Hermitian basis ``e`` of
-    every block in ``idx``, site by site (block-diagonal, ``idx.total`` square)."""
-    return block_diagonal([np.column_stack([vec(e) for e in hermitian_basis(walk.dims[s])])
-                           for s in idx.sites])
+    every block in ``idx``, block by block (block-diagonal, ``idx.total`` square)."""
+    return block_diagonal([np.column_stack([vec(e) for e in hermitian_basis(d)])
+                           for d in idx.sizes.tolist()])
 
 
 def weight_matrix(idx: BlockIndex, roots: dict) -> np.ndarray:
@@ -184,14 +195,12 @@ def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
 
 def _invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     """The walk's kept invariant state: :func:`invariant_state`, computed."""
-    idx = BlockIndex.build(walk, walk.sites)
-    uniform = DiagonalState(
-        {s: np.eye(walk.dims[s], dtype=COMPLEX) / walk.total_dim for s in walk.sites})
-    x = idx.pack(uniform)
+    idx = BlockIndex.at(walk, range(len(walk.sites)))
+    x = idx.trace / walk.total_dim   # the maximally mixed state
     proj, k = fixed_point_projection(block_matrix(walk, idx, idx), x)
     if k == 0:
         return None, 0
-    blocks = idx.unpack(walk, proj)
+    blocks = idx.unpack(proj)
     blocks = {s: positive_part(herm(b)) for s, b in blocks.items()}
     total = sum(float(np.trace(b).real) for b in blocks.values())
     if total < 1e-8:

@@ -31,13 +31,13 @@ class SiteGraph(NamedTuple):
     """A walk's transitions by site position (declared site order): per site the
     positions of its successors and predecessors, in that order, all of them and
     those whose block's largest |entry| exceeds the walk's tolerance, and every
-    site's d^2, the length of its vectorized block."""
+    site's d, the size of its block in a layout."""
 
     succ: list[list[int]]
     pred: list[list[int]]
     succ_above: list[list[int]]
     pred_above: list[list[int]]
-    squares: np.ndarray
+    sizes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,10 @@ class WalkSpec:
             weak = {(at[to], at[fr]) for to, fr in weak}
             succ_above = [[t for t in row if (t, f) not in weak] for f, row in enumerate(succ)]
             pred_above = [[f for f in row if (t, f) not in weak] for t, row in enumerate(pred)]
-        squares = np.array([dims[s] for s in sites], dtype=np.intp) ** 2
-        squares.setflags(write=False)
+        sizes = np.array([dims[s] for s in sites], dtype=np.intp)
+        sizes.setflags(write=False)
         object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_graph", SiteGraph(succ, pred, succ_above, pred_above, squares))
+        object.__setattr__(self, "_graph", SiteGraph(succ, pred, succ_above, pred_above, sizes))
 
     def dim(self, site) -> int:
         return self.dims[_site_id(site)]
@@ -286,14 +286,20 @@ def site_state(walk: WalkSpec, site, rho) -> DiagonalState:
     return DiagonalState({s: mat})
 
 
+def _check_blocks(walk: WalkSpec, blocks: _SiteBlocks, what: str) -> None:
+    """InputError unless each block of ``blocks`` (a ``what``) is d x d for a site of the walk."""
+    for s, b in blocks.blocks.items():
+        if s not in walk.dims:
+            raise InputError(f"{what} block at unknown site {s!r}")
+        if b.shape != (walk.dims[s], walk.dims[s]):
+            raise ShapeError(f"{what} block at {s!r} has wrong shape {b.shape}")
+
+
 def check_state(walk: WalkSpec, state: DiagonalState) -> None:
     """Raise InputError unless all blocks are PSD (and trace is 1 if normalized)."""
     tol = walk.tolerance
+    _check_blocks(walk, state, "state")
     for s, b in state.blocks.items():
-        if s not in walk.dims:
-            raise InputError(f"state block at unknown site {s!r}")
-        if b.shape != (walk.dims[s], walk.dims[s]):
-            raise ShapeError(f"state block at {s!r} has wrong shape {b.shape}")
         if not is_psd(b, max(tol, 1e-9)):
             raise InputError(f"state block at {s!r} is not positive semidefinite")
     if state.normalized and abs(state.trace() - 1.0) > max(tol, 1e-8):

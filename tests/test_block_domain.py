@@ -349,7 +349,7 @@ def test_exit_path_selected_by_certificate(walks):
     def solve(walk, domain):
         blocks = hitting._domain_blocks(walk, hitting._domain_sites(walk, domain)[1], ())
         rhs = blocks.inner.pack(oqw.DiagonalState({domain[0]: np.eye(2) / 2}))[:, None]
-        return hitting._domain_solve(blocks.A, rhs, blocks.inner.dims(walk))
+        return hitting._domain_solve(blocks.A, rhs, blocks.inner)
 
     certified = solve(walks["ring"], ("0", "1"))
     assert (certified.method, certified.trapped) == ("block_solve", ())
@@ -457,7 +457,7 @@ def test_exit_law_matches_forward_solves(case):
     rng = np.random.default_rng(19)
     for i in domain:
         rho = random_density(rng, walk.dims[i])
-        want = blocks.outer.unpack(walk, exit_map[:, slice(*blocks.inner.offsets[i])] @ vec(rho))
+        want = blocks.outer.unpack(exit_map @ blocks.inner.pack(oqw.DiagonalState({i: rho})))
         hm = oqw.harmonic_measure(walk, domain, i, rho)
         assert list(hm.masses) == list(bnd)
         for j, out in want.items():
@@ -468,11 +468,10 @@ def test_exit_law_matches_forward_solves(case):
         total = sum(float(np.trace(out).real) for out in want.values())
         assert abs(oqw.exit_probability(walk, domain, i, rho) - min(1.0, total)) <= 1e-12
     for j in bnd:
-        unit = np.zeros(blocks.outer.total, dtype=COMPLEX)
-        unit[slice(*blocks.outer.offsets[j])] = vec(np.eye(walk.dims[j]))
+        unit = blocks.outer.pack(DiagonalObservable({j: np.eye(walk.dims[j])}))
         want = {j: np.eye(walk.dims[j])}
         want.update({s: herm(b) for s, b in
-                     blocks.inner.unpack(walk, exit_map.conj().T @ unit).items()})
+                     blocks.inner.unpack(exit_map.conj().T @ unit).items()})
         got = oqw.harmonic_operator(walk, domain, j).blocks
         assert set(got) == set(want)
         assert max(float(np.abs(got[s] - want[s]).max()) for s in want) <= 1e-12
@@ -482,7 +481,7 @@ def test_exit_law_matches_forward_solves(case):
     b = DiagonalObservable({s: random_hermitian(rng, walk.dims[s]) for s in bnd})
     sol = oqw.solve_dirichlet_domain(walk, oqw.DirichletProblem.build(walk, domain, a, b))
     z = forward.x.conj().T @ blocks.inner.pack(a) + exit_map.conj().T @ blocks.outer.pack(b)
-    want = {s: herm(blk) for s, blk in blocks.inner.unpack(walk, z).items()}
+    want = {s: herm(blk) for s, blk in blocks.inner.unpack(z).items()}
     want.update({s: b.blocks[s] for s in bnd})
     assert sol.method == forward.method
     scale = max(1.0, max(float(np.abs(x).max()) for x in want.values()))   # ~n^2/8 on ruin
@@ -687,7 +686,8 @@ def test_gram_product_matches_pairwise_inner_products(walks, name, domain):
     stepped = oqw.dual_apply(walk, b)
     target = DiagonalObservable({s: a.blocks[s] - b.block(s, walk.dims[s])
                                  + stepped.block(s, walk.dims[s]) for s in domain})
-    _, gram, rhs = dirichlet._weighted_form(walk, tau).stationarity(domain, a, b)
+    positions = [walk._index[s] for s in domain]
+    _, gram, rhs = dirichlet._weighted_form(walk, tau).stationarity(positions, a, b)
     want_gram, want_rhs = pairwise_stationarity(walk, tau, domain, target)
     assert np.abs(gram - want_gram).max() <= 1e-12
     assert np.abs(rhs - want_rhs).max() <= 1e-12

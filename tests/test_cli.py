@@ -388,6 +388,8 @@ def test_alpha_grid_flag_validation(capsys):
 
 
 W54 = ["--walk", "example-5.4"]
+RDS = ["--walk", "random-doubly-stochastic", "--N", "6", "--fixture-seed", "3"]   # d = 2
+BLOCK_3X3 = [[[1, 0], [0, 0], [0, 0]]] * 3
 BAD_INPUT = {
     # an unknown --from site
     **{f"from-{cmd}": [cmd, *W54, "--from", "9", "--to", "0", "--rho", "mixed"]
@@ -423,6 +425,14 @@ BAD_INPUT = {
     # malformed numbers in a state
     "diag-number": ["hit", *W54, "--from", "1", "--to", "0", "--rho", "diag:x,1"],
     "pure-number": ["hit", *W54, "--from", "1", "--to", "0", "--rho", "pure:1,2k"],
+    # observable blocks of the wrong shape or at a site the walk does not have
+    "dform-block-shape": ["dform", *RDS, "--observable", "block-3x3.json"],
+    "dform-unknown-site": ["dform", *RDS, "--observable", "block-at-9.json"],
+    **{f"dirichlet-{method}-A-shape": ["dirichlet", *RDS, "--method", method,
+                                       "--problem", "A-3x3.json"]
+       for method in ("closed-form", "variational", "global")},
+    "dirichlet-B-shape": ["dirichlet", *RDS, "--problem", "B-3x3.json"],
+    "global-A-unknown-site": ["dirichlet", *RDS, "--method", "global", "--problem", "A-at-9.json"],
 }
 
 
@@ -435,6 +445,11 @@ def test_bad_input_prints_an_error_line(capsys, tmp_path, monkeypatch, argv):
     (tmp_path / "list-data.json").write_text('{"domain": ["1"], "A": [1, 2]}')
     (tmp_path / "text-dim.json").write_text('{"sites": [{"id": "0", "dim": "two"}]}')
     (tmp_path / "ragged.json").write_text("[[[1, 0]], [[1, 0], [0, 0]]]")
+    (tmp_path / "block-3x3.json").write_text(json.dumps({"1": BLOCK_3X3}))
+    (tmp_path / "block-at-9.json").write_text('{"9": [[[1, 0]]]}')
+    (tmp_path / "A-3x3.json").write_text(json.dumps({"domain": ["1", "2"], "A": {"1": BLOCK_3X3}}))
+    (tmp_path / "B-3x3.json").write_text(json.dumps({"domain": ["1", "2"], "B": {"0": BLOCK_3X3}}))
+    (tmp_path / "A-at-9.json").write_text('{"A": {"9": [[[1, 0]]]}}')
     (tmp_path / "text-tolerance.json").write_text(json.dumps(
         {"template": "line", "range": [0, 3], "L_plus": [[[1, 0]]], "L_minus": [[[0, 0]]],
          "tolerance": "small"}))
@@ -443,6 +458,40 @@ def test_bad_input_prints_an_error_line(capsys, tmp_path, monkeypatch, argv):
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_observable_blocks_are_checked_where_they_are_read(capsys, tmp_path):
+    # shape and site are checked on every block the CLI reads; a block off the
+    # domain keeps the message the problem's own check gives it
+    cases = {
+        "dform": ({"1": BLOCK_3X3}, "observable block at '1' has wrong shape (3, 3)"),
+        "global": ({"A": {"9": [[[1, 0]]]}}, "problem data 'A' block at unknown site '9'"),
+        "closed-form": ({"domain": ["1", "2"], "A": {"9": [[[1, 0]]]}},
+                        "interior data supported outside the domain: ['9']"),
+        "variational": ({"domain": ["1", "2"], "B": {"0": BLOCK_3X3}},
+                        "problem data 'B' block at '0' has wrong shape (3, 3)"),
+    }
+    for method, (doc, message) in cases.items():
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps(doc))
+        argv = (["dform", *RDS, "--observable", str(path)] if method == "dform" else
+                ["dirichlet", *RDS, "--method", method, "--problem", str(path)])
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n"), method
+
+
+def test_dirichlet_repeated_domain_site(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"domain": ["1", "2", "2", "3"],
+                                "A": {"1": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}}))
+    docs = {}
+    for method in ("closed-form", "variational"):
+        code, out, _ = run_cli(capsys, "dirichlet", *RDS, "--method", method,
+                               "--problem", str(path))
+        assert code == 0, method
+        docs[method] = json.loads(out)["solution"]
+    assert set(docs["variational"]) == set(docs["closed-form"])
+    for s, block in docs["closed-form"].items():
+        assert np.abs(np.array(docs["variational"][s]) - np.array(block)).max() <= 1e-7
 
 
 # ---------------------------------------------------------------------------

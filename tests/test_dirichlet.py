@@ -352,6 +352,22 @@ def test_variational_matches_closed_form(ring_walk):
     assert max(var.residuals.values()) <= 1e-8
 
 
+def test_a_repeated_domain_site_counts_once():
+    # the problem keeps each site's first occurrence, so the variational Gram
+    # matrix has no repeated columns and both solvers answer the same problem
+    walk = fixtures.random_doubly_stochastic(6, 2, seed=3)
+    tau, _ = oqw.invariant_state(walk)
+    a = DiagonalObservable({"1": np.diag([1.0, -1.0])})
+    problem = oqw.DirichletProblem.build(walk, ["1", "2", "2", "3", "1"], a)
+    assert problem.domain == ("1", "2", "3")
+    closed = oqw.solve_dirichlet_domain(walk, problem)
+    var = oqw.variational_solve(walk, tau, problem)
+    assert var.diagnostics["unknowns"] == 3 * 4
+    assert set(var.solution.blocks) == set(closed.solution.blocks)
+    for s in closed.solution.blocks:
+        assert np.abs(closed.solution.blocks[s] - var.solution.blocks[s]).max() <= 1e-7
+
+
 def test_variational_matches_classical_path_problem():
     # the symmetric walk on 1..5 exiting at 0 or 6: on the 7-cycle, unlike
     # the gambler's ruin with absorbing ends, the flat state satisfies

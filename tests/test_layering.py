@@ -185,6 +185,19 @@ def test_each_kind_of_kept_entry_has_one_module():
                      "restricted": {"trajectory"}}
 
 
+def test_block_offsets_are_laid_out_in_superop_only():
+    # superop.BlockIndex is the one description of a stacked block vector: the
+    # only cumulative sum in the package, and no module keeps a layout helper
+    modules = _modules()
+    summing = {name for name, tree in modules.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "cumsum"}
+    assert summing == {"superop"}
+    helpers = [name for name, tree in modules.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "_layout"]
+    assert helpers == []
+
+
 def test_dense_eigvals_only_behind_spectral_radius():
     users = {(module, fn) for module, tree in _modules().items()
              for fn in _users(tree, "eigvals")}
@@ -253,7 +266,7 @@ def test_block_matrix_reads_no_transition_once_the_table_is_built():
     from oqw.superop import BlockIndex, block_matrix, identity_minus
 
     walk = fixtures.example_lattice_nonnormal(6, "absorbing")
-    idx = BlockIndex.build(walk, walk.sites[1:])
+    idx = BlockIndex.at(walk, range(1, len(walk.sites)))
     first = block_matrix(walk, idx, idx)
     stacked, by_key, coo = walk._store[("kraus",)]   # the walk's vec-Kraus entry
     spies = [_ReadSpy(walk.transitions), _ReadSpy(by_key)]
@@ -265,7 +278,7 @@ def test_block_matrix_reads_no_transition_once_the_table_is_built():
     kraus_calls = []
     object.__setattr__(walk, "kraus", lambda *key: kraus_calls.append(key))
     again = block_matrix(walk, idx, idx)
-    block_matrix(walk, idx, BlockIndex.build(walk, ["0"]), sparse=True)
+    block_matrix(walk, idx, BlockIndex.at(walk, [walk._index["0"]]), sparse=True)
     identity_minus(walk, idx, sparse=True)
     assert [spy.reads for spy in spies] == [0] * len(spies)
     assert kraus_calls == []

@@ -83,7 +83,10 @@ def reference_boundary(walk, domain) -> tuple:
 
 
 def layout(idx: BlockIndex) -> tuple:
-    return idx.sites, idx.offsets, idx.total, idx.starts.tolist()
+    """``(sites, offsets, total, starts)`` read from the layout's block sizes and offsets."""
+    offsets = {s: (lo, lo + d * d)
+               for s, lo, d in zip(idx.sites, idx.begins.tolist(), idx.sizes.tolist())}
+    return idx.sites, offsets, idx.total, idx.starts.tolist()
 
 
 def check_walk(walk, pairs, taboos, domains):
@@ -103,7 +106,8 @@ def check_walk(walk, pairs, taboos, domains):
         positions = hitting._domain_sites(walk, domain)[1]
         assert layout(BlockIndex.at(walk, positions)) == reference_layout(
             walk, [s for s in walk.sites if s in set(domain)])
-        assert layout(BlockIndex.build(walk, domain[::-1])) == reference_layout(walk, domain[::-1])
+        backwards = [walk._index[s] for s in domain[::-1]]
+        assert layout(BlockIndex.at(walk, backwards)) == reference_layout(walk, domain[::-1])
 
 
 FAMILIES = {
@@ -167,6 +171,42 @@ def test_random_walks_near_the_tolerance_match_the_set_searches(walk, data):
     check_walk(walk, pairs, [(), data.draw(subsets)], [data.draw(subsets) for _ in range(3)])
 
 
+def reference_blocks(sizes) -> tuple:
+    """Offsets, total, trace vector and offsets by nonzero size of blocks of
+    ``sizes``, placed block by block."""
+    begins, trace, groups, off = [], [], {}, 0
+    for d in sizes:
+        begins.append(off)
+        trace += [complex(k % (d + 1) == 0) for k in range(d * d)]   # vec(Id): the diagonal
+        if d:
+            groups.setdefault(d, []).append(off)
+        off += d * d
+    return begins, off, trace, groups
+
+
+def check_blocks(idx: BlockIndex, sizes) -> None:
+    begins, total, trace, groups = reference_blocks(sizes)
+    assert (idx.sizes.tolist(), idx.begins.tolist(), idx.total) == (list(sizes), begins, total)
+    assert idx.trace.tolist() == trace and not idx.trace.flags.writeable
+    assert {d: g.tolist() for d, g in idx.groups.items()} == groups
+    assert list(idx.groups) == sorted(groups) and 0 not in idx.groups
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=12), st.data())
+def test_layouts_match_a_block_by_block_reference(sizes, data):
+    # from sizes alone, zeros included (the compressed system off a trapped part)
+    check_blocks(BlockIndex.of_sizes(sizes), sizes)
+    # from walk positions, in any order and any number, none included
+    dims = [d for d in sizes if d] or [1]
+    names = [f"s{k}" for k in range(len(dims))]
+    walk = oqw.WalkSpec(tuple(names), dict(zip(names, dims)), {})
+    positions = data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True))
+    idx = BlockIndex.at(walk, positions)
+    check_blocks(idx, [dims[p] for p in positions])
+    assert layout(idx) == reference_layout(walk, [names[p] for p in positions])
+
+
 def test_the_site_graph_lists_blocks_above_the_tolerance_apart():
     one = np.ones((1, 1))
     walk = oqw.WalkSpec(tuple("abc"), {"a": 1, "b": 1, "c": 1},
@@ -175,7 +215,7 @@ def test_the_site_graph_lists_blocks_above_the_tolerance_apart():
     graph = walk._graph
     assert (graph.succ, graph.pred) == ([[1, 2], [0, 2], []], [[1], [0], [0, 1]])
     assert (graph.succ_above, graph.pred_above) == ([[1], [0, 2], []], [[1], [0], [1]])
-    assert graph.squares.tolist() == [1, 1, 1] and not graph.squares.flags.writeable
+    assert graph.sizes.tolist() == [1, 1, 1] and not graph.sizes.flags.writeable
     clean = fixtures.gamblers_ruin(5)   # nothing at the tolerance: the lists are shared
     assert clean._graph.succ_above is clean._graph.succ
     assert walk.successors("a") == ["b", "c"] and walk.predecessors("c") == ["a", "b"]

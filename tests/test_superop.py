@@ -26,8 +26,13 @@ def test_unvec_roundtrip():
     assert np.array_equal(unvec(vec(rho), 4), rho)
 
 
+def layout_of(walk, sites):
+    """The layout of the blocks of ``sites`` (ids), in that order."""
+    return BlockIndex.at(walk, [walk._index[s] for s in sites])
+
+
 def full_step(walk):
-    idx = BlockIndex.build(walk, walk.sites)
+    idx = layout_of(walk, walk.sites)
     return idx, block_matrix(walk, idx, idx)
 
 
@@ -45,21 +50,21 @@ def test_assembled_superoperator_matches_apply_step(trap_walk, ring_walk, branch
         blocks = {s: random_density(rng, walk.dims[s]) / len(walk.sites)
                   for s in walk.sites}
         state = DiagonalState(blocks)
-        via_matrix = idx.unpack(walk, m @ idx.pack(state))
+        via_matrix = idx.unpack(m @ idx.pack(state))
         direct = oqw.apply_step(walk, state)
         for s in walk.sites:
             assert np.abs(via_matrix[s] - direct.blocks[s]).max() <= 1e-12
 
 
 def test_masked_assembly_picks_blocks(trap_walk):
-    m = block_matrix(trap_walk, BlockIndex.build(trap_walk, ["1"]),
-                     BlockIndex.build(trap_walk, ["0"]))
+    m = block_matrix(trap_walk, layout_of(trap_walk, ["1"]),
+                     layout_of(trap_walk, ["0"]))
     assert m.shape == (4, 4)
     assert np.allclose(m, kraus_block(trap_walk.block("1", "0")))
 
 
 def test_empty_mask_is_valid(trap_walk):
-    empty = BlockIndex.build(trap_walk, [])
+    empty = layout_of(trap_walk, [])
     assert block_matrix(trap_walk, empty, empty).shape == (0, 0)
 
 
@@ -67,14 +72,14 @@ def test_superoperator_preserves_positivity(ring_walk):
     rng = np.random.default_rng(6)
     idx, m = full_step(ring_walk)
     blocks = {s: random_density(rng, 2) / 3 for s in ring_walk.sites}
-    out = idx.unpack(ring_walk, m @ idx.pack(DiagonalState(blocks)))
+    out = idx.unpack(m @ idx.pack(DiagonalState(blocks)))
     for s in ring_walk.sites:
         assert np.linalg.eigvalsh(0.5 * (out[s] + out[s].conj().T)).min() >= -1e-12
 
 
 def test_dual_of_superoperator_fixes_identity(ring_walk):
     idx, m = full_step(ring_walk)
-    out = idx.unpack(ring_walk, m.conj().T @ idx.pack(oqw.identity_observable(ring_walk)))
+    out = idx.unpack(m.conj().T @ idx.pack(oqw.identity_observable(ring_walk)))
     for s in ring_walk.sites:
         assert np.abs(out[s] - np.eye(2)).max() <= 1e-12
 
@@ -82,14 +87,14 @@ def test_dual_of_superoperator_fixes_identity(ring_walk):
 def test_block_index_pack_places_states_and_observables():
     walk = oqw.WalkSpec(("a", "b", "c"), {"a": 2, "b": 1, "c": 2},
                         {("b", "a"): np.ones((1, 2)) / np.sqrt(2)})
-    idx = BlockIndex.build(walk, ("c", "a"))
+    idx = layout_of(walk, ("c", "a"))
     rho = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
     for blocks in (DiagonalState({"a": rho, "b": [[1.0]]}), DiagonalObservable({"a": rho})):
         x = idx.pack(blocks)
         assert x.shape == (8,)
         assert np.array_equal(x[:4], np.zeros(4))
         assert np.array_equal(x[4:], vec(rho))
-        assert np.array_equal(idx.unpack(walk, x)["a"], rho)
+        assert np.array_equal(idx.unpack(x)["a"], rho)
 
 
 def test_fixed_space_of_a_map_equal_to_identity_up_to_rounding():
@@ -106,16 +111,25 @@ def test_fixed_space_of_a_map_equal_to_identity_up_to_rounding():
 # assembly from the walk's table against a per-transition reference
 
 
+def reference_offsets(walk, idx) -> dict:
+    """Offset of each site's block in ``idx``, summed site by site."""
+    offsets, off = {}, 0
+    for s in idx.sites:
+        offsets[s], off = off, off + walk.dims[s] ** 2
+    return offsets
+
+
 def reference_entries(walk, rows, cols):
     """COO triples of the step matrix, one ``np.kron`` block per transition
     in declared order, exact zeros left out."""
     r, c, v = [], [], []
+    row_at, col_at = reference_offsets(walk, rows), reference_offsets(walk, cols)
     for (to, fr), L in walk.transitions.items():
-        if to in rows.offsets and fr in cols.offsets:
+        if to in row_at and fr in col_at:
             K = np.kron(L.conj(), L)
             a, b = np.nonzero(K)
-            r += list(rows.offsets[to][0] + a)
-            c += list(cols.offsets[fr][0] + b)
+            r += list(row_at[to] + a)
+            c += list(col_at[fr] + b)
             v += list(K[a, b])
     return np.array(r, dtype=int), np.array(c, dtype=int), np.array(v, dtype=complex)
 
@@ -168,14 +182,14 @@ def test_block_matrix_equals_the_per_transition_reference_bit_for_bit():
     checked = 0
     for name, walk in table_walks().items():
         for rs, cs in index_pairs(walk):
-            rows, cols = BlockIndex.build(walk, rs), BlockIndex.build(walk, cs)
+            rows, cols = layout_of(walk, rs), layout_of(walk, cs)
             dense = reference_dense(walk, rows, cols)
             csc = reference_csc(walk, rows, cols)
             assert same_bits(block_matrix(walk, rows, cols), dense), (name, rs, cs)
             assert same_bits(block_matrix(walk, rows, cols, sparse=True), csc), (name, rs, cs)
             checked += 1
         for rs in {tuple(rs) for rs, _ in index_pairs(walk)}:
-            idx = BlockIndex.build(walk, rs)
+            idx = layout_of(walk, rs)
             want = np.eye(idx.total, dtype=complex) - reference_dense(walk, idx, idx)
             assert same_bits(identity_minus(walk, idx), want), (name, rs)
             want = identity(idx.total, dtype=complex, format="csc") - reference_csc(walk, idx, idx)
@@ -191,7 +205,7 @@ def test_sparse_assembly_gives_scipy_canonical_arrays(walk):
 
     from oqw.superop import _entries, identity_minus
 
-    idx = BlockIndex.build(walk, walk.sites[1:-1])
+    idx = layout_of(walk, walk.sites[1:-1])
     r, c, v = _entries(walk, idx, idx)
     want = csc_matrix((v, (r, c)), shape=(idx.total, idx.total))
     assert same_bits(block_matrix(walk, idx, idx, sparse=True), want)
