@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fixtures, hitting, serialize
 from .errors import InputError, NumericalError, OQWError
-from .linalg import COMPLEX
+from .linalg import COMPLEX, is_hermitian
 from .walk import DEFAULT_TOLERANCE, WalkSpec, _check_blocks, _known_sites, validate_walk
 
 
@@ -333,6 +333,9 @@ def _cmd_dform(args, walk, rho):
 
     obs = serialize.observable_from_json(_read_json(args.observable, "observable file"))
     _check_blocks(walk, obs, "observable")
+    for s, b in obs.blocks.items():
+        if not is_hermitian(b, max(walk.tolerance, 1e-9)):
+            raise InputError(f"observable block at {s!r} is not Hermitian")
     payload: dict = {}
     try:
         grad = gradient_form(walk, obs)

@@ -198,12 +198,12 @@ class _Ensemble:
     (by the superoperator ``kron(L, conj L)``, or ``L rho L†`` when ``D >
     SUPEROP_MAX_DIM``): a step costs each trajectory a draw and two lookups.
 
-    Only trajectories still active at the last step are held (``held``:
-    global indices, ``cls``: their classes); the others keep their final
-    entry in ``positions``.  A deactivated trajectory stays stopped.
-    Uniforms are drawn in blocks for the held set only: the n-th step of
-    every live trajectory uses draw n-1 of its own stream; a step whose
-    every move is forced draws none.  The start ``(i, rho)`` is checked here.
+    Only active trajectories are held (``held``: global indices, ``cls``: their
+    classes); a step touches arrays aligned with ``held`` only.  :meth:`stop`, or
+    clearing ``active`` before a step, stops a trajectory for good and writes its
+    final site once; ``positions`` shows the held ones' sites over the final ones.
+    Step n of a live trajectory uses draw n-1 of its own stream, none when every
+    move is forced.  The start ``(i, rho)`` is checked here.
     """
 
     def __init__(self, walk: WalkSpec, i, rho, n_traj: int, seed: int,
@@ -231,21 +231,23 @@ class _Ensemble:
         self.site, self.vec = np.array([s0]), first   # made class 0 of the table
         self.cls, self.held = np.zeros(n_traj, dtype=np.int64), np.arange(n_traj)
         self._make_room(self.k)
-        self.positions = np.full(n_traj, s0, dtype=np.int64)
+        self.final = np.full(n_traj, s0, dtype=np.int64)   # sites where trajectories stopped
         self.active = np.ones(n_traj, dtype=bool)
         self.draws = 0                          # steps taken by every held trajectory
         self.uniforms = np.empty((n_traj, 0))   # draws u_start, ... of the held streams
         self.u_start = 0
 
     @property
+    def positions(self) -> np.ndarray:
+        """Site numbers of all trajectories: current when held, else final."""
+        out = self.final.copy()
+        out[self.held] = self.site[self.cls]
+        return out
+
+    @property
     def pos(self) -> np.ndarray:
         """Site numbers of the held trajectories."""
         return self.site[self.cls]
-
-    @property
-    def vecs(self) -> np.ndarray:
-        """States ``vec(rho)`` of the held trajectories."""
-        return self.vec[self.cls]
 
     def _next_uniforms(self) -> np.ndarray:
         col = self.draws - self.u_start
@@ -259,12 +261,17 @@ class _Ensemble:
             self.u_start, col = self.draws, 0
         return self.uniforms[:, col]
 
+    def stop(self, done: np.ndarray) -> np.ndarray:
+        """Stop the held trajectories flagged in ``done``; returns their indices."""
+        gone, keep = self.held[done], ~done
+        self.active[gone], self.final[gone] = False, self.site[self.cls[done]]
+        self.held, self.cls, self.uniforms = self.held[keep], self.cls[keep], self.uniforms[keep]
+        return gone
+
     def step(self) -> None:
         """Advance every active trajectory by one transition."""
-        keep = self.active[self.held]
-        if not keep.all():
-            self.held, self.cls = self.held[keep], self.cls[keep]
-            self.uniforms = self.uniforms[keep]
+        if np.count_nonzero(self.active) < self.held.size:   # cleared from outside
+            self.stop(~self.active[self.held])
         if not self.held.size:
             return
         need = min(self.held.size, self.k * self.n_cls)   # the most new classes a step makes
@@ -289,7 +296,6 @@ class _Ensemble:
             miss = np.flatnonzero(nxt < 0)
             nxt[miss] = self._children(pair[miss])
         self.cls = nxt
-        self.positions[self.held] = self.site[nxt]
         self.draws += 1
 
     def _children(self, pairs: np.ndarray) -> np.ndarray:
@@ -379,25 +385,35 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
     hit_time = np.full(n_traj, np.inf)
     visit_count = np.zeros(n_traj, dtype=np.int64)
     kth_time = np.full(n_traj, np.inf)
+    stop_at = kth_return if track_visits else 1   # visit count at which a trajectory stops
+    visits = np.zeros(n_traj, dtype=np.int64)     # aligned with ens.held, written out on stop
+    unhit = track_visits   # first hits are recorded while some held one has none
     if path is not None:
         path[0] = ens.positions
     for n in range(1, horizon + 1):
         ens.step()
         if path is not None:
             path[n] = ens.positions
-        at_target = ens.held[ens.pos == j_idx]   # every held trajectory is active here
-        if not at_target.size:
+        done = at = ens.pos == j_idx   # without visits, a hit stops
+        if not at.any():
             continue
-        hit_time[at_target] = np.minimum(hit_time[at_target], n)
-        visit_count[at_target] += 1
-        if kth_return is not None:
-            done = at_target[visit_count[at_target] == kth_return]
-            kth_time[done] = n
-            ens.active[done] = False
+        if track_visits:
+            visits += at
+            if unhit:
+                hit_time[ens.held[at & (visits == 1)]] = n
+                unhit = not visits.all()
+            if not kth_return or not (done := visits == kth_return).any():
+                continue
+        gone = ens.stop(done)
+        visit_count[gone] = stop_at
+        if kth_return == stop_at:
+            kth_time[gone] = n
         if not track_visits:
-            ens.active[at_target] = False
-        if (kth_return is not None or not track_visits) and not ens.active[ens.held].any():
+            hit_time[gone] = n
+        visits = visits[~done]
+        if not ens.held.size:
             break
+    visit_count[ens.held] = visits
     return hit_time, visit_count, kth_time, ens
 
 
@@ -560,9 +576,7 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
         raise InputError(f"observable is not harmonic (residual {worst:.3e})")
 
     ens = _Ensemble(walk, i, rho, n_traj, seed)
-    domain_idx = None
-    if stop_domain is not None:
-        domain_idx = {ens.site_index[s] for s in check_sites}
+    inside = np.isin(np.arange(len(walk.sites)), [ens.site_index[s] for s in check_sites])
     d = ens.dmax
     padded = np.zeros((len(walk.sites), d, d), dtype=COMPLEX)
     for s_idx, s in enumerate(walk.sites):
@@ -571,18 +585,17 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
 
     def record(row: np.ndarray) -> None:
         # only held trajectories moved; the others keep their last value
-        row[ens.held] = np.einsum("bj,bj->b", table[ens.pos], ens.vecs.view(np.float64))
+        row[ens.held] = np.einsum("bj,bj->b", table[ens.pos], ens.vec[ens.cls].view(np.float64))
 
     series = np.empty((horizon + 1, n_traj))
     record(series[0])
     for n in range(1, horizon + 1):
         ens.step()
-        if domain_idx is not None:
-            exited = ens.active & ~np.isin(ens.positions, list(domain_idx))
-            ens.active[exited] = False
         series[n] = series[n - 1]
         record(series[n])
-        if not ens.active.any():
+        if stop_domain is not None:
+            ens.stop(~inside[ens.pos])
+        if not ens.held.size:
             series[n + 1:] = series[n]
             break
     means = series.mean(axis=1)
@@ -603,7 +616,7 @@ def word_frequencies(walk: WalkSpec, i, rho, length: int, n_traj: int,
     words = np.empty((length, n_traj), dtype=np.int64)
     for n in range(length):
         ens.step()
-        words[n] = ens.positions
+        words[n] = ens.pos   # no trajectory stops: all are held, in order
     out: dict[tuple, int] = {}
     for col in words.T:
         w = tuple(walk.sites[k] for k in col)

@@ -335,9 +335,8 @@ def validate_walk(walk: WalkSpec) -> ValidationReport:
 def apply_step(walk: WalkSpec, state: DiagonalState) -> DiagonalState:
     """One step of the walk: block at i becomes ``sum_j L[i,j] tau(j) L[i,j]†``."""
     out = {s: np.zeros((walk.dims[s], walk.dims[s]), dtype=COMPLEX) for s in walk.sites}
+    _check_blocks(walk, state, "state")
     for s, b in state.blocks.items():
-        if s not in walk.dims:
-            raise InputError(f"state block at unknown site {s!r}")
         for k in walk._graph.succ[walk._index[s]]:
             t = walk.sites[k]
             L = walk.transitions[(t, s)]

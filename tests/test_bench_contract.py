@@ -13,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True   # leave the benchmark's directory as it is
@@ -27,8 +26,19 @@ def workloads():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
-    yield module
-    del sys.modules[spec.name]
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield load("bench_workloads", BENCH / "workloads.py")
+    del sys.modules["bench_workloads"]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    yield load("bench_tracing", BENCH / "tracing.py")
+    del sys.modules["bench_tracing"]
 
 
 @pytest.mark.parametrize("name", ["exact-lattice", "domain-dirichlet", "mc-kac"])
@@ -40,3 +50,22 @@ def test_benchmark_queries_pass_their_checks(workloads, name):
         if message is not None:
             failures[query.label] = message
     assert failures == {}
+
+
+@pytest.mark.parametrize("name", ["mc-kac", "mc-lattice"])
+def test_traced_trajectory_steps_match_the_estimates(workloads, tracing, name):
+    # the benchmark counts trajectory-steps by wrapping the ensemble's step and
+    # checks the count against the one its estimates imply: one estimate_kac
+    # call (1000 trajectories, 500 returns each) and one estimate_hitting call
+    # without visits (5000 trajectories, a decaying live set)
+    build, queries = workloads.WORKLOADS[name]
+    query = queries(build(1))[0]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        answer = query.run()
+    finally:
+        tracer.uninstall()
+    assert tracing.Tracer.leftover_wrappers() == []
+    assert query.check(answer) is None
+    assert tracer.counts["trajectory.traj_steps"] == query.traj_steps(answer) > 0

@@ -390,6 +390,7 @@ def test_alpha_grid_flag_validation(capsys):
 W54 = ["--walk", "example-5.4"]
 RDS = ["--walk", "random-doubly-stochastic", "--N", "6", "--fixture-seed", "3"]   # d = 2
 BLOCK_3X3 = [[[1, 0], [0, 0], [0, 0]]] * 3
+NOT_HERMITIAN = [[[1, 0], [1, 0]], [[0, 0], [0, 0]]]   # [[1, 1], [0, 0]]
 BAD_INPUT = {
     # an unknown --from site
     **{f"from-{cmd}": [cmd, *W54, "--from", "9", "--to", "0", "--rho", "mixed"]
@@ -428,6 +429,7 @@ BAD_INPUT = {
     # observable blocks of the wrong shape or at a site the walk does not have
     "dform-block-shape": ["dform", *RDS, "--observable", "block-3x3.json"],
     "dform-unknown-site": ["dform", *RDS, "--observable", "block-at-9.json"],
+    "dform-not-hermitian": ["dform", *RDS, "--observable", "not-hermitian.json"],
     **{f"dirichlet-{method}-A-shape": ["dirichlet", *RDS, "--method", method,
                                        "--problem", "A-3x3.json"]
        for method in ("closed-form", "variational", "global")},
@@ -447,6 +449,7 @@ def test_bad_input_prints_an_error_line(capsys, tmp_path, monkeypatch, argv):
     (tmp_path / "ragged.json").write_text("[[[1, 0]], [[1, 0], [0, 0]]]")
     (tmp_path / "block-3x3.json").write_text(json.dumps({"1": BLOCK_3X3}))
     (tmp_path / "block-at-9.json").write_text('{"9": [[[1, 0]]]}')
+    (tmp_path / "not-hermitian.json").write_text(json.dumps({"0": NOT_HERMITIAN}))
     (tmp_path / "A-3x3.json").write_text(json.dumps({"domain": ["1", "2"], "A": {"1": BLOCK_3X3}}))
     (tmp_path / "B-3x3.json").write_text(json.dumps({"domain": ["1", "2"], "B": {"0": BLOCK_3X3}}))
     (tmp_path / "A-at-9.json").write_text('{"A": {"9": [[[1, 0]]]}}')
@@ -465,6 +468,7 @@ def test_observable_blocks_are_checked_where_they_are_read(capsys, tmp_path):
     # domain keeps the message the problem's own check gives it
     cases = {
         "dform": ({"1": BLOCK_3X3}, "observable block at '1' has wrong shape (3, 3)"),
+        "dform-hermitian": ({"0": NOT_HERMITIAN}, "observable block at '0' is not Hermitian"),
         "global": ({"A": {"9": [[[1, 0]]]}}, "problem data 'A' block at unknown site '9'"),
         "closed-form": ({"domain": ["1", "2"], "A": {"9": [[[1, 0]]]}},
                         "interior data supported outside the domain: ['9']"),
@@ -474,7 +478,7 @@ def test_observable_blocks_are_checked_where_they_are_read(capsys, tmp_path):
     for method, (doc, message) in cases.items():
         path = tmp_path / f"{method}.json"
         path.write_text(json.dumps(doc))
-        argv = (["dform", *RDS, "--observable", str(path)] if method == "dform" else
+        argv = (["dform", *RDS, "--observable", str(path)] if method.startswith("dform") else
                 ["dirichlet", *RDS, "--method", method, "--problem", str(path)])
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n"), method
 

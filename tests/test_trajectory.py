@@ -512,6 +512,18 @@ PINNED_RUN_DIGESTS = [
     ("random D=2", dict(walk=fixtures.random_doubly_stochastic(8, 2, seed=3), i="0", rho=MIX,
                         j="5", n_traj=500, horizon=100, seed=3, track_visits=True),
      "e0930ea98e9face9a08172f43dec9742c332d77f23d5ba6ce6bef2f66502052c"),
+    # k-th return runs, whose digests also cover the k-th return times: the
+    # Kac shape, where every trajectory returns at every second step, and a
+    # held set that decays as trajectories reach their third return
+    ("kac shape", dict(walk=fixtures.example_branch_return(), i="1",
+                       rho=conditioned_invariant_state(fixtures.example_branch_return(), "1"),
+                       j="1", n_traj=300, horizon=100, seed=9, track_visits=True,
+                       kth_return=40),
+     "7e7bea91bb1e992d57132c2a8c3851f62aa6037af90fb75301c01e1f2547b4b0"),
+    ("random third return", dict(walk=fixtures.random_doubly_stochastic(8, 2, seed=3), i="0",
+                                 rho=MIX, j="0", n_traj=500, horizon=60, seed=5,
+                                 track_visits=True, kth_return=3),
+     "bb9e7c385753ebb8eeeac55cfd7b1db0a7d3eb2039351d7ab6b561b0a215f1a9"),
 ]
 
 
@@ -533,6 +545,47 @@ def test_run_hitting_pinned_digests(case, kwargs, digest, one_slot, monkeypatch)
 
     if one_slot:
         monkeypatch.setattr(_Ensemble, "__init__", hash_to_one_slot)
-    hit, visits, _, ens = _run_hitting(**kwargs)
-    got = hashlib.sha256(hit.tobytes() + visits.tobytes() + ens.positions.tobytes())
+    hit, visits, kth, ens = _run_hitting(**kwargs)
+    got = hashlib.sha256(hit.tobytes() + visits.tobytes() + ens.positions.tobytes()
+                         + (kth.tobytes() if "kth_return" in kwargs else b""))
     assert got.hexdigest() == digest
+
+
+# sha256 of the sorted word counts of word_frequencies
+PINNED_WORD_DIGESTS = [
+    ("random D=2", (fixtures.random_doubly_stochastic(8, 2, seed=3), "0", 6, 2000, 4),
+     "b1222e0704c0d9afac2bc32de6f5eb60be3c0bd0103da4b44ee1c9194868a254"),
+    ("lattice", (fixtures.example_lattice_nonnormal(10), "0", 8, 1500, 6),
+     "0506c6b6820e6ac8281e65585f9f7a0905acfd502348560802a06abf700195b7"),
+]
+
+
+@pytest.mark.parametrize("case, args, digest", PINNED_WORD_DIGESTS,
+                         ids=[c[0] for c in PINNED_WORD_DIGESTS])
+def test_word_frequencies_pinned_digests(case, args, digest):
+    import hashlib
+
+    walk, i, length, n_traj, seed = args
+    got = word_frequencies(walk, i, MIX, length, n_traj, seed=seed)
+    assert hashlib.sha256(repr(sorted(got.items())).encode()).hexdigest() == digest
+
+
+def test_stopped_martingale_pinned_digests(branch_walk, ruin_walk):
+    # sha256 of the means and standard errors of two martingales stopped on
+    # leaving a domain: trajectories leave the held set at different steps
+    import hashlib
+
+    domain = ["1", "2"]
+    op = oqw.harmonic_operator(branch_walk, domain, "0")
+    obs = DiagonalObservable({str(k): np.array([[k / 10]], dtype=complex) for k in range(11)})
+    runs = [
+        (oqw.martingale_diagnostic(branch_walk, op, "1", MIX, n_traj=3000, horizon=60,
+                                   seed=25, stop_domain=domain),
+         "77f21d0e10145637917877d7d8492821330bacc180c9477bac580cbedbf4879f"),
+        (oqw.martingale_diagnostic(ruin_walk, obs, "5", np.array([[1.0]]), n_traj=2000,
+                                   horizon=80, seed=26, stop_domain=[str(k) for k in range(1, 10)]),
+         "2fbad08a0dc6734b66392bfb855b14f7f6e1c7652d3b0d84c49b419427df44ac"),
+    ]
+    for rep, digest in runs:
+        got = hashlib.sha256(rep.means.tobytes() + rep.standard_errors.tobytes())
+        assert got.hexdigest() == digest

@@ -68,6 +68,17 @@ def test_apply_step_matches_classical_chain():
     assert out.blocks["1"][0, 0].real == pytest.approx(0.7)
 
 
+def test_apply_step_checks_block_shapes_and_sites():
+    # a block of the wrong size is a ShapeError, as in check_state, not a
+    # ValueError from the matrix product
+    walk = fixtures.random_doubly_stochastic(3, 2, seed=7)
+    wrong = DiagonalState({"0": np.eye(3, dtype=complex) / 3})
+    with pytest.raises(ShapeError, match=re.escape("state block at '0' has wrong shape (3, 3)")):
+        oqw.apply_step(walk, wrong)
+    with pytest.raises(InputError, match="state block at unknown site '9'"):
+        oqw.apply_step(walk, DiagonalState({"9": np.eye(2, dtype=complex) / 2}))
+
+
 def test_trace_preserved_on_random_states(trap_walk, ring_walk):
     rng = np.random.default_rng(1)
     for walk in (trap_walk, ring_walk):
