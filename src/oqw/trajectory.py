@@ -26,7 +26,7 @@ from .walk import (DiagonalObservable, Site, WalkSpec, _known_sites, _site_id, c
 PROB_FLOOR = 1e-14   # transition weights below this count as zero
 SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
 HARMONIC_TOL = 1e-8  # residual up to which an observable counts as harmonic
-DRAW, DEAD = -1, -2  # class codes besides a forced successor: drawn / no positive weight
+UNSEEN, DRAW, DEAD = -1, -2, -3  # besides a class: not yet known / drawn / no positive weight
 
 
 def _renorm_tol(walk: WalkSpec) -> float:
@@ -197,17 +197,22 @@ class _Ensemble:
     computed once, as is the class each successor leads to, when first taken
     (by the superoperator ``kron(L, conj L)``, or ``L rho L†`` when ``D >
     SUPEROP_MAX_DIM``): a step costs each trajectory a draw and two lookups.
+    A class with one successor of positive weight keeps in ``next`` the class
+    its forced move leads to (``UNSEEN`` until a step without a draw takes it),
+    so a step in which every move is forced costs each trajectory one lookup.
 
     Only active trajectories are held (``held``: global indices, ``cls``: their
-    classes); a step touches arrays aligned with ``held`` only.  :meth:`stop`, or
-    clearing ``active`` before a step, stops a trajectory for good and writes its
-    final site once; ``positions`` shows the held ones' sites over the final ones.
-    Step n of a live trajectory uses draw n-1 of its own stream, none when every
-    move is forced.  The start ``(i, rho)`` is checked here.
+    classes); a step touches arrays aligned with ``held`` only.  :meth:`stop` is
+    the only way to stop a trajectory: for good, writing its final site once;
+    ``positions`` shows the held ones' sites over the final ones.  Step n of a
+    live trajectory uses draw n-1 of its own stream, none when every move is
+    forced.  The start ``(i, rho)`` and ``n_traj >= 1`` are checked here.
     """
 
     def __init__(self, walk: WalkSpec, i, rho, n_traj: int, seed: int,
                  index_offset: int = 0):
+        if n_traj < 1:
+            raise InputError("n_traj must be >= 1")
         rho = np.asarray(rho, dtype=COMPLEX)
         check_state(walk, site_state(walk, i, rho))
         self.walk = walk
@@ -269,32 +274,33 @@ class _Ensemble:
         return gone
 
     def step(self) -> None:
-        """Advance every active trajectory by one transition."""
-        if np.count_nonzero(self.active) < self.held.size:   # cleared from outside
-            self.stop(~self.active[self.held])
+        """Advance every held trajectory by one transition."""
         if not self.held.size:
             return
-        need = min(self.held.size, self.k * self.n_cls)   # the most new classes a step makes
-        if self.n_cls + need > self.site.size:
-            self._make_room(need)
-        cls = self.cls
-        code = self.code[cls]
-        lowest = code.min()
-        if lowest == DEAD:
-            site = self.walk.sites[int(self.site[cls[code == DEAD]].min())]
-            raise NumericalError(f"dead end at site {site!r} during sampling")
-        if self.renormalizing:
-            self.renorms += int(np.count_nonzero(abs(self.cum[-1, cls] - 1.0) > self.renorm_tol))
-        if lowest == DRAW:
-            # u < total = cum[-1], so the count stops at the last positive weight
+        nxt = self.next[self.cls]
+        lowest = nxt.min()
+        if lowest < 0:   # a draw, a dead end or a forced move not taken yet
+            if lowest == DEAD:
+                site = self.walk.sites[int(self.site[self.cls[nxt == DEAD]].min())]
+                raise NumericalError(f"dead end at site {site!r} during sampling")
+            need = min(self.held.size, self.k * self.n_cls)   # the most new classes a step makes
+            if self.n_cls + need > self.site.size:
+                self._make_room(need)
+            cls = self.cls
+            # u < total = cum[-1], so the count stops at the last positive weight;
+            # without a draw, u = 0 counts the zero weights before a forced move
             cum = np.take(self.cum, cls, axis=1)
-            u = self._next_uniforms() * cum[-1]
-            code = (cum[:-1] <= u).sum(axis=0)
-        pair = cls * self.k + code
-        nxt = np.take(self.child, pair)
-        if nxt.min() < 0:
-            miss = np.flatnonzero(nxt < 0)
-            nxt[miss] = self._children(pair[miss])
+            u = self._next_uniforms() * cum[-1] if lowest == DRAW else 0.0
+            pair = cls * self.k + (cum[:-1] <= u).sum(axis=0)
+            nxt = np.take(self.child, pair)
+            if nxt.min() < 0:
+                miss = np.flatnonzero(nxt < 0)
+                nxt[miss] = self._children(pair[miss])
+            if lowest != DRAW:
+                self.next[cls] = nxt
+        if self.renormalizing:
+            total = self.cum[-1, self.cls]
+            self.renorms += int(np.count_nonzero(abs(total - 1.0) > self.renorm_tol))
         self.cls = nxt
         self.draws += 1
 
@@ -339,7 +345,7 @@ class _Ensemble:
         """Ids of new classes for the rows ``(sites, vecs)``."""
         n = self.n_cls
         new = slice(n, n + sites.size)
-        self.site[new], self.vec[new], self.child[new] = sites, vecs, -1
+        self.site[new], self.vec[new], self.child[new] = sites, vecs, UNSEEN
         w = np.einsum("bkj,bj->bk", np.take(self.gram, sites, axis=0), vecs.view(np.float64))
         w[w < PROB_FLOOR] = 0.0
         cum = self.cum[:, new]                  # cumulative sums, one row per successor
@@ -348,10 +354,8 @@ class _Ensemble:
             np.add(cum[k - 1], w[:, k], out=cum[k])
         # the draw u lies in [0, total): it decides nothing when every
         # cumulative weight is 0 or the total (one successor of positive weight)
-        low = (cum[:-1] <= 0.0).sum(axis=0)
-        code = np.where(low == (cum[:-1] < cum[-1]).sum(axis=0), low, DRAW)
-        code[cum[-1] <= PROB_FLOOR] = DEAD
-        self.code[new] = code
+        forced = (cum[:-1] <= 0.0).sum(axis=0) == (cum[:-1] < cum[-1]).sum(axis=0)
+        self.next[new] = np.where(cum[-1] <= PROB_FLOOR, DEAD, np.where(forced, UNSEEN, DRAW))
         self.renormalizing |= bool((np.abs(cum[-1] - 1.0) > self.renorm_tol).any())
         self.n_cls = new.stop
         return np.arange(n, new.stop)
@@ -364,7 +368,7 @@ class _Ensemble:
         cap = self.site.size
         while 4 * (keep.size + need) > cap:
             cap *= 2
-        self.n_cls, self.site, self.code = 0, np.empty(cap, np.int64), np.empty(cap, np.int64)
+        self.n_cls, self.site, self.next = 0, np.empty(cap, np.int64), np.empty(cap, np.int64)
         self.vec, self.cum = np.empty((cap, self.dmax ** 2), COMPLEX), np.empty((self.k, cap))
         self.child = np.empty((cap, self.k), np.int64)
         ids = self._append(sites, vecs)
@@ -388,6 +392,7 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
     stop_at = kth_return if track_visits else 1   # visit count at which a trajectory stops
     visits = np.zeros(n_traj, dtype=np.int64)     # aligned with ens.held, written out on stop
     unhit = track_visits   # first hits are recorded while some held one has none
+    steps_at_j = 0         # no visit count can exceed it
     if path is not None:
         path[0] = ens.positions
     for n in range(1, horizon + 1):
@@ -399,10 +404,12 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
             continue
         if track_visits:
             visits += at
+            steps_at_j += 1
             if unhit:
                 hit_time[ens.held[at & (visits == 1)]] = n
                 unhit = not visits.all()
-            if not kth_return or not (done := visits == kth_return).any():
+            if (not kth_return or steps_at_j < kth_return
+                    or not (done := visits == kth_return).any()):
                 continue
         gone = ens.stop(done)
         visit_count[gone] = stop_at
@@ -444,8 +451,8 @@ def estimate_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int,
     tracked) the censored expected visit count.  Censoring is explicit:
     ``censored_fraction`` reports the trajectories that never hit.
     """
-    if n_traj < 1:
-        raise InputError("n_traj must be >= 1")
+    if horizon < 1:
+        raise InputError("horizon must be >= 1")
     hit, visits, _, ens = _run_hitting(walk, i, rho, j, n_traj, horizon, seed,
                                        track_visits=track_visits)
     hit_mask = np.isfinite(hit)
@@ -496,6 +503,8 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> K
     those enclosures in the decomposition.  Trajectories are censored after
     ``max(100, 8 k_max max(2, target))`` steps, reported as ``max_steps``.
     """
+    if k_max < 1:
+        raise InputError("k_max must be >= 1")
     s = _site_id(i)
     deco = decompose(walk)
     tau, fixed_dim = deco.invariant, deco.fixed_dim
@@ -565,6 +574,8 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
     the stopped martingale of the optional-sampling argument).  Harmonic
     means a residual of at most ``HARMONIC_TOL`` in operator norm.
     """
+    if horizon < 1:
+        raise InputError("horizon must be >= 1")
     stepped = dual_apply(walk, a)
     check_sites = walk.sites if stop_domain is None else _known_sites(walk, stop_domain)
     worst = 0.0
@@ -612,6 +623,8 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
 def word_frequencies(walk: WalkSpec, i, rho, length: int, n_traj: int,
                      seed: int = 0) -> dict[tuple, int]:
     """Counts of position words (x_1 .. x_length) over an ensemble."""
+    if length < 1:
+        raise InputError("length must be >= 1")
     ens = _Ensemble(walk, i, rho, n_traj, seed)
     words = np.empty((length, n_traj), dtype=np.int64)
     for n in range(length):

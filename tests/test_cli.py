@@ -404,6 +404,11 @@ BAD_INPUT = {
     # an unknown --to site of the sampler
     "to-simulate": ["simulate", *W54, "--from", "1", "--to", "9", "--rho", "mixed",
                     "--n-traj", "5", "--horizon", "3"],
+    # a sampler run with no trajectory, no step or no return to count
+    "simulate-horizon": ["simulate", *W54, "--from", "1", "--to", "0", "--rho", "mixed",
+                         "--n-traj", "5", "--horizon", "0"],
+    "kac-n-traj": ["kac", *W54, "--site", "1", "--n-traj", "0", "--k-max", "3"],
+    "kac-k-max": ["kac", *W54, "--site", "1", "--n-traj", "10", "--k-max", "0"],
     # missing files
     "missing-problem": ["dirichlet", "--walk", "gamblers-ruin", "--problem", "missing.json"],
     "missing-observable": ["dform", "--walk", "gamblers-ruin", "--observable", "missing.json"],

@@ -314,3 +314,17 @@ def test_oracles_stay_out_of_the_production_modules():
                     offending += [f"{name} imports {alias.name}"
                                   for alias in node.names if alias.name in oracles]
     assert not offending, offending
+
+
+def test_sampler_step_touches_held_trajectories_only():
+    # a lock-step iteration works on arrays aligned with the held set: reading
+    # the n_traj-long `active` mask or `positions` would bring back a pass
+    # over every trajectory, stopped ones included, on every step
+    ensemble = next(node for node in _modules()["trajectory"].body
+                    if isinstance(node, ast.ClassDef) and node.name == "_Ensemble")
+    step = next(node for node in ensemble.body
+                if isinstance(node, ast.FunctionDef) and node.name == "step")
+    read = {node.attr for node in ast.walk(step) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert {"cls", "next", "held"} <= read
+    assert not read & {"active", "positions"}, sorted(read & {"active", "positions"})

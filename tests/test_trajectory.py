@@ -5,7 +5,7 @@ from scipy import stats
 import oqw
 from oqw import fixtures
 from oqw._oracles import path_terms
-from oqw.errors import InputError
+from oqw.errors import InputError, NumericalError
 from oqw.hitting import capture_series
 from oqw.structure import decompose
 from oqw import philox
@@ -271,6 +271,33 @@ def test_sampler_entries_check_sites_and_start_state(branch_walk):
                 run("1", rho, "2")
 
 
+# a sampler run with no trajectory, no step or no return to count
+EMPTY_RUNS = {
+    "estimate_hitting-n_traj": (lambda w: oqw.estimate_hitting(w, "1", MIX, "2", 0, 3),
+                                "n_traj must be >= 1"),
+    "estimate_hitting-horizon": (lambda w: oqw.estimate_hitting(w, "1", MIX, "2", 5, 0),
+                                 "horizon must be >= 1"),
+    "estimate_kac-n_traj": (lambda w: oqw.estimate_kac(w, "1", n_traj=0, k_max=3),
+                            "n_traj must be >= 1"),
+    "estimate_kac-k_max": (lambda w: oqw.estimate_kac(w, "1", n_traj=5, k_max=0),
+                           "k_max must be >= 1"),
+    "martingale-n_traj": (lambda w: oqw.martingale_diagnostic(
+        w, identity_observable(w), "1", MIX, 0, 3), "n_traj must be >= 1"),
+    "martingale-horizon": (lambda w: oqw.martingale_diagnostic(
+        w, identity_observable(w), "1", MIX, 5, 0), "horizon must be >= 1"),
+    "words-n_traj": (lambda w: word_frequencies(w, "1", MIX, 3, 0), "n_traj must be >= 1"),
+    "words-length": (lambda w: word_frequencies(w, "1", MIX, 0, 5), "length must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("run, message", EMPTY_RUNS.values(), ids=EMPTY_RUNS.keys())
+def test_sampler_entries_reject_empty_runs(branch_walk, run, message):
+    # an input error, not an empty estimate or a run that ends in "no
+    # trajectory reached the requested return count"
+    with pytest.raises(InputError, match=message):
+        run(branch_walk)
+
+
 def test_martingale_identity_observable(ring_walk):
     rep = oqw.martingale_diagnostic(ring_walk, identity_observable(ring_walk),
                                     "0", MIX, n_traj=200, horizon=30, seed=22)
@@ -353,6 +380,17 @@ def leaky_walk():
                          ("0", "2"): np.eye(2)})
 
 
+@pytest.mark.parametrize("walk, start", [
+    (leaky_walk(), "0"),   # reached by a draw
+    (oqw.WalkSpec(("0", "1"), {"0": 1, "1": 1}, {("1", "0"): np.eye(1)}), "0"),   # by force
+], ids=["drawn", "forced"])
+def test_ensemble_raises_at_a_dead_end(walk, start):
+    # a held trajectory at a site with no block of positive weight cannot step
+    rho = np.eye(walk.dims[start]) / walk.dims[start]
+    with pytest.raises(NumericalError, match="dead end at site '1' during sampling"):
+        word_frequencies(walk, start, rho, 20, 50, seed=3)
+
+
 @pytest.mark.parametrize("walk, start, rho, target, horizon, all_stop", [
     (fixtures.example_branch_return(), "1", None, "0", 80, False),   # fibre dims 1 and 2
     (fixtures.example_lattice_nonnormal(5), "0", None, "0", 80, False),
@@ -379,7 +417,7 @@ def test_ensemble_follows_single_trajectory_paths(walk, start, rho, target, hori
         ens.step()
         for k in moving:
             paths[k].append(walk.sites[ens.positions[k]])
-        ens.active[ens.positions == j] = False
+        ens.stop(ens.pos == j)
     assert ens.active.sum() == 0 if all_stop else 0 < ens.active.sum() < n
     for k in range(n):
         rec = oqw.sample_trajectory(walk, start, rho, horizon, stop={"hit": target},
@@ -524,6 +562,11 @@ PINNED_RUN_DIGESTS = [
                                  rho=MIX, j="0", n_traj=500, horizon=60, seed=5,
                                  track_visits=True, kth_return=3),
      "bb9e7c385753ebb8eeeac55cfd7b1db0a7d3eb2039351d7ab6b561b0a215f1a9"),
+    # draw steps, a table rebuilt, then steps in which every held trajectory,
+    # absorbed at 0 or 6, moves by force
+    ("ruin", dict(walk=fixtures.gamblers_ruin(7), i="3", rho=[[1.0]], j="6", n_traj=2000,
+                  horizon=200, seed=5, track_visits=True),
+     "64e2fd11dc82076729457167590a4d7a120bef27575d07d34b35b498ffdfd17e"),
 ]
 
 
@@ -549,6 +592,29 @@ def test_run_hitting_pinned_digests(case, kwargs, digest, one_slot, monkeypatch)
     got = hashlib.sha256(hit.tobytes() + visits.tobytes() + ens.positions.tobytes()
                          + (kth.tobytes() if "kth_return" in kwargs else b""))
     assert got.hexdigest() == digest
+
+
+@pytest.mark.parametrize("walk, start, rho, target, kth", [
+    (fixtures.example_branch_return(), "1", MIX, "0", None),
+    (fixtures.example_branch_return(), "1",
+     conditioned_invariant_state(fixtures.example_branch_return(), "1"), "1", 40),
+    (fixtures.gamblers_ruin(7), "3", [[1.0]], "6", None),
+], ids=["branch", "kac shape", "ruin"])
+def test_forced_moves_are_kept_by_class(walk, start, rho, target, kth):
+    # after a run, a class with one successor of positive weight holds the
+    # class that move leads to, or UNSEEN until a step without a draw takes
+    # it; every other class holds DRAW, or DEAD when no weight is positive
+    from oqw.trajectory import DEAD, DRAW, PROB_FLOOR, UNSEEN, _run_hitting
+
+    *_, ens = _run_hitting(walk, start, rho, target, n_traj=2000, horizon=200, seed=5,
+                           track_visits=True, kth_return=kth)
+    cum, nxt = ens.cum[:, :ens.n_cls], ens.next[:ens.n_cls]
+    positive = np.diff(cum, axis=0, prepend=0.0) > 0.0
+    forced = positive.sum(axis=0) == 1
+    led = ens.child[np.flatnonzero(forced), positive[:, forced].argmax(axis=0)]
+    assert np.all((nxt[forced] == led) | (nxt[forced] == UNSEEN))
+    assert np.array_equal(nxt[~forced], np.where(cum[-1, ~forced] <= PROB_FLOOR, DEAD, DRAW))
+    assert (nxt[forced] >= 0).any()
 
 
 # sha256 of the sorted word counts of word_frequencies
