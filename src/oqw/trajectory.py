@@ -160,8 +160,8 @@ def _trace_table(mats: np.ndarray) -> np.ndarray:
 
 
 def _sampler_tables(walk: WalkSpec) -> tuple:
-    """:class:`_Ensemble`'s read-only tables, kept in the walk's store: ``D``, ``K`` and
-    per (site, successor) its target, Gram rows, superoperator, block, merge flag."""
+    """:class:`_Ensemble`'s tables, kept in the walk's store: ``D``, ``K``, per (site, successor)
+    its target, Gram rows, superoperator, block, merge flag (read-only); the kept class table."""
     d = max(walk.dims.values())
     succ, sites = walk._graph.succ, walk.sites
     k_max = max(1, max(len(row) for row in succ))
@@ -183,7 +183,7 @@ def _sampler_tables(walk: WalkSpec) -> tuple:
         blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
     for table in (t for t in (targets, gram, superop, blocks, lookup) if t is not None):
         table.setflags(write=False)
-    return d, k_max, targets, gram, superop, blocks, lookup
+    return d, k_max, targets, gram, superop, blocks, lookup, {}
 
 
 class _Ensemble:
@@ -200,6 +200,9 @@ class _Ensemble:
     A class with one successor of positive weight keeps in ``next`` the class
     its forced move leads to (``UNSEEN`` until a step without a draw takes it),
     so a step in which every move is forced costs each trajectory one lookup.
+    A class's bytes depend on its path alone, so where classes merge the table
+    is the walk's: a run takes it from the walk's store, or starts its own when
+    none is there, and puts it back in :meth:`release` for later runs.
 
     Only active trajectories are held (``held``: global indices, ``cls``: their
     classes); a step touches arrays aligned with ``held`` only.  :meth:`stop` is
@@ -223,19 +226,22 @@ class _Ensemble:
         self.renorms = 0
         self.renorm_tol = _renorm_tol(walk)
         tables = walk._memo(("sampler",), _sampler_tables)
-        d, self.k, self.targets, self.gram, self.superop, self.blocks, self.lookup = tables
-        self.dmax = d
+        d, self.k, self.targets, self.gram, self.superop, self.blocks, self.lookup = tables[:7]
+        self.dmax, self.kept = d, tables[7]
         self.diag = np.arange(d) * (d + 1)
-        self.merging = bool(self.lookup.any())   # else no slot array is kept
+        self.merging = bool(self.lookup.any())   # else no slot is kept, nor the table
         # odd multiples of 2^64 / golden ratio hash a site and the 2*D*D words of its state
         self.mult = np.arange(1, 4 * d * d + 3, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         self.renormalizing = False              # some class's weights need renormalizing
         s0 = self.site_index[_site_id(i)]
         first = np.zeros((1, d * d), dtype=COMPLEX)
         first.reshape(d, d)[:rho.shape[0], :rho.shape[0]] = rho
-        self.site, self.vec = np.array([s0]), first   # made class 0 of the table
-        self.cls, self.held = np.zeros(n_traj, dtype=np.int64), np.arange(n_traj)
-        self._make_room(self.k)
+        vars(self).update(self.merging and self.kept.pop("table", None) or self._new_table(1))
+        self.site[self.n_cls], self.vec[self.n_cls] = s0, first[0]   # looked up in a free row
+        start = self._merge(np.array([self.n_cls]))[0] if self.merging else self.n_cls
+        if start == self.n_cls:
+            self._append(np.array([s0]), first)
+        self.cls, self.held = np.full(n_traj, start), np.arange(n_traj)
         self.final = np.full(n_traj, s0, dtype=np.int64)   # sites where trajectories stopped
         self.active = np.ones(n_traj, dtype=bool)
         self.draws = 0                          # steps taken by every held trajectory
@@ -266,6 +272,13 @@ class _Ensemble:
             self.u_start, col = self.draws, 0
         return self.uniforms[:, col]
 
+    def release(self) -> None:
+        """End the run: stop the held trajectories and put the class table back."""
+        self.stop(np.ones(self.held.size, dtype=bool))
+        if self.merging and self.n_cls < self.site.size:   # a free row for the next start
+            self.kept["table"] = {name: vars(self)[name] for name in (
+                "n_cls", "site", "vec", "cum", "next", "child", "slots", "shift", "renormalizing")}
+
     def stop(self, done: np.ndarray) -> np.ndarray:
         """Stop the held trajectories flagged in ``done``; returns their indices."""
         gone, keep = self.held[done], ~done
@@ -283,21 +296,22 @@ class _Ensemble:
             if lowest == DEAD:
                 site = self.walk.sites[int(self.site[self.cls[nxt == DEAD]].min())]
                 raise NumericalError(f"dead end at site {site!r} during sampling")
-            need = min(self.held.size, self.k * self.n_cls)   # the most new classes a step makes
-            if self.n_cls + need > self.site.size:
-                self._make_room(need)
-            cls = self.cls
             # u < total = cum[-1], so the count stops at the last positive weight;
             # without a draw, u = 0 counts the zero weights before a forced move
-            cum = np.take(self.cum, cls, axis=1)
+            cum = np.take(self.cum, self.cls, axis=1)
             u = self._next_uniforms() * cum[-1] if lowest == DRAW else 0.0
-            pair = cls * self.k + (cum[:-1] <= u).sum(axis=0)
+            pair = self.cls * self.k + (cum[:-1] <= u).sum(axis=0)
             nxt = np.take(self.child, pair)
             if nxt.min() < 0:
-                miss = np.flatnonzero(nxt < 0)
+                miss = np.flatnonzero(nxt < 0)   # a new class for each, at most K per class
+                if self.n_cls + min(miss.size, self.k * self.n_cls) > self.site.size:
+                    self._make_room(min(self.held.size, self.k * self.n_cls))
+                    pair = self.cls * self.k + pair % self.k   # the same successors
+                    nxt = np.take(self.child, pair)
+                    miss = np.flatnonzero(nxt < 0)
                 nxt[miss] = self._children(pair[miss])
             if lowest != DRAW:
-                self.next[cls] = nxt
+                self.next[self.cls] = nxt
         if self.renormalizing:
             total = self.cum[-1, self.cls]
             self.renorms += int(np.count_nonzero(abs(total - 1.0) > self.renorm_tol))
@@ -361,22 +375,30 @@ class _Ensemble:
         return np.arange(n, new.stop)
 
     def _make_room(self, need: int) -> None:
-        """Recreate the held trajectories' classes, in order, in a table of at
-        least four rows per class kept or ``need``ed (two slots a row)."""
-        keep, self.cls = np.unique(self.cls, return_inverse=True)
-        sites, vecs = self.site[keep], np.take(self.vec, keep, axis=0)
+        """Keep the held trajectories' classes (every class, where classes merge and
+        number at most the held), in order, with their weights and the successors
+        among them, in a table of at least four rows per class kept or ``need``ed."""
+        keep = np.arange(self.n_cls)
+        if not self.merging or self.n_cls > self.cls.size:
+            keep, self.cls = np.unique(self.cls, return_inverse=True)
+        remap = np.full(self.n_cls + 3, UNSEEN)   # by old class (dropped: UNSEEN), then marks
+        remap[keep], remap[DEAD], remap[DRAW] = np.arange(keep.size), DEAD, DRAW
+        rows = (self.site[keep], np.take(self.vec, keep, axis=0), self.cum[:, keep],
+                remap[self.next[keep]], remap[self.child[keep]])
         cap = self.site.size
         while 4 * (keep.size + need) > cap:
             cap *= 2
-        self.n_cls, self.site, self.next = 0, np.empty(cap, np.int64), np.empty(cap, np.int64)
-        self.vec, self.cum = np.empty((cap, self.dmax ** 2), COMPLEX), np.empty((self.k, cap))
-        self.child = np.empty((cap, self.k), np.int64)
-        ids = self._append(sites, vecs)
+        vars(self).update(self._new_table(cap, n := keep.size))
+        self.site[:n], self.vec[:n], self.cum[:, :n], self.next[:n], self.child[:n] = rows
         if self.merging:
-            bits = (2 * cap - 1).bit_length()
-            self.shift = np.uint64(64 - bits)
-            self.slots = np.zeros(1 << bits, dtype=np.intp)
-            self._merge(ids)
+            self._merge(np.arange(n))
+
+    def _new_table(self, cap: int, n: int = 0) -> dict:
+        """A table of ``cap`` rows (a power of two), ``n`` in use, with two merge slots a row."""
+        return dict(n_cls=n, shift=np.uint64(64 - cap.bit_length()), site=np.empty(cap, np.int64),
+                    next=np.empty(cap, np.int64), vec=np.empty((cap, self.dmax ** 2), COMPLEX),
+                    cum=np.empty((self.k, cap)), child=np.empty((cap, self.k), np.int64),
+                    slots=np.zeros(2 * cap if self.merging else 0, dtype=np.intp))
 
 
 def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int,
@@ -421,6 +443,7 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
         if not ens.held.size:
             break
     visit_count[ens.held] = visits
+    ens.release()
     return hit_time, visit_count, kth_time, ens
 
 
@@ -609,6 +632,7 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
         if not ens.held.size:
             series[n + 1:] = series[n]
             break
+    ens.release()
     means = series.mean(axis=1)
     ses = series.std(axis=1, ddof=1) / math.sqrt(n_traj) if n_traj > 1 \
         else np.zeros(horizon + 1)
@@ -630,6 +654,7 @@ def word_frequencies(walk: WalkSpec, i, rho, length: int, n_traj: int,
     for n in range(length):
         ens.step()
         words[n] = ens.pos   # no trajectory stops: all are held, in order
+    ens.release()
     out: dict[tuple, int] = {}
     for col in words.T:
         w = tuple(walk.sites[k] for k in col)

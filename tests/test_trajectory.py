@@ -391,17 +391,25 @@ def test_ensemble_raises_at_a_dead_end(walk, start):
         word_frequencies(walk, start, rho, 20, 50, seed=3)
 
 
-@pytest.mark.parametrize("walk, start, rho, target, horizon, all_stop", [
-    (fixtures.example_branch_return(), "1", None, "0", 80, False),   # fibre dims 1 and 2
-    (fixtures.example_lattice_nonnormal(5), "0", None, "0", 80, False),
-    (fixtures.random_doubly_stochastic(6, 5, seed=4), "0", None, "3", 12, False),  # D > 4
+@pytest.mark.parametrize("walk, start, rho, target, horizon, all_stop, compact", [
+    (fixtures.example_branch_return(), "1", None, "0", 80, False, False),   # fibre dims 1 and 2
+    (fixtures.example_lattice_nonnormal(5), "0", None, "0", 80, False, False),
+    (fixtures.random_doubly_stochastic(6, 5, seed=4), "0", None, "3", 12, False, False),  # D > 4
     # the Kac shape: every move forced, so every trajectory returns at step 2
     (fixtures.example_branch_return(), "1",
-     conditioned_invariant_state(fixtures.example_branch_return(), "1"), "1", 10, True),
-    (leaky_walk(), "0", None, "1", 40, False),   # the target's class is a dead end
-    (fixtures.random_doubly_stochastic(8, 2, seed=3), "0", None, "5", 30, False),
-], ids=["walk0-1-0-80", "walk1-0-0-80", "walk2-0-3-12", "kac-shape", "leaky", "random-8-2"])
-def test_ensemble_follows_single_trajectory_paths(walk, start, rho, target, horizon, all_stop):
+     conditioned_invariant_state(fixtures.example_branch_return(), "1"), "1", 10, True, False),
+    (leaky_walk(), "0", None, "1", 40, False, False),   # the target's class is a dead end
+    (fixtures.random_doubly_stochastic(8, 2, seed=3), "0", None, "5", 30, False, False),
+    # room made after every step: the held classes, or every class while they
+    # are no more than the held, are kept with the moves known among them
+    (fixtures.example_branch_return(), "1", None, "0", 80, False, True),
+    (fixtures.example_lattice_nonnormal(5), "0", None, "0", 80, False, True),
+    (leaky_walk(), "0", None, "1", 40, False, True),
+    (fixtures.random_doubly_stochastic(8, 2, seed=3), "0", None, "5", 30, False, True),
+], ids=["walk0-1-0-80", "walk1-0-0-80", "walk2-0-3-12", "kac-shape", "leaky", "random-8-2",
+        "walk0-1-0-80-room", "walk1-0-0-80-room", "leaky-room", "random-8-2-room"])
+def test_ensemble_follows_single_trajectory_paths(walk, start, rho, target, horizon, all_stop,
+                                                  compact):
     # trajectory k of the ensemble walks the same sites as the single
     # sampler on stream (seed, offset + k), also once others have stopped
     from oqw.trajectory import _Ensemble
@@ -418,6 +426,8 @@ def test_ensemble_follows_single_trajectory_paths(walk, start, rho, target, hori
         for k in moving:
             paths[k].append(walk.sites[ens.positions[k]])
         ens.stop(ens.pos == j)
+        if compact:
+            ens._make_room(0)
     assert ens.active.sum() == 0 if all_stop else 0 < ens.active.sum() < n
     for k in range(n):
         rec = oqw.sample_trajectory(walk, start, rho, horizon, stop={"hit": target},
@@ -539,46 +549,55 @@ def test_sampler_tables_are_built_once_per_walk(make, monkeypatch):
 
 
 # sha256 of the hit, visit and position bytes of _run_hitting, computed with
-# the per-trajectory step that the class table replaced
+# the per-trajectory step that the class table replaced; each case builds its
+# walk, so a run can start from an empty class table
 PINNED_RUN_DIGESTS = [
-    ("branch", dict(walk=fixtures.example_branch_return(), i="1", rho=MIX, j="0",
-                    n_traj=400, horizon=40, seed=7, track_visits=True),
+    ("branch", fixtures.example_branch_return,
+     dict(i="1", rho=MIX, j="0", n_traj=400, horizon=40, seed=7, track_visits=True),
      "642a2e7960c0e7deadfb03f742ff38f53b09e422d70411768418110730afe278"),
-    ("lattice", dict(walk=fixtures.example_lattice_nonnormal(10), i="0", rho=MIX, j="0",
-                     n_traj=2000, horizon=300, seed=11, track_visits=False),
+    ("lattice", lambda: fixtures.example_lattice_nonnormal(10),
+     dict(i="0", rho=MIX, j="0", n_traj=2000, horizon=300, seed=11, track_visits=False),
      "7fe017f71a66c79dbc71d80d72d6a6ab2e3942f0b3db53558e8da43ad9c63a8d"),
-    ("random D=2", dict(walk=fixtures.random_doubly_stochastic(8, 2, seed=3), i="0", rho=MIX,
-                        j="5", n_traj=500, horizon=100, seed=3, track_visits=True),
+    ("random D=2", lambda: fixtures.random_doubly_stochastic(8, 2, seed=3),
+     dict(i="0", rho=MIX, j="5", n_traj=500, horizon=100, seed=3, track_visits=True),
      "e0930ea98e9face9a08172f43dec9742c332d77f23d5ba6ce6bef2f66502052c"),
     # k-th return runs, whose digests also cover the k-th return times: the
     # Kac shape, where every trajectory returns at every second step, and a
     # held set that decays as trajectories reach their third return
-    ("kac shape", dict(walk=fixtures.example_branch_return(), i="1",
-                       rho=conditioned_invariant_state(fixtures.example_branch_return(), "1"),
-                       j="1", n_traj=300, horizon=100, seed=9, track_visits=True,
-                       kth_return=40),
+    ("kac shape", fixtures.example_branch_return,
+     dict(i="1", rho=conditioned_invariant_state(fixtures.example_branch_return(), "1"),
+          j="1", n_traj=300, horizon=100, seed=9, track_visits=True, kth_return=40),
      "7e7bea91bb1e992d57132c2a8c3851f62aa6037af90fb75301c01e1f2547b4b0"),
-    ("random third return", dict(walk=fixtures.random_doubly_stochastic(8, 2, seed=3), i="0",
-                                 rho=MIX, j="0", n_traj=500, horizon=60, seed=5,
-                                 track_visits=True, kth_return=3),
+    ("random third return", lambda: fixtures.random_doubly_stochastic(8, 2, seed=3),
+     dict(i="0", rho=MIX, j="0", n_traj=500, horizon=60, seed=5, track_visits=True,
+          kth_return=3),
      "bb9e7c385753ebb8eeeac55cfd7b1db0a7d3eb2039351d7ab6b561b0a215f1a9"),
     # draw steps, a table rebuilt, then steps in which every held trajectory,
     # absorbed at 0 or 6, moves by force
-    ("ruin", dict(walk=fixtures.gamblers_ruin(7), i="3", rho=[[1.0]], j="6", n_traj=2000,
-                  horizon=200, seed=5, track_visits=True),
+    ("ruin", lambda: fixtures.gamblers_ruin(7),
+     dict(i="3", rho=[[1.0]], j="6", n_traj=2000, horizon=200, seed=5, track_visits=True),
      "64e2fd11dc82076729457167590a4d7a120bef27575d07d34b35b498ffdfd17e"),
 ]
 
 
-@pytest.mark.parametrize("one_slot", [False, True], ids=["hashed", "one slot"])
-@pytest.mark.parametrize("case, kwargs, digest", PINNED_RUN_DIGESTS,
-                         ids=[c[0] for c in PINNED_RUN_DIGESTS])
-def test_run_hitting_pinned_digests(case, kwargs, digest, one_slot, monkeypatch):
-    # one_slot hashes every class to one slot: classes merge only when their
-    # bytes match, so fewer are shared and nothing else changes
+def run_digest(walk, kwargs) -> str:
     import hashlib
 
-    from oqw.trajectory import _Ensemble, _run_hitting
+    from oqw.trajectory import _run_hitting
+
+    hit, visits, kth, ens = _run_hitting(walk, **kwargs)
+    return hashlib.sha256(hit.tobytes() + visits.tobytes() + ens.positions.tobytes()
+                          + (kth.tobytes() if "kth_return" in kwargs else b"")).hexdigest()
+
+
+@pytest.mark.parametrize("one_slot", [False, True], ids=["hashed", "one slot"])
+@pytest.mark.parametrize("case, make, kwargs, digest", PINNED_RUN_DIGESTS,
+                         ids=[c[0] for c in PINNED_RUN_DIGESTS])
+def test_run_hitting_pinned_digests(case, make, kwargs, digest, one_slot, monkeypatch):
+    # on a fresh walk, so the run builds its class table; one_slot hashes every
+    # class to one slot: classes merge only when their bytes match, so fewer
+    # are shared and nothing else changes
+    from oqw.trajectory import _Ensemble
 
     init = _Ensemble.__init__
 
@@ -588,11 +607,21 @@ def test_run_hitting_pinned_digests(case, kwargs, digest, one_slot, monkeypatch)
 
     if one_slot:
         monkeypatch.setattr(_Ensemble, "__init__", hash_to_one_slot)
-    hit, visits, kth, ens = _run_hitting(**kwargs)
-    got = hashlib.sha256(hit.tobytes() + visits.tobytes() + ens.positions.tobytes()
-                         + (kth.tobytes() if "kth_return" in kwargs else b""))
-    assert got.hexdigest() == digest
+    assert run_digest(make(), kwargs) == digest
 
+
+@pytest.mark.parametrize("case, make, kwargs, digest", PINNED_RUN_DIGESTS,
+                         ids=[c[0] for c in PINNED_RUN_DIGESTS])
+def test_run_hitting_pinned_digests_on_a_kept_class_table(case, make, kwargs, digest):
+    # a run on a walk that keeps the class table of earlier runs (where classes
+    # merge) gives the digest of a fresh walk: after the same run, and after a
+    # run from another start with another seed
+    walk = make()
+    got = [run_digest(walk, kwargs), run_digest(walk, kwargs)]
+    other = next(s for s in walk.sites if s != kwargs["i"])
+    d = walk.dims[other]
+    run_digest(walk, dict(kwargs, i=other, rho=np.eye(d) / d, seed=kwargs["seed"] + 1))
+    assert got + [run_digest(walk, kwargs)] == [digest] * 3
 
 @pytest.mark.parametrize("walk, start, rho, target, kth", [
     (fixtures.example_branch_return(), "1", MIX, "0", None),
@@ -619,9 +648,9 @@ def test_forced_moves_are_kept_by_class(walk, start, rho, target, kth):
 
 # sha256 of the sorted word counts of word_frequencies
 PINNED_WORD_DIGESTS = [
-    ("random D=2", (fixtures.random_doubly_stochastic(8, 2, seed=3), "0", 6, 2000, 4),
+    ("random D=2", (lambda: fixtures.random_doubly_stochastic(8, 2, seed=3), "0", 6, 2000, 4),
      "b1222e0704c0d9afac2bc32de6f5eb60be3c0bd0103da4b44ee1c9194868a254"),
-    ("lattice", (fixtures.example_lattice_nonnormal(10), "0", 8, 1500, 6),
+    ("lattice", (lambda: fixtures.example_lattice_nonnormal(10), "0", 8, 1500, 6),
      "0506c6b6820e6ac8281e65585f9f7a0905acfd502348560802a06abf700195b7"),
 ]
 
@@ -629,29 +658,110 @@ PINNED_WORD_DIGESTS = [
 @pytest.mark.parametrize("case, args, digest", PINNED_WORD_DIGESTS,
                          ids=[c[0] for c in PINNED_WORD_DIGESTS])
 def test_word_frequencies_pinned_digests(case, args, digest):
+    # on a fresh walk, again on that walk, and after a run on it from another
+    # start with another seed
     import hashlib
 
-    walk, i, length, n_traj, seed = args
-    got = word_frequencies(walk, i, MIX, length, n_traj, seed=seed)
-    assert hashlib.sha256(repr(sorted(got.items())).encode()).hexdigest() == digest
+    make, i, length, n_traj, seed = args
+    walk = make()
+
+    def run(i=i, seed=seed):
+        got = word_frequencies(walk, i, MIX, length, n_traj, seed=seed)
+        return hashlib.sha256(repr(sorted(got.items())).encode()).hexdigest()
+
+    got = [run(), run()]
+    run(walk.sites[1], seed + 1)
+    assert got + [run()] == [digest] * 3
 
 
-def test_stopped_martingale_pinned_digests(branch_walk, ruin_walk):
+def test_stopped_martingale_pinned_digests():
     # sha256 of the means and standard errors of two martingales stopped on
-    # leaving a domain: trajectories leave the held set at different steps
+    # leaving a domain: trajectories leave the held set at different steps;
+    # each on a fresh walk, again on that walk, and after a run on it from
+    # another start in the domain with another seed
     import hashlib
 
-    domain = ["1", "2"]
-    op = oqw.harmonic_operator(branch_walk, domain, "0")
+    branch, ruin = fixtures.example_branch_return(), fixtures.gamblers_ruin(11, 0.5)
+    domain, inner = ["1", "2"], [str(k) for k in range(1, 10)]
+    op = oqw.harmonic_operator(branch, domain, "0")
     obs = DiagonalObservable({str(k): np.array([[k / 10]], dtype=complex) for k in range(11)})
-    runs = [
-        (oqw.martingale_diagnostic(branch_walk, op, "1", MIX, n_traj=3000, horizon=60,
-                                   seed=25, stop_domain=domain),
+    cases = [
+        ((branch, op, "1", MIX, 3000, 60, 25, domain), "2",
          "77f21d0e10145637917877d7d8492821330bacc180c9477bac580cbedbf4879f"),
-        (oqw.martingale_diagnostic(ruin_walk, obs, "5", np.array([[1.0]]), n_traj=2000,
-                                   horizon=80, seed=26, stop_domain=[str(k) for k in range(1, 10)]),
+        ((ruin, obs, "5", np.array([[1.0]]), 2000, 80, 26, inner), "4",
          "2fbad08a0dc6734b66392bfb855b14f7f6e1c7652d3b0d84c49b419427df44ac"),
     ]
-    for rep, digest in runs:
-        got = hashlib.sha256(rep.means.tobytes() + rep.standard_errors.tobytes())
-        assert got.hexdigest() == digest
+    for (walk, a, i, rho, n_traj, horizon, seed, stop), other, digest in cases:
+        def run(i=i, rho=rho, seed=seed):
+            rep = oqw.martingale_diagnostic(walk, a, i, rho, n_traj=n_traj, horizon=horizon,
+                                            seed=seed, stop_domain=stop)
+            return hashlib.sha256(rep.means.tobytes() + rep.standard_errors.tobytes()).hexdigest()
+
+        got = [run(), run()]
+        d = walk.dims[other]
+        run(other, np.eye(d) / d, seed + 1)
+        assert got + [run()] == [digest] * 3
+
+
+# ---------------------------------------------------------------------------
+# the class table a walk keeps between sampler runs
+
+
+def test_ensembles_live_on_one_walk_at_once_match_their_solo_runs():
+    # the first ensemble takes the class table the walk kept, the second finds
+    # none and builds its own; stepped in alternation, each walks the sites it
+    # walks alone on a fresh walk, and a later run matches one on a fresh walk
+    from oqw.trajectory import _Ensemble
+
+    def paths(walk, starts, horizon=60):
+        ensembles = [_Ensemble(walk, i, MIX, 500, seed) for i, seed in starts]
+        classes = [ens.n_cls for ens in ensembles]   # at the start
+        rows = [[ens.positions] for ens in ensembles]
+        for _ in range(horizon):
+            for ens, row in zip(ensembles, rows):
+                ens.step()
+                row.append(ens.positions)
+        for ens in ensembles:
+            ens.release()
+        return classes, [np.array(row) for row in rows]
+
+    def make():
+        return fixtures.example_lattice_nonnormal(10)
+
+    kwargs = dict(i="0", rho=MIX, j="3", n_traj=500, horizon=60, seed=4, track_visits=True)
+    walk, starts = make(), [("0", 11), ("2", 12)]
+    run_digest(walk, kwargs)
+    classes, together = paths(walk, starts)
+    assert classes[0] > 1 == classes[1]
+    for start, got in zip(starts, together):
+        assert np.array_equal(got, paths(make(), [start])[1][0])
+    assert run_digest(walk, kwargs) == run_digest(make(), kwargs)
+
+
+def test_a_run_that_raises_puts_no_class_table_back():
+    # a run that meets a dead end part-way keeps the table it took; the next
+    # run on the walk starts its own and matches a run on a fresh walk
+    walk, rho = leaky_walk(), np.eye(2) / 2
+    kwargs = dict(i="0", rho=rho, j="1", n_traj=300, horizon=40, seed=3, track_visits=False)
+    run_digest(walk, kwargs)
+    kept = walk._store[("sampler",)][-1]
+    assert "table" in kept
+    with pytest.raises(NumericalError, match="dead end at site '1' during sampling"):
+        word_frequencies(walk, "0", rho, 20, 50, seed=3)
+    assert "table" not in kept
+    assert run_digest(walk, kwargs) == run_digest(leaky_walk(), kwargs)
+
+
+def test_kept_class_table_stays_bounded():
+    # repeating mc-lattice's call adds no class after the second call; a walk
+    # whose classes never merge keeps no class table
+    walk = fixtures.example_lattice_nonnormal(50)
+    rows = []
+    for _ in range(5):
+        oqw.estimate_hitting(walk, "0", MIX, "0", n_traj=5000, horizon=300, seed=7,
+                             track_visits=False)
+        rows.append(walk._store[("sampler",)][-1]["table"]["n_cls"])
+    assert rows[1] == rows[4]
+    walk = fixtures.random_doubly_stochastic(8, 2, seed=3)
+    oqw.estimate_hitting(walk, "0", MIX, "5", n_traj=500, horizon=100, seed=3)
+    assert walk._store[("sampler",)][-1] == {}
