@@ -27,6 +27,7 @@ PROB_FLOOR = 1e-14   # transition weights below this count as zero
 SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
 HARMONIC_TOL = 1e-8  # residual up to which an observable counts as harmonic
 UNSEEN, DRAW, DEAD = -1, -2, -3  # besides a class: not yet known / drawn / no positive weight
+KEPT_TABLE_ROWS = 1 << 12  # rows of the largest class table a walk keeps (128 B a row at D=K=2)
 
 
 def _renorm_tol(walk: WalkSpec) -> float:
@@ -237,10 +238,9 @@ class _Ensemble:
         first = np.zeros((1, d * d), dtype=COMPLEX)
         first.reshape(d, d)[:rho.shape[0], :rho.shape[0]] = rho
         vars(self).update(self.merging and self.kept.pop("table", None) or self._new_table(1))
-        self.site[self.n_cls], self.vec[self.n_cls] = s0, first[0]   # looked up in a free row
-        start = self._merge(np.array([self.n_cls]))[0] if self.merging else self.n_cls
-        if start == self.n_cls:
-            self._append(np.array([s0]), first)
+        new = self._append(np.array([s0]), first)   # in the free row a kept table has
+        start = self._merge(new)[0] if self.merging else new[0]
+        self.n_cls -= int(start < new[0])   # the table knew the start: the row is free again
         self.cls, self.held = np.full(n_traj, start), np.arange(n_traj)
         self.final = np.full(n_traj, s0, dtype=np.int64)   # sites where trajectories stopped
         self.active = np.ones(n_traj, dtype=bool)
@@ -273,9 +273,9 @@ class _Ensemble:
         return self.uniforms[:, col]
 
     def release(self) -> None:
-        """End the run: stop the held trajectories and put the class table back."""
+        """End the run: stop the held trajectories, put back a table within ``KEPT_TABLE_ROWS``."""
         self.stop(np.ones(self.held.size, dtype=bool))
-        if self.merging and self.n_cls < self.site.size:   # a free row for the next start
+        if self.merging and self.n_cls < self.site.size <= KEPT_TABLE_ROWS:
             self.kept["table"] = {name: vars(self)[name] for name in (
                 "n_cls", "site", "vec", "cum", "next", "child", "slots", "shift", "renormalizing")}
 
@@ -375,14 +375,16 @@ class _Ensemble:
         return np.arange(n, new.stop)
 
     def _make_room(self, need: int) -> None:
-        """Keep the held trajectories' classes (every class, where classes merge and
-        number at most the held), in order, with their weights and the successors
-        among them, in a table of at least four rows per class kept or ``need``ed."""
-        keep = np.arange(self.n_cls)
-        if not self.merging or self.n_cls > self.cls.size:
-            keep, self.cls = np.unique(self.cls, return_inverse=True)
+        """Keep the classes a pointer reaches (the held ones' if more, or not merging), in order,
+        with weights and successors among them, in at least 4 rows per class kept or ``need``ed."""
+        used = np.zeros(self.n_cls + 3, dtype=bool)   # by class, then the marks
+        used[np.concatenate((self.cls, self.next, self.child.ravel(), self.slots))
+             if self.merging else self.cls] = True   # none reaches a row _merge replaced
+        if (keep := np.flatnonzero(used[:self.n_cls])).size > self.cls.size:
+            keep = np.flatnonzero(np.bincount(self.cls, minlength=self.n_cls))
         remap = np.full(self.n_cls + 3, UNSEEN)   # by old class (dropped: UNSEEN), then marks
         remap[keep], remap[DEAD], remap[DRAW] = np.arange(keep.size), DEAD, DRAW
+        self.cls = remap[self.cls]
         rows = (self.site[keep], np.take(self.vec, keep, axis=0), self.cum[:, keep],
                 remap[self.next[keep]], remap[self.child[keep]])
         cap = self.site.size
@@ -396,8 +398,8 @@ class _Ensemble:
     def _new_table(self, cap: int, n: int = 0) -> dict:
         """A table of ``cap`` rows (a power of two), ``n`` in use, with two merge slots a row."""
         return dict(n_cls=n, shift=np.uint64(64 - cap.bit_length()), site=np.empty(cap, np.int64),
-                    next=np.empty(cap, np.int64), vec=np.empty((cap, self.dmax ** 2), COMPLEX),
-                    cum=np.empty((self.k, cap)), child=np.empty((cap, self.k), np.int64),
+                    next=np.full(cap, UNSEEN), vec=np.empty((cap, self.dmax ** 2), COMPLEX),
+                    cum=np.empty((self.k, cap)), child=np.full((cap, self.k), UNSEEN),
                     slots=np.zeros(2 * cap if self.merging else 0, dtype=np.intp))
 
 

@@ -400,8 +400,8 @@ def test_ensemble_raises_at_a_dead_end(walk, start):
      conditioned_invariant_state(fixtures.example_branch_return(), "1"), "1", 10, True, False),
     (leaky_walk(), "0", None, "1", 40, False, False),   # the target's class is a dead end
     (fixtures.random_doubly_stochastic(8, 2, seed=3), "0", None, "5", 30, False, False),
-    # room made after every step: the held classes, or every class while they
-    # are no more than the held, are kept with the moves known among them
+    # room made after every step: the held classes, or every class a pointer reaches
+    # while they are no more than the held, are kept with the moves known among them
     (fixtures.example_branch_return(), "1", None, "0", 80, False, True),
     (fixtures.example_lattice_nonnormal(5), "0", None, "0", 80, False, True),
     (leaky_walk(), "0", None, "1", 40, False, True),
@@ -750,6 +750,40 @@ def test_a_run_that_raises_puts_no_class_table_back():
         word_frequencies(walk, "0", rho, 20, 50, seed=3)
     assert "table" not in kept
     assert run_digest(walk, kwargs) == run_digest(leaky_walk(), kwargs)
+
+
+def test_making_room_keeps_no_row_merging_replaced():
+    # a row that _merge replaced is reached by no pointer, and making room drops
+    # it, so no slot leads a later merge to a row whose successors are all unknown
+    from oqw.trajectory import _Ensemble
+
+    ens = _Ensemble(fixtures.example_lattice_nonnormal(10), "0", MIX, 500, 3)
+    for _ in range(30):
+        ens.step()
+    rows = ens.n_cls
+    ens._make_room(0)
+    n = ens.n_cls
+    pointed = np.concatenate((ens.cls, ens.next[:n], ens.child[:n].ravel()))
+    assert n < rows
+    assert set(ens.slots.tolist()) <= set(pointed[pointed >= 0].tolist()) | {0}
+
+
+def test_a_walk_keeps_no_class_table_over_its_row_budget():
+    # a run whose table outgrows KEPT_TABLE_ROWS leaves none on the walk; a later
+    # small run then keeps its own small one and answers as on a fresh walk
+    from oqw.trajectory import KEPT_TABLE_ROWS, _run_hitting
+
+    def make():   # states merge only at the absorbing ends, so classes are many
+        return fixtures.example_lattice_normal(0.3, 0.6, 20)
+
+    big = dict(i="0", rho=MIX, j="0", n_traj=2000, horizon=100, seed=3, track_visits=False)
+    small = dict(big, n_traj=100, seed=4)
+    walk = make()
+    assert _run_hitting(walk, **big)[3].site.size > KEPT_TABLE_ROWS
+    kept = walk._store[("sampler",)][-1]
+    assert "table" not in kept
+    assert run_digest(walk, small) == run_digest(make(), small)
+    assert kept["table"]["site"].size <= KEPT_TABLE_ROWS
 
 
 def test_kept_class_table_stays_bounded():
