@@ -27,7 +27,7 @@ PROB_FLOOR = 1e-14   # transition weights below this count as zero
 SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
 HARMONIC_TOL = 1e-8  # residual up to which an observable counts as harmonic
 UNSEEN, DRAW, DEAD = -1, -2, -3  # besides a class: not yet known / drawn / no positive weight
-KEPT_TABLE_ROWS = 1 << 12  # rows of the largest class table a walk keeps (128 B a row at D=K=2)
+KEPT_TABLE_ROWS = 1 << 12  # rows of the largest class table a walk keeps (112 B a row at D=K=2)
 
 
 def _renorm_tol(walk: WalkSpec) -> float:
@@ -162,7 +162,7 @@ def _trace_table(mats: np.ndarray) -> np.ndarray:
 
 def _sampler_tables(walk: WalkSpec) -> tuple:
     """:class:`_Ensemble`'s tables, kept in the walk's store: ``D``, ``K``, per (site, successor)
-    its target, Gram rows, superoperator, block, merge flag (read-only); the kept class table."""
+    its target, Gram rows, superoperator, block, lookup flag (read-only); the kept class table."""
     d = max(walk.dims.values())
     succ, sites = walk._graph.succ, walk.sites
     k_max = max(1, max(len(row) for row in succ))
@@ -178,7 +178,7 @@ def _sampler_tables(walk: WalkSpec) -> tuple:
     superop = (np.einsum("kac,kbd->kabcd", blocks, blocks.conj()).reshape(-1, d * d, d * d)
                if d <= SUPEROP_MAX_DIM else None)
     # blocks of rank one or a multiple of the source fibre's identity bring
-    # different paths to one state: their results are merged (_merge)
+    # different paths to one state: a result is looked up before a row is made (_classes)
     eye = np.arange(d) < np.repeat([walk.dims[s] for s in walk.sites], k_max)[:, None]
     lookup = (np.linalg.matrix_rank(blocks) == 1) | np.all(
         blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
@@ -201,9 +201,11 @@ class _Ensemble:
     A class with one successor of positive weight keeps in ``next`` the class
     its forced move leads to (``UNSEEN`` until a step without a draw takes it),
     so a step in which every move is forced costs each trajectory one lookup.
-    A class's bytes depend on its path alone, so where classes merge the table
-    is the walk's: a run takes it from the walk's store, or starts its own when
-    none is there, and puts it back in :meth:`release` for later runs.
+    A state a ``lookup`` block leads to is looked up by site and bytes in the dict
+    ``known`` before a row is made.  A class's bytes depend on its path alone, so
+    where classes merge the table is the walk's: a run takes it from the walk's
+    store, or starts its own when none is there, and puts it back in
+    :meth:`release` for later runs.
 
     Only active trajectories are held (``held``: global indices, ``cls``: their
     classes); a step touches arrays aligned with ``held`` only.  :meth:`stop` is
@@ -230,17 +232,13 @@ class _Ensemble:
         d, self.k, self.targets, self.gram, self.superop, self.blocks, self.lookup = tables[:7]
         self.dmax, self.kept = d, tables[7]
         self.diag = np.arange(d) * (d + 1)
-        self.merging = bool(self.lookup.any())   # else no slot is kept, nor the table
-        # odd multiples of 2^64 / golden ratio hash a site and the 2*D*D words of its state
-        self.mult = np.arange(1, 4 * d * d + 3, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        self.merging = bool(self.lookup.any())   # else no class is looked up, nor the table kept
         self.renormalizing = False              # some class's weights need renormalizing
         s0 = self.site_index[_site_id(i)]
         first = np.zeros((1, d * d), dtype=COMPLEX)
         first.reshape(d, d)[:rho.shape[0], :rho.shape[0]] = rho
         vars(self).update(self.merging and self.kept.pop("table", None) or self._new_table(1))
-        new = self._append(np.array([s0]), first)   # in the free row a kept table has
-        start = self._merge(new)[0] if self.merging else new[0]
-        self.n_cls -= int(start < new[0])   # the table knew the start: the row is free again
+        start = self._classes(np.array([s0]), first, np.ones(1, dtype=bool))[0]
         self.cls, self.held = np.full(n_traj, start), np.arange(n_traj)
         self.final = np.full(n_traj, s0, dtype=np.int64)   # sites where trajectories stopped
         self.active = np.ones(n_traj, dtype=bool)
@@ -277,7 +275,7 @@ class _Ensemble:
         self.stop(np.ones(self.held.size, dtype=bool))
         if self.merging and self.n_cls < self.site.size <= KEPT_TABLE_ROWS:
             self.kept["table"] = {name: vars(self)[name] for name in (
-                "n_cls", "site", "vec", "cum", "next", "child", "slots", "shift", "renormalizing")}
+                "n_cls", "site", "vec", "cum", "next", "child", "known", "renormalizing")}
 
     def stop(self, done: np.ndarray) -> np.ndarray:
         """Stop the held trajectories flagged in ``done``; returns their indices."""
@@ -335,31 +333,30 @@ class _Ensemble:
             new = (L @ vecs.reshape(-1, d, d) @ np.swapaxes(L, 1, 2).conj()).reshape(-1, d * d)
         re_im = new.view(np.float64)
         re_im /= new[:, self.diag].real.sum(axis=1)[:, None]   # unit trace
-        ids = self._append(self.targets[flat], new)
-        if self.merging:
-            look = np.flatnonzero(self.lookup[flat])
-            ids[look] = self._merge(ids[look])
-        child[lead] = ids
+        child[lead] = self._classes(self.targets[flat], new, self.lookup[flat])
         return child[pairs]
 
-    def _merge(self, ids: np.ndarray) -> np.ndarray:
-        """The classes ``ids``, each replaced by the class its slot shows when
-        that holds the same site and state byte for byte, else entered there;
-        a replaced row is left unused."""
-        words = np.take(self.vec, ids, axis=0).view(np.uint64)
-        h = words @ self.mult[1:] + self.site[ids].view(np.uint64) * self.mult[0]
-        slot = (h >> self.shift).astype(np.intp)
-        old = self.slots[slot]
-        known = (self.site[old] == self.site[ids]) & (
-            np.take(self.vec, old, axis=0).view(np.uint64) == words).all(axis=1)
-        self.slots[slot[~known]] = ids[~known]
-        return np.where(known, old, ids)
+    def _classes(self, sites: np.ndarray, vecs: np.ndarray, look: np.ndarray) -> np.ndarray:
+        """Classes of the rows ``(sites, vecs)``: where ``look`` is set, the class of that
+        site and state byte for byte (``known``), made once; elsewhere a new class each."""
+        if not look.any():   # every row new: no selection of rows to copy
+            return self._append(sites, vecs)
+        ids, lead, new = np.full(sites.size, UNSEEN), np.arange(sites.size), {}
+        for r in np.flatnonzero(look).tolist():
+            key = (int(sites[r]), vecs[r].tobytes())
+            ids[r] = self.known.get(key, UNSEEN)
+            if ids[r] < 0:
+                lead[r] = new.setdefault(key, r)   # the batch's first row of this key
+        make = np.flatnonzero((ids < 0) & (lead == np.arange(sites.size)))
+        ids[make] = self._append(sites[make], np.take(vecs, make, axis=0))
+        self.known.update(zip(new, ids[list(new.values())].tolist()))
+        return ids[lead]
 
     def _append(self, sites: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """Ids of new classes for the rows ``(sites, vecs)``."""
         n = self.n_cls
         new = slice(n, n + sites.size)
-        self.site[new], self.vec[new], self.child[new] = sites, vecs, UNSEEN
+        self.site[new], self.vec[new] = sites, vecs   # child is UNSEEN past n_cls
         w = np.einsum("bkj,bj->bk", np.take(self.gram, sites, axis=0), vecs.view(np.float64))
         w[w < PROB_FLOOR] = 0.0
         cum = self.cum[:, new]                  # cumulative sums, one row per successor
@@ -375,11 +372,12 @@ class _Ensemble:
         return np.arange(n, new.stop)
 
     def _make_room(self, need: int) -> None:
-        """Keep the classes a pointer reaches (the held ones' if more, or not merging), in order,
-        with weights and successors among them, in at least 4 rows per class kept or ``need``ed."""
+        """Keep the classes a pointer or ``known`` reaches (the held ones' if more, or not merging),
+        in order, with what is known among them, in at least 4 rows per class kept or ``need``ed."""
+        ids = np.fromiter(self.known.values(), np.int64, len(self.known))
         used = np.zeros(self.n_cls + 3, dtype=bool)   # by class, then the marks
-        used[np.concatenate((self.cls, self.next, self.child.ravel(), self.slots))
-             if self.merging else self.cls] = True   # none reaches a row _merge replaced
+        used[np.concatenate((self.cls, self.next, self.child.ravel(), ids))
+             if self.merging else self.cls] = True
         if (keep := np.flatnonzero(used[:self.n_cls])).size > self.cls.size:
             keep = np.flatnonzero(np.bincount(self.cls, minlength=self.n_cls))
         remap = np.full(self.n_cls + 3, UNSEEN)   # by old class (dropped: UNSEEN), then marks
@@ -387,20 +385,16 @@ class _Ensemble:
         self.cls = remap[self.cls]
         rows = (self.site[keep], np.take(self.vec, keep, axis=0), self.cum[:, keep],
                 remap[self.next[keep]], remap[self.child[keep]])
-        cap = self.site.size
-        while 4 * (keep.size + need) > cap:
-            cap *= 2
-        vars(self).update(self._new_table(cap, n := keep.size))
+        cap = max(self.site.size, 4 * (keep.size + need))
+        known = {key: c for key, c in zip(self.known, remap[ids].tolist()) if c >= 0}
+        vars(self).update(self._new_table(cap, n := keep.size), known=known)
         self.site[:n], self.vec[:n], self.cum[:, :n], self.next[:n], self.child[:n] = rows
-        if self.merging:
-            self._merge(np.arange(n))
 
     def _new_table(self, cap: int, n: int = 0) -> dict:
-        """A table of ``cap`` rows (a power of two), ``n`` in use, with two merge slots a row."""
-        return dict(n_cls=n, shift=np.uint64(64 - cap.bit_length()), site=np.empty(cap, np.int64),
-                    next=np.full(cap, UNSEEN), vec=np.empty((cap, self.dmax ** 2), COMPLEX),
-                    cum=np.empty((self.k, cap)), child=np.full((cap, self.k), UNSEEN),
-                    slots=np.zeros(2 * cap if self.merging else 0, dtype=np.intp))
+        """A table of ``cap`` rows, ``n`` in use, and no class known by its bytes."""
+        return dict(n_cls=n, known={}, site=np.empty(cap, np.int64), next=np.full(cap, UNSEEN),
+                    vec=np.empty((cap, self.dmax ** 2), COMPLEX), cum=np.empty((self.k, cap)),
+                    child=np.full((cap, self.k), UNSEEN))
 
 
 def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int,
@@ -530,7 +524,7 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> K
     """
     if k_max < 1:
         raise InputError("k_max must be >= 1")
-    s = _site_id(i)
+    s = _known_sites(walk, [i])[0]
     deco = decompose(walk)
     tau, fixed_dim = deco.invariant, deco.fixed_dim
     if tau is None:
@@ -603,6 +597,8 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
         raise InputError("horizon must be >= 1")
     stepped = dual_apply(walk, a)
     check_sites = walk.sites if stop_domain is None else _known_sites(walk, stop_domain)
+    if _known_sites(walk, [i])[0] not in check_sites:
+        raise InputError("start site lies outside the stopping domain")
     worst = 0.0
     for sname in check_sites:
         d = walk.dims[sname]

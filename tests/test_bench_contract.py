@@ -1,10 +1,11 @@
-"""One checked pass of the benchmark's exact workloads.
+"""One checked pass of the benchmark's workloads.
 
 ``bench/workloads.py`` calls the public ``oqw`` API and checks every answer
 against references it computes itself (closed forms, dense solves written
-from the transition blocks, the Kac target of example-5.4).  One pass of its
-exact-lattice, domain-dirichlet and mc-kac queries here makes a library
-change that breaks what the benchmark calls or reads fail in the test suite.
+from the transition blocks, the Kac target of example-5.4).  One pass of the
+queries of every workload here makes a library change that breaks what the
+benchmark calls or reads fail in the test suite; mc-lattice's second query
+runs on the class table its first one leaves on the walk.
 """
 
 import importlib.util
@@ -41,7 +42,7 @@ def tracing():
     del sys.modules["bench_tracing"]
 
 
-@pytest.mark.parametrize("name", ["exact-lattice", "domain-dirichlet", "mc-kac"])
+@pytest.mark.parametrize("name", ["exact-lattice", "domain-dirichlet", "mc-kac", "mc-lattice"])
 def test_benchmark_queries_pass_their_checks(workloads, name):
     build, queries = workloads.WORKLOADS[name]
     failures = {}

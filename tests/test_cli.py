@@ -404,6 +404,8 @@ BAD_INPUT = {
     # an unknown --to site of the sampler
     "to-simulate": ["simulate", *W54, "--from", "1", "--to", "9", "--rho", "mixed",
                     "--n-traj", "5", "--horizon", "3"],
+    # an unknown --site of the return-time sampler
+    "site-kac": ["kac", *W54, "--site", "zzz", "--n-traj", "10", "--k-max", "3"],
     # a sampler run with no trajectory, no step or no return to count
     "simulate-horizon": ["simulate", *W54, "--from", "1", "--to", "0", "--rho", "mixed",
                          "--n-traj", "5", "--horizon", "0"],

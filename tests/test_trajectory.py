@@ -188,6 +188,11 @@ def test_kac_rejects_site_outside_every_enclosure():
         oqw.estimate_kac(walk, "1", n_traj=10, k_max=10, seed=21)
 
 
+def test_kac_names_an_unknown_site():
+    with pytest.raises(InputError, match=r"unknown sites \['zzz'\]"):
+        oqw.estimate_kac(fixtures.example_branch_return(), "zzz", n_traj=10, k_max=3)
+
+
 def test_kac_decomposes_once_per_walk(monkeypatch):
     from oqw import structure
 
@@ -271,7 +276,8 @@ def test_sampler_entries_check_sites_and_start_state(branch_walk):
                 run("1", rho, "2")
 
 
-# a sampler run with no trajectory, no step or no return to count
+# a sampler run with no trajectory, no step or no return to count, or one
+# stopped before its first step
 EMPTY_RUNS = {
     "estimate_hitting-n_traj": (lambda w: oqw.estimate_hitting(w, "1", MIX, "2", 0, 3),
                                 "n_traj must be >= 1"),
@@ -285,6 +291,9 @@ EMPTY_RUNS = {
         w, identity_observable(w), "1", MIX, 0, 3), "n_traj must be >= 1"),
     "martingale-horizon": (lambda w: oqw.martingale_diagnostic(
         w, identity_observable(w), "1", MIX, 5, 0), "horizon must be >= 1"),
+    "martingale-start-outside": (lambda w: oqw.martingale_diagnostic(
+        w, identity_observable(w), "1", MIX, 5, 3, stop_domain=[]),
+        "start site lies outside the stopping domain"),
     "words-n_traj": (lambda w: word_frequencies(w, "1", MIX, 3, 0), "n_traj must be >= 1"),
     "words-length": (lambda w: word_frequencies(w, "1", MIX, 0, 5), "length must be >= 1"),
 }
@@ -590,23 +599,10 @@ def run_digest(walk, kwargs) -> str:
                           + (kth.tobytes() if "kth_return" in kwargs else b"")).hexdigest()
 
 
-@pytest.mark.parametrize("one_slot", [False, True], ids=["hashed", "one slot"])
 @pytest.mark.parametrize("case, make, kwargs, digest", PINNED_RUN_DIGESTS,
                          ids=[c[0] for c in PINNED_RUN_DIGESTS])
-def test_run_hitting_pinned_digests(case, make, kwargs, digest, one_slot, monkeypatch):
-    # on a fresh walk, so the run builds its class table; one_slot hashes every
-    # class to one slot: classes merge only when their bytes match, so fewer
-    # are shared and nothing else changes
-    from oqw.trajectory import _Ensemble
-
-    init = _Ensemble.__init__
-
-    def hash_to_one_slot(self, *args, **kw):
-        init(self, *args, **kw)
-        self.mult[:] = 0
-
-    if one_slot:
-        monkeypatch.setattr(_Ensemble, "__init__", hash_to_one_slot)
+def test_run_hitting_pinned_digests(case, make, kwargs, digest):
+    # on a fresh walk, so the run builds its class table
     assert run_digest(make(), kwargs) == digest
 
 
@@ -752,20 +748,27 @@ def test_a_run_that_raises_puts_no_class_table_back():
     assert run_digest(walk, kwargs) == run_digest(leaky_walk(), kwargs)
 
 
-def test_making_room_keeps_no_row_merging_replaced():
-    # a row that _merge replaced is reached by no pointer, and making room drops
-    # it, so no slot leads a later merge to a row whose successors are all unknown
+@pytest.mark.parametrize("case", ["ruin", "lattice"])
+def test_a_class_table_holds_each_state_once(case):
+    # every block of these walks is looked up, so the kept table holds each
+    # (site, state bytes) in one row, and after room is made every known entry
+    # leads to a kept row with exactly its bytes
     from oqw.trajectory import _Ensemble
 
-    ens = _Ensemble(fixtures.example_lattice_nonnormal(10), "0", MIX, 500, 3)
-    for _ in range(30):
+    _, make, kwargs, _ = next(c for c in PINNED_RUN_DIGESTS if c[0] == case)
+    walk = make()
+    run_digest(walk, kwargs)
+    table = walk._store[("sampler",)][-1]["table"]
+    n = table["n_cls"]
+    rows = list(zip(table["site"][:n].tolist(), (v.tobytes() for v in table["vec"][:n])))
+    assert len(set(rows)) == n > 1
+    ens = _Ensemble(walk, kwargs["i"], kwargs["rho"], 500, kwargs["seed"] + 1)
+    for _ in range(20):
         ens.step()
-    rows = ens.n_cls
     ens._make_room(0)
-    n = ens.n_cls
-    pointed = np.concatenate((ens.cls, ens.next[:n], ens.child[:n].ravel()))
-    assert n < rows
-    assert set(ens.slots.tolist()) <= set(pointed[pointed >= 0].tolist()) | {0}
+    assert ens.known and all(
+        0 <= c < ens.n_cls and (ens.site[c], ens.vec[c].tobytes()) == key
+        for key, c in ens.known.items())
 
 
 def test_a_walk_keeps_no_class_table_over_its_row_budget():
