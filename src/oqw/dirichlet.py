@@ -3,13 +3,16 @@
 The domain problem ``(Id - dual step)(Z) = A on D, Z = B on the boundary``
 is one block system: with ``K_DD`` the one-step map inside ``D`` and
 ``K_{bnd,D}`` the step from ``D`` onto its boundary,
-``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``, read from the domain's
-certified exit law ``X`` (``hitting._exit_law``, which harmonic operators read
-too; the walk keeps it for the four domains built last).  A domain that fails
-the certificate traps mass in an invariant part T that never exits; the law
-then comes from the compression to the complement of T, and interior data on
-a site with a trapped direction is reported as a divergent visit operator.
-The whole-space problem is one solve with every site in the domain.
+``(Id - K_DD^dag) z = vec(A) + K_{bnd,D}^dag vec(B)``.  One private solve reads
+it from the domain's certified exit law ``X`` (``hitting._exit_law``; the walk
+keeps it for the four domains built last) as ``X vec(B)`` plus the law's kept
+factor applied to ``vec(A)``, held to the certificate's residual gate.  A
+harmonic operator is that solve with ``B = Id`` at one boundary site, and the
+whole-space problem is that solve on the all-sites domain, which has no
+boundary.  A domain that fails the certificate traps mass in an invariant
+part T that never exits; the law then comes from the compression to the
+complement of T, and data on a site with a trapped direction is reported as
+a divergent visit operator.
 Under detailed balance the problem is also solved variationally, as the
 stationarity system of the energy functional.  All of these restrict the
 solution to ``D`` plus its boundary (the free part outside is set to zero).
@@ -22,10 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hitting import (CERTIFICATE_RESIDUAL_TOL, DomainSolve, _boundary, _domain_blocks,
-                      _domain_sites, _exit_law)
+from .hitting import DomainSolve, _boundary, _domain_sites, _exit_law
 from .hitting import boundary as domain_boundary
-from .linalg import COMPLEX, herm, psd_sqrt, vec
+from .linalg import COMPLEX, herm, psd_sqrt
 from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
 from .walk import (
     DiagonalObservable,
@@ -98,63 +100,58 @@ UNIQUENESS_NOTE = ("unique up to an operator supported outside the domain "
                    "and its boundary; that part is set to zero here")
 
 
-def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> DirichletSolution:
-    """Solution on a finite domain from its certified exit law ``X``.
+def _solve(walk: WalkSpec, inner: list[int], outer: list[int], a: DiagonalObservable,
+           b: DiagonalObservable, trapped_message: str = "") -> tuple[DomainSolve, dict]:
+    """The one Dirichlet solve, ``z = X vec(B) + (Id - K_DD^dag)^{-1} vec(A)`` on the
+    domain at positions ``inner`` with boundary ``outer``: the law and z's Hermitian
+    blocks.  ``A`` nonzero on a site with a trapped direction has a divergent
+    visit operator: NumericalError(``trapped_message`` formatted with the site)."""
+    system, law = _exit_law(walk, inner, outer)
+    for j in law.trapped:
+        if np.abs(a.block(j, walk.dims[j])).max(initial=0.0) != 0.0:
+            raise NumericalError(trapped_message.format(site=j),
+                                 {"site": j, "trapped_sites": list(law.trapped)})
+    z, interior = law.x @ system.outer.pack(b), system.inner.pack(a)
+    if interior.any():
+        z = z + law.resolve(interior)
+    return law, {s: herm(blk) for s, blk in system.inner.unpack(z).items()}
 
-    ``z = (Id - K_DD^dag)^{-1} vec(A) + X vec(B)`` on D with the boundary
-    condition imposed exactly, the first term by the law's kept factor;
+
+def solve_dirichlet_domain(walk: WalkSpec, problem: DirichletProblem) -> DirichletSolution:
+    """Solution on a finite domain from its certified exit law (:func:`_solve`),
+    with the boundary condition imposed exactly.
+
     ``method`` is ``"block_solve"``, or ``"compressed"`` when the domain traps
     mass and the law ran on the complement of the trapped part.  Interior
     data on a site with a trapped direction has a divergent visit operator:
     :class:`NumericalError`.
     """
-    D = problem.domain
+    D, a, b = problem.domain, problem.interior_data, problem.boundary_data
     inner = _domain_sites(walk, D)[1]
-    system, law = _exit_law(walk, inner, _boundary(walk, inner))
-    a, b, bnd = problem.interior_data, problem.boundary_data, system.outer.sites
-    _reject_trapped_data(walk, a, law, "domain visit operator diverges at {site!r}; "
-                         "the walk is not irreducible on this domain (try decompose())")
-    x, interior = law.x @ system.outer.pack(b), system.inner.pack(a)
-    if interior.any():   # the law's kept factor, held to the certificate's residual gate
-        y = law.resolve(interior)
-        r = system.A.conj().T @ y - interior   # off the trapped part when compressed
-        r = float(np.linalg.norm(r if law.lift is None else law.lift.conj().T @ r))
-        if r > CERTIFICATE_RESIDUAL_TOL * np.linalg.norm(interior):
-            raise NumericalError("the interior solve misses its residual gate", {"residual": r})
-        x = x + y
-    solved = {s: herm(blk) for s, blk in system.inner.unpack(x).items()}
+    outer = _boundary(walk, inner)
+    law, solved = _solve(walk, inner, outer, a, b, "domain visit operator diverges at "
+                         "{site!r}; the walk is not irreducible on this domain (try decompose())")
+    bnd = tuple(map(walk.sites.__getitem__, outer))
     z = DiagonalObservable({j: b.block(j, walk.dims[j]) for j in bnd} | {i: solved[i] for i in D})
     return DirichletSolution(
         solution=z, residuals=_residuals(walk, z, a, D), boundary_sites=bnd,
         method=law.method, uniqueness_note=UNIQUENESS_NOTE)
 
 
-def _reject_trapped_data(walk: WalkSpec, a: DiagonalObservable, solve: DomainSolve,
-                         message: str) -> None:
-    """NumericalError(``message`` formatted with the site) when ``a`` is
-    nonzero on a site with a trapped direction."""
-    for j in solve.trapped:
-        if np.abs(a.block(j, walk.dims[j])).max(initial=0.0) != 0.0:
-            raise NumericalError(message.format(site=j),
-                                 {"site": j, "trapped_sites": list(solve.trapped)})
-
-
 def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSolution:
     """Whole-space problem ``(Id - dual step)(Z) = A`` for transient walks.
 
-    One dual block solve with every site in the domain and no boundary.
-    Requires every expected visit count where ``A`` is nonzero to be finite:
-    data on a site with a trapped (recurrent) direction raises
-    :class:`NumericalError`.  For stochastic families the representative is
-    made traceless, fixing the additive multiple of the identity left free
+    :func:`_solve` with every site in the domain and no boundary, on the walk's
+    kept all-sites law.  Requires every expected visit count where ``A`` is
+    nonzero to be finite: data on a site with a trapped (recurrent) direction
+    raises :class:`NumericalError`.  For stochastic families the representative
+    is made traceless, fixing the additive multiple of the identity left free
     by uniqueness; substochastic truncations have a rigid solution that is
     returned as computed.
     """
-    system = _domain_blocks(walk, range(len(walk.sites)), ())
-    solve = system.solve(system.inner.pack(a)[:, None], dual=True)
-    _reject_trapped_data(walk, a, solve, "walk is recurrent at site {site!r}; the global "
-                         "Dirichlet problem is unsupported")
-    blocks = {s: herm(blk) for s, blk in system.inner.unpack(solve.x[:, 0]).items()}
+    law, blocks = _solve(walk, list(range(len(walk.sites))), [], a, DiagonalObservable({}),
+                         "walk is recurrent at site {site!r}; the global Dirichlet problem "
+                         "is unsupported")
     # Traceless gauge: valid only when the identity is harmonic, i.e. the
     # family is stochastic to the walk's tolerance; on substochastic
     # truncations the solution is rigid.
@@ -164,22 +161,21 @@ def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSo
         blocks = {s: b - shift * np.eye(walk.dims[s], dtype=COMPLEX)
                   for s, b in blocks.items()}
         note = ("unique up to a multiple of the identity; traceless "
-                f"representative returned (relative residual {solve.residual:.3e})")
+                f"representative returned (relative residual {law.residual:.3e})")
     else:
         note = ("substochastic family: the identity is not harmonic and the "
-                f"solution is rigid (relative residual {solve.residual:.3e})")
+                f"solution is rigid (relative residual {law.residual:.3e})")
     z = DiagonalObservable(blocks)
-    residuals = _residuals(walk, z, a, walk.sites)
     return DirichletSolution(
-        solution=z, residuals=residuals, boundary_sites=(),
-        method=solve.method, uniqueness_note=note)
+        solution=z, residuals=_residuals(walk, z, a, walk.sites), boundary_sites=(),
+        method=law.method, uniqueness_note=note)
 
 
 def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     """Quantum harmonic-measure operator of a boundary site.
 
     Blocks are the duals of the exit operators on the domain plus the
-    identity at j itself: the domain's exit law applied to ``vec(Id)`` at j;
+    identity at j itself: :func:`_solve` with ``B = Id`` at j and no ``A``;
     tracing against an initial state recovers the harmonic-measure mass at
     j, and the family over the boundary sums to the identity on the closed
     domain for irreducible walks.  Trapped directions never exit, so the
@@ -190,10 +186,7 @@ def harmonic_operator(walk: WalkSpec, domain, j) -> DiagonalObservable:
     if walk._index.get(j) not in outer:
         raise InputError(f"site {j!r} is not on the domain boundary")
     eye = np.eye(walk.dims[j], dtype=COMPLEX)
-    system, law = _exit_law(walk, inner, outer)
-    lo = system.outer.starts[walk._index[j]]
-    x = law.x[:, lo:lo + eye.size] @ vec(eye)
-    solved = {s: herm(blk) for s, blk in system.inner.unpack(x).items()}
+    solved = _solve(walk, inner, outer, DiagonalObservable({}), DiagonalObservable({j: eye}))[1]
     return DiagonalObservable({j: eye, **{i: solved[i] for i in D}})
 
 

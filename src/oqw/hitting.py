@@ -29,7 +29,8 @@ for it; the projection that finds T also gives the Cesaro limit of the
 right-hand side, the mass that stays trapped.  Diagnostics name the
 ``method`` (``"solve"``, ``"compressed"`` or ``"passage_deficit"``), the
 ``radius_bound``, its ``radius_source`` (``"certificate"``) and the solve's
-relative ``residual``.
+relative ``residual``.  A later solve on a kept factor, the one place a factor
+is reused (:meth:`DomainSolve.resolve`), is held to the same residual gate.
 
 Infinity is a first-class value: expectations return ``math.inf`` together
 with diagnostics, never an exception, when the underlying series diverges.
@@ -39,8 +40,9 @@ the first-passage state under the return map keeps trace mass.
 First-passage queries (passage, visits, return time, the state at the
 hit) share one entry that checks the start state before building the
 series; finite domains (exit states, harmonic measure, visits before exit)
-share one check of their input; exit states read the domain's exit law,
-kept in the walk's store for the four domains built last (:func:`_exit_law`).
+share one check of their input; exit states and every Dirichlet answer read
+the domain's exit law, kept in the walk's store for the four domains built
+last (:func:`_exit_law`), the whole-space problem's all-sites law among them.
 :func:`domain_operator` keeps the per-pair taboo series as public API.
 """
 
@@ -279,7 +281,8 @@ class DomainSolve:
     ``method`` is ``"block_solve"``, or ``"compressed"`` when the solve ran on
     the compression off the trapped part; ``trapped`` names the blocks where
     that part is nonzero.  Bound and residual are the certifying solve's, and
-    ``factor`` (with ``lift``, when compressed) is its kept ``b -> A^{-1} b``.
+    ``factor`` (with ``lift``, when compressed) is its kept ``b -> A^{-1} b``
+    of ``A = Id - S`` (``dual``: ``A^dag``), read by :meth:`resolve` only.
     ``cesaro`` (when compressed) is the Cesaro limit of ``rhs`` under ``S``,
     the mass that stays trapped, from the projection that found that part.
     """
@@ -290,6 +293,8 @@ class DomainSolve:
     radius_bound: float
     residual: float
     factor: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    A: object = field(repr=False)
+    dual: bool
     lift: np.ndarray | None = field(default=None, repr=False)
     cesaro: np.ndarray | None = field(default=None, repr=False)
 
@@ -309,10 +314,16 @@ class DomainSolve:
         return mass if mass > TRAPPED_SHARE_TOL * start_mass else None
 
     def resolve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the same certified system for another right-hand side."""
-        if self.lift is None:
-            return self.factor(rhs)
-        return self.lift @ self.factor(self.lift.conj().T @ rhs)
+        """Solve the same certified system for another right-hand side; NumericalError
+        when its relative residual (off the trapped part) exceeds ``CERTIFICATE_RESIDUAL_TOL``."""
+        lift = self.lift
+        y = self.factor(rhs) if lift is None else lift @ self.factor(lift.conj().T @ rhs)
+        r = (self.A.conj().T if self.dual else self.A) @ y - rhs
+        r = float(np.linalg.norm(r if lift is None else lift.conj().T @ r))
+        if r > CERTIFICATE_RESIDUAL_TOL * np.linalg.norm(rhs):
+            raise NumericalError("a solve on a kept factor misses its residual gate",
+                                 {"residual": r})
+        return y
 
 
 def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) -> DomainSolve:
@@ -338,12 +349,12 @@ def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) ->
     system = A.conj().T if dual else A
     X, bound, residual, solve = _certify(system, rhs, layout)
     if bound < 1.0 - DIVERGENCE_TOL:
-        return DomainSolve(X, "block_solve", (), bound, residual, solve)
+        return DomainSolve(X, "block_solve", (), bound, residual, solve, A, dual)
     free, trap, cesaro = _trapped_split(A, layout, rhs)
     trapped = tuple(s for s, w in zip(layout.sites, trap) if w.shape[1])
     if not trapped:
         if bound < 1.0:
-            return DomainSolve(X, "block_solve", (), bound, residual, solve)
+            return DomainSolve(X, "block_solve", (), bound, residual, solve, A, dual)
         raise NumericalError("the series is not certified convergent and traps nothing",
                              {"radius_bound": bound, "trapped_sites": []})
     lift, lift_t = _lift(free), _lift(trap)
@@ -362,7 +373,8 @@ def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) ->
             "the series is not certified convergent, not even off its trapped part",
             {"radius_bound": bound, "compressed_radius_bound": bound_c,
              "trapped_sites": list(trapped)})
-    return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual, solve, lift, cesaro)
+    return DomainSolve(lift @ X_c, "compressed", trapped, bound_c, residual, solve, A, dual,
+                       lift, cesaro)
 
 
 def _trapped_split(A, layout: BlockIndex, rhs: np.ndarray) -> tuple[list, list, np.ndarray]:

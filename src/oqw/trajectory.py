@@ -24,7 +24,6 @@ from .walk import (DiagonalObservable, Site, WalkSpec, _known_sites, _site_id, c
                    dual_apply, site_state)
 
 PROB_FLOOR = 1e-14   # transition weights below this count as zero
-SUPEROP_MAX_DIM = 4  # larger fibres step by L rho L† instead of a D² x D² superoperator
 HARMONIC_TOL = 1e-8  # residual up to which an observable counts as harmonic
 UNSEEN, DRAW, DEAD = -1, -2, -3  # besides a class: not yet known / drawn / no positive weight
 KEPT_TABLE_ROWS = 1 << 12  # rows of the largest class table a walk keeps (112 B a row at D=K=2)
@@ -110,12 +109,14 @@ def sample_trajectory(walk: WalkSpec, i, rho, horizon: int,
                       record_states: bool = True) -> TrajectoryRecord:
     """Sample one trajectory of (position, internal state).
 
-    ``stop`` may be ``{"hit": site}`` or ``{"exit": domain}``; the fixed
-    horizon always applies.  With an integer ``rng`` the stream is the
-    trajectory-0 stream of that master seed.
+    ``stop`` may hold ``"hit": site`` and ``"exit": domain`` (another key is an
+    InputError); the fixed horizon always applies.  With an integer ``rng``
+    the stream is the trajectory-0 stream of that master seed.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
+    if unknown := sorted(set(stop or ()) - {"hit", "exit"}):
+        raise InputError(f"unknown stop keys {unknown}; use 'hit' or 'exit'")
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = trajectory_rng(0 if rng is None else int(rng), 0)
     s = _site_id(i)
@@ -162,7 +163,7 @@ def _trace_table(mats: np.ndarray) -> np.ndarray:
 
 def _sampler_tables(walk: WalkSpec) -> tuple:
     """:class:`_Ensemble`'s tables, kept in the walk's store: ``D``, ``K``, per (site, successor)
-    its target, Gram rows, superoperator, block, lookup flag (read-only); the kept class table."""
+    its target, Gram rows, block, lookup flag (read-only); the kept class table."""
     d = max(walk.dims.values())
     succ, sites = walk._graph.succ, walk.sites
     k_max = max(1, max(len(row) for row in succ))
@@ -175,16 +176,14 @@ def _sampler_tables(walk: WalkSpec) -> tuple:
             targets[s_idx * k_max + k] = t
     gram = _trace_table(np.swapaxes(blocks, -1, -2).conj() @ blocks)
     blocks = blocks.reshape(-1, d, d)
-    superop = (np.einsum("kac,kbd->kabcd", blocks, blocks.conj()).reshape(-1, d * d, d * d)
-               if d <= SUPEROP_MAX_DIM else None)
     # blocks of rank one or a multiple of the source fibre's identity bring
     # different paths to one state: a result is looked up before a row is made (_classes)
     eye = np.arange(d) < np.repeat([walk.dims[s] for s in walk.sites], k_max)[:, None]
     lookup = (np.linalg.matrix_rank(blocks) == 1) | np.all(
         blocks == blocks[:, :1, :1] * (eye[:, :, None] & np.eye(d, dtype=bool)), axis=(1, 2))
-    for table in (t for t in (targets, gram, superop, blocks, lookup) if t is not None):
+    for table in (targets, gram, blocks, lookup):
         table.setflags(write=False)
-    return d, k_max, targets, gram, superop, blocks, lookup, {}
+    return d, k_max, targets, gram, blocks, lookup, {}
 
 
 class _Ensemble:
@@ -195,9 +194,8 @@ class _Ensemble:
     site.  A state is held as ``vec(rho)`` (row-major, ``D*D`` entries).
     Trajectories at one site in one state, byte for byte, share a class,
     whose weights ``Tr(L†L rho)`` (dot products with ``gram[s, k]``) are
-    computed once, as is the class each successor leads to, when first taken
-    (by the superoperator ``kron(L, conj L)``, or ``L rho L†`` when ``D >
-    SUPEROP_MAX_DIM``): a step costs each trajectory a draw and two lookups.
+    computed once, as is the class each successor leads to (``L rho L†``), when
+    first taken: a step costs each trajectory a draw and two lookups.
     A class with one successor of positive weight keeps in ``next`` the class
     its forced move leads to (``UNSEEN`` until a step without a draw takes it),
     so a step in which every move is forced costs each trajectory one lookup.
@@ -229,8 +227,8 @@ class _Ensemble:
         self.renorms = 0
         self.renorm_tol = _renorm_tol(walk)
         tables = walk._memo(("sampler",), _sampler_tables)
-        d, self.k, self.targets, self.gram, self.superop, self.blocks, self.lookup = tables[:7]
-        self.dmax, self.kept = d, tables[7]
+        d, self.k, self.targets, self.gram, self.blocks, self.lookup = tables[:6]
+        self.dmax, self.kept = d, tables[6]
         self.diag = np.arange(d) * (d + 1)
         self.merging = bool(self.lookup.any())   # else no class is looked up, nor the table kept
         self.renormalizing = False              # some class's weights need renormalizing
@@ -324,13 +322,9 @@ class _Ensemble:
         lead = pairs[child[pairs] == rows]
         src = lead // self.k
         flat = self.site[src] * self.k + (lead - src * self.k)
-        vecs = np.take(self.vec, src, axis=0)
-        if self.superop is not None:
-            new = np.einsum("bij,bj->bi", np.take(self.superop, flat, axis=0), vecs)
-        else:
-            d = self.dmax
-            L = np.take(self.blocks, flat, axis=0)
-            new = (L @ vecs.reshape(-1, d, d) @ np.swapaxes(L, 1, 2).conj()).reshape(-1, d * d)
+        d, L = self.dmax, np.take(self.blocks, flat, axis=0)
+        new = (L @ np.take(self.vec, src, axis=0).reshape(-1, d, d)
+               @ np.swapaxes(L, 1, 2).conj()).reshape(-1, d * d)
         re_im = new.view(np.float64)
         re_im /= new[:, self.diag].real.sum(axis=1)[:, None]   # unit trace
         child[lead] = self._classes(self.targets[flat], new, self.lookup[flat])

@@ -637,8 +637,9 @@ def test_harmonic_operator_and_dirichlet_raise_as_before(trap_walk, ruin_walk):
                                                  ("trap", ("1", "2"), ("2",)),
                                                  ("branch", ("1", "2", "3"), ("3",))])
 def test_interior_solve_keeps_the_residual_gate(walks, monkeypatch, name, domain, trapped):
-    """Interior data is solved by the exit law's kept factor; a resolve that misses
-    the certificate's residual gate raises instead of returning a solution."""
+    """Interior data is solved by the exit law's kept factor; a kept factor whose
+    resolve misses the certificate's residual gate raises instead of returning
+    a solution."""
     walk, rng = walks[name], np.random.default_rng(5)
     a = DiagonalObservable({s: random_hermitian(rng, walk.dims[s])
                             for s in domain if s not in trapped})
@@ -648,10 +649,12 @@ def test_interior_solve_keeps_the_residual_gate(walks, monkeypatch, name, domain
     solution = oqw.solve_dirichlet_domain(walk, problem)
     assert solution.method == ("compressed" if trapped else "block_solve")
     assert max(solution.residuals.values()) < 1e-10
-    resolve = hitting.DomainSolve.resolve
-    monkeypatch.setattr(hitting.DomainSolve, "resolve",
-                        lambda self, rhs: resolve(self, rhs) * (1.0 + 1e-6))
-    with pytest.raises(NumericalError, match="interior solve misses its residual gate") as err:
+    inner = hitting._domain_sites(walk, domain)[1]
+    law = hitting._exit_law(walk, inner, hitting._boundary(walk, inner))[1]   # the kept law
+    factor = law.factor
+    monkeypatch.setattr(law, "factor", lambda rhs: factor(rhs) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match="solve on a kept factor misses its residual gate"
+                       ) as err:
         oqw.solve_dirichlet_domain(walk, problem)
     assert err.value.diagnostics["residual"] > hitting.CERTIFICATE_RESIDUAL_TOL
 

@@ -307,6 +307,24 @@ def test_dirichlet_command(capsys, tmp_path):
     assert doc["diagnostics"]["method"] == "block_solve"
 
 
+def test_dirichlet_global_command(capsys, tmp_path):
+    # gambler's ruin on 0..10 with A = 1 at site 3: the solution exceeds its
+    # value at an absorbing end by the visits to 3, 2 min(i, 3) (10 - max(i, 3)) / 10
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"A": {"3": [[[1.0, 0.0]]]}}))
+    code, out, _ = run_cli(capsys, "dirichlet", "--walk", "gamblers-ruin", "--method", "global",
+                           "--problem", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    z = {int(s): block[0][0][0] for s, block in doc["solution"].items()}
+    assert sorted(z) == list(range(11))
+    for i, value in z.items():
+        assert value - z[0] == pytest.approx(2 * min(i, 3) * (10 - max(i, 3)) / 10, abs=1e-10)
+    assert sum(z.values()) == pytest.approx(0.0, abs=1e-10)
+    assert doc["uniqueness"].startswith("unique up to a multiple of the identity")
+    assert doc["diagnostics"]["method"] == "compressed"
+
+
 def test_dform_command(capsys, tmp_path):
     obs = {s: serialize.matrix_to_json(np.diag([1.0, -1.0]))
            for s in ("0", "1", "2")}

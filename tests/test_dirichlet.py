@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oqw
-from oqw import fixtures
+from oqw import fixtures, hitting
 from oqw.dirichlet import dirichlet_energy, flat_state, gradient_form
 from oqw.errors import InputError, NumericalError
 from oqw.linalg import herm, unvec, vec
@@ -132,6 +132,23 @@ def test_global_gauge_follows_the_walk_tolerance():
 def test_global_rejected_on_recurrent_walk(ring_walk):
     with pytest.raises(NumericalError, match="recurrent"):
         oqw.solve_dirichlet_global(ring_walk, DiagonalObservable({"0": np.eye(2)}))
+
+
+def test_global_problem_reads_the_kept_law(monkeypatch):
+    # the whole-space problem is the all-sites domain with no boundary: its
+    # law is kept with the walk, so a repeated problem certifies once
+    calls = []
+    certify = hitting._certify
+    monkeypatch.setattr(hitting, "_certify", lambda *args: calls.append(1) or certify(*args))
+    walk, _ = open_biased_chain()
+    first = oqw.solve_dirichlet_global(walk, DiagonalObservable({"2": ONE}))
+    again = oqw.solve_dirichlet_global(walk, DiagonalObservable({"3": ONE}))
+    assert len(calls) == 1
+    assert ("domain", tuple(range(6)), ()) in walk._store
+    fresh = oqw.solve_dirichlet_global(open_biased_chain()[0], DiagonalObservable({"3": ONE}))
+    assert all(np.array_equal(again.solution.blocks[s], fresh.solution.blocks[s])
+               for s in walk.sites)
+    assert first.method == again.method == "block_solve"
 
 
 def global_per_pair(walk, a):
@@ -391,6 +408,16 @@ def test_variational_refuses_unbalanced_walk():
         walk, ["0"], None, DiagonalObservable({"1": ONE, "2": ONE}))
     with pytest.raises(InputError, match="detailed balance"):
         oqw.variational_solve(walk, tau, problem)
+
+
+def test_variational_rejects_a_form_that_is_not_coercive():
+    # two closed blocks: the domain holds all of the first, whose constants
+    # have zero energy, and one site of the second
+    walk = oqw.minimal_dilation(np.kron(np.eye(2), np.full((2, 2), 0.5)))
+    problem = oqw.DirichletProblem.build(walk, ["0", "1", "2"])
+    with pytest.raises(NumericalError, match="energy form is not coercive on the domain") as err:
+        oqw.variational_solve(walk, oqw.flat_state(walk), problem)
+    assert err.value.diagnostics["smallest_eigenvalue"] <= 1e-12
 
 
 def test_variational_energy_is_the_energy_functional_at_the_minimizer(ring_walk):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oqw
-from oqw import fixtures
-from oqw.errors import InputError
+from oqw import fixtures, hitting
+from oqw.errors import InputError, NumericalError
 from oqw._oracles import path_terms, shanks_limit
 from oqw.hitting import capture_series
 from oqw.linalg import unvec, vec
@@ -254,6 +254,27 @@ def test_trap_walk_return_time(trap_walk):
     res = oqw.expected_return_time(trap_walk, "0", E1, "0")
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert math.isinf(oqw.expected_return_time(trap_walk, "0", E2, "0").value)
+
+
+@pytest.mark.parametrize("walk,rho,value", [
+    (fixtures.example_half_line(0.75, 60), E1, 3.0),
+    (fixtures.random_doubly_stochastic(6, 2, seed=4), MIX, 6.0)], ids=["half-line", "rds6"])
+def test_return_time_second_solve_keeps_the_residual_gate(monkeypatch, walk, rho, value):
+    # the second solve reuses the passage series' kept factor; a factor whose
+    # resolve misses the certificate's residual gate raises instead of
+    # returning a wrong time
+    assert oqw.expected_return_time(walk, "0", rho, "0").value == pytest.approx(value)
+    certify = hitting._certify
+
+    def perturbed(*args):
+        X, bound, residual, solve = certify(*args)
+        return X, bound, residual, lambda b: solve(b) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(hitting, "_certify", perturbed)
+    with pytest.raises(NumericalError, match="solve on a kept factor misses its residual gate"
+                       ) as err:
+        oqw.expected_return_time(walk, "0", rho, "0")
+    assert err.value.diagnostics["residual"] > hitting.CERTIFICATE_RESIDUAL_TOL
 
 
 def return_time_fd(series, rho, p_at_one):

@@ -133,13 +133,30 @@ def _domain_blocks_calls() -> set[tuple[str, str, str]]:
 
 def test_only_the_exit_law_builds_a_bounded_domain_system():
     # a bounded domain's exit system comes from hitting's one kept exit law
-    # (capture series build their own, onto the target); dirichlet builds a
-    # system only for the global, boundary-free problem
+    # (capture series build their own, onto the target); dirichlet builds no
+    # system at all: every Dirichlet answer, the whole-space one included,
+    # reads a kept exit law
     calls = _domain_blocks_calls()
     assert {(m, fn) for m, fn, outer in calls if outer != "()"} == \
         {("hitting", "capture_series"), ("hitting", "_exit_law")}
-    assert {(fn, outer) for m, fn, outer in calls if m == "dirichlet"} == \
-        {("solve_dirichlet_global", "()")}
+    assert not {fn for m, fn, outer in calls if m == "dirichlet"}
+
+
+def test_only_resolve_reads_a_kept_factor():
+    # DomainSolve.resolve holds every solve on a kept factor to the
+    # certificate's residual gate; nothing else reads a solve's factor
+    readers = set()
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "factor":
+                readers.add((module, where))
+            visit(child, module, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    for module, tree in _modules().items():
+        visit(tree, module, "<module>")
+    assert readers == {("hitting", "resolve")}
 
 
 def test_only_the_structure_record_builds_structure():

@@ -71,6 +71,11 @@ def assert_close(got, want, label):
         assert float(np.abs(got - want).max(initial=0.0)) <= REL * scale, label
 
 
+def fresh(walk):
+    """The same walk with nothing kept, so a query under a new cut makes its own solves."""
+    return oqw.WalkSpec(walk.sites, walk.dims, walk.transitions, walk.tolerance)
+
+
 def under_cut(monkeypatch, cut, fn):
     monkeypatch.setattr(hitting, "SPARSE_MIN_UNKNOWNS", cut)
     try:
@@ -149,9 +154,9 @@ def test_domain_answers_agree_on_both_sides_of_the_cut(monkeypatch):
         walk = walks[name]
         if oqw.boundary(walk, domain):
             dense = under_cut(monkeypatch, DENSE, lambda: domain_answers(
-                walk, domain, np.random.default_rng(5)))
+                fresh(walk), domain, np.random.default_rng(5)))
             sparse = under_cut(monkeypatch, SPARSE, lambda: domain_answers(
-                walk, domain, np.random.default_rng(5)))
+                fresh(walk), domain, np.random.default_rng(5)))
             assert_close(sparse, dense, f"{name} {domain}")
         def plain_solve():
             blocks = hitting._domain_blocks(walk, hitting._domain_sites(walk, domain)[1], ())
@@ -167,7 +172,7 @@ def test_domain_answers_agree_on_both_sides_of_the_cut(monkeypatch):
 def test_global_dirichlet_agrees_on_both_sides_of_the_cut(monkeypatch):
     walk = fixtures.example_half_line(0.25, 40, boundary="taboo")
     a = DiagonalObservable({s: np.eye(walk.dims[s]) for s in walk.sites[:5]})
-    solve = lambda: dirichlet.solve_dirichlet_global(walk, a).solution.blocks  # noqa: E731
+    solve = lambda: dirichlet.solve_dirichlet_global(fresh(walk), a).solution.blocks  # noqa: E731
     dense = under_cut(monkeypatch, DENSE, solve)
     assert_close(under_cut(monkeypatch, SPARSE, solve), dense, "global Dirichlet")
 

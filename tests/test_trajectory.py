@@ -188,6 +188,12 @@ def test_kac_rejects_site_outside_every_enclosure():
         oqw.estimate_kac(walk, "1", n_traj=10, k_max=10, seed=21)
 
 
+def test_kac_rejects_a_site_without_invariant_mass():
+    # gambler's ruin keeps its invariant mass on the absorbing ends
+    with pytest.raises(InputError, match="invariant state carries no mass at site '1'"):
+        oqw.estimate_kac(fixtures.gamblers_ruin(7), "1", n_traj=10, k_max=2, seed=3)
+
+
 def test_kac_names_an_unknown_site():
     with pytest.raises(InputError, match=r"unknown sites \['zzz'\]"):
         oqw.estimate_kac(fixtures.example_branch_return(), "zzz", n_traj=10, k_max=3)
@@ -294,6 +300,8 @@ EMPTY_RUNS = {
     "martingale-start-outside": (lambda w: oqw.martingale_diagnostic(
         w, identity_observable(w), "1", MIX, 5, 3, stop_domain=[]),
         "start site lies outside the stopping domain"),
+    "trajectory-horizon": (lambda w: oqw.sample_trajectory(w, "1", MIX, 0, rng=3),
+                           "horizon must be >= 1"),
     "words-n_traj": (lambda w: word_frequencies(w, "1", MIX, 3, 0), "n_traj must be >= 1"),
     "words-length": (lambda w: word_frequencies(w, "1", MIX, 0, 5), "length must be >= 1"),
 }
@@ -305,6 +313,17 @@ def test_sampler_entries_reject_empty_runs(branch_walk, run, message):
     # trajectory reached the requested return count"
     with pytest.raises(InputError, match=message):
         run(branch_walk)
+
+
+def test_sample_trajectory_rejects_an_unknown_stop_key(branch_walk):
+    # a misspelt key would otherwise turn stopping off and run to the horizon
+    with pytest.raises(InputError, match=r"unknown stop keys \['hti'\]"):
+        oqw.sample_trajectory(branch_walk, "1", MIX, 50, stop={"hti": "0"}, rng=3)
+    with pytest.raises(InputError, match=r"unknown stop keys \['domain'\]"):
+        oqw.sample_trajectory(branch_walk, "1", MIX, 50, stop={"hit": "0", "domain": ["1"]})
+    # "1" has no self-loop, so its one-site domain is left at the first step
+    run = oqw.sample_trajectory(branch_walk, "1", MIX, 50, stop={"exit": ["1"]}, rng=3)
+    assert (run.stop_reason, run.stopping_index) == ("exited_domain", 1)
 
 
 def test_martingale_identity_observable(ring_walk):
