@@ -300,15 +300,12 @@ def _cmd_dirichlet(args, walk, rho):
     data = _read_json(args.problem, "problem file")
     a = serialize.observable_from_json(_object(data.get("A", {}), "problem data 'A'"))
     if args.method == "global":
-        _check_blocks(walk, a, "problem data 'A'")
         sol = solve_dirichlet_global(walk, a)
     else:
         if not isinstance(data.get("domain"), list):
             raise InputError(f"problem file {args.problem!r} has no \"domain\" list")
         b = serialize.observable_from_json(_object(data.get("B", {}), "problem data 'B'"))
         problem = DirichletProblem.build(walk, data["domain"], a, b)
-        _check_blocks(walk, a, "problem data 'A'")   # after build, whose messages come first
-        _check_blocks(walk, b, "problem data 'B'")
         if args.method == "variational":
             tau, _ = invariant_state(walk)
             if tau is None:

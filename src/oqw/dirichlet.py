@@ -12,10 +12,11 @@ whole-space problem is that solve on the all-sites domain, which has no
 boundary.  A domain that fails the certificate traps mass in an invariant
 part T that never exits; the law then comes from the compression to the
 complement of T, and data on a site with a trapped direction is reported as
-a divergent visit operator.
-Under detailed balance the problem is also solved variationally, as the
-stationarity system of the energy functional.  All of these restrict the
-solution to ``D`` plus its boundary (the free part outside is set to zero).
+a divergent visit operator.  Under detailed balance the problem is also
+solved variationally, as the stationarity system of the energy functional,
+read like the detailed-balance residual from one block of the form per site
+and per transition.  All of these restrict the solution to ``D`` plus its
+boundary (the free part outside is set to zero).
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, ShapeError
 from .hitting import DomainSolve, _boundary, _domain_sites, _exit_law
 from .hitting import boundary as domain_boundary
-from .linalg import COMPLEX, herm, psd_sqrt
-from .superop import BlockIndex, block_matrix, hermitian_basis_matrix, weight_matrix
+from .linalg import COMPLEX, herm, hermitian_basis, psd_sqrt, unvec, vec
+from .superop import BlockIndex
 from .walk import (
     DiagonalObservable,
     DiagonalState,
     Site,
     WalkSpec,
+    _check_blocks,
     _site_id,
     doubly_stochastic_defect,
     dual_apply,
@@ -43,6 +45,7 @@ from .walk import (
 
 FAITHFUL_TOL = 1e-12  # a reference block is faithful when its smallest eigenvalue exceeds this
 BALANCE_TOL = 1e-8  # residual up to which detailed balance counts as holding
+COERCIVITY_TOL = 1e-12  # smallest Gram eigenvalue up to which the energy form is not coercive
 
 
 @dataclass
@@ -61,12 +64,12 @@ class DirichletProblem:
             raise InputError("domain has empty boundary")
         a = interior_data or DiagonalObservable({})
         b = boundary_data or DiagonalObservable({})
-        bad = set(a.blocks) - set(D)
-        if bad:
+        if bad := set(a.blocks) - set(D):
             raise InputError(f"interior data supported outside the domain: {sorted(bad)}")
-        bad = set(b.blocks) - set(bnd)
-        if bad:
+        if bad := set(b.blocks) - set(bnd):
             raise InputError(f"boundary data supported off the boundary: {sorted(bad)}")
+        _check_blocks(walk, a, "problem data 'A'")
+        _check_blocks(walk, b, "problem data 'B'")
         return cls(D, a, b)
 
 
@@ -149,6 +152,7 @@ def solve_dirichlet_global(walk: WalkSpec, a: DiagonalObservable) -> DirichletSo
     by uniqueness; substochastic truncations have a rigid solution that is
     returned as computed.
     """
+    _check_blocks(walk, a, "problem data 'A'")
     law, blocks = _solve(walk, list(range(len(walk.sites))), [], a, DiagonalObservable({}),
                          "walk is recurrent at site {site!r}; the global Dirichlet problem "
                          "is unsupported")
@@ -200,24 +204,20 @@ def diamond_inner(tau: DiagonalState, x: DiagonalObservable, y: DiagonalObservab
 
     ``tau`` must be faithful on every site it carries.
     """
-    acc = 0.0 + 0.0j
     chosen = tau.blocks.keys() if sites is None else [_site_id(s) for s in sites]
-    for s in chosen:
-        root = _faithful_root(tau, s)
-        xb = x.blocks.get(s)
-        yb = y.blocks.get(s)
-        if xb is None or yb is None:
-            continue
-        acc += np.trace(root @ xb.conj().T @ root @ yb)
-    return complex(acc)
+    roots = [(s, _faithful_root(tau, s)) for s in chosen]   # every chosen site is checked
+    return complex(sum(np.trace(r @ x.blocks[s].conj().T @ r @ y.blocks[s])
+                       for s, r in roots if s in x.blocks and s in y.blocks))
 
 
-def _faithful_root(tau: DiagonalState, s: Site) -> np.ndarray:
-    """``tau_s^{1/2}``; InputError unless the block is present and its
-    smallest eigenvalue exceeds ``FAITHFUL_TOL``."""
+def _faithful_root(tau: DiagonalState, s: Site, d: int | None = None) -> np.ndarray:
+    """``tau_s^{1/2}``; InputError unless the block is present, d x d when ``d`` is
+    given (ShapeError) and faithful (smallest eigenvalue above ``FAITHFUL_TOL``)."""
     b = tau.blocks.get(s)
     if b is None:
         raise InputError(f"reference state has no block at site {s!r}")
+    if d is not None and b.shape != (d, d):
+        raise ShapeError(f"reference state block at {s!r} has wrong shape {b.shape}")
     if np.linalg.eigvalsh(herm(b)).min() <= FAITHFUL_TOL:
         raise InputError(f"reference state is not faithful at site {s!r}")
     return psd_sqrt(b)
@@ -256,45 +256,44 @@ class VariationalSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _WeightedForm:
-    """The form on Hermitian observables over every site.
-
-    With ``B`` the Hermitian basis matrix, ``W = (+)_s kron(root_s^T, root_s)``
-    the weight of the inner product and ``K`` the one-step map, ``matrix`` is
-    ``F = B^H W (B - K^dag B)``: entry (m, n) is ``form(e_m, e_n)``.  The
-    basis elements of a site take the columns of its block in ``idx``, which
-    lays out every site in walk order.
-    """
-
-    roots: dict[Site, np.ndarray]
-    idx: BlockIndex
-    basis: np.ndarray      # B
-    weighted: np.ndarray   # W B
-    matrix: np.ndarray     # F
-
-    def stationarity(self, positions, a: DiagonalObservable,
-                     b: DiagonalObservable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Basis columns of the domain's sites (at ``positions`` in the walk, in
-        domain order), the Gram matrix ``Re F`` on them and the right-hand side
-        ``Re <e, A - (Id - dual step)(B)>``, read from ``F``'s domain rows."""
-        cols = np.concatenate([np.arange(lo, lo + d * d) for lo, d in
-                               zip(self.idx.begins[positions], self.idx.sizes[positions])])
-        coeff_b = (self.basis.conj().T @ self.idx.pack(b)).real
-        rhs = (self.weighted[:, cols].conj().T @ self.idx.pack(a)).real \
-            - self.matrix[cols].real @ coeff_b
-        return cols, self.matrix[np.ix_(cols, cols)].real, rhs
+def _form_blocks(walk: WalkSpec, tau: DiagonalState) -> tuple[dict, dict, dict, dict]:
+    """The form ``<X, (Id - dual step) Y>`` of ``tau`` as blocks: each site's root
+    ``tau_s^{1/2}`` (taken once; ``tau`` must be faithful on every site, checked in
+    site order), each size's Hermitian basis ``P_d`` (columns ``vec(e)``), each
+    site's weighted basis ``Q_s`` (columns ``vec(root e root)``) and each transition's
+    ``H = P_to^H kraus(to, fr) Q_fr``, one batched product per block shape.  On the
+    Hermitian basis of every site, the form's block (i, j) is ``[i = j] Q_i^H P_i - H_(j,i)^H``."""
+    roots = {s: _faithful_root(tau, s, walk.dims[s]) for s in walk.sites}
+    basis = {d: np.column_stack([vec(e) for e in hermitian_basis(d)])
+             for d in sorted(set(walk.dims.values()))}
+    weighted = {s: np.kron(r.T, r) @ basis[len(r)] for s, r in roots.items()}
+    steps = {}
+    for keys, K in walk.kraus_stack():
+        rows = basis[walk.dims[keys[0][0]]].conj().T
+        steps.update(zip(keys, rows @ K @ np.stack([weighted[fr] for _, fr in keys])))
+    return roots, basis, weighted, steps
 
 
-def _weighted_form(walk: WalkSpec, tau: DiagonalState) -> _WeightedForm:
-    """The form of ``tau``, taking each root once; ``tau`` must be faithful
-    on every site (checked in site order)."""
-    roots = {s: _faithful_root(tau, s) for s in walk.sites}
-    idx = BlockIndex.at(walk, range(len(walk.sites)))
-    basis = hermitian_basis_matrix(idx)
-    weighted = weight_matrix(idx, roots) @ basis
-    step = block_matrix(walk, idx, idx).conj().T @ basis
-    return _WeightedForm(roots, idx, basis, weighted, weighted.conj().T @ (basis - step))
+def _stationarity(walk: WalkSpec, form: tuple, domain, a: DiagonalObservable,
+                  b: DiagonalObservable) -> tuple[BlockIndex, np.ndarray, np.ndarray]:
+    """Layout of the domain's sites in walk order, the Gram matrix ``Re F_DD`` and
+    the right-hand side ``Re <e, A + K_{bnd,D}^dag B>`` on its Hermitian basis,
+    scattered from the blocks of ``form`` (:func:`_form_blocks`) of the transitions
+    from the domain into it and onto ``B``'s sites."""
+    _, basis, weighted, steps = form
+    idx = BlockIndex.at(walk, _domain_sites(walk, domain)[1])
+    gram, rhs = np.zeros((idx.total, idx.total)), np.zeros(idx.total)
+    for s, lo, d in zip(idx.sites, idx.begins.tolist(), idx.sizes.tolist()):
+        span = slice(lo, lo + d * d)
+        gram[span, span] = (weighted[s].conj().T @ basis[d]).real
+        rhs[span] = (weighted[s].conj().T @ vec(a.block(s, d))).real
+        for j in walk._out[s]:   # block (s, j) of F is -H_(j,s)^H
+            H, at = steps[j, s], idx.starts[walk._index[j]]
+            if at >= 0:
+                gram[span, at:at + len(H)] -= H.real.T
+            elif j in b.blocks:   # times B's coefficients
+                rhs[span] += H.real.T @ (basis[walk.dims[j]].conj().T @ vec(b.blocks[j])).real
+    return idx, gram, rhs
 
 
 def variational_solve(walk: WalkSpec, tau: DiagonalState,
@@ -306,7 +305,7 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState,
     the minimum energy is ``-<X, A - C> / 2``.  Requires detailed balance
     (checked) and coercivity of the form on the domain.
     """
-    form = _weighted_form(walk, tau)
+    form = _form_blocks(walk, tau)
     rep = _balance_report(walk, form)
     if not rep.selfadjoint_within_tol:
         raise InputError(
@@ -315,15 +314,17 @@ def variational_solve(walk: WalkSpec, tau: DiagonalState,
     D = problem.domain
     bnd = domain_boundary(walk, D)
     a, b = problem.interior_data, problem.boundary_data
-    cols, gram, rhs = form.stationarity([walk._index[s] for s in D], a, b)
+    idx, gram, rhs = _stationarity(walk, form, D, a, b)
     gram = 0.5 * (gram + gram.T)
     coercivity = float(np.linalg.eigvalsh(gram).min())
-    if coercivity <= 1e-12:
+    if coercivity <= COERCIVITY_TOL:
         raise NumericalError("energy form is not coercive on the domain",
                              {"smallest_eigenvalue": coercivity})
     coeff = np.linalg.solve(gram, rhs)
 
-    x = form.idx.unpack(form.basis[:, cols] @ coeff)
+    basis = form[1]
+    x = {s: unvec(basis[d] @ coeff[lo:lo + d * d], d)
+         for s, lo, d in zip(idx.sites, idx.begins.tolist(), idx.sizes.tolist())}
     x0 = DiagonalObservable({s: x[s] for s in D})
     z = DiagonalObservable(x0.blocks | {j: b.block(j, walk.dims[j]) for j in bnd})
     return VariationalSolution(
@@ -350,26 +351,19 @@ def check_detailed_balance(walk: WalkSpec, tau: DiagonalState) -> DetailedBalanc
     ``<X, Y> = Tr(tau^{1/2} X† tau^{1/2} Y)`` over a Hermitian block basis.
     Both residuals are judged against ``BALANCE_TOL``.
     """
-    return _balance_report(walk, _weighted_form(walk, tau))
+    return _balance_report(walk, _form_blocks(walk, tau))
 
 
-def _balance_report(walk: WalkSpec, form: _WeightedForm) -> DetailedBalanceReport:
-    roots = form.roots
-    worst_a = 0.0
+def _balance_report(walk: WalkSpec, form: tuple) -> DetailedBalanceReport:
+    (roots, _, _, steps), worst_a = form, 0.0
     # a pair without a block in either direction satisfies (a) trivially
     for i, j in {p for (to, fr) in walk.transitions for p in ((to, fr), (fr, to))}:
-        Lji = walk.block(j, i)
-        Lij = walk.block(i, j)
-        lhs = roots[i] @ (Lji.conj().T if Lji is not None
-                          else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX))
-        rhs = (Lij if Lij is not None
-               else np.zeros((walk.dims[i], walk.dims[j]), dtype=COMPLEX)) @ roots[j]
-        worst_a = max(worst_a, float(np.abs(lhs - rhs).max(initial=0.0)))
-
-    # (b): B^H W B is Hermitian, so F is Hermitian iff B^H W K^dag B is;
-    # its skew part is the residual
-    worst_b = float(np.abs(form.matrix - form.matrix.conj().T).max(initial=0.0))
-
+        Lij = walk.transitions.get((i, j), np.zeros((walk.dims[i], walk.dims[j])))
+        Lji = walk.transitions.get((j, i), np.zeros((walk.dims[j], walk.dims[i])))
+        worst_a = max(worst_a, float(np.abs(roots[i] @ Lji.conj().T - Lij @ roots[j]).max()))
+    # (b): Q_i^H P_i is Hermitian, so the blocks of F - F^H are H_(i,j) - H_(j,i)^H
+    worst_b = max((float(np.abs(H - steps[fr, to].conj().T if (fr, to) in steps else H).max())
+                   for (to, fr), H in steps.items()), default=0.0)
     return DetailedBalanceReport(
         sufficient_condition_holds=worst_a <= BALANCE_TOL,
         sufficient_residual=worst_a,

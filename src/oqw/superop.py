@@ -142,12 +142,6 @@ def hermitian_basis_matrix(idx: BlockIndex) -> np.ndarray:
                            for d in idx.sizes.tolist()])
 
 
-def weight_matrix(idx: BlockIndex, roots: dict) -> np.ndarray:
-    """Block-diagonal ``W = (+)_s kron(root_s^T, root_s)``, so that
-    ``vec(X)^H W vec(Y) = sum_s Tr(root_s X_s^H root_s Y_s)``."""
-    return block_diagonal([np.kron(roots[s].T, roots[s]) for s in idx.sites])
-
-
 def _fixed_space(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of ker(M - I) and ker(M† - I) from one SVD.
 

@@ -689,9 +689,11 @@ def test_gram_product_matches_pairwise_inner_products(walks, name, domain):
     stepped = oqw.dual_apply(walk, b)
     target = DiagonalObservable({s: a.blocks[s] - b.block(s, walk.dims[s])
                                  + stepped.block(s, walk.dims[s]) for s in domain})
-    positions = [walk._index[s] for s in domain]
-    _, gram, rhs = dirichlet._weighted_form(walk, tau).stationarity(positions, a, b)
-    want_gram, want_rhs = pairwise_stationarity(walk, tau, domain, target)
+    form = dirichlet._form_blocks(walk, tau)
+    _, gram, rhs = dirichlet._stationarity(walk, form, domain, a, b)
+    # the Gram and right-hand side are laid out in walk order: so is the oracle's basis
+    want_gram, want_rhs = pairwise_stationarity(walk, tau, sorted(domain, key=walk._index.get),
+                                                target)
     assert np.abs(gram - want_gram).max() <= 1e-12
     assert np.abs(rhs - want_rhs).max() <= 1e-12
 
@@ -722,6 +724,22 @@ def test_selfadjoint_residual_matches_pairwise(walks):
             rep = oqw.check_detailed_balance(walk, tau)
             assert rep.selfadjoint_residual == \
                 pytest.approx(pairwise_selfadjoint_residual(walk, tau), abs=1e-12)
+    # the branch walk mixes block sizes (1, 2, 2, 2) and has a transition "2" -> "3"
+    # with no reverse; its invariant state is not faithful, so it takes a random one only
+    walk, rng = fixtures.example_branch_return(), np.random.default_rng(35)
+    tau = oqw.DiagonalState({s: random_density(rng, walk.dims[s]) / len(walk.sites)
+                             for s in walk.sites})
+    rep = oqw.check_detailed_balance(walk, tau)
+    assert rep.selfadjoint_residual == \
+        pytest.approx(pairwise_selfadjoint_residual(walk, tau), abs=1e-12)
+    assert rep.selfadjoint_residual == pytest.approx(0.20164717713795297, abs=1e-15)
+    # under the flat state the only asymmetry of this chain is its one-way transition 0 -> 1
+    walk = oqw.minimal_dilation(np.array([[0.5, 0.0, 0.3], [0.2, 0.7, 0.3], [0.3, 0.3, 0.4]]))
+    tau = oqw.flat_state(walk)
+    rep = oqw.check_detailed_balance(walk, tau)
+    assert rep.selfadjoint_residual > 0.05
+    assert rep.selfadjoint_residual == \
+        pytest.approx(pairwise_selfadjoint_residual(walk, tau), abs=1e-12)
 
 
 def test_sufficient_residual_matches_every_site_pair(walks):

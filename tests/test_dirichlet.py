@@ -4,7 +4,7 @@ import pytest
 import oqw
 from oqw import fixtures, hitting
 from oqw.dirichlet import dirichlet_energy, flat_state, gradient_form
-from oqw.errors import InputError, NumericalError
+from oqw.errors import InputError, NumericalError, ShapeError
 from oqw.linalg import herm, unvec, vec
 from oqw.walk import DiagonalObservable, identity_observable
 
@@ -80,6 +80,18 @@ def test_problem_data_support_validated(ring_walk):
                                    DiagonalObservable({"2": np.eye(2)}), None)
 
 
+def test_problem_data_blocks_are_shape_checked():
+    # after the support checks, each block must be d x d at a site of the walk
+    walk = fixtures.random_doubly_stochastic(4, 2, seed=3)
+    with pytest.raises(ShapeError, match=r"problem data 'A' block at '0' has wrong shape \(3, 3\)"):
+        oqw.DirichletProblem.build(walk, ["0", "1"], DiagonalObservable({"0": np.eye(3)}))
+    bnd = oqw.boundary(walk, ["0", "1"])[0]
+    with pytest.raises(ShapeError, match=f"problem data 'B' block at '{bnd}' has wrong shape"):
+        oqw.DirichletProblem.build(walk, ["0", "1"], None, DiagonalObservable({bnd: np.eye(1)}))
+    with pytest.raises(InputError, match="interior data supported outside the domain"):
+        oqw.DirichletProblem.build(walk, ["0", "1"], DiagonalObservable({"zz": np.eye(3)}))
+
+
 # ---------------------------------------------------------------------------
 # global solver
 
@@ -127,6 +139,14 @@ def test_global_gauge_follows_the_walk_tolerance():
     assert sol.uniqueness_note.startswith("unique up to a multiple of the identity")
     assert sum(float(np.trace(b).real) for b in sol.solution.blocks.values()) == \
         pytest.approx(0.0, abs=1e-12)
+
+
+def test_global_data_is_checked_before_the_solve():
+    walk = fixtures.gamblers_ruin(7)
+    with pytest.raises(InputError, match="problem data 'A' block at unknown site 'zz'"):
+        oqw.solve_dirichlet_global(walk, DiagonalObservable({"3": ONE, "zz": ONE}))
+    with pytest.raises(ShapeError, match=r"problem data 'A' block at '3' has wrong shape \(2, 2\)"):
+        oqw.solve_dirichlet_global(walk, DiagonalObservable({"3": np.eye(2)}))
 
 
 def test_global_rejected_on_recurrent_walk(ring_walk):
@@ -291,6 +311,16 @@ def test_diamond_inner_rejects_unfaithful(ring_walk):
     ident = identity_observable(ring_walk)
     with pytest.raises(InputError):
         oqw.diamond_inner(bad, ident, ident)
+
+
+def test_reference_state_blocks_are_shape_checked(ring_walk):
+    tau = oqw.DiagonalState({s: np.eye(3 if s == "1" else 2) / 7 for s in ring_walk.sites})
+    problem = random_problem(ring_walk, ["0"], seed=3)
+    for call in (lambda: oqw.check_detailed_balance(ring_walk, tau),
+                 lambda: oqw.variational_solve(ring_walk, tau, problem)):
+        with pytest.raises(ShapeError, match=r"reference state block at '1' has wrong shape "
+                                             r"\(3, 3\)"):
+            call()
 
 
 def test_energy_of_identity_vanishes(ring_walk):

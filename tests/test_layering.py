@@ -6,6 +6,7 @@ compiles ``oqw.philox`` only when it first draws.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,18 @@ def test_only_resolve_reads_a_kept_factor():
     for module, tree in _modules().items():
         visit(tree, module, "<module>")
     assert readers == {("hitting", "resolve")}
+
+
+def test_the_energy_form_is_built_per_transition():
+    # dirichlet._form_blocks builds the form of a reference state from one block
+    # per site and per transition: dirichlet assembles no block matrix of the
+    # walk, and no module defines a whole-walk weight matrix or weighted form
+    modules = _modules()
+    assert not _users(modules["dirichlet"], "block_matrix")
+    dense = re.compile(r"weight(ed)?_?(matrix|form)", re.IGNORECASE)
+    defined = {f"{name}.{node.name}" for name, tree in modules.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and dense.search(node.name)}
+    assert not defined, defined
 
 
 def test_only_the_structure_record_builds_structure():
