@@ -38,19 +38,20 @@ An expected visit count is infinite exactly when the Cesaro projection of
 the first-passage state under the return map keeps trace mass.
 
 First-passage queries (passage, visits, return time, the state at the
-hit) share one entry that checks the start state before building the
+hit) share one entry that checks the start state before reading the
 series; finite domains (exit states, harmonic measure, visits before exit)
-share one check of their input; exit states and every Dirichlet answer read
-the domain's exit law, kept in the walk's store for the four domains built
-last (:func:`_exit_law`), the whole-space problem's all-sites law among them.
+share one check of their input.  The walk's store keeps, read-only and with
+no reference to the walk, the four capture series (:func:`capture_series`,
+with their certified solve) and the four domain exit laws (:func:`_exit_law`,
+read by exit states and every Dirichlet answer) built last.
 :func:`domain_operator` keeps the per-pair taboo series as public API.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from typing import Callable
 
@@ -104,25 +105,26 @@ class DomainBlocks:
     (dense below ``SPARSE_MIN_UNKNOWNS`` unknowns, CSC from there on) and the
     step ``K_out`` from ``D`` onto the ``outer`` sites, in walk site order.
 
-    ``S`` is rebuilt from the walk's cached Kraus blocks when read, and
-    :meth:`solve` is the certified solve of ``(Id - S) x = rhs``.
+    It holds no walk, so the walk's store keeps it without a cycle, and its
+    arrays are read-only.  :meth:`solve` is the certified solve of ``(Id - S) x = rhs``.
     """
 
-    walk: WalkSpec
     inner: BlockIndex
     outer: BlockIndex
     A: object           # Id - S, inner -> inner (ndarray or CSC)
     K_out: np.ndarray   # inner -> outer
 
-    @property
-    def S(self):
-        """One-step map on the inner sites, dense or CSC as ``A`` is (fresh on every read)."""
-        return block_matrix(self.walk, self.inner, self.inner,
-                            sparse=not isinstance(self.A, np.ndarray))
-
     def solve(self, rhs: np.ndarray, dual: bool = False) -> DomainSolve:
         """:func:`_domain_solve` of ``A x = rhs`` (``dual``: ``A^dag x = rhs``)."""
         return _domain_solve(self.A, rhs, self.inner, dual)
+
+
+def _read_only(*arrays) -> tuple:
+    """``arrays`` made read-only in place, a CSC matrix by its three arrays."""
+    for a in arrays:
+        for b in (a,) if isinstance(a, np.ndarray) else (a.data, a.indices, a.indptr):
+            b.setflags(write=False)
+    return arrays
 
 
 def _domain_blocks(walk: WalkSpec, inner, outer) -> DomainBlocks:
@@ -130,7 +132,7 @@ def _domain_blocks(walk: WalkSpec, inner, outer) -> DomainBlocks:
     with its exit block onto those at ``outer``."""
     inner, outer = BlockIndex.at(walk, inner), BlockIndex.at(walk, outer)
     A = identity_minus(walk, inner, sparse=inner.total >= SPARSE_MIN_UNKNOWNS)
-    return DomainBlocks(walk, inner, outer, A, block_matrix(walk, outer, inner))
+    return DomainBlocks(inner, outer, *_read_only(A, block_matrix(walk, outer, inner)))
 
 
 @dataclass
@@ -138,7 +140,8 @@ class CaptureSeries(DomainBlocks):
     """The taboo-path decomposition for one (i, j, taboo) triple: the system
     on the pruned interior, whose exit block onto ``(j,)`` is the capture
     step ``C``, with the entry step ``E`` out of ``i`` and the direct block.
-    :attr:`solved` is the certified solve of ``(Id - S) R = E``, made on first read.
+    The walk's store keeps one with no ``walk``; :func:`capture_series` hands
+    out copies that name it and share the kept :attr:`solved`.
     """
 
     source: Site
@@ -146,6 +149,8 @@ class CaptureSeries(DomainBlocks):
     taboo: frozenset
     direct: np.ndarray | None   # L[j, i], None if absent
     E: np.ndarray               # {i} -> interior
+    walk: WalkSpec | None = field(default=None, repr=False)
+    _solved: list = field(default_factory=list, repr=False)   # the one solve, once made
 
     @property
     def interior(self) -> tuple[Site, ...]:
@@ -156,11 +161,19 @@ class CaptureSeries(DomainBlocks):
         """Capture step, interior -> {j}."""
         return self.K_out
 
-    @cached_property
+    @property
+    def S(self):
+        """One-step map on the interior, dense or CSC as ``A`` is (fresh on every read)."""
+        return block_matrix(self.walk, self.inner, self.inner,
+                            sparse=not isinstance(self.A, np.ndarray))
+
+    @property
     def solved(self) -> DomainSolve:
-        """The resolvent ``(Id - S)^{-1} E``; :class:`NumericalError` when no
-        solve is certified."""
-        return self.solve(self.E)
+        """The resolvent ``(Id - S)^{-1} E``, made on first read and kept; :class:`NumericalError`,
+        with nothing kept, when no solve is certified."""
+        if not self._solved:
+            self._solved.append(self.solve(self.E))
+        return self._solved[0]
 
     @property
     def diagnostics(self) -> dict:
@@ -187,14 +200,22 @@ class CaptureSeries(DomainBlocks):
 
 
 def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
-    """Build the capture decomposition for paths i -> j avoiding the taboo set.
+    """The walk's kept, read-only capture decomposition for paths i -> j avoiding the taboo set.
 
     Intermediate vertices must avoid ``taboo`` and the target ``j``; the
     endpoints are unconstrained.  The series is summed, and its convergence
-    certified, by one solve on first use (:attr:`CaptureSeries.solved`).
+    certified, by one solve on first use (:attr:`CaptureSeries.solved`),
+    which every later series of the same walk, i, j and taboo reads.
     """
     i, j, *taboo = _known_sites(walk, [i, j, *taboo])
-    taboo, at, graph = frozenset(taboo), walk._index, walk._graph
+    kept = walk._memo(("series", i, j, taboo := frozenset(taboo)),
+                      lambda w: _capture_series(w, i, j, taboo))
+    return replace(kept, walk=walk)
+
+
+def _capture_series(walk: WalkSpec, i: Site, j: Site, taboo: frozenset) -> CaptureSeries:
+    """:func:`capture_series`'s kept entry, built: the pruned system, with no walk."""
+    at, graph = walk._index, walk._graph
     marks = bytearray(b"\x01") * len(walk.sites)   # 1: allowed interior site
     for s in (*taboo, j):
         marks[at[s]] = 0
@@ -205,7 +226,7 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
     blocks = _domain_blocks(walk, sorted(interior), [at[j]])
     return CaptureSeries(
         **vars(blocks), source=i, target=j, taboo=taboo, direct=walk.transitions.get((j, i)),
-        E=block_matrix(walk, blocks.inner, BlockIndex.at(walk, [at[i]])))
+        E=_read_only(block_matrix(walk, blocks.inner, BlockIndex.at(walk, [at[i]])))[0])
 
 
 def _eye(A):
@@ -297,6 +318,9 @@ class DomainSolve:
     dual: bool
     lift: np.ndarray | None = field(default=None, repr=False)
     cesaro: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.x.setflags(write=False)
 
     @property
     def diagnostics(self) -> dict:

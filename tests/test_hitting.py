@@ -262,7 +262,8 @@ def test_trap_walk_return_time(trap_walk):
 def test_return_time_second_solve_keeps_the_residual_gate(monkeypatch, walk, rho, value):
     # the second solve reuses the passage series' kept factor; a factor whose
     # resolve misses the certificate's residual gate raises instead of
-    # returning a wrong time
+    # returning a wrong time (on a walk built after the patch, which keeps
+    # no series certified without it)
     assert oqw.expected_return_time(walk, "0", rho, "0").value == pytest.approx(value)
     certify = hitting._certify
 
@@ -271,9 +272,10 @@ def test_return_time_second_solve_keeps_the_residual_gate(monkeypatch, walk, rho
         return X, bound, residual, lambda b: solve(b) * (1.0 + 1e-6)
 
     monkeypatch.setattr(hitting, "_certify", perturbed)
+    patched = oqw.WalkSpec(walk.sites, walk.dims, walk.transitions, walk.tolerance)
     with pytest.raises(NumericalError, match="solve on a kept factor misses its residual gate"
                        ) as err:
-        oqw.expected_return_time(walk, "0", rho, "0")
+        oqw.expected_return_time(patched, "0", rho, "0")
     assert err.value.diagnostics["residual"] > hitting.CERTIFICATE_RESIDUAL_TOL
 
 

@@ -134,13 +134,16 @@ def _domain_blocks_calls() -> set[tuple[str, str, str]]:
 
 def test_only_the_exit_law_builds_a_bounded_domain_system():
     # a bounded domain's exit system comes from hitting's one kept exit law
-    # (capture series build their own, onto the target); dirichlet builds no
+    # (capture series build their own, onto the target, in the builder of the
+    # kept series, which only capture_series calls); dirichlet builds no
     # system at all: every Dirichlet answer, the whole-space one included,
     # reads a kept exit law
     calls = _domain_blocks_calls()
     assert {(m, fn) for m, fn, outer in calls if outer != "()"} == \
-        {("hitting", "capture_series"), ("hitting", "_exit_law")}
+        {("hitting", "_capture_series"), ("hitting", "_exit_law")}
     assert not {fn for m, fn, outer in calls if m == "dirichlet"}
+    assert {(module, fn) for module, tree in _modules().items()
+            for fn in _users(tree, "_capture_series")} == {("hitting", "capture_series")}
 
 
 def test_only_resolve_reads_a_kept_factor():
@@ -208,11 +211,11 @@ def test_each_kind_of_kept_entry_has_one_module():
                 keys.append(ast.unparse(key))
                 if isinstance(key, ast.Tuple) and isinstance(key.elts[0], ast.Constant):
                     kinds.setdefault(key.elts[0].value, set()).add(name)
-    assert len(keys) == sum(map(len, kinds.values())) == 7, keys
+    assert len(keys) == sum(map(len, kinds.values())) == 8, keys
     assert kinds == {"kraus": {"walk"}, "invariant": {"superop"},
                      "decomposition": {"structure"}, "irreducibility": {"structure"},
                      "domain": {"hitting"}, "sampler": {"trajectory"},
-                     "restricted": {"trajectory"}}
+                     "restricted": {"trajectory"}, "series": {"hitting"}}
 
 
 def test_block_offsets_are_laid_out_in_superop_only():

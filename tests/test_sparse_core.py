@@ -108,8 +108,8 @@ def test_series_answers_agree_on_both_sides_of_the_cut(monkeypatch):
              for i, j in _site_pairs(walk)]
     for name, walk, i, j in cases:
         label = f"{name} {i}->{j}"
-        dense = under_cut(monkeypatch, DENSE, lambda: series_answers(walk, i, j))
-        sparse = under_cut(monkeypatch, SPARSE, lambda: series_answers(walk, i, j))
+        dense = under_cut(monkeypatch, DENSE, lambda: series_answers(fresh(walk), i, j))
+        sparse = under_cut(monkeypatch, SPARSE, lambda: series_answers(fresh(walk), i, j))
         assert_close(sparse, dense, label)
         first = dense["first passage"]
         methods.add(first[1] if isinstance(first, tuple) else first["method"])
@@ -180,7 +180,7 @@ def test_global_dirichlet_agrees_on_both_sides_of_the_cut(monkeypatch):
 def test_sparse_cut_selects_the_storage(monkeypatch):
     walk = fixtures.example_lattice_nonnormal(6, "absorbing")
     for cut, sparse in ((DENSE, False), (SPARSE, True)):
-        series = under_cut(monkeypatch, cut, lambda: capture_series(walk, "0", "0"))
+        series = under_cut(monkeypatch, cut, lambda: capture_series(fresh(walk), "0", "0"))
         assert isinstance(series.A, np.ndarray) is not sparse
         assert isinstance(series.S, np.ndarray) is not sparse
     series = capture_series(fixtures.example_lattice_nonnormal(20, "absorbing"), "0", "0")
