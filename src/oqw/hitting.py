@@ -2,55 +2,48 @@
 
 Every operator here is a sum over taboo paths: paths from ``i`` to ``j``
 whose intermediate vertices avoid a forbidden set.  With ``S`` the one-step
-map restricted to allowed interior sites, ``E`` the entry step out of ``i``
-and ``C`` the capture step into ``j``, the path sum is
+map on the interior (the sites outside ``{j} | taboo`` that reach ``j``), ``E``
+the entry step out of ``i`` and ``C`` the capture step into ``j``, the path sum
+is ``direct + C (Id - S)^{-1} E = direct + X^dag E``.  It is linear in the
+start, so the target's law ``X = (Id - S^dag)^{-1} C^dag``, one dual solve by
+one dense or sparse LU factorization of ``Id - S`` (``splu``, imported on first
+use, from ``SPARSE_MIN_UNKNOWNS`` unknowns on), serves every start; only a start
+that reaches part of a refused or trapping interior solves that part instead.
 
-    direct + C (Id - S)^{-1} E,
-
-computed by one dense or sparse LU factorization of ``Id - S`` (sparse, by
-scipy's ``splu`` imported on first use, from ``SPARSE_MIN_UNKNOWNS``
-unknowns on), kept for every later solve of the same system.  Interior
-sites that cannot be reached from ``i`` or cannot reach ``j`` contribute
-nothing and are dropped before the solve; that keeps the resolvent
-nonsingular whenever the retained series converges.
-
-A capture series and a finite domain are one :class:`DomainBlocks` system:
-``Id - S`` on a set of sites and its exit block.  Every series ``sum_n S^n``
-here (these and the return map behind expected visits) is summed by one
-certified solve.  Next to its right-hand side the solve takes ``vec(Id)`` on
-every block, its layout's trace vector, and a Hermitian solution ``Y >= Id`` certifies
-``r(S) <= 1 - 1/lmax(Y)`` because ``S`` is a positive map.  When that bound
-is not below ``1 - DIVERGENCE_TOL`` the series may trap mass: its trapped
-part T, the support of the Cesaro fixed point of ``vec(Id)`` under ``S``,
-is checked to be invariant and exit-free, and the solve runs again,
-certified, on the compression of ``S`` off T.  Nothing that leaves the
-series (a capture, an exit) starts in T, so the compressed solve is exact
-for it; the projection that finds T also gives the Cesaro limit of the
-right-hand side, the mass that stays trapped.  Diagnostics name the
-``method`` (``"solve"``, ``"compressed"`` or ``"passage_deficit"``), the
-``radius_bound``, its ``radius_source`` (``"certificate"``) and the solve's
+A capture series and a finite domain are one :class:`DomainBlocks` system,
+``Id - S`` on a set of sites and its exit block, whose kept law is the one place
+a law is solved.  Every series ``sum_n S^n`` here (these and the return map
+behind expected visits) is summed by one certified solve.  Next to its
+right-hand side the solve takes ``vec(Id)`` on every block, its layout's trace
+vector, and a Hermitian solution ``Y >= Id`` certifies ``r(S) <= 1 - 1/lmax(Y)``
+because ``S`` and ``S^dag`` are positive maps.  When that bound is not below
+``1 - DIVERGENCE_TOL`` the series may trap mass: its trapped part T, the support
+of the Cesaro fixed point of ``vec(Id)`` under ``S``, is checked to be invariant
+and exit-free, and the solve runs again, certified, on the compression of ``S``
+off T.  Nothing that leaves the series (a capture, an exit) starts in T, so the
+compressed solve is exact for it; the projection that finds T also gives the
+Cesaro limit of the right-hand side, the mass that stays trapped.  Diagnostics
+name the ``method`` (``"solve"``, ``"compressed"`` or ``"passage_deficit"``),
+the ``radius_bound``, its ``radius_source`` (``"certificate"``) and the solve's
 relative ``residual``.  A later solve on a kept factor, the one place a factor
 is reused (:meth:`DomainSolve.resolve`), is held to the same residual gate.
 
-Infinity is a first-class value: expectations return ``math.inf`` together
-with diagnostics, never an exception, when the underlying series diverges.
-An expected visit count is infinite exactly when the Cesaro projection of
-the first-passage state under the return map keeps trace mass.
+Infinity is a first-class value: expectations return ``math.inf`` with
+diagnostics, never an exception, when the underlying series diverges; a visit
+count is infinite exactly when the Cesaro projection of the first-passage state
+under the return map keeps trace mass.
 
-First-passage queries (passage, visits, return time, the state at the
-hit) share one entry that checks the start state before reading the
-series; finite domains (exit states, harmonic measure, visits before exit)
-share one check of their input.  The walk's store keeps, read-only and with
-no reference to the walk, the four capture series (:func:`capture_series`,
-with their certified solve) and the four domain exit laws (:func:`_exit_law`,
-read by exit states and every Dirichlet answer) built last.
-:func:`domain_operator` keeps the per-pair taboo series as public API.
+First-passage queries and finite-domain queries each share one entry that
+checks their input.  The walk's store keeps, read-only and with no reference
+to the walk, the systems of the four (target, taboo) pairs (:func:`capture_series`)
+and of the four domains (:func:`_exit_law`, read by exit states and every
+Dirichlet answer) built last, each with its law once solved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable
@@ -81,23 +74,6 @@ SPARSE_MIN_UNKNOWNS = 128  # systems with this many unknowns or more are factore
 # capture-series plumbing
 
 
-def _search(step: list, seeds, marks: bytearray, free: int) -> list[int]:
-    """Positions marked ``free`` that are reached from ``seeds`` along ``step``
-    (the walk's successor or predecessor positions per site) through positions
-    marked ``free``, breadth first; each is marked ``free + 1`` when found."""
-    found, taken = [], free + 1
-    for s in seeds:
-        if marks[s] == free:
-            marks[s] = taken
-            found.append(s)
-    for s in found:   # grows while it is read
-        for t in step[s]:
-            if marks[t] == free:
-                marks[t] = taken
-                found.append(t)
-    return found
-
-
 @dataclass
 class DomainBlocks:
     """The system behind every capture series and finite domain: ``A = Id - S``
@@ -106,17 +82,32 @@ class DomainBlocks:
     step ``K_out`` from ``D`` onto the ``outer`` sites, in walk site order.
 
     It holds no walk, so the walk's store keeps it without a cycle, and its
-    arrays are read-only.  :meth:`solve` is the certified solve of ``(Id - S) x = rhs``.
+    arrays are read-only.  :meth:`solve` is the certified solve of ``(Id - S) x = rhs``;
+    :attr:`law` is the one place a law is solved.
     """
 
     inner: BlockIndex
     outer: BlockIndex
     A: object           # Id - S, inner -> inner (ndarray or CSC)
     K_out: np.ndarray   # inner -> outer
+    _kept: dict = field(default_factory=dict, init=False, repr=False)   # see _keep
 
     def solve(self, rhs: np.ndarray, dual: bool = False) -> DomainSolve:
         """:func:`_domain_solve` of ``A x = rhs`` (``dual``: ``A^dag x = rhs``)."""
         return _domain_solve(self.A, rhs, self.inner, dual)
+
+    def _keep(self, name: str, build: Callable[[], object]):
+        """The result ``name`` of this system, ``build()`` on first read and kept;
+        nothing is kept when ``build`` raises (a refused solve is refused again)."""
+        if name not in self._kept:
+            self._kept[name] = build()
+        return self._kept[name]
+
+    @property
+    def law(self) -> DomainSolve:
+        """The exit law ``X``, the certified ``(Id - S^dag) X = K_out^dag`` (``X^dag`` maps
+        states in ``D`` to the states at which they leave onto ``outer``), kept."""
+        return self._keep("law", lambda: self.solve(self.K_out.conj().T, dual=True))
 
 
 def _read_only(*arrays) -> tuple:
@@ -136,30 +127,28 @@ def _domain_blocks(walk: WalkSpec, inner, outer) -> DomainBlocks:
 
 
 @dataclass
-class CaptureSeries(DomainBlocks):
-    """The taboo-path decomposition for one (i, j, taboo) triple: the system
-    on the pruned interior, whose exit block onto ``(j,)`` is the capture
-    step ``C``, with the entry step ``E`` out of ``i`` and the direct block.
-    The walk's store keeps one with no ``walk``; :func:`capture_series` hands
-    out copies that name it and share the kept :attr:`solved`.
+class CaptureSeries:
+    """The taboo-path decomposition for one (i, j, taboo) triple: a view from the
+    start ``i`` of the walk's kept system into ``j``, ``blocks``, on the sites
+    outside ``{j} | taboo`` that reach ``j``; its exit block onto ``(j,)`` is the
+    capture step ``C``, and every start reads its one kept dual law.  Two starts
+    see another system instead (see :func:`capture_series`).
     """
 
+    blocks: DomainBlocks
+    walk: WalkSpec = field(repr=False)
     source: Site
     target: Site
     taboo: frozenset
-    direct: np.ndarray | None   # L[j, i], None if absent
-    E: np.ndarray               # {i} -> interior
-    walk: WalkSpec | None = field(default=None, repr=False)
-    _solved: list = field(default_factory=list, repr=False)   # the one solve, once made
 
-    @property
-    def interior(self) -> tuple[Site, ...]:
-        return self.inner.sites
-
-    @property
-    def C(self) -> np.ndarray:
-        """Capture step, interior -> {j}."""
-        return self.K_out
+    inner = property(lambda self: self.blocks.inner)
+    outer = property(lambda self: self.blocks.outer)
+    A = property(lambda self: self.blocks.A)
+    C = property(lambda self: self.blocks.K_out, doc="Capture step, interior -> {j}.")
+    interior = property(lambda self: self.inner.sites)
+    diagnostics = property(lambda self: self.blocks.law.diagnostics)
+    direct = property(lambda self: self.walk.transitions.get((self.target, self.source)),
+                      doc="``L[j, i]``, None if absent.")
 
     @property
     def S(self):
@@ -168,65 +157,91 @@ class CaptureSeries(DomainBlocks):
                             sparse=not isinstance(self.A, np.ndarray))
 
     @property
-    def solved(self) -> DomainSolve:
-        """The resolvent ``(Id - S)^{-1} E``, made on first read and kept; :class:`NumericalError`,
-        with nothing kept, when no solve is certified."""
-        if not self._solved:
-            self._solved.append(self.solve(self.E))
-        return self._solved[0]
+    def E(self) -> np.ndarray:
+        """Entry step, {i} -> interior (fresh on every read)."""
+        return block_matrix(self.walk, self.inner,
+                            BlockIndex.at(self.walk, [self.walk._index[self.source]]))
 
-    @property
-    def diagnostics(self) -> dict:
-        return self.solved.diagnostics
+    def _entry(self) -> list[tuple[int, np.ndarray]]:
+        """``E`` by blocks: (offset in the interior, ``kraus(s, i)``) per successor ``s`` there."""
+        walk, starts = self.walk, self.inner.starts
+        return [(starts[s], walk.kraus(walk.sites[s], self.source))
+                for s in walk._graph.succ[walk._index[self.source]] if starts[s] >= 0]
 
-    def _weighted(self, alpha: float) -> DomainSolve:
-        """The certified solve of ``(Id - alpha S) R = E``: :attr:`solved` at
-        ``alpha = 1``, else a new solve."""
-        if alpha == 1.0:
-            return self.solved
-        # Id - alpha S = (1 - alpha) Id + alpha A
-        return _domain_solve(alpha * self.A + (1.0 - alpha) * _eye(self.A), self.E, self.inner)
+    def law(self, alpha: float = 1.0) -> DomainSolve:
+        """The certified dual law ``(Id - alpha S^dag)^{-1} C^dag``: the kept one at
+        ``alpha = 1``, else a new solve that is not kept."""
+        A = self.A   # Id - alpha S = (1 - alpha) Id + alpha A
+        return self.blocks.law if alpha == 1.0 else DomainBlocks(
+            self.inner, self.outer, alpha * A + (1.0 - alpha) * _eye(A), self.C).law
 
-    def matrix(self, alpha: float = 1.0, solved: DomainSolve | None = None) -> np.ndarray:
-        """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2, from
-        ``solved``, the :meth:`_weighted` solve (made here when not given)."""
+    def matrix(self, alpha: float = 1.0, law: DomainSolve | None = None) -> np.ndarray:
+        """Vec-matrix of the (alpha-weighted) taboo path sum, d_j^2 x d_i^2, from ``law``
+        ``X``, the :meth:`law` at ``alpha`` (read here when not given): ``alpha direct +
+        alpha^2 X^dag E``."""
         walk = self.walk
         m = np.zeros((walk.dims[self.target] ** 2, walk.dims[self.source] ** 2), dtype=COMPLEX)
         if self.direct is not None:
             m += alpha * walk.kraus(self.target, self.source)
         if self.A.shape[0]:
-            m += (alpha ** 2) * (self.C @ (solved or self._weighted(alpha)).x)
+            law = law or self.law(alpha)
+            for lo, K in self._entry():
+                m += (alpha ** 2) * (law.x[lo:lo + K.shape[0]].conj().T @ K)
         return m
 
 
 def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
-    """The walk's kept, read-only capture decomposition for paths i -> j avoiding the taboo set.
+    """The capture decomposition for paths i -> j whose intermediate vertices avoid
+    ``taboo`` and ``j``: a view of the walk's kept, read-only system into ``j``, whose
+    law (:attr:`DomainBlocks.law`, one certified dual solve, made on first use) every
+    later series of the same walk, ``j`` and ``taboo`` reads, from any start.
 
-    Intermediate vertices must avoid ``taboo`` and the target ``j``; the
-    endpoints are unconstrained.  The series is summed, and its convergence
-    certified, by one solve on first use (:attr:`CaptureSeries.solved`),
-    which every later series of the same walk, i, j and taboo reads.
-    """
+    A start reads another system in two cases.  With no step into the interior it
+    reads the empty one.  When the law is refused or traps mass and the start reaches
+    only part of the interior, it reads the system on that part, solved for it alone,
+    so that sites it cannot visit neither refuse nor trap its series."""
     i, j, *taboo = _known_sites(walk, [i, j, *taboo])
-    kept = walk._memo(("series", i, j, taboo := frozenset(taboo)),
-                      lambda w: _capture_series(w, i, j, taboo))
-    return replace(kept, walk=walk)
-
-
-def _capture_series(walk: WalkSpec, i: Site, j: Site, taboo: frozenset) -> CaptureSeries:
-    """:func:`capture_series`'s kept entry, built: the pruned system, with no walk."""
     at, graph = walk._index, walk._graph
-    marks = bytearray(b"\x01") * len(walk.sites)   # 1: allowed interior site
-    for s in (*taboo, j):
-        marks[at[s]] = 0
-    # 2: reached from i; 3: and reaching j, its last block above the walk's
-    # tolerance (every site on such a path is reached from i)
-    _search(graph.succ, graph.succ[at[i]], marks, 1)
-    interior = _search(graph.pred, graph.pred_above[at[j]], marks, 2)
-    blocks = _domain_blocks(walk, sorted(interior), [at[j]])
-    return CaptureSeries(
-        **vars(blocks), source=i, target=j, taboo=taboo, direct=walk.transitions.get((j, i)),
-        E=_read_only(block_matrix(walk, blocks.inner, BlockIndex.at(walk, [at[i]])))[0])
+    blocks = walk._memo(("series", j, taboo := frozenset(taboo)),
+                        lambda w: _domain_blocks(w, _reaching(w, j, (*taboo, j)), [at[j]]))
+    starts = blocks.inner.starts
+    if all(starts[s] < 0 for s in graph.succ[at[i]]):
+        blocks = _domain_blocks(walk, [], [at[j]])   # no step into the interior
+    elif "law" not in blocks._kept or blocks.law.trapped:   # not solved, refused or trapping
+        reached = _search(graph.succ, graph.succ[at[i]], bytearray(starts >= 0))
+        if len(reached) < len(blocks.inner.sites) and not _traps_nothing(blocks):
+            blocks = _domain_blocks(walk, reached, [at[j]])
+    return CaptureSeries(blocks, walk, i, j, taboo)
+
+
+def _traps_nothing(blocks: DomainBlocks) -> bool:
+    """Whether the system's law is certified with nothing trapped."""
+    try:
+        return not blocks.law.trapped
+    except NumericalError:
+        return False
+
+
+def _reaching(walk: WalkSpec, j: Site, closed) -> list[int]:
+    """Ascending positions of the sites outside ``closed`` with a path through such sites
+    into ``j`` whose last block is above the walk's tolerance."""
+    free = bytearray(b"\x01") * len(walk.sites)
+    for s in closed:
+        free[walk._index[s]] = 0
+    return _search(walk._graph.pred, walk._graph.pred_above[walk._index[j]], free)
+
+
+def _search(step: list, seeds, free: bytearray) -> list[int]:
+    """Ascending positions marked in ``free``, among ``seeds`` or reached from them along
+    ``step`` (the walk's successor or predecessor positions per site) through marked
+    positions, breadth first; each is unmarked when found."""
+    found, seen = [], list(seeds)
+    for s in seen:   # grows while it is read
+        if free[s]:
+            free[s] = 0
+            found.append(s)
+            seen += step[s]
+    return sorted(found)
 
 
 def _eye(A):
@@ -237,23 +252,26 @@ def _eye(A):
     return identity(A.shape[0], dtype=COMPLEX, format="csc")
 
 
-def _factor(A) -> Callable[[np.ndarray], np.ndarray]:
-    """``b -> A^{-1} b``: LAPACK's dense solve for an array ``A``, else one
-    ``splu`` factorization of the sparse ``A``, kept in the returned solve."""
+def _factor(A, dual: bool) -> Callable[..., np.ndarray]:
+    """``b -> A^{-1} b`` (``dual``: ``A^{-dag} b``; a ``dual`` argument overrides it):
+    LAPACK's dense solve for an array ``A``, else one ``splu`` factorization of the
+    sparse ``A``, kept in the returned solve, which solves either system on it."""
     if isinstance(A, np.ndarray):
-        return partial(np.linalg.solve, A)
+        return lambda b, dual=dual: np.linalg.solve(A.conj().T if dual else A, b)
     from scipy.sparse.linalg import splu
-    return splu(A.tocsc()).solve
+    lu = splu(A.tocsc())
+    return lambda b, dual=dual: lu.solve(b, trans="H" if dual else "N")
 
 
 # ---------------------------------------------------------------------------
 # the certified solve
 
 
-def _certify(A, rhs: np.ndarray, layout: BlockIndex
+def _certify(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False
              ) -> tuple[np.ndarray | None, float, float, Callable]:
     """Solve ``A [X | Y] = [rhs | vec(Id on every block)]`` with ``A = Id - S``
-    (dense or sparse) by one factorization of ``A``.
+    (dense or sparse; ``dual``: ``A^dag``, whose ``S^dag`` is positive too) by
+    one factorization of ``A``.
 
     ``S`` is a positive map on the blocks of ``layout``, so a solution
     whose blocks are Hermitian and ``>= Id`` gives
@@ -261,20 +279,20 @@ def _certify(A, rhs: np.ndarray, layout: BlockIndex
     (Perron-Frobenius for positive maps); the residual of the ``Y`` column is
     charged against the ``Id`` term.  Conversely ``r(S) < 1`` makes ``Y`` the
     series ``sum_n S^n(Id) >= Id``.  Returns ``(X, bound, relative
-    residual, solve)`` with ``solve`` the kept ``b -> A^{-1} b``; the bound
+    residual, solve)`` with ``solve`` the kept solve (:func:`_factor`); the bound
     is ``inf`` when the solve fails or ``Y`` is no certificate.
     """
     if not A.shape[0]:
         return rhs, 0.0, 0.0, None
     rhs = np.column_stack([rhs, layout.trace])
     try:
-        solve = _factor(A)
+        solve = _factor(A, dual)
         X = solve(rhs)
     except (np.linalg.LinAlgError, RuntimeError):   # RuntimeError: splu found A singular
         return None, math.inf, math.inf, None
     if not np.isfinite(X).all():
         return None, math.inf, math.inf, None
-    resid = A @ X - rhs
+    resid = ((A.T @ X.conj()).conj() if dual else A @ X) - rhs   # A^dag X, copying no A
     residual = float(np.linalg.norm(resid) / np.linalg.norm(rhs))
     R = X[:, :-1]
     if residual > CERTIFICATE_RESIDUAL_TOL:
@@ -337,12 +355,14 @@ class DomainSolve:
         mass = float(np.trace(unvec(self.cesaro[lo:lo + d * d, 0], d)).real)
         return mass if mass > TRAPPED_SHARE_TOL * start_mass else None
 
-    def resolve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the same certified system for another right-hand side; NumericalError
-        when its relative residual (off the trapped part) exceeds ``CERTIFICATE_RESIDUAL_TOL``."""
-        lift = self.lift
-        y = self.factor(rhs) if lift is None else lift @ self.factor(lift.conj().T @ rhs)
-        r = (self.A.conj().T if self.dual else self.A) @ y - rhs
+    def resolve(self, rhs: np.ndarray, dual: bool | None = None) -> np.ndarray:
+        """Solve the same certified system (``dual`` given: ``A^dag x = rhs`` or ``A x =
+        rhs``) for another right-hand side; NumericalError when its relative residual (off
+        the trapped part) exceeds ``CERTIFICATE_RESIDUAL_TOL``."""
+        lift, solve = self.lift, self.factor if dual is None else partial(self.factor, dual=dual)
+        dual = self.dual if dual is None else dual
+        y = solve(rhs) if lift is None else lift @ solve(lift.conj().T @ rhs)
+        r = ((self.A.T @ y.conj()).conj() if dual else self.A @ y) - rhs
         r = float(np.linalg.norm(r if lift is None else lift.conj().T @ r))
         if r > CERTIFICATE_RESIDUAL_TOL * np.linalg.norm(rhs):
             raise NumericalError("a solve on a kept factor misses its residual gate",
@@ -370,8 +390,9 @@ def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) ->
     and the dual problem with no data on T).  :class:`NumericalError` when
     no solve is certified.
     """
-    system = A.conj().T if dual else A
-    X, bound, residual, solve = _certify(system, rhs, layout)
+    if not A.shape[0]:   # the empty system: nothing to solve or certify
+        return DomainSolve(rhs, "block_solve", (), 0.0, 0.0, None, A, dual)
+    X, bound, residual, solve = _certify(A, rhs, layout, dual)
     if bound < 1.0 - DIVERGENCE_TOL:
         return DomainSolve(X, "block_solve", (), bound, residual, solve, A, dual)
     free, trap, cesaro = _trapped_split(A, layout, rhs)
@@ -389,9 +410,8 @@ def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) ->
             "the series is not certified convergent, and its near-fixed part is not trapped",
             {"radius_bound": bound, "trap_defect": defect, "trapped_sites": []})
     compressed = lift.conj().T @ (A @ lift)
-    system = compressed.conj().T if dual else compressed
     X_c, bound_c, residual, solve = _certify(
-        system, lift.conj().T @ rhs, BlockIndex.of_sizes([v.shape[1] for v in free]))
+        compressed, lift.conj().T @ rhs, BlockIndex.of_sizes([v.shape[1] for v in free]), dual)
     if not bound_c < 1.0 - DIVERGENCE_TOL:
         raise NumericalError(
             "the series is not certified convergent, not even off its trapped part",
@@ -472,13 +492,10 @@ class CPMapBlock:
 
 def _taboo_block(series: CaptureSeries, alpha: float | None = None) -> CPMapBlock:
     """The series' CP map from one certified solve, each step weighted by ``alpha`` if given."""
-    walk, weight = series.walk, 1.0 if alpha is None else alpha
-    solved = series._weighted(weight)
-    return CPMapBlock(
-        source=series.source, target=series.target,
-        source_dim=walk.dims[series.source], target_dim=walk.dims[series.target],
-        matrix=series.matrix(weight, solved), taboo=series.taboo, alpha=alpha,
-        diagnostics=solved.diagnostics)
+    weight = 1.0 if alpha is None else alpha
+    law, dims = series.law(weight), series.walk.dims
+    return CPMapBlock(series.source, series.target, dims[series.source], dims[series.target],
+                      series.matrix(weight, law), series.taboo, alpha, law.diagnostics)
 
 
 def taboo_operator(walk: WalkSpec, i, j, taboo=()) -> CPMapBlock:
@@ -542,8 +559,7 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     j, the count is ``tr sum_n P^n(sigma)``: one certified solve on
     ``Id - P`` (see :func:`_domain_solve`).  It is ``inf`` exactly when the
     Cesaro projection of ``sigma`` under ``P`` has trace mass, the mass that
-    returns forever.  When ``i == j`` the first-passage operator is the
-    return map, and its one solve serves both.
+    returns forever.  ``P`` is solved forward on j's kept law's factor, once.
     """
     return _visits(walk, *_first_passage(walk, i, rho, j))
 
@@ -553,7 +569,7 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     if tr_sigma <= ZERO_MASS_TOL:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
     j = series.target
-    P = first.matrix if series.source == j else capture_series(walk, j, j).matrix()
+    P = _return_map(series if series.source == j else capture_series(walk, j, j))
     solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], series.outer)
     diag = solve.diagnostics
     mass = solve.trapped_mass(0, walk.dims[j], tr_sigma)
@@ -562,13 +578,29 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     return ExpectationResult(float(np.vdot(series.outer.trace, solve.x[:, 0]).real), diag)
 
 
+def _return_map(ret: CaptureSeries) -> np.ndarray:
+    """The return map at j from its series ``ret`` (j -> j), ``direct + C (Id - S)^{-1} E``,
+    solved forward on the law's factor and kept with it.  Near 1, P sets a visit count
+    to about 1/(1 - P), and a forward solve rounds it alike on the dense and sparse path."""
+    def build() -> np.ndarray:
+        d = ret.walk.dims[ret.target]
+        P = np.zeros((d * d, d * d), dtype=COMPLEX)
+        if ret.direct is not None:
+            P += ret.walk.kraus(ret.target, ret.target)
+        if ret.A.shape[0]:
+            P += ret.C @ ret.law().resolve(ret.E, dual=False)
+        return _read_only(P)[0]
+    return ret.blocks._keep("return map", build)
+
+
 def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     """Expected first-passage time from (i, rho) to j; ``inf`` when the
     passage probability falls short of 1.
 
-    The time is ``sum_n n tr C S^(n-2) E rho`` (plus the direct step): the
-    passage series' certified solve and a second solve on the same, possibly
-    compressed, system.
+    The time is ``sum_n n tr C S^(n-2) E rho`` (plus the direct step): with
+    ``h = X t_j`` from the passage series' kept law ``X``, it is
+    ``(h + (Id - S^dag)^{-1} h)^dag E rho``, from a second dual solve on the
+    same, possibly compressed, system, made once per target and kept.
     """
     return _return_time(walk, *_first_passage(walk, i, rho, j))
 
@@ -580,10 +612,15 @@ def _return_time(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationRes
     val = 0.0
     if series.direct is not None:
         val = float(np.trace(series.direct @ rho @ series.direct.conj().T).real)
-    if series.A.shape[0]:
-        y = series.solved.x @ vec(rho)
-        z = series.solved.resolve(y)
-        val += float(np.vdot(series.outer.trace, series.C @ (y + z)).real)
+    if series.A.shape[0]:   # h = X t_j is t_j^dag C (Id - S)^{-1} as a vector
+        law = series.law()
+
+        def time_vector() -> np.ndarray:   # h + (Id - S^dag)^{-1} h, kept with the law
+            h = law.x @ series.outer.trace
+            return _read_only(h + law.resolve(h))[0]
+        h = series.blocks._keep("time", time_vector)
+        val += sum(float(np.vdot(h[lo:lo + K.shape[0]], K @ vec(rho)).real)
+                   for lo, K in series._entry())
     return ExpectationResult(val, {**series.diagnostics, "passage_probability": p})
 
 
@@ -665,11 +702,11 @@ def _domain_query(walk: WalkSpec, domain, i, rho, target: Site | None = None
 
 def _exit_law(walk: WalkSpec, inner: list[int], outer: list[int]
               ) -> tuple[DomainBlocks, DomainSolve]:
-    """System of the domain at positions ``inner`` onto its boundary at ``outer`` and its exit
-    law ``X`` (``X^dag`` maps states to exit states), the certified ``(Id - K_DD^dag) X =
-    K_out^dag``, kept in the walk's store by those positions."""
-    return walk._memo(("domain", tuple(inner), tuple(outer)), lambda w: (
-        blocks := _domain_blocks(w, inner, outer), blocks.solve(blocks.K_out.conj().T, dual=True)))
+    """System of the domain at positions ``inner`` onto its boundary at ``outer``, kept in the
+    walk's store by those positions, and its law (``X^dag`` maps states to exit states)."""
+    blocks = walk._memo(("domain", tuple(inner), tuple(outer)),
+                        lambda w: _domain_blocks(w, inner, outer))
+    return blocks, blocks.law
 
 
 def _exit_states(walk: WalkSpec, domain, i, rho) -> dict[Site, np.ndarray]:

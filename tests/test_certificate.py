@@ -10,6 +10,7 @@ operator is a 3000-term sum of the series' length terms.
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -195,8 +196,9 @@ def test_taboo_operator_matches_dense_reference():
             assert np.abs(op.matrix - want).max() <= 1e-12 * scale, label
             methods.add(op.diagnostics["method"])
     assert methods == {"solve", "compressed"}
-    # r(S) = 1 - 5.5e-11 with nothing trapped: refused, not answered
-    assert "half-line-down 11->cut+ taboo ()" in refused
+    # r(S) = 1 - 5.5e-11 with nothing trapped: refused, not answered, from
+    # each start that steps into the interior ("cut+" itself does not)
+    assert refused == {f"half-line-down {i}->cut+ taboo ()" for i in ("0", "1", "11")}
 
 
 def test_return_times_match_dense_reference():
@@ -218,10 +220,13 @@ def test_return_times_match_dense_reference():
 
 
 NEAR_DIVERGENT = [
-    # drift away from the target: Y = sum_n S^n(Id) exceeds 1e7, r(S) < 1 - 1e-7
+    # drift away from the target, 1 - r(S) between 1e-7 and 1e-6: the forward
+    # Y = sum_n S^n(Id) exceeds 1e7, the dual one (the law's) stays below it
     (fixtures.example_half_line(0.6, 30), "0", "30"),
     (fixtures.example_half_line(0.6, 30, boundary="taboo"), "1", "29"),
     (fixtures.example_half_line(0.55, 60), "0", "60"),
+    # r(S) = 1 - 5.3e-8: the certificate misses the margin, nothing is trapped
+    (fixtures.example_half_line(0.6, 35), "0", "35"),
 ]
 
 
@@ -238,18 +243,58 @@ def count_eigvals(monkeypatch):
     return calls
 
 
+def _mp_path_sum(walk, i, j, S, E, C):
+    """``direct + C (Id - S)^{-1} E`` of the float system, solved to 60 digits."""
+    with mpmath.workdps(60):
+        A, Cm = mpmath.matrix((np.eye(S.shape[0]) - S).tolist()), mpmath.matrix(C.tolist())
+        cols = [Cm * mpmath.lu_solve(A, mpmath.matrix(E[:, k].tolist()))
+                for k in range(E.shape[1])]
+        m = np.array([[complex(c[r]) for c in cols] for r in range(C.shape[0])])
+    L = walk.transitions.get((j, i))
+    return m if L is None else m + np.kron(L.conj(), L)
+
+
 @pytest.mark.parametrize("walk,i,j", NEAR_DIVERGENT)
 def test_near_divergent_series_take_the_first_solve(monkeypatch, walk, i, j):
     calls = count_eigvals(monkeypatch)
     op = oqw.taboo_operator(walk, i, j)
     assert calls == []
     monkeypatch.undo()
-    # the certificate misses the margin, nothing is trapped, and the bound
-    # below 1 keeps the first solve
-    assert 1.0 - DIVERGENCE_TOL <= op.diagnostics["radius_bound"] < 1.0
-    want, reference = dense_taboo_matrix(walk, i, j)
-    assert op.diagnostics["method"] == reference == "solve"
+    # nothing is trapped, and a bound below 1 keeps the first solve; the
+    # law's certificate misses the margin exactly where the spectral radius does
+    series = capture_series(walk, i, j)
+    S, E, C, radius = dense_series(walk, i, j, series.interior)
+    bound = op.diagnostics["radius_bound"]
+    assert op.diagnostics["method"] == "solve"
+    assert radius - 1e-12 <= bound < 1.0
+    assert (bound < 1.0 - DIVERGENCE_TOL) is (radius < 1.0 - DIVERGENCE_TOL)
+    # the dense reference solved as the library solves it, for the law
+    A = np.eye(S.shape[0]) - S
+    L = walk.transitions.get((j, i))
+    direct = 0.0 if L is None else np.kron(L.conj(), L)
+    want = direct + np.linalg.solve(A.conj().T, C.conj().T).conj().T @ E
     assert np.abs(op.matrix - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+    # and no farther from the 60-digit path sum than the dense forward solve
+    exact = _mp_path_sum(walk, i, j, S, E, C)
+    forward = _dense_path_sum(walk, i, j, S, E, C)
+    assert np.abs(op.matrix - exact).max() <= np.abs(forward - exact).max()
+
+
+def test_a_law_stays_within_its_condition_of_the_exact_sum():
+    # the return map of half-line-down 11 -> 11, 1 - P = 8.5e-6 with
+    # cond(Id - S) = 1.2e6: the law's dense dual solve is farther from the
+    # 60-digit path sum than a dense forward solve (9.0e-14 against 0 here),
+    # but within cond * eps of it; the visits' return map, solved forward,
+    # is no farther than the dense forward solve
+    walk = fixtures.example_half_line(0.75, 20)
+    series = capture_series(walk, "11", "11")
+    S, E, C, _ = dense_series(walk, "11", "11", series.interior)
+    exact = _mp_path_sum(walk, "11", "11", S, E, C)
+    cond = np.linalg.cond(np.eye(S.shape[0]) - S)
+    bound = cond * np.finfo(float).eps * max(1.0, float(np.abs(exact).max()))
+    assert np.abs(oqw.taboo_operator(walk, "11", "11").matrix - exact).max() <= bound
+    forward = _dense_path_sum(walk, "11", "11", S, E, C)
+    assert np.abs(hitting._return_map(series) - exact).max() <= np.abs(forward - exact).max()
 
 
 def test_certified_series_never_compute_eigvals(monkeypatch, half_line_down):

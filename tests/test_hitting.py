@@ -555,19 +555,19 @@ def _backward_reachable(walk, targets, allowed):
     for s in allowed:
         marks[walk._index[s]] = 1
     seeds = [p for t in targets for p in walk._graph.pred_above[walk._index[t]]]
-    return {walk.sites[k] for k in _search(walk._graph.pred, seeds, marks, 1)}
+    return {walk.sites[k] for k in _search(walk._graph.pred, seeds, marks)}
 
 
 def _pruned_interior(walk, target, allowed):
     """The interior of the capture series into ``target`` (not allowed) through
-    the ``allowed`` sites, from a new site "src" that steps onto every site of
-    ``walk``: every allowed site is reached, so only co-reachability prunes and
-    the interior is :func:`_backward_reachable` of ``target``."""
+    the ``allowed`` sites, from a new, tabooed site "src" that steps onto every
+    site of ``walk``: the start steps into every nonempty interior, so the
+    interior is :func:`_backward_reachable` of ``target``."""
     steps = {(s, "src"): np.ones((d, 1)) / np.sqrt(len(walk.sites) * d)
              for s, d in walk.dims.items()}
     wide = oqw.WalkSpec((*walk.sites, "src"), {**walk.dims, "src": 1},
                         {**walk.transitions, **steps}, tolerance=walk.tolerance)
-    taboo = [s for s in walk.sites if s not in set(allowed) and s != target]
+    taboo = [s for s in wide.sites if s not in set(allowed) and s != target]
     return set(capture_series(wide, "src", target, taboo).interior)
 
 

@@ -134,16 +134,43 @@ def _domain_blocks_calls() -> set[tuple[str, str, str]]:
 
 def test_only_the_exit_law_builds_a_bounded_domain_system():
     # a bounded domain's exit system comes from hitting's one kept exit law
-    # (capture series build their own, onto the target, in the builder of the
-    # kept series, which only capture_series calls); dirichlet builds no
-    # system at all: every Dirichlet answer, the whole-space one included,
-    # reads a kept exit law
+    # (capture series build their own, onto the target, in capture_series,
+    # which alone finds a series' interior and writes the kept series);
+    # dirichlet builds no system at all: every Dirichlet answer, the
+    # whole-space one included, reads a kept exit law
     calls = _domain_blocks_calls()
     assert {(m, fn) for m, fn, outer in calls if outer != "()"} == \
-        {("hitting", "_capture_series"), ("hitting", "_exit_law")}
+        {("hitting", "capture_series"), ("hitting", "_exit_law")}
     assert not {fn for m, fn, outer in calls if m == "dirichlet"}
     assert {(module, fn) for module, tree in _modules().items()
-            for fn in _users(tree, "_capture_series")} == {("hitting", "capture_series")}
+            for fn in _users(tree, "_reaching")} == {("hitting", "capture_series")}
+    assert not [module for module, tree in _modules().items()
+                if _users(tree, "_capture_series")]
+
+
+def test_only_the_domain_blocks_solve_a_law():
+    # every dual solve (a law: exit laws and the per-target series law) is
+    # DomainBlocks.law; alpha_operator's weighted law is a DomainBlocks too
+    dual = {(module, fn) for module, tree in _modules().items()
+            for fn in _calls_with(tree, "dual", True)}
+    assert dual == {("hitting", "law")}
+
+
+def _calls_with(tree: ast.Module, keyword: str, value) -> set[str]:
+    """Innermost functions holding a call that passes ``keyword=value``."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and any(
+                    k.arg == keyword and isinstance(k.value, ast.Constant)
+                    and k.value.value is value for k in child.keywords):
+                found.add(where)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, "<module>")
+    return found
 
 
 def test_only_resolve_reads_a_kept_factor():

@@ -1,6 +1,6 @@
 """The walk's integer site graph against the set-based searches it replaced.
 
-Capture series prune their interior, block layouts place their sites and
+Capture series find their interior, block layouts place their sites and
 domains find their boundary by position over ``walk._graph``.  The
 references below are the name-based code the library used before:
 searches over sets of site names (successors and predecessors read from the
@@ -56,13 +56,18 @@ def _reachable(seeds, step, allowed) -> set:
 
 
 def reference_interior(walk, i, j, taboo=()) -> tuple:
-    """Allowed sites reached from ``i`` and reaching ``j`` through allowed
-    sites, the last block above the tolerance, in walk order."""
+    """Allowed sites reaching ``j`` through allowed sites, the last block above
+    the tolerance, in walk order; none when ``i`` reaches none of them, and only
+    those ``i`` reaches when the kept law into ``j`` is refused or traps mass."""
     allowed = [s for s in walk.sites if s not in set(taboo) and s != j]
     reach = _reachable(_successors(walk, i), lambda s: _successors(walk, s), allowed)
     seeds = [s for s in _predecessors(walk, j) if _above(walk, j, s)]
     coreach = _reachable(seeds, lambda s: _predecessors(walk, s), allowed)
-    return tuple(s for s in walk.sites if s in reach & coreach)
+    if not reach & coreach:
+        return ()
+    if not hitting._traps_nothing(walk._store[("series", j, frozenset(taboo))]):
+        coreach &= reach
+    return tuple(s for s in walk.sites if s in coreach)
 
 
 def reference_layout(walk, sites) -> tuple:

@@ -1,8 +1,8 @@
 """Entries kept in a walk's store never change an answer, and never keep the walk alive.
 
 A walk keeps its exit laws (the four domains built last), capture series
-(the four (i, j, taboo) triples built last, each with its certified solve),
-invariant state, decomposition and irreducibility verdict.  A random
+(the four (target, taboo) pairs built last, each with its certified law, which
+every start reads), invariant state, decomposition and irreducibility verdict.  A random
 sequence of queries on one walk, over enough domains and series that the
 oldest are dropped and built again, must give every answer, bit for bit,
 that the same query gives on a freshly built walk.  No entry references its
@@ -10,6 +10,7 @@ walk, so a walk is freed with its last reference, cyclic collector or not.
 """
 
 import gc
+import math
 import weakref
 from dataclasses import is_dataclass
 from itertools import combinations
@@ -135,36 +136,41 @@ def test_first_passage_queries_share_one_certified_solve(monkeypatch):
     A = capture_series(walk, "0", "0").A
     assert sum(a is A for a in systems) == 1
     assert len(systems) == 1 + 3 + 3
-    # visits from i != j: the (i, j) and (j, j) series certify once each, and
-    # each call solves its own return series for its first-visit state
+    # visits from i != j: the (i, j) and (j, j) series read one law for j,
+    # certified once, and each call solves its own return series for its
+    # first-visit state
     walk = fresh(walk)
     del systems[:]
     for _ in range(3):
         oqw.expected_visits(walk, "1", rho, "0")
     kept = [capture_series(walk, "1", "0").A, capture_series(walk, "0", "0").A]
+    assert kept[0] is kept[1]
     assert [[a is b for b in kept] for a in systems] == [
-        [True, False], [False, True]] + [[False, False]] * 3
+        [True, True]] + [[False, False]] * 3
 
 
 def test_site_ids_are_normalised_before_the_store_is_read():
     walk = fixtures.random_doubly_stochastic(4, 2, seed=3)
     first = capture_series(walk, 0, 0, taboo=[2])
     again = capture_series(walk, "0", "0", taboo=("2",))
-    assert again.A is first.A and again._solved is first._solved
+    assert again.A is first.A and again.blocks is first.blocks
     assert [key for key in walk._store if key[0] == "series"] == [
-        ("series", "0", "0", frozenset({"2"}))]
+        ("series", "0", frozenset({"2"}))]
     assert first.walk is again.walk is walk
 
 
 def test_a_fifth_series_drops_the_oldest():
+    # the store keeps one series per (target, taboo): a new start to a kept
+    # target adds nothing, a fifth target drops the oldest
     walk = fixtures.random_doubly_stochastic(4, 2, seed=3)
-    triples = [("0", "0", ()), ("0", "1", ()), ("1", "0", ()), ("0", "0", ("1",)),
+    triples = [("0", "0", ()), ("0", "1", ()), ("1", "2", ()), ("0", "0", ("1",)),
                ("2", "3", ())]
     first = capture_series(walk, *triples[0]).A
     for triple in triples[1:]:
         capture_series(walk, *triple)
+        capture_series(walk, "3", *triple[1:])
     assert [key[1:] for key in walk._store if key[0] == "series"] == [
-        (i, j, frozenset(taboo)) for i, j, taboo in triples[1:]]
+        (j, frozenset(taboo)) for i, j, taboo in triples[1:]]
     assert KEPT_PER_KIND == 4 and capture_series(walk, *triples[0]).A is not first
 
 
@@ -172,13 +178,19 @@ def test_a_fifth_series_drops_the_oldest():
 def test_kept_arrays_are_read_only(n):
     walk = fixtures.example_lattice_nonnormal(n, "absorbing")
     series = capture_series(walk, "0", "0")
+    oqw.expected_visits(walk, "0", np.eye(2) / 2, "0")   # keeps the return map
     A = series.A
-    arrays = [series.E, series.C, series.solved.x]
+    arrays = [series.C, *series.blocks._kept.values()]
+    line = fixtures.example_half_line(0.75, 10 * n)
+    oqw.expected_return_time(line, "0", np.eye(2) / 2, "0")   # keeps the return-time vector
+    arrays += [capture_series(line, "0", "0").blocks._kept["time"]]
+    assert len(arrays) == 4
     arrays += [A] if isinstance(A, np.ndarray) else [A.data, A.indices, A.indptr]
     assert isinstance(A, np.ndarray) is (A.shape[0] < hitting.SPARSE_MIN_UNKNOWNS)
     blocks, law = hitting._exit_law(walk, [walk._index["0"]], hitting._boundary(
         walk, [walk._index["0"]]))
     arrays += [blocks.K_out, law.x]
+    arrays = [a.x if isinstance(a, hitting.DomainSolve) else a for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
@@ -188,9 +200,102 @@ def test_a_refused_solve_is_refused_again_and_keeps_nothing():
     walk = fixtures.example_half_line(0.75, 20)
     with pytest.raises(NumericalError) as first:
         oqw.taboo_operator(walk, "0", "cut+")
-    assert capture_series(walk, "0", "cut+")._solved == []
+    assert capture_series(walk, "0", "cut+").blocks._kept == {}
     with pytest.raises(NumericalError) as again:
         oqw.taboo_operator(walk, "0", "cut+")
     assert (str(again.value), again.value.diagnostics) == (str(first.value),
                                                            first.value.diagnostics)
-    assert capture_series(walk, "0", "cut+")._solved == []
+    assert capture_series(walk, "0", "cut+").blocks._kept == {}
+
+
+def test_a_start_with_no_step_into_the_interior_reads_no_law(monkeypatch):
+    # "cut+" steps only onto itself, so its view of the series into "cut+" is
+    # the empty system: the direct block, with no law read or certified, while
+    # a start that steps into the interior still meets the refused law
+    walk = fixtures.example_half_line(0.75, 20)
+    calls, certify = [], hitting._certify
+    monkeypatch.setattr(hitting, "_certify", lambda *args: calls.append(1) or certify(*args))
+    op = oqw.taboo_operator(walk, "cut+", "cut+")
+    assert calls == []
+    assert np.array_equal(op.matrix, walk.kraus("cut+", "cut+"))
+    assert op.diagnostics == {"method": "solve", "radius_bound": 0.0,
+                              "radius_source": "certificate", "residual": 0.0}
+    series = capture_series(walk, "cut+", "cut+")
+    assert series.interior == () and series.S.shape == (0, 0)
+    assert capture_series(walk, "0", "cut+").interior != ()
+    with pytest.raises(NumericalError) as refused:
+        oqw.taboo_operator(walk, "0", "cut+")
+    assert str(refused.value) == ("the series is not certified convergent, "
+                                  "and its near-fixed part is not trapped")
+    assert refused.value.diagnostics == {"radius_bound": math.inf, "trap_defect": 0.25,
+                                         "trapped_sites": []}
+
+
+def _with_chain(walk, target):
+    """``walk`` with two new scalar sites "x" -> "y" -> ``target``, each step sure."""
+    one = np.ones((1, 1))
+    return oqw.WalkSpec((*walk.sites, "x", "y"), {**walk.dims, "x": 1, "y": 1},
+                        {**walk.transitions, ("y", "x"): one, (target, "y"): one},
+                        tolerance=walk.tolerance)
+
+
+def test_a_start_reaching_part_of_a_refused_interior_solves_its_part():
+    # every half-line site reaches "cut+", and that law is refused; "x" reaches
+    # only "y", so its series solves on ("y",) alone and answers as before
+    walk = _with_chain(fixtures.example_half_line(0.75, 20), "cut+")
+    one = np.ones((1, 1))
+    series = capture_series(walk, "x", "cut+")
+    assert series.interior == ("y",)
+    op = oqw.taboo_operator(walk, "x", "cut+")
+    assert np.array_equal(op.matrix, one)
+    assert op.diagnostics == {"method": "solve", "radius_bound": 0.0,
+                              "radius_source": "certificate", "residual": 0.0}
+    assert oqw.passage_probability(walk, "x", one, "cut+") == 1.0
+    assert oqw.expected_return_time(walk, "x", one, "cut+").value == 2.0
+    assert oqw.passage_probability(walk, "y", one, "cut+") == 1.0
+    with pytest.raises(NumericalError, match="near-fixed part is not trapped"):
+        oqw.taboo_operator(walk, "0", "cut+")
+    # "0" reaches all but "y" of the kept system, and meets the refusal there
+    half_line = tuple(map(str, range(21)))
+    assert capture_series(walk, "0", "cut+").interior == half_line
+    assert walk._store[("series", "cut+", frozenset())].inner.sites == (*half_line, "x", "y")
+
+
+def test_a_start_reaching_no_trapped_site_reads_no_trap():
+    # "a" keeps e1 forever and sends e2 to "j"; "x" -> "y" -> "j" never meets
+    # "a", so its series is the untrapped one on ("y",), while "a"'s own is
+    # compressed off its trap
+    one = np.ones((1, 1), dtype=complex)
+    base = oqw.WalkSpec(("j", "a"), {"j": 1, "a": 2},
+                        {("j", "j"): one, ("a", "a"): np.diag([1.0, 0.0]).astype(complex),
+                         ("j", "a"): np.array([[0.0, 1.0]], dtype=complex)})
+    walk = _with_chain(base, "j")
+    for _ in range(2):   # cold, then with the law for "j" kept
+        op = oqw.taboo_operator(walk, "x", "j")
+        assert capture_series(walk, "x", "j").interior == ("y",)
+        assert np.array_equal(op.matrix, one)
+        assert op.diagnostics["method"] == "solve"
+        assert op.diagnostics["radius_bound"] == 0.0
+        trapped = oqw.taboo_operator(walk, "a", "j")
+        assert capture_series(walk, "a", "j").interior == ("a",)
+        assert trapped.diagnostics["method"] == "compressed"
+        assert abs(oqw.passage_probability(walk, "a", np.diag([0.0, 1.0]), "j") - 1.0) <= 1e-15
+        assert oqw.passage_probability(walk, "a", np.diag([1.0, 0.0]), "j") <= 1e-15
+    kept = walk._store[("series", "j", frozenset())]   # the one system into "j"
+    assert kept.inner.sites == ("a", "x", "y") and kept.law.trapped == ("a",)
+
+
+def test_every_start_reads_one_law_per_target(monkeypatch):
+    # passage to "200" from all 199 other starts of gambler's ruin certifies
+    # one law, and a second round certifies nothing
+    n = 200
+    walk = fixtures.gamblers_ruin(n + 1)
+    calls, certify = [], hitting._certify
+    monkeypatch.setattr(hitting, "_certify", lambda *args: calls.append(1) or certify(*args))
+    one = np.ones((1, 1))
+    for _ in range(2):
+        for k in range(1, n):
+            # hitting probabilities k/n, solved with a condition number of order n^2
+            p = oqw.passage_probability(walk, str(k), one, str(n))
+            assert abs(p - k / n) <= 1e-15 * n * n
+        assert len(calls) == 1
