@@ -21,12 +21,13 @@ because ``S`` and ``S^dag`` are positive maps.  When that bound is not below
 of the Cesaro fixed point of ``vec(Id)`` under ``S``, is checked to be invariant
 and exit-free, and the solve runs again, certified, on the compression of ``S``
 off T.  Nothing that leaves the series (a capture, an exit) starts in T, so the
-compressed solve is exact for it; the projection that finds T also gives the
-Cesaro limit of the right-hand side, the mass that stays trapped.  Diagnostics
-name the ``method`` (``"solve"``, ``"compressed"`` or ``"passage_deficit"``),
-the ``radius_bound``, its ``radius_source`` (``"certificate"``) and the solve's
-relative ``residual``.  A later solve on a kept factor, the one place a factor
-is reused (:meth:`DomainSolve.resolve`), is held to the same residual gate.
+compressed solve is exact for it; the forward Cesaro projection that finds T
+is kept with the solve as a map, and gives any start's mass that stays
+trapped.  Diagnostics name the ``method`` (``"solve"``, ``"compressed"`` or
+``"passage_deficit"``), the ``radius_bound``, its ``radius_source``
+(``"certificate"``) and the solve's relative ``residual``.  A later solve on a
+kept factor, the one place a factor is reused (:meth:`DomainSolve.resolve`), is
+held to the same residual gate.
 
 Infinity is a first-class value: expectations return ``math.inf`` with
 diagnostics, never an exception, when the underlying series diverges; a visit
@@ -36,8 +37,8 @@ under the return map keeps trace mass.
 First-passage queries and finite-domain queries each share one entry that
 checks their input.  The walk's store keeps, read-only and with no reference
 to the walk, the systems of the four (target, taboo) pairs (:func:`capture_series`)
-and of the four domains (:func:`_exit_law`, read by exit states and every
-Dirichlet answer) built last, each with its law once solved.
+and of the four domains (:func:`_exit_law`, read by exit states, in-domain visits
+and every Dirichlet answer) built last, each with its law once solved.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class DomainBlocks:
     step ``K_out`` from ``D`` onto the ``outer`` sites, in walk site order.
 
     It holds no walk, so the walk's store keeps it without a cycle, and its
-    arrays are read-only.  :meth:`solve` is the certified solve of ``(Id - S) x = rhs``;
-    :attr:`law` is the one place a law is solved.
+    arrays are read-only.  :attr:`law` is the one place a law is solved, and its
+    factor serves every other solve of the system (:meth:`DomainSolve.resolve`).
     """
 
     inner: BlockIndex
@@ -91,10 +92,6 @@ class DomainBlocks:
     A: object           # Id - S, inner -> inner (ndarray or CSC)
     K_out: np.ndarray   # inner -> outer
     _kept: dict = field(default_factory=dict, init=False, repr=False)   # see _keep
-
-    def solve(self, rhs: np.ndarray, dual: bool = False) -> DomainSolve:
-        """:func:`_domain_solve` of ``A x = rhs`` (``dual``: ``A^dag x = rhs``)."""
-        return _domain_solve(self.A, rhs, self.inner, dual)
 
     def _keep(self, name: str, build: Callable[[], object]):
         """The result ``name`` of this system, ``build()`` on first read and kept;
@@ -107,7 +104,8 @@ class DomainBlocks:
     def law(self) -> DomainSolve:
         """The exit law ``X``, the certified ``(Id - S^dag) X = K_out^dag`` (``X^dag`` maps
         states in ``D`` to the states at which they leave onto ``outer``), kept."""
-        return self._keep("law", lambda: self.solve(self.K_out.conj().T, dual=True))
+        return self._keep("law", lambda: _domain_solve(self.A, self.K_out.conj().T,
+                                                       self.inner, dual=True))
 
 
 def _read_only(*arrays) -> tuple:
@@ -279,11 +277,12 @@ def _certify(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False
     (Perron-Frobenius for positive maps); the residual of the ``Y`` column is
     charged against the ``Id`` term.  Conversely ``r(S) < 1`` makes ``Y`` the
     series ``sum_n S^n(Id) >= Id``.  Returns ``(X, bound, relative
-    residual, solve)`` with ``solve`` the kept solve (:func:`_factor`); the bound
-    is ``inf`` when the solve fails or ``Y`` is no certificate.
+    residual, solve)`` with ``solve`` the kept solve (:func:`_factor`; the identity
+    on the empty system); the bound is ``inf`` when the solve fails or ``Y`` is no
+    certificate.
     """
-    if not A.shape[0]:
-        return rhs, 0.0, 0.0, None
+    if not A.shape[0]:   # the empty system: its solve passes its (empty) input through
+        return rhs, 0.0, 0.0, lambda b, dual=dual: b
     rhs = np.column_stack([rhs, layout.trace])
     try:
         solve = _factor(A, dual)
@@ -322,8 +321,9 @@ class DomainSolve:
     that part is nonzero.  Bound and residual are the certifying solve's, and
     ``factor`` (with ``lift``, when compressed) is its kept ``b -> A^{-1} b``
     of ``A = Id - S`` (``dual``: ``A^dag``), read by :meth:`resolve` only.
-    ``cesaro`` (when compressed) is the Cesaro limit of ``rhs`` under ``S``,
-    the mass that stays trapped, from the projection that found that part.
+    ``cesaro`` (when compressed) is the forward Cesaro projection ``x -> lim
+    mean_n S^n x``, the mass of ``x`` that stays trapped, kept from the one SVD
+    that found that part.
     """
 
     x: np.ndarray
@@ -335,7 +335,7 @@ class DomainSolve:
     A: object = field(repr=False)
     dual: bool
     lift: np.ndarray | None = field(default=None, repr=False)
-    cesaro: np.ndarray | None = field(default=None, repr=False)
+    cesaro: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.x.setflags(write=False)
@@ -347,12 +347,12 @@ class DomainSolve:
                 "radius_bound": self.radius_bound, "radius_source": "certificate",
                 "residual": self.residual}
 
-    def trapped_mass(self, lo: int, d: int, start_mass: float) -> float | None:
-        """The :attr:`cesaro` mass of the d x d block at offset ``lo`` when it
-        exceeds ``TRAPPED_SHARE_TOL * start_mass``, else None."""
+    def trapped_mass(self, rhs: np.ndarray, lo: int, d: int, start_mass: float) -> float | None:
+        """The mass of the d x d block at offset ``lo`` of the :attr:`cesaro` limit of
+        ``rhs`` (one column) when it exceeds ``TRAPPED_SHARE_TOL * start_mass``, else None."""
         if self.cesaro is None:
             return None
-        mass = float(np.trace(unvec(self.cesaro[lo:lo + d * d, 0], d)).real)
+        mass = float(np.trace(unvec(self.cesaro(rhs)[lo:lo + d * d, 0], d)).real)
         return mass if mass > TRAPPED_SHARE_TOL * start_mass else None
 
     def resolve(self, rhs: np.ndarray, dual: bool | None = None) -> np.ndarray:
@@ -395,7 +395,7 @@ def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) ->
     X, bound, residual, solve = _certify(A, rhs, layout, dual)
     if bound < 1.0 - DIVERGENCE_TOL:
         return DomainSolve(X, "block_solve", (), bound, residual, solve, A, dual)
-    free, trap, cesaro = _trapped_split(A, layout, rhs)
+    free, trap, cesaro = _trapped_split(A, layout)
     trapped = tuple(s for s, w in zip(layout.sites, trap) if w.shape[1])
     if not trapped:
         if bound < 1.0:
@@ -421,18 +421,17 @@ def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) ->
                        lift, cesaro)
 
 
-def _trapped_split(A, layout: BlockIndex, rhs: np.ndarray) -> tuple[list, list, np.ndarray]:
+def _trapped_split(A, layout: BlockIndex) -> tuple[list, list, Callable]:
     """Orthonormal bases, block by block, of the complement of T and of T, the
-    support of the Cesaro fixed point of ``vec(Id)`` under ``S = Id - A``,
-    and the Cesaro limit of ``rhs``: one projection of ``[vec(Id) | rhs]``."""
+    support of the Cesaro fixed point of ``vec(Id)`` under ``S = Id - A``, and
+    the Cesaro projection under ``S`` that found it."""
     S = _eye(A) - A
-    fixed, _ = fixed_point_projection(S if isinstance(S, np.ndarray) else S.toarray(),
-                                      np.column_stack([layout.trace, rhs]))
-    eig = [np.linalg.eigh(herm(b)) for b in layout.unpack(fixed[:, 0]).values()]
+    project, _ = fixed_point_projection(S if isinstance(S, np.ndarray) else S.toarray())
+    eig = [np.linalg.eigh(herm(b)) for b in layout.unpack(project(layout.trace)).values()]
     top = max(0.0, *(float(w.max()) for w, _ in eig))
     cuts = [w <= RANK_TOL * top for w, _ in eig]
     return ([v[:, cut] for (_, v), cut in zip(eig, cuts)],
-            [v[:, ~cut] for (_, v), cut in zip(eig, cuts)], fixed[:, 1:])
+            [v[:, ~cut] for (_, v), cut in zip(eig, cuts)], project)
 
 
 def _lift(bases: list) -> np.ndarray:
@@ -570,9 +569,10 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
     j = series.target
     P = _return_map(series if series.source == j else capture_series(walk, j, j))
-    solve = _domain_solve(_eye(P) - P, vec(sigma)[:, None], series.outer)
+    rhs = vec(sigma)[:, None]
+    solve = _domain_solve(_eye(P) - P, rhs, series.outer)
     diag = solve.diagnostics
-    mass = solve.trapped_mass(0, walk.dims[j], tr_sigma)
+    mass = solve.trapped_mass(rhs, 0, walk.dims[j], tr_sigma)
     if mass is not None:
         return ExpectationResult(math.inf, {**diag, "cesaro_mass": mass})
     return ExpectationResult(float(np.vdot(series.outer.trace, solve.x[:, 0]).real), diag)
@@ -682,18 +682,16 @@ def domain_operator(walk: WalkSpec, domain, i, j) -> CPMapBlock:
 def _domain_query(walk: WalkSpec, domain, i, rho, target: Site | None = None
                   ) -> tuple[Site, np.ndarray, list[int], list[int]]:
     """The one entry of the domain queries: checks ``rho`` at ``i``, the domain's sites,
-    its boundary (exits) or that it holds ``target`` (visits), and that ``i`` lies in it;
-    returns ``i``, ``rho`` (an array) and the ascending positions of the domain's sites
-    and of its boundary (empty for visits)."""
+    that its boundary is not empty (exits) or that it holds ``target`` (visits), and that
+    ``i`` lies in it; returns ``i``, ``rho`` (an array) and the ascending positions of the
+    domain's sites and of its boundary."""
     i, rho = _site_id(i), np.asarray(rho, dtype=COMPLEX)
     check_state(walk, DiagonalState({i: rho}))
     D, inner = _domain_sites(walk, domain)
-    outer = []
-    if target is None:
-        outer = _boundary(walk, inner)
-        if not outer:
-            raise InputError("domain has empty boundary")
-    elif target not in D:
+    outer = _boundary(walk, inner)
+    if target is None and not outer:
+        raise InputError("domain has empty boundary")
+    if target is not None and target not in D:
         raise InputError(f"target {target!r} must lie inside the domain")
     if i not in D:
         raise InputError(f"start site {i!r} is not in the domain")
@@ -762,21 +760,21 @@ def harmonic_measure(walk: WalkSpec, domain, i, rho) -> HarmonicMeasure:
 def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     """Expected visits to j in the domain before first leaving it.
 
-    From the occupation ``x = sum_{n >= 0} K_DD^n (rho at i)`` of one forward
-    solve the count is ``tr x_j - delta_ij tr rho``.  The count is infinite,
-    and :class:`NumericalError` is raised, exactly when the Cesaro fixed point
-    of the start state, read from the same solve, has mass at j.
+    The count is ``tr x_j - delta_ij tr rho`` from the occupation ``x = (Id -
+    K_DD)^{-1} (rho at i)``, one forward solve on the factor of the domain's kept
+    exit law.  The count is infinite, and :class:`NumericalError` is raised, exactly
+    when the law's kept Cesaro projection of the start state has mass at j.
     """
     j = _site_id(j)
-    i, rho, inner, _ = _domain_query(walk, domain, i, rho, target=j)
-    blocks = _domain_blocks(walk, inner, ())
-    solve = blocks.solve(blocks.inner.pack(DiagonalState({i: rho}))[:, None])
+    i, rho, inner, outer = _domain_query(walk, domain, i, rho, target=j)
+    blocks, law = _exit_law(walk, inner, outer)
+    rhs = blocks.inner.pack(DiagonalState({i: rho}))[:, None]
     lo, d = blocks.inner.starts[walk._index[j]], walk.dims[j]
     tr_rho = float(np.trace(rho).real)
-    mass = solve.trapped_mass(lo, d, tr_rho)
+    mass = law.trapped_mass(rhs, lo, d, tr_rho)
     if mass is not None:
         raise NumericalError(
             "domain visit count diverges: the start state leaves mass trapped "
-            f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(solve.trapped)})
-    visits = float(np.trace(unvec(solve.x[lo:lo + d * d, 0], d)).real)
+            f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(law.trapped)})
+    visits = float(np.trace(unvec(law.resolve(rhs, dual=False)[lo:lo + d * d, 0], d)).real)
     return visits - (tr_rho if i == j else 0.0)

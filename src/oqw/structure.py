@@ -208,10 +208,10 @@ def _minimal_enclosures(walk: WalkSpec, enc: Enclosure) -> list[Enclosure]:
     idx = BlockIndex.at(sub, range(len(sub.sites)))
     ramp = idx.trace.copy()  # ones on the diagonals, in order
     ramp[ramp != 0] = np.arange(1, sub.total_dim + 1) / sub.total_dim
-    fixed, k = fixed_point_projection(block_matrix(sub, idx, idx).conj().T,
-                                      np.column_stack([ramp, hermitian_basis_matrix(idx)]))
+    project, k = fixed_point_projection(block_matrix(sub, idx, idx).conj().T)
     if k <= 1:
         return [enc]
+    fixed = project(np.column_stack([ramp, hermitian_basis_matrix(idx)]))
     groups = _eigenspace_groups(walk, idx.unpack(fixed[:, 0]), enc)
     if len(groups) == 1:
         groups = max((_eigenspace_groups(walk, idx.unpack(y), enc) for y in fixed[:, 1:].T),

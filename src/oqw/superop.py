@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -154,23 +155,23 @@ def _fixed_space(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vh[null].conj().T, u[:, null]
 
 
-def fixed_point_projection(matrix: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Spectral projection of x onto the eigenvalue-1 eigenspace of M.
+def fixed_point_projection(matrix: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Spectral projection onto the eigenvalue-1 eigenspace of M, as a map.
 
     Equals the Cesaro limit of ``mean_k M^k x`` when the peripheral spectrum
     is semisimple (true for trace-preserving completely positive maps).
-    Returns the projected vector and the fixed-space dimension.
+    Returns the map ``x -> right (left^dag right)^{-1} left^dag x``, from one
+    SVD, and the fixed-space dimension.
     """
     right, left = _fixed_space(matrix)
     k = right.shape[1]
     if k == 0:
-        return np.zeros_like(x), 0
+        return np.zeros_like, 0
     if left.shape[1] != k:
         raise NumericalError("left/right fixed spaces have different dimensions",
                              {"right": k, "left": left.shape[1]})
     gram = left.conj().T @ right
-    coeff = np.linalg.solve(gram, left.conj().T @ x)
-    return right @ coeff, k
+    return lambda x: right @ np.linalg.solve(gram, left.conj().T @ x), k
 
 
 def invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
@@ -191,10 +192,10 @@ def _invariant_state(walk: WalkSpec) -> tuple[DiagonalState | None, int]:
     """The walk's kept invariant state: :func:`invariant_state`, computed."""
     idx = BlockIndex.at(walk, range(len(walk.sites)))
     x = idx.trace / walk.total_dim   # the maximally mixed state
-    proj, k = fixed_point_projection(block_matrix(walk, idx, idx), x)
+    project, k = fixed_point_projection(block_matrix(walk, idx, idx))
     if k == 0:
         return None, 0
-    blocks = idx.unpack(proj)
+    blocks = idx.unpack(project(x))
     blocks = {s: positive_part(herm(b)) for s, b in blocks.items()}
     total = sum(float(np.trace(b).real) for b in blocks.values())
     if total < 1e-8:

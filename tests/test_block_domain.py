@@ -24,7 +24,7 @@ from oqw._oracles import brute_force_path_sum, shanks_limit
 from oqw.linalg import COMPLEX, herm, hermitian_basis, psd_sqrt, spectral_radius, unvec, vec
 from oqw.walk import DiagonalObservable, identity_observable
 
-from conftest import E1, E2, random_density, random_hermitian, rotate, rotation
+from conftest import E1, E2, MIX, random_density, random_hermitian, rotate, rotation
 
 # (walk, domain) pairs whose one-step map inside the domain is certified
 # convergent; the walks are the ring, gambler's ruin, the branch walk and a
@@ -288,15 +288,26 @@ def test_trap_visits_are_finite_off_the_trapped_mass(trap_walk):
         oqw.expected_domain_visits(trap_walk, ["0", "1"], "1", E1, "0")
 
 
-def test_trapped_domain_visits_project_once(trap_walk, monkeypatch):
+def test_trapped_domain_visits_project_once(monkeypatch):
     # the trapped split and the Cesaro limit of the start state come from
-    # one projection
+    # one projection, which the domain's law keeps for every later start and
+    # target, divergent ones included (a fresh walk: the session-scoped
+    # trap_walk fixture keeps this law)
     calls = []
     project = hitting.fixed_point_projection
     monkeypatch.setattr(hitting, "fixed_point_projection",
                         lambda *args: calls.append(1) or project(*args))
-    assert oqw.expected_domain_visits(trap_walk, ["0", "1"], "1", E2, "0") == \
+    walk, domain = fixtures.example_three_site_trap(), ["0", "1"]
+    assert oqw.expected_domain_visits(walk, domain, "1", E2, "0") == \
         pytest.approx(1.0, abs=1e-14)
+    assert len(calls) == 1
+    for i in domain:
+        for j in domain:
+            for rho in (E1, E2, MIX):
+                try:
+                    oqw.expected_domain_visits(walk, domain, i, rho, j)
+                except NumericalError as err:
+                    assert "visit count diverges" in str(err)
     assert len(calls) == 1
 
 
@@ -318,9 +329,9 @@ def test_compression_only_where_the_certificate_fails(walks, monkeypatch):
     calls = []
     project = hitting.fixed_point_projection
 
-    def spy(matrix, x, *args):
+    def spy(matrix):
         calls.append(matrix.shape[0])
-        return project(matrix, x, *args)
+        return project(matrix)
 
     monkeypatch.setattr(hitting, "fixed_point_projection", spy)
     rho = np.eye(2, dtype=complex) / 2
@@ -413,6 +424,16 @@ def test_near_fixed_return_map_of_a_phase_is_trapped():
             oqw.expected_domain_visits(walk, ["0"], "0", [[1]], "0")
 
 
+def test_a_domain_trapping_every_direction_passes_its_start_through():
+    # two sites that each keep their state forever: the domain has no boundary
+    # and its compression off the trapped part is the empty system
+    walk = oqw.WalkSpec(("a", "b"), {"a": 1, "b": 1},
+                        {("a", "a"): [[1]], ("b", "b"): [[1]]})
+    assert oqw.expected_domain_visits(walk, ["a", "b"], "a", [[1]], "b") == 0.0
+    with pytest.raises(NumericalError, match="visit count diverges"):
+        oqw.expected_domain_visits(walk, ["a", "b"], "a", [[1]], "a")
+
+
 def test_exit_start_outside_domain_rejected(ring_walk):
     with pytest.raises(oqw.InputError, match="not in the domain"):
         oqw.harmonic_measure(ring_walk, ["0", "1"], "2", np.eye(2) / 2)
@@ -445,7 +466,8 @@ def forward_exit_map(walk, domain):
     part), and the exit map ``K_out F``."""
     inner = hitting._domain_sites(walk, domain)[1]
     blocks = hitting._domain_blocks(walk, inner, hitting._boundary(walk, inner))
-    forward = blocks.solve(np.eye(blocks.inner.total, dtype=COMPLEX))
+    forward = hitting._domain_solve(blocks.A, np.eye(blocks.inner.total, dtype=COMPLEX),
+                                    blocks.inner)
     return blocks, forward, blocks.K_out @ forward.x
 
 

@@ -297,6 +297,25 @@ def test_a_law_stays_within_its_condition_of_the_exact_sum():
     assert np.abs(hitting._return_map(series) - exact).max() <= np.abs(forward - exact).max()
 
 
+def test_near_singular_domain_visits_match_the_exact_occupation():
+    # visits to "0" before leaving "0".."10" on half-line-down: counts near 1e5,
+    # where the occupation solve is about 2e-16 from a 60-digit solve of the same
+    # float system (Id - K_DD) x = rho at i
+    walk = fixtures.example_half_line(0.75, 20)
+    domain = [str(k) for k in range(11)]
+    inner = hitting._domain_sites(walk, domain)[1]
+    blocks = hitting._exit_law(walk, inner, hitting._boundary(walk, inner))[0]
+    A, lo = mpmath.matrix(np.asarray(blocks.A).tolist()), int(blocks.inner.starts[0])
+    for i, near in (("10", 88573.5), ("8", 127939.5), ("3", 132840.0)):
+        got = oqw.expected_domain_visits(walk, domain, i, [[1]], "0")
+        rhs = blocks.inner.pack(oqw.DiagonalState({i: np.ones((1, 1))}))
+        with mpmath.workdps(60):
+            x = mpmath.lu_solve(A, mpmath.matrix(rhs.tolist()))
+            exact = float(mpmath.re(x[lo] + x[lo + 3]))   # the trace of the 2 x 2 block at "0"
+        assert exact == pytest.approx(near, rel=1e-6)
+        assert abs(got - exact) <= 1e-14 * exact
+
+
 def test_certified_series_never_compute_eigvals(monkeypatch, half_line_down):
     calls = count_eigvals(monkeypatch)
     walk = fixtures.example_lattice_nonnormal(10, "absorbing")

@@ -15,7 +15,7 @@ import oqw
 
 PACKAGE = Path(oqw.__file__).parent
 LOCAL_IMPORTS_ALLOWED = {"cli": None, "trajectory": {"philox"}}  # None: any module
-# the certified solve behind DomainBlocks.solve, private to hitting
+# the certified solve behind DomainBlocks.law, private to hitting
 SOLVE_INTERNALS = {"_domain_solve", "_certify", "_trapped_split"}
 
 
@@ -74,7 +74,7 @@ def test_no_function_local_relative_imports():
 
 
 def test_solve_internals_stay_in_hitting():
-    # every other module solves through hitting.DomainBlocks.solve
+    # every other module solves through hitting.DomainBlocks.law
     offending = []
     for name, tree in _modules().items():
         if name == "hitting":
@@ -137,10 +137,12 @@ def test_only_the_exit_law_builds_a_bounded_domain_system():
     # (capture series build their own, onto the target, in capture_series,
     # which alone finds a series' interior and writes the kept series);
     # dirichlet builds no system at all: every Dirichlet answer, the
-    # whole-space one included, reads a kept exit law
+    # whole-space one included, reads a kept exit law; no system is built
+    # without its exit block (in-domain visits read the exit law too)
     calls = _domain_blocks_calls()
     assert {(m, fn) for m, fn, outer in calls if outer != "()"} == \
         {("hitting", "capture_series"), ("hitting", "_exit_law")}
+    assert not [call for call in calls if call[2] == "()"]
     assert not {fn for m, fn, outer in calls if m == "dirichlet"}
     assert {(module, fn) for module, tree in _modules().items()
             for fn in _users(tree, "_reaching")} == {("hitting", "capture_series")}

@@ -285,6 +285,24 @@ def test_a_start_reaching_no_trapped_site_reads_no_trap():
     assert kept.inner.sites == ("a", "x", "y") and kept.law.trapped == ("a",)
 
 
+def test_domain_visits_read_the_kept_exit_law(monkeypatch):
+    # a harmonic measure and then visit counts from every start to every
+    # target of ruin's domain 1..9 certify one law in all; each count is the
+    # Green's function 2 min(i, j) (n - max(i, j)) / n less the visit at time 0
+    n, domain = 10, [str(k) for k in range(1, 10)]
+    walk = fixtures.gamblers_ruin(n + 1, 0.5)
+    calls, certify = [], hitting._certify
+    monkeypatch.setattr(hitting, "_certify", lambda *args: calls.append(1) or certify(*args))
+    one = np.ones((1, 1))
+    oqw.harmonic_measure(walk, domain, "5", one)
+    for i in range(1, n):
+        for j in range(1, n):
+            want = 2 * min(i, j) * (n - max(i, j)) / n - (i == j)
+            got = oqw.expected_domain_visits(walk, domain, str(i), one, str(j))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert len(calls) == 1
+
+
 def test_every_start_reads_one_law_per_target(monkeypatch):
     # passage to "200" from all 199 other starts of gambler's ruin certifies
     # one law, and a second round certifies nothing

@@ -102,9 +102,9 @@ def test_fixed_space_of_a_map_equal_to_identity_up_to_rounding():
     # rounding: it has a fixed space, found whatever the phase
     for phase in (0.0, 0.3, 2.0):
         loop = np.array([[np.exp(1j * phase)]])
-        proj, k = fixed_point_projection(kraus_block(loop), np.ones(1, dtype=complex))
+        project, k = fixed_point_projection(kraus_block(loop))
         assert k == 1
-        assert proj == pytest.approx(np.ones(1))
+        assert project(np.ones(1, dtype=complex)) == pytest.approx(np.ones(1))
 
 
 # ---------------------------------------------------------------------------
