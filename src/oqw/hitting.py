@@ -13,7 +13,8 @@ that reaches part of a refused or trapping interior solves that part instead.
 A capture series and a finite domain are one :class:`DomainBlocks` system,
 ``Id - S`` on a set of sites and its exit block, whose kept law is the one place
 a law is solved.  Every series ``sum_n S^n`` here (these and the return map
-behind expected visits) is summed by one certified solve.  Next to its
+behind expected visits) is summed by one certified solve, kept with its
+system: a domain's law, and a target's law and return-map solve.  Next to its
 right-hand side the solve takes ``vec(Id)`` on every block, its layout's trace
 vector, and a Hermitian solution ``Y >= Id`` certifies ``r(S) <= 1 - 1/lmax(Y)``
 because ``S`` and ``S^dag`` are positive maps.  When that bound is not below
@@ -160,12 +161,6 @@ class CaptureSeries:
         return block_matrix(self.walk, self.inner,
                             BlockIndex.at(self.walk, [self.walk._index[self.source]]))
 
-    def _entry(self) -> list[tuple[int, np.ndarray]]:
-        """``E`` by blocks: (offset in the interior, ``kraus(s, i)``) per successor ``s`` there."""
-        walk, starts = self.walk, self.inner.starts
-        return [(starts[s], walk.kraus(walk.sites[s], self.source))
-                for s in walk._graph.succ[walk._index[self.source]] if starts[s] >= 0]
-
     def law(self, alpha: float = 1.0) -> DomainSolve:
         """The certified dual law ``(Id - alpha S^dag)^{-1} C^dag``: the kept one at
         ``alpha = 1``, else a new solve that is not kept."""
@@ -183,7 +178,7 @@ class CaptureSeries:
             m += alpha * walk.kraus(self.target, self.source)
         if self.A.shape[0]:
             law = law or self.law(alpha)
-            for lo, K in self._entry():
+            for lo, K in _entry(walk, self.inner, self.source):
                 m += (alpha ** 2) * (law.x[lo:lo + K.shape[0]].conj().T @ K)
         return m
 
@@ -210,6 +205,13 @@ def capture_series(walk: WalkSpec, i, j, taboo=()) -> CaptureSeries:
         if len(reached) < len(blocks.inner.sites) and not _traps_nothing(blocks):
             blocks = _domain_blocks(walk, reached, [at[j]])
     return CaptureSeries(blocks, walk, i, j, taboo)
+
+
+def _entry(walk: WalkSpec, inner: BlockIndex, i: Site) -> list[tuple[int, np.ndarray]]:
+    """The step out of ``i`` into ``inner`` (a series' ``E``) by blocks: (offset in ``inner``,
+    ``kraus(s, i)``) per successor ``s`` of ``i`` there."""
+    return [(inner.starts[s], walk.kraus(walk.sites[s], i))
+            for s in walk._graph.succ[walk._index[i]] if inner.starts[s] >= 0]
 
 
 def _traps_nothing(blocks: DomainBlocks) -> bool:
@@ -555,10 +557,11 @@ def expected_visits(walk: WalkSpec, i, rho, j) -> ExpectationResult:
     """Expected number of visits to j from (i, rho); may be ``inf``.
 
     With ``sigma`` the state at the first visit and ``P`` the return map at
-    j, the count is ``tr sum_n P^n(sigma)``: one certified solve on
-    ``Id - P`` (see :func:`_domain_solve`).  It is ``inf`` exactly when the
-    Cesaro projection of ``sigma`` under ``P`` has trace mass, the mass that
-    returns forever.  ``P`` is solved forward on j's kept law's factor, once.
+    j, the count is ``tr G(sigma)``: ``G = sum_n P^n``, the certified solve
+    ``(Id - P) G = Id`` (see :func:`_domain_solve`; ``P`` solved forward on j's
+    law's factor), is kept with that law for every start and state, so its
+    ``residual`` is the target's.  It is ``inf`` exactly when the kept Cesaro
+    projection of ``sigma`` under ``P`` has trace mass, which returns forever.
     """
     return _visits(walk, *_first_passage(walk, i, rho, j))
 
@@ -568,29 +571,28 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     if tr_sigma <= ZERO_MASS_TOL:
         return ExpectationResult(0.0, {"method": "solve", "first_passage_mass": tr_sigma})
     j = series.target
-    P = _return_map(series if series.source == j else capture_series(walk, j, j))
+    ret = series if series.source == j else capture_series(walk, j, j)
+    green = ret.blocks._keep("visits", lambda: _domain_solve(   # G = (Id - P)^{-1}
+        _read_only(_eye(P := _return_map(ret)) - P)[0], _eye(P), ret.outer))
     rhs = vec(sigma)[:, None]
-    solve = _domain_solve(_eye(P) - P, rhs, series.outer)
-    diag = solve.diagnostics
-    mass = solve.trapped_mass(rhs, 0, walk.dims[j], tr_sigma)
+    diag = green.diagnostics
+    mass = green.trapped_mass(rhs, 0, walk.dims[j], tr_sigma)
     if mass is not None:
         return ExpectationResult(math.inf, {**diag, "cesaro_mass": mass})
-    return ExpectationResult(float(np.vdot(series.outer.trace, solve.x[:, 0]).real), diag)
+    return ExpectationResult(float(np.vdot(ret.outer.trace, green.x @ rhs[:, 0]).real), diag)
 
 
 def _return_map(ret: CaptureSeries) -> np.ndarray:
     """The return map at j from its series ``ret`` (j -> j), ``direct + C (Id - S)^{-1} E``,
-    solved forward on the law's factor and kept with it.  Near 1, P sets a visit count
-    to about 1/(1 - P), and a forward solve rounds it alike on the dense and sparse path."""
-    def build() -> np.ndarray:
-        d = ret.walk.dims[ret.target]
-        P = np.zeros((d * d, d * d), dtype=COMPLEX)
-        if ret.direct is not None:
-            P += ret.walk.kraus(ret.target, ret.target)
-        if ret.A.shape[0]:
-            P += ret.C @ ret.law().resolve(ret.E, dual=False)
-        return _read_only(P)[0]
-    return ret.blocks._keep("return map", build)
+    solved forward on the law's factor.  Near 1, P sets a visit count to about
+    1/(1 - P), and a forward solve rounds it alike on the dense and sparse path."""
+    d = ret.walk.dims[ret.target]
+    P = np.zeros((d * d, d * d), dtype=COMPLEX)
+    if ret.direct is not None:
+        P += ret.walk.kraus(ret.target, ret.target)
+    if ret.A.shape[0]:
+        P += ret.C @ ret.law().resolve(ret.E, dual=False)
+    return P
 
 
 def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
@@ -620,7 +622,7 @@ def _return_time(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationRes
             return _read_only(h + law.resolve(h))[0]
         h = series.blocks._keep("time", time_vector)
         val += sum(float(np.vdot(h[lo:lo + K.shape[0]], K @ vec(rho)).real)
-                   for lo, K in series._entry())
+                   for lo, K in _entry(walk, series.inner, series.source))
     return ExpectationResult(val, {**series.diagnostics, "passage_probability": p})
 
 
@@ -760,21 +762,23 @@ def harmonic_measure(walk: WalkSpec, domain, i, rho) -> HarmonicMeasure:
 def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     """Expected visits to j in the domain before first leaving it.
 
-    The count is ``tr x_j - delta_ij tr rho`` from the occupation ``x = (Id -
-    K_DD)^{-1} (rho at i)``, one forward solve on the factor of the domain's kept
-    exit law.  The count is infinite, and :class:`NumericalError` is raised, exactly
-    when the law's kept Cesaro projection of the start state has mass at j.
+    The count is ``tr y_j`` from ``y = (Id - K_DD)^{-1} K_DD (rho at i)``, one forward
+    solve from the first step (so no visit at time 0 is subtracted, which would cancel
+    at ``j = i``) on the factor of the domain's kept exit law.  The count is infinite,
+    and :class:`NumericalError` is raised, exactly when the law's kept Cesaro
+    projection of the start state has mass at j.
     """
     j = _site_id(j)
     i, rho, inner, outer = _domain_query(walk, domain, i, rho, target=j)
     blocks, law = _exit_law(walk, inner, outer)
     rhs = blocks.inner.pack(DiagonalState({i: rho}))[:, None]
     lo, d = blocks.inner.starts[walk._index[j]], walk.dims[j]
-    tr_rho = float(np.trace(rho).real)
-    mass = law.trapped_mass(rhs, lo, d, tr_rho)
+    mass = law.trapped_mass(rhs, lo, d, float(np.trace(rho).real))
     if mass is not None:
         raise NumericalError(
             "domain visit count diverges: the start state leaves mass trapped "
             f"at {j!r}", {"trapped_mass": mass, "trapped_sites": list(law.trapped)})
-    visits = float(np.trace(unvec(law.resolve(rhs, dual=False)[lo:lo + d * d, 0], d)).real)
-    return visits - (tr_rho if i == j else 0.0)
+    step = np.zeros_like(rhs)   # K_DD (rho at i)
+    for at, K in _entry(walk, blocks.inner, i):
+        step[at:at + K.shape[0], 0] = K @ vec(rho)
+    return float(np.trace(unvec(law.resolve(step, dual=False)[lo:lo + d * d, 0], d)).real)

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dirichlet import _residuals
 from .errors import InputError, NumericalError
 from .hitting import TRAPPED_SHARE_TOL, ZERO_MASS_TOL
 from .linalg import COMPLEX, herm
 from .structure import Enclosure, decompose, restrict_walk
 from .superop import invariant_state
 from .walk import (DiagonalObservable, Site, WalkSpec, _known_sites, _site_id, check_state,
-                   dual_apply, site_state)
+                   site_state)
 
 PROB_FLOOR = 1e-14   # transition weights below this count as zero
 HARMONIC_TOL = 1e-8  # residual up to which an observable counts as harmonic
@@ -589,15 +590,10 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    stepped = dual_apply(walk, a)
     check_sites = walk.sites if stop_domain is None else _known_sites(walk, stop_domain)
     if _known_sites(walk, [i])[0] not in check_sites:
         raise InputError("start site lies outside the stopping domain")
-    worst = 0.0
-    for sname in check_sites:
-        d = walk.dims[sname]
-        worst = max(worst, float(np.linalg.norm(
-            a.block(sname, d) - stepped.block(sname, d), 2)))
+    worst = max(_residuals(walk, a, DiagonalObservable({}), check_sites).values())
     if worst > HARMONIC_TOL:
         raise InputError(f"observable is not harmonic (residual {worst:.3e})")
 

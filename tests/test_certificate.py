@@ -316,6 +316,22 @@ def test_near_singular_domain_visits_match_the_exact_occupation():
         assert abs(got - exact) <= 1e-14 * exact
 
 
+def test_a_small_domain_count_at_its_start_does_not_cancel():
+    # visits to "4" from "4" on random walk 17, whose all-sites domain traps "3":
+    # about 0.006 of the mass returns, so the count is read from the first step,
+    # not as a total occupation of about 1.006 less the visit at time 0
+    walk = random_walk(17, substochastic=True)
+    got = oqw.expected_domain_visits(walk, walk.sites, "4", MIX, "4")
+    blocks = hitting._domain_blocks(walk, [0, 1, 2, 4], [])   # the untrapped sites
+    A, lo = mpmath.matrix(np.asarray(blocks.A).tolist()), int(blocks.inner.starts[4])
+    rhs = blocks.inner.pack(oqw.DiagonalState({"4": MIX}))
+    with mpmath.workdps(60):
+        x = mpmath.lu_solve(A, mpmath.matrix(rhs.tolist()))
+        exact = float(mpmath.re(x[lo] + x[lo + 3]) - 1)
+    assert exact == pytest.approx(0.006027, rel=1e-4)
+    assert abs(got - exact) <= 1e-15 * exact
+
+
 def test_certified_series_never_compute_eigvals(monkeypatch, half_line_down):
     calls = count_eigvals(monkeypatch)
     walk = fixtures.example_lattice_nonnormal(10, "absorbing")

@@ -233,16 +233,17 @@ def test_visits_build_the_return_series_once(trap_walk, monkeypatch, i, builds):
     assert calls[-1] == ("0", "0")
 
 
-def test_infinite_visits_project_once(trap_walk, monkeypatch):
-    # the trapped split and the Cesaro mass of the first-passage state come
-    # from one projection
-    from oqw import hitting
-
+def test_infinite_visits_project_once(monkeypatch):
+    # the trapped split and the Cesaro mass of every first-passage state come
+    # from one projection, kept with the target's return-map solve (on a walk
+    # of its own: the session's trap walk may keep that solve already)
+    walk = fixtures.example_three_site_trap()
     calls = []
     project = hitting.fixed_point_projection
     monkeypatch.setattr(hitting, "fixed_point_projection",
                         lambda *args: calls.append(1) or project(*args))
-    assert math.isinf(oqw.expected_visits(trap_walk, "0", E1, "0").value)
+    for rho in (E1, E1, MIX):
+        assert math.isinf(oqw.expected_visits(walk, "0", rho, "0").value)
     assert len(calls) == 1
 
 

@@ -158,6 +158,24 @@ def test_only_the_domain_blocks_solve_a_law():
     assert dual == {("hitting", "law")}
 
 
+def test_every_certified_solve_is_kept():
+    # every certified solve is built once, as the body of a lambda that a
+    # system's _keep calls on first read: no query certifies a system per call
+    def called(node: ast.AST) -> str | None:
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    solves, kept = 0, 0
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                if called(child) == "_domain_solve":
+                    solves += 1
+                if isinstance(child, ast.Lambda) and called(child.body) == "_domain_solve":
+                    kept += called(node) == "_keep" and child in node.args
+    assert solves and kept == solves, (kept, solves)
+
+
 def _calls_with(tree: ast.Module, keyword: str, value) -> set[str]:
     """Innermost functions holding a call that passes ``keyword=value``."""
     found = set()

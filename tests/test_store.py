@@ -131,13 +131,13 @@ def test_first_passage_queries_share_one_certified_solve(monkeypatch):
         oqw.taboo_operator(walk, "0", "0")
         oqw.expected_return_time(walk, "0", rho, "0")
         oqw.conditional_state_at_hit(walk, "0", rho, "0")
-        oqw.expected_visits(walk, "0", rho, "0")   # and a solve for its first-visit state
+        oqw.expected_visits(walk, "0", rho, "0")   # and its return-map solve, once
         oqw.alpha_operator(walk, "0", "0", alpha=0.5)   # a new weighted solve every call
     A = capture_series(walk, "0", "0").A
     assert sum(a is A for a in systems) == 1
-    assert len(systems) == 1 + 3 + 3
+    assert len(systems) == 1 + 1 + 3
     # visits from i != j: the (i, j) and (j, j) series read one law for j,
-    # certified once, and each call solves its own return series for its
+    # certified once, and the return map's solve kept with it serves every
     # first-visit state
     walk = fresh(walk)
     del systems[:]
@@ -145,8 +145,22 @@ def test_first_passage_queries_share_one_certified_solve(monkeypatch):
         oqw.expected_visits(walk, "1", rho, "0")
     kept = [capture_series(walk, "1", "0").A, capture_series(walk, "0", "0").A]
     assert kept[0] is kept[1]
-    assert [[a is b for b in kept] for a in systems] == [
-        [True, True]] + [[False, False]] * 3
+    assert [[a is b for b in kept] for a in systems] == [[True, True], [False, False]]
+
+
+def test_visits_certify_twice_per_target(monkeypatch):
+    # three rounds of visits from all 15 sites to "0" certify j's law and its
+    # return map's solve once each; a second target adds its own two
+    walk = fixtures.example_lattice_nonnormal(6)
+    calls, certify = [], hitting._certify
+    monkeypatch.setattr(hitting, "_certify", lambda *args: calls.append(1) or certify(*args))
+    rho = np.diag([0.3, 0.7])
+    for _ in range(3):
+        for i in walk.sites:
+            oqw.expected_visits(walk, i, rho, "0")
+    assert len(walk.sites) == 15 and len(calls) == 2
+    oqw.expected_visits(walk, "0", rho, "1")
+    assert len(calls) == 4
 
 
 def test_site_ids_are_normalised_before_the_store_is_read():
@@ -178,13 +192,13 @@ def test_a_fifth_series_drops_the_oldest():
 def test_kept_arrays_are_read_only(n):
     walk = fixtures.example_lattice_nonnormal(n, "absorbing")
     series = capture_series(walk, "0", "0")
-    oqw.expected_visits(walk, "0", np.eye(2) / 2, "0")   # keeps the return map
+    oqw.expected_visits(walk, "0", np.eye(2) / 2, "0")   # keeps the return map's solve
     A = series.A
-    arrays = [series.C, *series.blocks._kept.values()]
+    arrays = [series.C, *series.blocks._kept.values(), series.blocks._kept["visits"].A]
     line = fixtures.example_half_line(0.75, 10 * n)
     oqw.expected_return_time(line, "0", np.eye(2) / 2, "0")   # keeps the return-time vector
     arrays += [capture_series(line, "0", "0").blocks._kept["time"]]
-    assert len(arrays) == 4
+    assert len(arrays) == 5
     arrays += [A] if isinstance(A, np.ndarray) else [A.data, A.indices, A.indptr]
     assert isinstance(A, np.ndarray) is (A.shape[0] < hitting.SPARSE_MIN_UNKNOWNS)
     blocks, law = hitting._exit_law(walk, [walk._index["0"]], hitting._boundary(
