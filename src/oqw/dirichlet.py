@@ -29,8 +29,8 @@ from .errors import InputError, NumericalError, ShapeError
 from .hitting import DomainSolve, _boundary, _domain_sites, _exit_law
 from .hitting import boundary as domain_boundary
 from .linalg import COMPLEX, herm, hermitian_basis, psd_sqrt, unvec, vec
-from .superop import BlockIndex
 from .walk import (
+    BlockIndex,
     DiagonalObservable,
     DiagonalState,
     Site,

@@ -53,10 +53,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import COMPLEX, RANK_TOL, herm, is_psd, kraus_block, unvec, vec
-from .superop import (BlockIndex, block_diagonal, block_matrix, fixed_point_projection,
-                      identity_minus)
-from .walk import DiagonalState, Site, WalkSpec, _known_sites, _site_id, check_state
+from .linalg import (COMPLEX, RANK_TOL, fixed_point_projection, herm, is_psd, kraus_block,
+                     unvec, vec)
+from .walk import (BlockIndex, DiagonalState, Site, WalkSpec, _known_sites, _site_id,
+                   block_diagonal, block_matrix, check_state, identity_minus)
 
 # The library sums every series by the certified solve and reads no alpha
 # grid; the benchmark's workloads still read this name.
@@ -341,6 +341,7 @@ class DomainSolve:
 
     def __post_init__(self):
         self.x.setflags(write=False)
+        self._transpose = self.A.T   # formed once: dual residuals read (A.T @ y.conj()).conj()
 
     @property
     def diagnostics(self) -> dict:
@@ -364,7 +365,7 @@ class DomainSolve:
         lift, solve = self.lift, self.factor if dual is None else partial(self.factor, dual=dual)
         dual = self.dual if dual is None else dual
         y = solve(rhs) if lift is None else lift @ solve(lift.conj().T @ rhs)
-        r = ((self.A.T @ y.conj()).conj() if dual else self.A @ y) - rhs
+        r = ((self._transpose @ y.conj()).conj() if dual else self.A @ y) - rhs
         r = float(np.linalg.norm(r if lift is None else lift.conj().T @ r))
         if r > CERTIFICATE_RESIDUAL_TOL * np.linalg.norm(rhs):
             raise NumericalError("a solve on a kept factor misses its residual gate",
@@ -573,7 +574,7 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     j = series.target
     ret = series if series.source == j else capture_series(walk, j, j)
     green = ret.blocks._keep("visits", lambda: _domain_solve(   # G = (Id - P)^{-1}
-        _read_only(_eye(P := _return_map(ret)) - P)[0], _eye(P), ret.outer))
+        _read_only(_eye(P := _return_map(ret)[0]) - P)[0], _eye(P), ret.outer))
     rhs = vec(sigma)[:, None]
     diag = green.diagnostics
     mass = green.trapped_mass(rhs, 0, walk.dims[j], tr_sigma)
@@ -582,17 +583,16 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     return ExpectationResult(float(np.vdot(ret.outer.trace, green.x @ rhs[:, 0]).real), diag)
 
 
-def _return_map(ret: CaptureSeries) -> np.ndarray:
-    """The return map at j from its series ``ret`` (j -> j), ``direct + C (Id - S)^{-1} E``,
-    solved forward on the law's factor.  Near 1, P sets a visit count to about
+def _return_map(ret: CaptureSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The return map at j from its series ``ret`` (j -> j), ``P = direct + C Z``, and ``Z = (Id -
+    S)^{-1} E``, solved forward on the law's factor.  Near 1, P sets a visit count to about
     1/(1 - P), and a forward solve rounds it alike on the dense and sparse path."""
     d = ret.walk.dims[ret.target]
     P = np.zeros((d * d, d * d), dtype=COMPLEX)
     if ret.direct is not None:
         P += ret.walk.kraus(ret.target, ret.target)
-    if ret.A.shape[0]:
-        P += ret.C @ ret.law().resolve(ret.E, dual=False)
-    return P
+    Z = ret.law().resolve(ret.E, dual=False) if ret.A.shape[0] else ret.E
+    return P + ret.C @ Z, Z
 
 
 def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
@@ -764,9 +764,9 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
 
     The count is ``tr y_j`` from ``y = (Id - K_DD)^{-1} K_DD (rho at i)``, one forward
     solve from the first step (so no visit at time 0 is subtracted, which would cancel
-    at ``j = i``) on the factor of the domain's kept exit law.  The count is infinite,
-    and :class:`NumericalError` is raised, exactly when the law's kept Cesaro
-    projection of the start state has mass at j.
+    at ``j = i``) on the factor of the domain's kept exit law, clipped at 0 within
+    ``ESCAPE_TOL``.  The count is infinite, and :class:`NumericalError` is raised,
+    exactly when the law's kept Cesaro projection of the start state has mass at j.
     """
     j = _site_id(j)
     i, rho, inner, outer = _domain_query(walk, domain, i, rho, target=j)
@@ -781,4 +781,7 @@ def expected_domain_visits(walk: WalkSpec, domain, i, rho, j) -> float:
     step = np.zeros_like(rhs)   # K_DD (rho at i)
     for at, K in _entry(walk, blocks.inner, i):
         step[at:at + K.shape[0], 0] = K @ vec(rho)
-    return float(np.trace(unvec(law.resolve(step, dual=False)[lo:lo + d * d, 0], d)).real)
+    count = float(np.trace(unvec(law.resolve(step, dual=False)[lo:lo + d * d, 0], d)).real)
+    if count < -ESCAPE_TOL:
+        raise NumericalError(f"domain visit count {count} is negative", law.diagnostics)
+    return max(0.0, count)

@@ -7,10 +7,15 @@ in this package act on column-major vectorized density blocks.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+
+from .errors import NumericalError
 
 COMPLEX = np.complex128
 RANK_TOL = 1e-8  # relative singular-value threshold for all rank decisions
+FIXED_POINT_TOL = 1e-9  # relative singular value of M - Id below which a direction is fixed
 
 
 def as_matrix(x) -> np.ndarray:
@@ -119,3 +124,33 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
             out.append(e)
     return out
 
+
+def _fixed_space(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of ker(M - I) and ker(M† - I) from one SVD.
+
+    Singular values up to ``FIXED_POINT_TOL * max(1, sigma_max)`` count as zero: a cut
+    relative to ``sigma_max`` alone would find no fixed space at all in a map
+    that equals the identity up to rounding.
+    """
+    u, s, vh = np.linalg.svd(matrix - np.eye(matrix.shape[0], dtype=COMPLEX))
+    null = s <= FIXED_POINT_TOL * max(1.0, float(s.max(initial=0.0)))
+    return vh[null].conj().T, u[:, null]
+
+
+def fixed_point_projection(matrix: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Spectral projection onto the eigenvalue-1 eigenspace of M, as a map.
+
+    Equals the Cesaro limit of ``mean_k M^k x`` when the peripheral spectrum
+    is semisimple (true for trace-preserving completely positive maps).
+    Returns the map ``x -> right (left^dag right)^{-1} left^dag x``, from one
+    SVD, and the fixed-space dimension.
+    """
+    right, left = _fixed_space(matrix)
+    k = right.shape[1]
+    if k == 0:
+        return np.zeros_like, 0
+    if left.shape[1] != k:
+        raise NumericalError("left/right fixed spaces have different dimensions",
+                             {"right": k, "left": left.shape[1]})
+    gram = left.conj().T @ right
+    return lambda x: right @ np.linalg.solve(gram, left.conj().T @ x), k

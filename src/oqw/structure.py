@@ -18,10 +18,11 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .hitting import (PASSAGE_SURE_TOL, ZERO_MASS_TOL, _passage_statistics, _taboo_block,
                       boundary, capture_series, exit_probability)
-from .linalg import COMPLEX, RANK_TOL, extend_basis, herm
-from .superop import (BlockIndex, block_matrix, fixed_point_projection,
-                      hermitian_basis_matrix, invariant_state)
-from .walk import DiagonalState, Site, WalkSpec, _fresh, _site_id
+from .linalg import (COMPLEX, RANK_TOL, extend_basis, fixed_point_projection, herm,
+                     hermitian_basis, vec)
+from .superop import invariant_state
+from .walk import (BlockIndex, DiagonalState, Site, WalkSpec, _fresh, _site_id, block_diagonal,
+                   block_matrix)
 
 BOUNDS_TOL = 1e-8  # slack of the enclosure-sum bounds and of the recurrent-support test
 SPLIT_TOL = 1e-6  # relative eigenvalue gap between groups; closure defect of a group
@@ -161,7 +162,8 @@ def decompose(walk: WalkSpec) -> Decomposition:
     """Split the space into minimal recurrent enclosures and a transient rest.
 
     The recurrent part is the closure of the invariant state's eigenvectors
-    above ``RANK_TOL``, so exponentially small weights still count.  Fixed
+    above ``RANK_TOL``, so exponentially small weights still count; with every
+    block of full rank it is the whole space, and no closure is taken.  Fixed
     points of a walk compressed onto an enclosure lift to fixed points of the
     walk, so a one-dimensional fixed space makes that closure the only
     minimal enclosure; otherwise it splits by :func:`_minimal_enclosures`.
@@ -175,15 +177,15 @@ def decompose(walk: WalkSpec) -> Decomposition:
 def _decompose(walk: WalkSpec) -> Decomposition:
     """The walk's kept decomposition: :func:`decompose`, computed."""
     tau, fixed_dim = invariant_state(walk)
+    full = Enclosure({s: np.eye(walk.dims[s], dtype=COMPLEX) for s in walk.sites})
     if tau is None:
-        full = Enclosure({s: np.eye(walk.dims[s], dtype=COMPLEX) for s in walk.sites})
         return Decomposition(recurrent=[], transient=full, invariant=None,
                              fixed_dim=fixed_dim, warning="no invariant state")
     seeds = []
     for s in walk.sites:
         w, v = np.linalg.eigh(herm(tau.blocks[s]))
         seeds += [(s, v[:, k]) for k in np.flatnonzero(w > RANK_TOL)]
-    support = enclosure_closure(walk, seeds)
+    support = full if len(seeds) == walk.total_dim else enclosure_closure(walk, seeds)
     recurrent = [support] if fixed_dim == 1 else _minimal_enclosures(walk, support)
     transient = {}
     for s in walk.sites:
@@ -211,7 +213,9 @@ def _minimal_enclosures(walk: WalkSpec, enc: Enclosure) -> list[Enclosure]:
     project, k = fixed_point_projection(block_matrix(sub, idx, idx).conj().T)
     if k <= 1:
         return [enc]
-    fixed = project(np.column_stack([ramp, hermitian_basis_matrix(idx)]))
+    basis = block_diagonal([np.column_stack([vec(e) for e in hermitian_basis(d)])
+                            for d in idx.sizes.tolist()])   # per block, Hermitian and orthonormal
+    fixed = project(np.column_stack([ramp, basis]))
     groups = _eigenspace_groups(walk, idx.unpack(fixed[:, 0]), enc)
     if len(groups) == 1:
         groups = max((_eigenspace_groups(walk, idx.unpack(y), enc) for y in fixed[:, 1:].T),

@@ -550,7 +550,7 @@ def estimate_kac(walk: WalkSpec, i, n_traj: int, k_max: int, seed: int = 0) -> K
     else:
         target = 1.0 / mass
 
-    max_steps = max(100, int(8 * k_max * max(2.0, target)))
+    max_steps = max(100, round(8 * k_max * max(2.0, target)))   # not moved by rounding in target
     _, _, kth, ens = _run_hitting(walk, s, rho_hat, s, n_traj, max_steps, seed,
                                   track_visits=True, kth_return=k_max)
     done = np.isfinite(kth)

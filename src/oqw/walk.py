@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, is_dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .linalg import COMPLEX, as_matrix, is_psd
+from .linalg import COMPLEX, as_matrix, is_psd, unvec, vec
 
 Site = str
 
@@ -199,6 +200,120 @@ def _vec_kraus(walk: WalkSpec) -> tuple[list, dict, tuple]:
         coo.append((*ends.reshape(-1, 2)[k].T, r, c, K[k, r, c]))
     by_key = {k: Kk for keys, K in stack for k, Kk in zip(keys, K)}
     return stack, by_key, tuple(np.concatenate(x) for x in zip(*coo))
+
+
+@dataclass(frozen=True, eq=False)
+class BlockIndex:
+    """The one layout of a stacked vector of column-major vectorized blocks:
+    block k is ``sizes[k]`` square and begins at offset ``begins[k]``.  Laid out
+    from walk positions (:meth:`at`), ``sites`` names the blocks and ``starts``
+    gives each site's offset by its position in the walk (-1: no block)."""
+
+    sizes: np.ndarray
+    begins: np.ndarray
+    total: int
+    sites: tuple[Site, ...] = ()
+    starts: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def of_sizes(cls, sizes, sites=(), starts=None) -> "BlockIndex":
+        """Blocks of the given sizes (zero included), in order: offsets from a cumsum of d^2."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        stops = np.cumsum(sizes * sizes)
+        return cls(sizes, stops - sizes * sizes, int(stops[-1]) if len(sizes) else 0,
+                   sites, starts)
+
+    @classmethod
+    def at(cls, walk: WalkSpec, positions) -> "BlockIndex":
+        """Blocks of the sites at ``positions`` in the walk, in that order."""
+        pos = np.array(positions, dtype=np.intp)
+        sites = tuple(map(walk.sites.__getitem__, pos.tolist()))
+        idx = cls.of_sizes(walk._graph.sizes[pos], sites, np.full(len(walk.sites), -1))
+        idx.starts[pos] = idx.begins
+        return idx
+
+    @cached_property
+    def groups(self) -> dict[int, np.ndarray]:
+        """Offsets of the blocks of each nonzero size, by ascending size."""
+        return {d: self.begins[self.sizes == d]
+                for d in np.flatnonzero(np.bincount(self.sizes)).tolist() if d}
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        """Vector t with t^H x = the sum of the traces of x's blocks (read-only)."""
+        t = np.zeros(self.total, dtype=COMPLEX)
+        for d, begins in self.groups.items():
+            t[(begins[:, None] + np.arange(0, d * d, d + 1)).ravel()] = 1.0
+        t.setflags(write=False)
+        return t
+
+    def pack(self, blocks: DiagonalState | DiagonalObservable) -> np.ndarray:
+        """Stacked vectorized blocks of a state or observable (zero where absent)."""
+        x = np.zeros(self.total, dtype=COMPLEX)
+        for s, lo, d in zip(self.sites, self.begins.tolist(), self.sizes.tolist(), strict=True):
+            b = blocks.blocks.get(s)
+            if b is not None:
+                x[lo:lo + d * d] = vec(b)
+        return x
+
+    def unpack(self, x: np.ndarray) -> dict:
+        """The blocks of ``x`` by site."""
+        spans = zip(self.sites, self.begins.tolist(), self.sizes.tolist(), strict=True)
+        return {s: unvec(x[lo:lo + d * d], d) for s, lo, d in spans}
+
+
+def _entries(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the walk's nonzero vec-Kraus entries whose
+    blocks run from a ``cols`` site to a ``rows`` site, placed by offset."""
+    to, fr, a, b, v = walk._kraus_tables()[2]
+    r0, c0 = rows.starts[to], cols.starts[fr]
+    keep = np.flatnonzero((r0 >= 0) & (c0 >= 0))
+    return r0[keep] + a[keep], c0[keep] + b[keep], v[keep]
+
+
+def _scatter(r, c, v, shape: tuple, sparse: bool):
+    """Dense or CSC matrix of distinct entries; CSC sorted by column, then row."""
+    if sparse:
+        from scipy.sparse import csc_matrix
+        order = np.lexsort((r, c))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(c, minlength=shape[1]))))
+        return csc_matrix((v[order], r[order], indptr), shape=shape)
+    m = np.zeros(shape, dtype=COMPLEX)
+    m[r, c] = v
+    return m
+
+
+def block_matrix(walk: WalkSpec, rows: BlockIndex, cols: BlockIndex, sparse: bool = False):
+    """Matrix whose block (to, fr) is the walk's cached vec-Kraus block of
+    ``L[to, fr]``, for every transition from a ``cols`` site to a ``rows``
+    site, and zero elsewhere: a dense array or (``sparse``, scipy imported on
+    first use) a CSC matrix."""
+    return _scatter(*_entries(walk, rows, cols), (rows.total, cols.total), sparse)
+
+
+def identity_minus(walk: WalkSpec, idx: BlockIndex, sparse: bool = False):
+    """``Id - block_matrix(walk, idx, idx, sparse)`` from the same entries,
+    equal to that subtraction entry for entry (exact zeros are left out of
+    the CSC matrix, as the sparse subtraction leaves them out)."""
+    r, c, v = _entries(walk, idx, idx)
+    on = r == c
+    v, free = on - v, np.ones(idx.total, dtype=bool)
+    free[r[on]] = False
+    d, keep = np.flatnonzero(free), v != 0
+    return _scatter(np.concatenate([r[keep], d]), np.concatenate([c[keep], d]),
+                    np.concatenate([v[keep], np.ones(len(d), dtype=COMPLEX)]),
+                    (idx.total, idx.total), sparse)
+
+
+def block_diagonal(blocks) -> np.ndarray:
+    """Dense block-diagonal matrix of the given, possibly rectangular, blocks."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=COMPLEX)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def _fresh(x):

@@ -70,3 +70,18 @@ def test_traced_trajectory_steps_match_the_estimates(workloads, tracing, name):
     assert tracing.Tracer.leftover_wrappers() == []
     assert query.check(answer) is None
     assert tracer.counts["trajectory.traj_steps"] == query.traj_steps(answer) > 0
+
+
+def test_every_traced_name_resolves(tracing):
+    # Tracer.install skips a (module, attribute) it cannot find without a word,
+    # so a function moved to another module would drop its per-layer metric
+    import importlib
+
+    missing = []
+    for module, attr in tracing.SPANS:
+        owner = importlib.import_module(f"oqw.{module}")
+        cls, _, name = attr.rpartition(".")
+        owner = vars(getattr(owner, cls)) if cls else vars(owner)
+        if not callable(owner.get(name)):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

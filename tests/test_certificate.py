@@ -294,7 +294,7 @@ def test_a_law_stays_within_its_condition_of_the_exact_sum():
     bound = cond * np.finfo(float).eps * max(1.0, float(np.abs(exact).max()))
     assert np.abs(oqw.taboo_operator(walk, "11", "11").matrix - exact).max() <= bound
     forward = _dense_path_sum(walk, "11", "11", S, E, C)
-    assert np.abs(hitting._return_map(series) - exact).max() <= np.abs(forward - exact).max()
+    assert np.abs(hitting._return_map(series)[0] - exact).max() <= np.abs(forward - exact).max()
 
 
 def test_near_singular_domain_visits_match_the_exact_occupation():
@@ -330,6 +330,14 @@ def test_a_small_domain_count_at_its_start_does_not_cancel():
         exact = float(mpmath.re(x[lo] + x[lo + 3]) - 1)
     assert exact == pytest.approx(0.006027, rel=1e-4)
     assert abs(got - exact) <= 1e-15 * exact
+
+
+def test_a_domain_count_that_is_zero_is_not_negative():
+    # "1" is reached only from "1" and "2", which nothing enters: from "4" the
+    # count is 0 exactly, and the forward solve rounds its block's trace to -1.7e-16
+    walk = random_walk(8, substochastic=False)
+    assert ("1", "4") not in walk.transitions and not any(t == "2" for t, _ in walk.transitions)
+    assert oqw.expected_domain_visits(walk, walk.sites, "4", [[1]], "1") == 0.0
 
 
 def test_certified_series_never_compute_eigvals(monkeypatch, half_line_down):

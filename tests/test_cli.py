@@ -242,20 +242,21 @@ def test_info_checks_irreducibility_once(capsys, monkeypatch):
 
 
 def test_info_reads_the_structure_record_the_fixture_filled(capsys, monkeypatch):
-    # the fixture's irreducibility assertion factors the step matrix; info
-    # reads the verdict, the decomposition and the invariant state it kept
-    from oqw import superop
+    # the fixture's irreducibility assertion factors the 4 x 4 return map at
+    # "0", not the 32 x 32 step matrix; info reads the verdict, the
+    # decomposition and the invariant state it kept
+    from oqw import linalg
 
     calls = []
-    fixed_space = superop._fixed_space
-    monkeypatch.setattr(superop, "_fixed_space",
+    fixed_space = linalg._fixed_space
+    monkeypatch.setattr(linalg, "_fixed_space",
                         lambda m: calls.append(m.shape) or fixed_space(m))
     code, out, _ = run_cli(capsys, "info", "--walk", "random-doubly-stochastic",
                            "--N", "8", "--dim", "2")
     assert code == 0
     doc = json.loads(out)
     assert doc["irreducible"] is True and doc["irreducible_decision"] == "certified"
-    assert calls == [(32, 32)]
+    assert calls == [(4, 4)]
 
 
 def test_info_prints_the_fixed_dimension_without_invariant_state(capsys, monkeypatch):

@@ -265,13 +265,13 @@ def test_each_kind_of_kept_entry_has_one_module():
                      "restricted": {"trajectory"}, "series": {"hitting"}}
 
 
-def test_block_offsets_are_laid_out_in_superop_only():
-    # superop.BlockIndex is the one description of a stacked block vector: the
+def test_block_offsets_are_laid_out_in_walk_only():
+    # walk.BlockIndex is the one description of a stacked block vector: the
     # only cumulative sum in the package, and no module keeps a layout helper
     modules = _modules()
     summing = {name for name, tree in modules.items() for node in ast.walk(tree)
                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "cumsum"}
-    assert summing == {"superop"}
+    assert summing == {"walk"}
     helpers = [name for name, tree in modules.items() for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name == "_layout"]
@@ -343,7 +343,7 @@ def test_block_matrix_reads_no_transition_once_the_table_is_built():
     # a call assembles from the walk's integer table: no pass over the
     # transitions, their Kraus blocks or the keys of their groups
     from oqw import fixtures
-    from oqw.superop import BlockIndex, block_matrix, identity_minus
+    from oqw.walk import BlockIndex, block_matrix, identity_minus
 
     walk = fixtures.example_lattice_nonnormal(6, "absorbing")
     idx = BlockIndex.at(walk, range(1, len(walk.sites)))

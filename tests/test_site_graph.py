@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import oqw
 from oqw import fixtures, hitting
-from oqw.superop import BlockIndex
+from oqw.walk import BlockIndex
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_stacked_kraus_blocks_equal_kron_on_every_fixture():
 
 
 def test_block_matrix_scatters_the_kraus_blocks(monkeypatch):
-    from oqw.superop import BlockIndex, block_matrix
+    from oqw.walk import BlockIndex, block_matrix
 
     for name, walk in all_walks().items():
         rows = BlockIndex.at(walk, range(0, len(walk.sites), 2))

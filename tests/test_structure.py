@@ -277,11 +277,13 @@ def test_minimal_dilation_irreducibility_matches_connectivity():
     assert not ok  # absorbing edges
 
 
-def test_irreducible_walk_factors_its_step_matrix_once(monkeypatch):
+def test_irreducible_walk_factors_its_return_map_once(monkeypatch):
     # the fixture's own irreducibility assertion fills its walk's structure
-    # record, so the same walk is built again with an empty one
+    # record, so the same walk is built again with an empty one; the verdict
+    # reads the 25 x 25 first-return map at "0", never the 150 x 150 step
+    # matrix, and takes no SVD at all once it is kept
     walk = fresh(fixtures.random_doubly_stochastic(6, 5, seed=4))
-    n = sum(d * d for d in walk.dims.values())
+    n = walk.dims["0"] ** 2
     shapes = []
     svd = np.linalg.svd
 

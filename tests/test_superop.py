@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import oqw
-from oqw import fixtures
-from oqw.linalg import kraus_block, unvec, vec
-from oqw.superop import BlockIndex, block_matrix, fixed_point_projection
-from oqw.walk import DiagonalObservable, DiagonalState
+from oqw import fixtures, linalg
+from oqw.linalg import fixed_point_projection, kraus_block, positive_part, unvec, vec
+from oqw.walk import BlockIndex, DiagonalObservable, DiagonalState, block_matrix
 
 from conftest import random_density, rotate
 
@@ -175,7 +174,7 @@ def index_pairs(walk):
 def test_block_matrix_equals_the_per_transition_reference_bit_for_bit():
     from scipy.sparse import identity
 
-    from oqw.superop import identity_minus
+    from oqw.walk import identity_minus
 
     branch = table_walks()["branch"]
     assert {L.shape for L in branch.transitions.values()} == {(2, 1), (1, 2), (2, 2)}
@@ -203,7 +202,7 @@ def test_sparse_assembly_gives_scipy_canonical_arrays(walk):
     # the CSC arrays sorted by column, then row, are those of scipy's COO conversion
     from scipy.sparse import csc_matrix
 
-    from oqw.superop import _entries, identity_minus
+    from oqw.walk import _entries, identity_minus
 
     idx = layout_of(walk, walk.sites[1:-1])
     r, c, v = _entries(walk, idx, idx)
@@ -226,3 +225,98 @@ def test_kraus_stack_groups_blocks_by_shape_in_declared_order():
             assert same_bits(K, want), name
             for k, Kk in zip(keys, K):
                 assert same_bits(walk.kraus(*k), Kk)
+
+
+# ---------------------------------------------------------------------------
+# the invariant state: the first-return route and the dense fallback
+
+
+def dense_invariant(walk):
+    """The Cesaro limit from the maximally mixed state by one SVD of the step
+    matrix, made PSD and normalized, and the fixed dimension."""
+    idx, m = full_step(walk)
+    project, k = fixed_point_projection(m)
+    x = project(idx.trace / walk.total_dim)
+    blocks = {s: positive_part(b) for s, b in idx.unpack(x).items()}
+    total = sum(np.trace(b).real for b in blocks.values())
+    return {s: b / total for s, b in blocks.items()} if k and total > 1e-8 else None, k
+
+
+def fresh(walk):
+    """The same walk with an empty store (a ring's builder fills its structure record)."""
+    return oqw.WalkSpec(walk.sites, walk.dims, dict(walk.transitions), walk.tolerance)
+
+
+def fixed_space_sizes(monkeypatch):
+    """The sizes of the matrices whose fixed space is taken, as they are taken."""
+    calls = []
+    fixed_space = linalg._fixed_space
+    monkeypatch.setattr(linalg, "_fixed_space",
+                        lambda m: calls.append(m.shape[0]) or fixed_space(m))
+    return calls
+
+
+ROUTED = {"ring 3x2": lambda: fixtures.random_doubly_stochastic(3, 2, seed=7),
+          "ring 8x2": lambda: fixtures.random_doubly_stochastic(8, 2, seed=3),
+          "ring 40x4": lambda: fixtures.random_doubly_stochastic(40, 4, seed=3),
+          "cycle 5": lambda: fixtures.cycle_dilation(5),
+          "biased cycle 8": lambda: fixtures.cycle_dilation(8, bias=0.8),
+          "rotated ring": lambda: rotate(fixtures.random_doubly_stochastic(6, 3, seed=1), 4)}
+DENSE = {"example-5.1": fixtures.example_three_site_trap,
+         "example-5.4": fixtures.example_branch_return,
+         "window 10": lambda: fixtures.example_lattice_nonnormal(10),
+         "ruin 11": lambda: fixtures.gamblers_ruin(11)}
+
+
+@pytest.mark.parametrize("name", [*ROUTED, *DENSE, "taboo half-line"])
+def test_invariant_state_is_the_dense_cesaro_limit(name, monkeypatch):
+    # irreducible walks read the d_s^2 x d_s^2 first-return map at their first
+    # site; reducible ones keep the dense step matrix's answer bit for bit;
+    # the taboo half-line leaks, so its return map at "0" fixes nothing
+    build = {**ROUTED, **DENSE, "taboo half-line":
+             lambda: fixtures.example_half_line(0.25, 12, boundary="taboo")}[name]
+    walk = fresh(build())
+    want, want_k = dense_invariant(walk)
+    sizes = fixed_space_sizes(monkeypatch)
+    tau, k = oqw.invariant_state(walk)
+    assert k == want_k
+    if name in DENSE:
+        assert sizes[-1] == sum(d * d for d in walk.dims.values())
+        assert tau.blocks.keys() == want.keys()
+        assert all(np.array_equal(tau.blocks[s], want[s]) for s in want)
+    else:
+        assert sizes == [walk.dims[walk.sites[0]] ** 2]
+        if want is None:
+            assert tau is None
+        else:
+            assert max(np.abs(tau.blocks[s] - want[s]).max() for s in want) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_kac_holds_at_every_site_of_an_irreducible_walk(name):
+    # the return time to s from the conditioned invariant state is 1 / tr mu_s
+    walk = ROUTED[name]()
+    tau, _ = oqw.invariant_state(walk)
+    for s in walk.sites[:: max(1, len(walk.sites) // 4)]:
+        mass = np.trace(tau.blocks[s]).real
+        got = oqw.expected_return_time(walk, s, tau.blocks[s] / mass, s).value
+        assert got == pytest.approx(1.0 / mass, rel=1e-10, abs=0.0), s
+
+
+def test_a_fresh_irreducible_walk_takes_no_svd_beyond_its_return_map(monkeypatch):
+    # the 640-unknown ring: its invariant state, decomposition and verdict read
+    # one 16 x 16 SVD of the return map at "0" and no enclosure closure; a
+    # second call reads the walk's store and takes none
+    walk = fresh(fixtures.random_doubly_stochastic(40, 4, seed=3))
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a))
+                        or svd(a, *args, **kw))
+    _, k = oqw.invariant_state(walk)
+    deco = oqw.decompose(walk)
+    assert oqw.is_irreducible(walk) == (True, None) and k == deco.fixed_dim == 1
+    assert all(np.array_equal(b, np.eye(4)) for b in deco.recurrent[0].bases.values())
+    assert shapes == [(16, 16)]
+    shapes.clear()
+    oqw.invariant_state(walk), oqw.decompose(walk), oqw.is_irreducible(walk)
+    assert shapes == []

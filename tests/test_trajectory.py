@@ -213,20 +213,22 @@ def test_kac_decomposes_once_per_walk(monkeypatch):
 
 def test_kac_factors_the_restricted_walk_once(monkeypatch):
     # the first call factors the 12 x 12 step matrix, the splits' sub-walks
-    # and the 4 x 4 walk restricted to the carrying enclosures; later calls
-    # read the restricted walk's invariant state from the walk's store
-    from oqw import superop
+    # and the one-site walk restricted to the carrying enclosures: its 4 x 4
+    # return map, whose fixed dimension 4 sends it on to its 4 x 4 step
+    # matrix; later calls read the restricted walk's invariant state from the
+    # walk's store
+    from oqw import linalg
 
     calls = []
-    factor = superop._fixed_space
-    monkeypatch.setattr(superop, "_fixed_space", lambda m: calls.append(m.shape[0]) or factor(m))
+    factor = linalg._fixed_space
+    monkeypatch.setattr(linalg, "_fixed_space", lambda m: calls.append(m.shape[0]) or factor(m))
     walk = fixtures.example_three_site_trap()
     logs, reports = [], []
     for seed in (3, 4, 3):
         calls.clear()
         reports.append(oqw.estimate_kac(walk, "2", n_traj=50, k_max=5, seed=seed))
         logs.append(list(calls))
-    assert logs == [[12, 6, 2, 1, 1, 4], [], []]
+    assert logs == [[12, 6, 2, 1, 1, 4, 4], [], []]
     assert all(rep.restricted_to_enclosure for rep in reports)
     assert reports[0] == reports[2]
     assert reports[0] == oqw.estimate_kac(fixtures.example_three_site_trap(), "2",
