@@ -64,16 +64,16 @@ def uniforms(seed: int, indices, start: int, length: int) -> np.ndarray:
     for lo in range(0, total, CHUNK):
         hi = min(lo + CHUNK, total)
         x0, x1, x2, x3, h0, l0, h1, l1, a0, a1, t, k1 = (b[:hi - lo] for b in scratch)
-        x0[...] = ctr[lo:hi]
-        x1[...] = 0
-        x2[...] = 0
-        x3[...] = 0
         k0 = seed & _MASK64
         k1[...] = key[lo:hi]
-        for r in range(10):
-            if r:
-                k0 = (k0 + _W[0]) & _MASK64
-                k1 += np.uint64(_W[1])
+        # round 0 from (ctr, 0, 0, 0): the product of x2 = 0 is 0, and x1 = x3 = 0,
+        # so it leaves (k0, 0, hi(ctr * M0) ^ k1, lo(ctr * M0))
+        _mulhilo(ctr[lo:hi], _M[0], x2, x3, a0, a1, t)
+        np.bitwise_xor(x2, k1, out=x2)
+        x0[...], x1[...] = k0, 0
+        for _ in range(9):
+            k0 = (k0 + _W[0]) & _MASK64
+            k1 += np.uint64(_W[1])
             _mulhilo(x0, _M[0], h0, l0, a0, a1, t)
             _mulhilo(x2, _M[1], h1, l1, a0, a1, t)
             np.bitwise_xor(h1, x1, out=h1)

@@ -187,10 +187,13 @@ def _decompose(walk: WalkSpec) -> Decomposition:
         seeds += [(s, v[:, k]) for k in np.flatnonzero(w > RANK_TOL)]
     support = full if len(seeds) == walk.total_dim else enclosure_closure(walk, seeds)
     recurrent = [support] if fixed_dim == 1 else _minimal_enclosures(walk, support)
-    transient = {}
-    for s in walk.sites:
-        w, v = np.linalg.eigh(sum(enc.projector(s, walk.dims[s]) for enc in recurrent))
-        transient[s] = v[:, w < 0.5]
+    if recurrent[0] is full:   # the whole space is recurrent: no transient part to find
+        transient = {s: np.zeros((walk.dims[s], 0), COMPLEX) for s in walk.sites}
+    else:
+        transient = {}
+        for s in walk.sites:
+            w, v = np.linalg.eigh(sum(enc.projector(s, walk.dims[s]) for enc in recurrent))
+            transient[s] = v[:, w < 0.5]
     return Decomposition(recurrent=recurrent, transient=Enclosure(transient),
                          invariant=tau, fixed_dim=fixed_dim)
 

@@ -207,15 +207,17 @@ class _Ensemble:
     :meth:`release` for later runs.
 
     Only active trajectories are held (``held``: global indices, ``cls``: their
-    classes); a step touches arrays aligned with ``held`` only.  :meth:`stop` is
-    the only way to stop a trajectory: for good, writing its final site once;
-    ``positions`` shows the held ones' sites over the final ones.  Step n of a
-    live trajectory uses draw n-1 of its own stream, none when every move is
-    forced.  The start ``(i, rho)`` and ``n_traj >= 1`` are checked here.
+    classes, ``urow``: their rows in the block of drawn uniforms); a step touches
+    arrays aligned with ``held`` only.  :meth:`stop` is the only way to stop a
+    trajectory: for good, writing its final site once; it compacts those index
+    vectors and leaves the block in place.  ``positions`` shows the held ones'
+    sites over the final ones.  Step n of a live trajectory uses draw n-1 of its
+    own stream, none when every move is forced; no block reaches past draw
+    ``horizon - 1``.  The start ``(i, rho)`` and ``n_traj >= 1`` are checked here.
     """
 
     def __init__(self, walk: WalkSpec, i, rho, n_traj: int, seed: int,
-                 index_offset: int = 0):
+                 index_offset: int = 0, horizon: float = math.inf):
         if n_traj < 1:
             raise InputError("n_traj must be >= 1")
         rho = np.asarray(rho, dtype=COMPLEX)
@@ -242,7 +244,9 @@ class _Ensemble:
         self.final = np.full(n_traj, s0, dtype=np.int64)   # sites where trajectories stopped
         self.active = np.ones(n_traj, dtype=bool)
         self.draws = 0                          # steps taken by every held trajectory
-        self.uniforms = np.empty((n_traj, 0))   # draws u_start, ... of the held streams
+        self.horizon = horizon                  # steps the run takes at most
+        self.uniforms = np.empty((n_traj, 0))   # draws u_start, ... of some streams, by row
+        self.urow = self.held                   # the held trajectories' rows in uniforms
         self.u_start = 0
 
     @property
@@ -261,13 +265,13 @@ class _Ensemble:
         col = self.draws - self.u_start
         if col >= self.uniforms.shape[1]:
             # blocks grow with the step count (4, 4, 8, 16, 32, then 64) so
-            # that short-lived trajectories leave few draws unused
-            length = min(max(self.draws, 4), 64)
+            # that short-lived trajectories leave few draws unused; none passes the horizon
+            length = min(max(self.draws, 4), 64, self.horizon - self.draws)
             from .philox import uniforms   # compiled only when a sampler runs
 
             self.uniforms = uniforms(self.seed, self.streams[self.held], self.draws, length)
-            self.u_start, col = self.draws, 0
-        return self.uniforms[:, col]
+            self.u_start, col, self.urow = self.draws, 0, np.arange(self.held.size)
+        return self.uniforms[self.urow, col]
 
     def release(self) -> None:
         """End the run: stop the held trajectories, put back a table within ``KEPT_TABLE_ROWS``."""
@@ -280,7 +284,7 @@ class _Ensemble:
         """Stop the held trajectories flagged in ``done``; returns their indices."""
         gone, keep = self.held[done], ~done
         self.active[gone], self.final[gone] = False, self.site[self.cls[done]]
-        self.held, self.cls, self.uniforms = self.held[keep], self.cls[keep], self.uniforms[keep]
+        self.held, self.cls, self.urow = self.held[keep], self.cls[keep], self.urow[keep]
         return gone
 
     def step(self) -> None:
@@ -397,7 +401,7 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
                  index_offset: int = 0, path: np.ndarray | None = None):
     """Hitting, visit and k-th return times of an ensemble; ``path``, when
     given, receives the site number of every trajectory after each step."""
-    ens = _Ensemble(walk, i, rho, n_traj, seed, index_offset)
+    ens = _Ensemble(walk, i, rho, n_traj, seed, index_offset, horizon)
     j_idx = ens.site_index[_known_sites(walk, [j])[0]]
     hit_time = np.full(n_traj, np.inf)
     visit_count = np.zeros(n_traj, dtype=np.int64)
@@ -428,12 +432,14 @@ def _run_hitting(walk: WalkSpec, i, rho, j, n_traj: int, horizon: int, seed: int
         visit_count[gone] = stop_at
         if kth_return == stop_at:
             kth_time[gone] = n
-        if not track_visits:
+        if track_visits:
+            visits = visits[~done]
+        else:
             hit_time[gone] = n
-        visits = visits[~done]
         if not ens.held.size:
             break
-    visit_count[ens.held] = visits
+    if track_visits:
+        visit_count[ens.held] = visits
     ens.release()
     return hit_time, visit_count, kth_time, ens
 
@@ -597,7 +603,7 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
     if worst > HARMONIC_TOL:
         raise InputError(f"observable is not harmonic (residual {worst:.3e})")
 
-    ens = _Ensemble(walk, i, rho, n_traj, seed)
+    ens = _Ensemble(walk, i, rho, n_traj, seed, horizon=horizon)
     inside = np.isin(np.arange(len(walk.sites)), [ens.site_index[s] for s in check_sites])
     d = ens.dmax
     padded = np.zeros((len(walk.sites), d, d), dtype=COMPLEX)
@@ -615,8 +621,8 @@ def martingale_diagnostic(walk: WalkSpec, a: DiagonalObservable, i, rho,
         ens.step()
         series[n] = series[n - 1]
         record(series[n])
-        if stop_domain is not None:
-            ens.stop(~inside[ens.pos])
+        if stop_domain is not None and (out := ~inside[ens.pos]).any():
+            ens.stop(out)
         if not ens.held.size:
             series[n + 1:] = series[n]
             break
@@ -637,7 +643,7 @@ def word_frequencies(walk: WalkSpec, i, rho, length: int, n_traj: int,
     """Counts of position words (x_1 .. x_length) over an ensemble."""
     if length < 1:
         raise InputError("length must be >= 1")
-    ens = _Ensemble(walk, i, rho, n_traj, seed)
+    ens = _Ensemble(walk, i, rho, n_traj, seed, horizon=length)
     words = np.empty((length, n_traj), dtype=np.int64)
     for n in range(length):
         ens.step()

@@ -400,6 +400,29 @@ def test_decompose_irreducible_walk_is_single_full_enclosure(ring_walk):
     assert deco.projector_sum_defect(ring_walk) <= 1e-8
 
 
+def test_decompose_finds_no_transient_part_without_an_eigh(monkeypatch):
+    # one recurrent enclosure that is the whole space leaves nothing transient:
+    # no eigh of a projector sum (an identity) per site, and the same result
+    # the eigh gives, a d x 0 basis at each of the 8 sites
+    walk = fresh(fixtures.random_doubly_stochastic(8, 2, seed=5))
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: seen.append(np.array(a))
+                        or eigh(a, *args, **kw))
+    deco = oqw.decompose(walk)
+    monkeypatch.undo()
+    assert seen and not any(np.allclose(a, np.eye(a.shape[-1])) for a in seen)
+    assert (len(deco.recurrent), deco.fixed_dim, deco.warning) == (1, 1, None)
+    assert deco.recurrent[0].is_full(walk)
+    for s in walk.sites:
+        d = walk.dims[s]
+        w, v = np.linalg.eigh(deco.recurrent[0].projector(s, d))
+        assert deco.transient.bases[s].shape == v[:, w < 0.5].shape == (d, 0)
+        assert deco.transient.bases[s].dtype == v.dtype
+        assert np.allclose(deco.recurrent[0].projector(s, d), np.eye(d))
+    assert deco.projector_sum_defect(walk) <= 1e-8
+
+
 def test_decompose_trap_walk(trap_walk):
     deco = oqw.decompose(trap_walk)
     assert deco.projector_sum_defect(trap_walk) <= 1e-8

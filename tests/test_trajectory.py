@@ -394,6 +394,69 @@ def test_philox_matches_numpy_streams(seed, monkeypatch):
             assert got.shape == (len(indices), length)
             for row, k in zip(got, indices):
                 assert np.array_equal(row, refs[k][start:start + length])
+        # counters at and above 2**32 (a nonzero high half in round 0's product),
+        # against numpy's Philox started at counter c, whose first draw is 4c
+        for start, length in [(4 * 2**32, 5), (4 * 2**32 - 3, 9), (4 * (2**62 + 5) + 2, 17)]:
+            c, off = divmod(start, 4)
+            got = philox.uniforms(seed, indices, start, length)
+            for row, k in zip(got, indices):
+                bits = np.random.Philox(key=np.array([seed, k], dtype=np.uint64),
+                                        counter=np.array([c, 0, 0, 0], dtype=np.uint64))
+                assert np.array_equal(row, np.random.Generator(bits).random(off + length)[off:])
+
+
+def test_a_stop_leaves_the_block_of_uniforms_in_place():
+    # a stop compacts the held trajectories' rows, not the drawn block: within
+    # a block the ensemble keeps one array, and each held trajectory still
+    # reads draw n of its own stream (seed, offset + k) at step n + 1
+    from oqw.trajectory import _Ensemble
+
+    walk, n, seed, offset = fixtures.example_lattice_nonnormal(10), 40, 8, 3
+    refs = [trajectory_rng(seed, offset + k).random(40) for k in range(n)]
+    ens = _Ensemble(walk, "0", MIX, n, seed, index_offset=offset)
+    pick = np.random.default_rng(1)
+    ens.step()   # draws the first block
+    in_place = 0
+    for _ in range(30):
+        block, shape = ens.uniforms, ens.uniforms.shape
+        ens.stop(pick.random(ens.held.size) < 0.05)
+        assert ens.uniforms is block and ens.uniforms.shape == shape
+        if ens.draws - ens.u_start < shape[1]:   # the next draw is in this block
+            in_place += 1
+            assert np.array_equal(ens._next_uniforms(), [refs[k][ens.draws] for k in ens.held])
+        ens.step()
+    assert in_place > 20 and 0 < ens.held.size < n
+    ens.release()
+
+
+def test_no_block_of_uniforms_reaches_past_the_horizon(ruin_walk, monkeypatch):
+    # every window the sampler asks the streams for ends at the run's horizon
+    # (the word length) or before it
+    draw, windows = philox.uniforms, []
+
+    def spy(seed, indices, start, length):
+        windows.append(start + length)
+        return draw(seed, indices, start, length)
+
+    def last_draw(run):
+        windows.clear()
+        run()
+        assert windows
+        return max(windows)
+
+    monkeypatch.setattr(philox, "uniforms", spy)
+    walk = fixtures.example_lattice_nonnormal(10)
+    for h, visits in [(3, False), (10, True), (21, False), (70, True)]:
+        assert last_draw(lambda: oqw.estimate_hitting(walk, "0", MIX, "3", n_traj=200, horizon=h,
+                                                      seed=5, track_visits=visits)) <= h
+    obs = DiagonalObservable({str(k): np.array([[k / 10]], dtype=complex) for k in range(11)})
+    inner = [str(k) for k in range(1, 10)]
+    for h in (6, 21):
+        assert last_draw(lambda: oqw.martingale_diagnostic(
+            ruin_walk, obs, "5", np.array([[1.0]]), n_traj=200, horizon=h, seed=6,
+            stop_domain=inner)) <= h
+    for length in (1, 3, 13):
+        assert last_draw(lambda: word_frequencies(walk, "0", MIX, length, 100, seed=7)) <= length
 
 
 def conditioned_invariant_state(walk, site):
