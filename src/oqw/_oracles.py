@@ -21,12 +21,10 @@ def path_terms(series: CaptureSeries, max_len: int) -> list[np.ndarray]:
     terms = [np.zeros(shape, dtype=COMPLEX) for _ in range(max_len)]
     if series.direct is not None:
         terms[0] = walk.kraus(series.target, series.source).copy()
-    if series.A.shape[0]:
-        S = series.S
-        power = series.E.copy()
-        for ell in range(2, max_len + 1):
-            terms[ell - 1] = terms[ell - 1] + series.C @ power
-            power = S @ power
+    S, power = series.S, series.E.copy()
+    for ell in range(2, max_len + 1):
+        terms[ell - 1] = terms[ell - 1] + series.C @ power
+        power = S @ power
     return terms
 
 

@@ -176,10 +176,9 @@ class CaptureSeries:
         m = np.zeros((walk.dims[self.target] ** 2, walk.dims[self.source] ** 2), dtype=COMPLEX)
         if self.direct is not None:
             m += alpha * walk.kraus(self.target, self.source)
-        if self.A.shape[0]:
-            law = law or self.law(alpha)
-            for lo, K in _entry(walk, self.inner, self.source):
-                m += (alpha ** 2) * (law.x[lo:lo + K.shape[0]].conj().T @ K)
+        law = law or self.law(alpha)
+        for lo, K in _entry(walk, self.inner, self.source):
+            m += (alpha ** 2) * (law.x[lo:lo + K.shape[0]].conj().T @ K)
         return m
 
 
@@ -393,8 +392,8 @@ def _domain_solve(A, rhs: np.ndarray, layout: BlockIndex, dual: bool = False) ->
     and the dual problem with no data on T).  :class:`NumericalError` when
     no solve is certified.
     """
-    if not A.shape[0]:   # the empty system: nothing to solve or certify
-        return DomainSolve(rhs, "block_solve", (), 0.0, 0.0, None, A, dual)
+    if not A.shape[0]:   # the empty system: nothing to certify, and a pass-through solve
+        return DomainSolve(rhs, "block_solve", (), 0.0, 0.0, lambda b, dual=dual: b, A, dual)
     X, bound, residual, solve = _certify(A, rhs, layout, dual)
     if bound < 1.0 - DIVERGENCE_TOL:
         return DomainSolve(X, "block_solve", (), bound, residual, solve, A, dual)
@@ -574,7 +573,7 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     j = series.target
     ret = series if series.source == j else capture_series(walk, j, j)
     green = ret.blocks._keep("visits", lambda: _domain_solve(   # G = (Id - P)^{-1}
-        _read_only(_eye(P := _return_map(ret)[0]) - P)[0], _eye(P), ret.outer))
+        _read_only(_eye(P := _return_map(ret)) - P)[0], _eye(P), ret.outer))
     rhs = vec(sigma)[:, None]
     diag = green.diagnostics
     mass = green.trapped_mass(rhs, 0, walk.dims[j], tr_sigma)
@@ -583,16 +582,15 @@ def _visits(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationResult:
     return ExpectationResult(float(np.vdot(ret.outer.trace, green.x @ rhs[:, 0]).real), diag)
 
 
-def _return_map(ret: CaptureSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The return map at j from its series ``ret`` (j -> j), ``P = direct + C Z``, and ``Z = (Id -
-    S)^{-1} E``, solved forward on the law's factor.  Near 1, P sets a visit count to about
-    1/(1 - P), and a forward solve rounds it alike on the dense and sparse path."""
+def _return_map(ret: CaptureSeries) -> np.ndarray:
+    """The return map at j from its series ``ret`` (j -> j), ``P = direct + C (Id - S)^{-1} E``,
+    solved forward on the law's factor.  Near 1, P sets a visit count to about 1/(1 - P), and a
+    forward solve rounds it alike on the dense and sparse path."""
     d = ret.walk.dims[ret.target]
     P = np.zeros((d * d, d * d), dtype=COMPLEX)
     if ret.direct is not None:
         P += ret.walk.kraus(ret.target, ret.target)
-    Z = ret.law().resolve(ret.E, dual=False) if ret.A.shape[0] else ret.E
-    return P + ret.C @ Z, Z
+    return P + ret.C @ ret.law().resolve(ret.E, dual=False)
 
 
 def expected_return_time(walk: WalkSpec, i, rho, j) -> ExpectationResult:
@@ -614,15 +612,13 @@ def _return_time(walk: WalkSpec, series, first, rho, sigma, p) -> ExpectationRes
     val = 0.0
     if series.direct is not None:
         val = float(np.trace(series.direct @ rho @ series.direct.conj().T).real)
-    if series.A.shape[0]:   # h = X t_j is t_j^dag C (Id - S)^{-1} as a vector
-        law = series.law()
 
-        def time_vector() -> np.ndarray:   # h + (Id - S^dag)^{-1} h, kept with the law
-            h = law.x @ series.outer.trace
-            return _read_only(h + law.resolve(h))[0]
-        h = series.blocks._keep("time", time_vector)
-        val += sum(float(np.vdot(h[lo:lo + K.shape[0]], K @ vec(rho)).real)
-                   for lo, K in _entry(walk, series.inner, series.source))
+    def time_vector() -> np.ndarray:   # h + (Id - S^dag)^{-1} h, kept with the law
+        h = (law := series.law()).x @ series.outer.trace   # t_j^dag C (Id - S)^{-1} as a vector
+        return _read_only(h + law.resolve(h))[0]
+    h = series.blocks._keep("time", time_vector)
+    val += sum(float(np.vdot(h[lo:lo + K.shape[0]], K @ vec(rho)).real)
+               for lo, K in _entry(walk, series.inner, series.source))
     return ExpectationResult(val, {**series.diagnostics, "passage_probability": p})
 
 

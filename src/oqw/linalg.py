@@ -137,15 +137,16 @@ def _fixed_space(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vh[null].conj().T, u[:, null]
 
 
-def fixed_point_projection(matrix: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+def fixed_point_projection(matrix: np.ndarray, lift=lambda *bases: bases) -> tuple[Callable, int]:
     """Spectral projection onto the eigenvalue-1 eigenspace of M, as a map.
 
     Equals the Cesaro limit of ``mean_k M^k x`` when the peripheral spectrum
     is semisimple (true for trace-preserving completely positive maps).
     Returns the map ``x -> right (left^dag right)^{-1} left^dag x``, from one
-    SVD, and the fixed-space dimension.
+    SVD, and the fixed-space dimension; ``lift`` maps M's two bases to those of
+    a larger map whose fixed spaces they parametrize, and the map projects there.
     """
-    right, left = _fixed_space(matrix)
+    right, left = lift(*_fixed_space(matrix))
     k = right.shape[1]
     if k == 0:
         return np.zeros_like, 0

@@ -18,11 +18,9 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .hitting import (PASSAGE_SURE_TOL, ZERO_MASS_TOL, _passage_statistics, _taboo_block,
                       boundary, capture_series, exit_probability)
-from .linalg import (COMPLEX, RANK_TOL, extend_basis, fixed_point_projection, herm,
-                     hermitian_basis, vec)
-from .superop import invariant_state
-from .walk import (BlockIndex, DiagonalState, Site, WalkSpec, _fresh, _site_id, block_diagonal,
-                   block_matrix)
+from .linalg import COMPLEX, RANK_TOL, extend_basis, herm, hermitian_basis, vec
+from .superop import fixed_point_map, invariant_state
+from .walk import BlockIndex, DiagonalState, Site, WalkSpec, _fresh, _site_id, block_diagonal
 
 BOUNDS_TOL = 1e-8  # slack of the enclosure-sum bounds and of the recurrent-support test
 SPLIT_TOL = 1e-6  # relative eigenvalue gap between groups; closure defect of a group
@@ -201,19 +199,18 @@ def _decompose(walk: WalkSpec) -> Decomposition:
 def _minimal_enclosures(walk: WalkSpec, enc: Enclosure) -> list[Enclosure]:
     """Minimal enclosures inside ``enc``, an enclosure carrying an invariant state.
 
-    Eigenspaces of a Hermitian element of the compressed walk's dual
-    fixed-point algebra are enclosures.  The element is the projection of
-    ``diag(1..n)/n`` or, if that is a scalar, of the Hermitian basis element
-    that splits most; one projection maps both.  A group that is not closed
-    leaks below the fixed-point tolerance and is dropped as transient; the
-    others are split again until their compressed walk has a single fixed
-    point.
+    Eigenspaces of a Hermitian element of the compressed walk's dual fixed-point algebra
+    are enclosures.  The element is the dual projection, by :func:`~oqw.superop.fixed_point_map`
+    from the first-return map onto the compressed walk's return set, of ``diag(1..n)/n`` or,
+    if that is a scalar, of the Hermitian basis element that splits most.  A group that is
+    not closed leaks below the fixed-point tolerance and is dropped as transient; the others
+    are split again until their compressed walk has a single fixed point.
     """
     sub, _ = restrict_walk(walk, enc)
     idx = BlockIndex.at(sub, range(len(sub.sites)))
     ramp = idx.trace.copy()  # ones on the diagonals, in order
     ramp[ramp != 0] = np.arange(1, sub.total_dim + 1) / sub.total_dim
-    project, k = fixed_point_projection(block_matrix(sub, idx, idx).conj().T)
+    project, k = fixed_point_map(sub, adjoint=True)
     if k <= 1:
         return [enc]
     basis = block_diagonal([np.column_stack([vec(e) for e in hermitian_basis(d)])

@@ -234,6 +234,32 @@ def test_only_the_structure_record_builds_structure():
                      "irreducibility": {("structure", "_irreducibility")}}
 
 
+def test_one_function_takes_the_fixed_space_of_a_whole_walk():
+    # superop.fixed_point_map reads every fixed space of a whole walk (the
+    # invariant state's, and the dual one that splits enclosures) from the
+    # first-return map onto its return set; structure asks it and neither
+    # assembles a step matrix nor projects; hitting's one projection is the
+    # trap search inside a system; superop reads no hitting threshold, since
+    # the law it reads is certified there
+    modules = _modules()
+
+    def callers(name: str) -> set[tuple[str, str]]:
+        return {(module, fn) for module, tree in modules.items()
+                for fn in _users(tree, name) if fn != "<module>"}
+
+    assert not _users(modules["structure"], "fixed_point_projection")
+    assert not _users(modules["structure"], "block_matrix")
+    assert callers("fixed_point_map") == {("superop", "_invariant_state"),
+                                          ("structure", "_minimal_enclosures")}
+    assert callers("fixed_point_projection") == {("superop", "fixed_point_map"),
+                                                 ("hitting", "_trapped_split")}
+    assert callers("_fixed_space") == {("linalg", "fixed_point_projection")}
+    from_hitting = {alias.name for node in modules["superop"].body
+                    if isinstance(node, ast.ImportFrom) and node.module == "hitting"
+                    for alias in node.names}
+    assert from_hitting and not {name for name in from_hitting if name.isupper()}
+
+
 def test_the_walk_keeps_one_store():
     # WalkSpec's private fields are its table and one store; only walk.py
     # touches the store, through WalkSpec._memo

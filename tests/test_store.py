@@ -246,6 +246,22 @@ def test_a_start_with_no_step_into_the_interior_reads_no_law(monkeypatch):
                                          "trapped_sites": []}
 
 
+def test_the_empty_system_passes_every_solve_through(monkeypatch):
+    # the empty system's law solves with nothing to certify: a solve on its
+    # factor, forward or dual, returns its (empty) input, so the return map at
+    # "cut+" reads the direct block through it like any other series
+    walk = fixtures.example_half_line(0.75, 20)
+    calls, certify = [], hitting._certify
+    monkeypatch.setattr(hitting, "_certify", lambda *args: calls.append(1) or certify(*args))
+    series = capture_series(walk, "cut+", "cut+")
+    E = series.E
+    assert E.shape == (0, 1)
+    for dual in (None, True, False):
+        assert series.law().resolve(E, dual=dual).shape == (0, 1)
+    assert np.array_equal(hitting._return_map(series), walk.kraus("cut+", "cut+"))
+    assert calls == []
+
+
 def _with_chain(walk, target):
     """``walk`` with two new scalar sites "x" -> "y" -> ``target``, each step sure."""
     one = np.ones((1, 1))

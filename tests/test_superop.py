@@ -228,7 +228,7 @@ def test_kraus_stack_groups_blocks_by_shape_in_declared_order():
 
 
 # ---------------------------------------------------------------------------
-# the invariant state: the first-return route and the dense fallback
+# the invariant state: the first-return map onto the return set
 
 
 def dense_invariant(walk):
@@ -256,40 +256,95 @@ def fixed_space_sizes(monkeypatch):
     return calls
 
 
+def return_set(walk):
+    """The sites, in declared order, that reach none of the sites taken before."""
+    taken = []
+    for s in walk.sites:
+        reached, todo = {s}, [s]
+        while todo:
+            new = set(walk.successors(todo.pop())) - reached
+            reached |= new
+            todo += new
+        if not reached.intersection(taken):
+            taken.append(s)
+    return taken
+
+
 ROUTED = {"ring 3x2": lambda: fixtures.random_doubly_stochastic(3, 2, seed=7),
           "ring 8x2": lambda: fixtures.random_doubly_stochastic(8, 2, seed=3),
           "ring 40x4": lambda: fixtures.random_doubly_stochastic(40, 4, seed=3),
           "cycle 5": lambda: fixtures.cycle_dilation(5),
           "biased cycle 8": lambda: fixtures.cycle_dilation(8, bias=0.8),
           "rotated ring": lambda: rotate(fixtures.random_doubly_stochastic(6, 3, seed=1), 4)}
-DENSE = {"example-5.1": fixtures.example_three_site_trap,
-         "example-5.4": fixtures.example_branch_return,
-         "window 10": lambda: fixtures.example_lattice_nonnormal(10),
-         "ruin 11": lambda: fixtures.gamblers_ruin(11)}
+# reducible walks and their return sets
+REDUCIBLE = {"example-5.1": (fixtures.example_three_site_trap, ["0", "2"]),
+             "example-5.4": (fixtures.example_branch_return, ["0", "3"]),
+             "window 10": (lambda: fixtures.example_lattice_nonnormal(10),
+                           ["-10", "cut+", "cut-"]),
+             "ruin 11": (lambda: fixtures.gamblers_ruin(11), ["0", "10"]),
+             "half-line": (lambda: fixtures.example_half_line(0.25, 10), ["0", "cut+"])}
+# every case with its return set, None for the first site alone
+CASES = {**{name: (build, None) for name, build in ROUTED.items()}, **REDUCIBLE,
+         "taboo half-line": (lambda: fixtures.example_half_line(0.25, 12, boundary="taboo"), None)}
 
 
-@pytest.mark.parametrize("name", [*ROUTED, *DENSE, "taboo half-line"])
+@pytest.mark.parametrize("name", CASES)
 def test_invariant_state_is_the_dense_cesaro_limit(name, monkeypatch):
-    # irreducible walks read the d_s^2 x d_s^2 first-return map at their first
-    # site; reducible ones keep the dense step matrix's answer bit for bit;
-    # the taboo half-line leaks, so its return map at "0" fixes nothing
-    build = {**ROUTED, **DENSE, "taboo half-line":
-             lambda: fixtures.example_half_line(0.25, 12, boundary="taboo")}[name]
+    # every walk reads the first-return map onto its return set, whose one SVD
+    # has sum d_s^2 over the set's sites s as rows: an irreducible walk's first
+    # site, the two ends of a ruin; the taboo half-line leaks, so its return
+    # map at "0" fixes nothing
+    build, ret = CASES[name]
     walk = fresh(build())
+    ret = ret or [walk.sites[0]]
+    assert return_set(walk) == ret
     want, want_k = dense_invariant(walk)
     sizes = fixed_space_sizes(monkeypatch)
     tau, k = oqw.invariant_state(walk)
     assert k == want_k
-    if name in DENSE:
-        assert sizes[-1] == sum(d * d for d in walk.dims.values())
-        assert tau.blocks.keys() == want.keys()
-        assert all(np.array_equal(tau.blocks[s], want[s]) for s in want)
+    assert sizes == [sum(walk.dims[s] ** 2 for s in ret)]
+    if want is None:
+        assert tau is None
     else:
-        assert sizes == [walk.dims[walk.sites[0]] ** 2]
-        if want is None:
-            assert tau is None
-        else:
-            assert max(np.abs(tau.blocks[s] - want[s]).max() for s in want) <= 1e-12
+        assert tau.blocks.keys() == want.keys()
+        assert max(np.abs(tau.blocks[s] - want[s]).max() for s in want) <= 1e-12
+
+
+def sink_first_trap():
+    """A sink declared first, then "a" and "b", which pass e1 to each other
+    forever and send e2 to the sink: every site reaches the sink, so it is the
+    return set, but the law of {a, b} onto it traps the e1 shuttle."""
+    e1, e2 = np.diag([1.0, 0.0]), np.array([[0.0, 1.0]])
+    return oqw.WalkSpec(("sink", "a", "b"), {"sink": 1, "a": 2, "b": 2},
+                        {("sink", "sink"): np.eye(1), ("b", "a"): e1, ("a", "b"): e1,
+                         ("sink", "a"): e2, ("sink", "b"): e2})
+
+
+def test_a_trapping_law_off_the_return_set_takes_the_whole_step_matrix(monkeypatch):
+    walk = sink_first_trap()
+    assert return_set(walk) == ["sink"]
+    want, want_k = dense_invariant(walk)
+    sizes = fixed_space_sizes(monkeypatch)
+    tau, k = oqw.invariant_state(walk)
+    # the law's trap search on the 8 unknowns of {a, b}, then the 9 x 9 step matrix
+    assert sizes == [8, 9] and k == want_k == 2
+    assert tau.blocks.keys() == want.keys()
+    assert all(np.array_equal(tau.blocks[s], want[s]) for s in want)
+
+
+def test_a_fresh_window_reads_its_three_site_return_map(monkeypatch):
+    # window N = 120: 243 sites, 972 unknowns; its invariant state reads the
+    # 12 x 12 return map onto {-120, cut+, cut-} from the exit law of the rest,
+    # and builds no capture series
+    walk = fresh(fixtures.example_lattice_nonnormal(120))
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a))
+                        or svd(a, *args, **kw))
+    tau, k = oqw.invariant_state(walk)
+    assert k == 8 and tau is not None
+    assert max(shapes) <= (12, 12)
+    assert [key for key in walk._store if key[0] == "series"] == []
 
 
 @pytest.mark.parametrize("name", ROUTED)

@@ -212,11 +212,11 @@ def test_kac_decomposes_once_per_walk(monkeypatch):
 
 
 def test_kac_factors_the_restricted_walk_once(monkeypatch):
-    # the first call factors the 12 x 12 step matrix, the splits' sub-walks
-    # and the one-site walk restricted to the carrying enclosures: its 4 x 4
-    # return map, whose fixed dimension 4 sends it on to its 4 x 4 step
-    # matrix; later calls read the restricted walk's invariant state from the
-    # walk's store
+    # the first call factors the 8 x 8 return map onto {0, 2}, those of the
+    # splits' sub-walks (onto {0, 2} of the 5-unknown support, onto "0" of the
+    # {0, 1} cycle, then two one-site walks) and the 4 x 4 step matrix of the
+    # one-site walk restricted to the carrying enclosures; later calls read
+    # the restricted walk's invariant state from the walk's store
     from oqw import linalg
 
     calls = []
@@ -228,7 +228,7 @@ def test_kac_factors_the_restricted_walk_once(monkeypatch):
         calls.clear()
         reports.append(oqw.estimate_kac(walk, "2", n_traj=50, k_max=5, seed=seed))
         logs.append(list(calls))
-    assert logs == [[12, 6, 2, 1, 1, 4, 4], [], []]
+    assert logs == [[8, 5, 1, 1, 1, 4], [], []]
     assert all(rep.restricted_to_enclosure for rep in reports)
     assert reports[0] == reports[2]
     assert reports[0] == oqw.estimate_kac(fixtures.example_three_site_trap(), "2",
